@@ -1,5 +1,5 @@
 // Custom stack and custom policy: the library is not limited to the
-// paper's four configurations. This example hand-builds a 3-tier stack
+// paper's four configurations. This example declares a 3-tier stack
 // (two logic tiers sandwiching a memory tier), implements a bespoke
 // "coolest-core-first" policy against the policy interface, and runs it
 // with Adapt3D's thermal indices printed for comparison.
@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/floorplan"
-	"repro/internal/geometry"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/thermal"
@@ -45,90 +44,36 @@ func (coolestFirst) AssignCore(v *policy.View, _ workload.Job) int {
 
 func (coolestFirst) Tick(*policy.View) policy.TickDecision { return policy.TickDecision{} }
 
-// buildThreeTier assembles logic/memory/logic with 8 cores total.
-func buildThreeTier() (*floorplan.Stack, error) {
-	s := &floorplan.Stack{
-		Name:                     "custom-3tier",
-		InterlayerResistivityMKW: thermal.NewTSVModel().JointResistivity(2048),
-		InterlayerThicknessMM:    floorplan.InterlayerThicknessMM,
-	}
-	// The floorplan package exposes Block/Layer directly for custom
-	// builds; here we reuse the T1-derived mixed layers for the logic
-	// tiers and a memory layer between them.
-	mk := func() error {
-		l0 := mixed(0, 0, 0)
-		l1 := memory(1, 2)
-		l2 := mixed(2, 4, 4)
-		s.Layers = []*floorplan.Layer{l0, l1, l2}
-		return s.Finalize()
-	}
-	if err := mk(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func mixed(index, firstCore, firstL2 int) *floorplan.Layer {
-	// Assemble a mixed layer directly from blocks (4 cores, 2 L2 banks,
-	// crossbar and filler), demonstrating the low-level floorplan API.
-	const (
-		coreW = floorplan.ChipWMM / 4
-		coreH = floorplan.CoreAreaMM2 / coreW
-		l2W   = floorplan.ChipWMM / 2
-		l2H   = floorplan.L2AreaMM2 / l2W
-	)
-	l := &floorplan.Layer{Index: index, ThicknessMM: floorplan.DieThicknessMM}
-	for i := 0; i < 4; i++ {
-		l.Blocks = append(l.Blocks, &floorplan.Block{
-			Name: fmt.Sprintf("core%d", firstCore+i), Kind: floorplan.KindCore,
-			Rect:  mustRect(float64(i)*coreW, 0, coreW, coreH),
-			Layer: index, CoreID: firstCore + i, L2ID: -1,
-		})
-	}
-	for i := 0; i < 2; i++ {
-		l.Blocks = append(l.Blocks, &floorplan.Block{
-			Name: fmt.Sprintf("scdata%d", firstL2+i), Kind: floorplan.KindL2,
-			Rect:  mustRect(float64(i)*l2W, floorplan.ChipHMM-l2H, l2W, l2H),
-			Layer: index, CoreID: -1, L2ID: firstL2 + i,
-		})
-	}
-	midH := floorplan.ChipHMM - coreH - l2H
-	l.Blocks = append(l.Blocks,
-		&floorplan.Block{Name: fmt.Sprintf("xbar_L%d", index), Kind: floorplan.KindCrossbar,
-			Rect: mustRect(0, coreH, floorplan.ChipWMM/2, midH), Layer: index, CoreID: -1, L2ID: -1},
-		&floorplan.Block{Name: fmt.Sprintf("other_L%d", index), Kind: floorplan.KindOther,
-			Rect: mustRect(floorplan.ChipWMM/2, coreH, floorplan.ChipWMM/2, midH), Layer: index, CoreID: -1, L2ID: -1},
-	)
-	return l
-}
-
-func memory(index, firstL2 int) *floorplan.Layer {
+// threeTier describes logic/memory/logic with 8 cores total. The logic
+// tiers reuse the T1-derived "mixed" layer template; the memory tier
+// between them is an explicit block list (two L2 banks and one filler
+// block), showing both ways a StackSpec layer can be declared. Spec
+// builds assign core and L2 IDs in layer-then-document order.
+func threeTier() floorplan.StackSpec {
 	const (
 		l2W = floorplan.ChipWMM / 2
 		l2H = floorplan.L2AreaMM2 / l2W
 	)
-	l := &floorplan.Layer{Index: index, ThicknessMM: floorplan.DieThicknessMM}
-	for i := 0; i < 2; i++ {
-		l.Blocks = append(l.Blocks, &floorplan.Block{
-			Name: fmt.Sprintf("scdata%d", firstL2+i), Kind: floorplan.KindL2,
-			Rect:  mustRect(float64(i)*l2W, 0, l2W, l2H),
-			Layer: index, CoreID: -1, L2ID: firstL2 + i,
-		})
+	return floorplan.StackSpec{
+		Name:                     "custom-3tier",
+		InterlayerResistivityMKW: thermal.NewTSVModel().JointResistivity(2048),
+		Layers: []floorplan.LayerSpec{
+			{Template: "mixed"},
+			{Blocks: []floorplan.BlockSpec{
+				{Name: "scdata2", Kind: "l2", X: 0, Y: 0, W: l2W, H: l2H},
+				{Name: "scdata3", Kind: "l2", X: l2W, Y: 0, W: l2W, H: l2H},
+				{Name: "memother1A", Kind: "other", X: 0, Y: l2H, W: floorplan.ChipWMM, H: floorplan.ChipHMM - l2H},
+			}},
+			{Template: "mixed"},
+		},
 	}
-	rest := floorplan.ChipHMM - l2H
-	l.Blocks = append(l.Blocks,
-		&floorplan.Block{Name: fmt.Sprintf("memother%dA", index), Kind: floorplan.KindOther,
-			Rect: mustRect(0, l2H, floorplan.ChipWMM, rest), Layer: index, CoreID: -1, L2ID: -1},
-	)
-	return l
 }
-
-func mustRect(x, y, w, h float64) geometry.Rect { return geometry.MustRect(x, y, w, h) }
 
 func main() {
 	log.SetFlags(0)
 
-	stack, err := buildThreeTier()
+	spec := threeTier()
+	stack, err := spec.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -160,11 +105,11 @@ func main() {
 	fmt.Println()
 	for _, pol := range []policy.Policy{coolestFirst{}, adapt} {
 		res, err := sim.Run(sim.Config{
-			CustomStack: stack,
-			Policy:      pol,
-			Bench:       bench,
-			DurationS:   240,
-			Seed:        9,
+			StackSpec: &spec,
+			Policy:    pol,
+			Bench:     bench,
+			DurationS: 240,
+			Seed:      9,
 		})
 		if err != nil {
 			log.Fatal(err)

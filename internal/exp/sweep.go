@@ -73,12 +73,11 @@ func NewRunnerWithHooks(hooks RunnerHooks) sweep.RunFunc {
 }
 
 // JobConfig translates one sweep job into the simulator configuration
-// the runners execute: the stack built from the scenario's actual
-// physics (Adapt3D's offline thermal indices must be derived from the
-// chip being simulated, not the nominal-bond one — the degraded-tsv
-// stress scenario differs exactly there, and declarative stacks carry
-// arbitrary geometry; a zero joint resistivity selects the paper's
-// 0.23 m·K/W, same as the simulator's own default), the workload
+// the runners execute: the scenario resolved to its StackSpec (see
+// modelConfig), the stack built from it (Adapt3D's offline thermal
+// indices must be derived from the chip being simulated, not the
+// nominal-bond one — the degraded-tsv stress scenario differs exactly
+// there, and declarative stacks carry arbitrary geometry), the workload
 // fetched through traces so every policy replays the identical arrival
 // sequence, the policy constructed against that stack, and lifetime
 // tracking wired from the job's reliability flag. The session subsystem
@@ -89,35 +88,15 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	sc := j.Scenario
-	if err := sc.CheckStack(); err != nil {
+	cfg, err := modelConfig(j.Scenario)
+	if err != nil {
 		return sim.Config{}, err
 	}
-	var (
-		stack     *floorplan.Stack
-		stackSpec *floorplan.StackSpec
-	)
-	if sc.Stack != nil {
-		spec, err := sc.Stack.Resolve()
-		if err != nil {
-			return sim.Config{}, err
-		}
-		if stack, err = spec.Build(); err != nil {
-			return sim.Config{}, err
-		}
-		stackSpec = &spec
-	} else {
-		jr := sc.JointResistivityMKW
-		if jr == 0 {
-			jr = 0.23
-		}
-		var err error
-		stack, err = floorplan.BuildWithResistivity(sc.Exp, jr)
-		if err != nil {
-			return sim.Config{}, err
-		}
+	stack, err := cfg.StackSpec.Build()
+	if err != nil {
+		return sim.Config{}, err
 	}
-	jobs, err := traces.Get(workload.GenConfig{
+	cfg.Jobs, err = traces.Get(workload.GenConfig{
 		Bench:     b,
 		NumCores:  stack.NumCores(),
 		DurationS: j.DurationS,
@@ -126,24 +105,15 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	pol, err := BuildPolicyWith(j.Policy, stack, j.Seed, j.Solver)
-	if err != nil {
+	if cfg.Policy, err = BuildPolicyWith(j.Policy, stack, j.Seed, j.Solver); err != nil {
 		return sim.Config{}, err
 	}
-	return sim.Config{
-		Exp:                 sc.Exp,
-		StackSpec:           stackSpec,
-		JointResistivityMKW: sc.JointResistivityMKW,
-		GridRows:            sc.GridRows,
-		GridCols:            sc.GridCols,
-		Policy:              pol,
-		UseDPM:              j.UseDPM,
-		Jobs:                jobs,
-		DurationS:           j.DurationS,
-		Seed:                j.Seed,
-		Solver:              j.Solver,
-		TrackLifetime:       j.Reliability,
-	}, nil
+	cfg.UseDPM = j.UseDPM
+	cfg.DurationS = j.DurationS
+	cfg.Seed = j.Seed
+	cfg.Solver = j.Solver
+	cfg.TrackLifetime = j.Reliability
+	return cfg, nil
 }
 
 // NewRunners returns the per-job runner together with its batched
@@ -218,8 +188,8 @@ func GroupKey(j sweep.Job) string {
 	}
 	mc, err := modelConfig(j.Scenario)
 	if err != nil {
-		// Unresolvable stack reference: stay on the per-job path,
-		// where the runner reports the error itself.
+		// Unresolvable scenario: stay on the per-job path, where the
+		// runner reports the error itself.
 		return ""
 	}
 	mc.Solver = j.Solver
@@ -233,29 +203,16 @@ func GroupKey(j sweep.Job) string {
 }
 
 // modelConfig translates a scenario into the thermal-model-identity
-// fields of a sim.Config — the single mapping cfgFor, GroupKey, and
-// Prewarm all build on, so grouping and prewarming can never diverge
-// from the model a run actually constructs. Declarative stacks resolve
-// to a StackSpec (keyed by content hash); builtin experiments pass
-// through as Exp + joint resistivity.
+// fields of a sim.Config — its resolved StackSpec and grid — the single
+// mapping JobConfig, GroupKey, and Prewarm all build on, so grouping and
+// prewarming can never diverge from the model a run actually
+// constructs.
 func modelConfig(sc sweep.Scenario) (sim.Config, error) {
-	if err := sc.CheckStack(); err != nil {
+	spec, err := sc.StackSpec()
+	if err != nil {
 		return sim.Config{}, err
 	}
-	cfg := sim.Config{
-		Exp:                 sc.Exp,
-		JointResistivityMKW: sc.JointResistivityMKW,
-		GridRows:            sc.GridRows,
-		GridCols:            sc.GridCols,
-	}
-	if sc.Stack != nil {
-		spec, err := sc.Stack.Resolve()
-		if err != nil {
-			return sim.Config{}, err
-		}
-		cfg.StackSpec = &spec
-	}
-	return cfg, nil
+	return sim.Config{StackSpec: &spec, GridRows: sc.GridRows, GridCols: sc.GridCols}, nil
 }
 
 // Prewarm factors every cached-solver scenario's thermal systems into

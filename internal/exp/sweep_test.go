@@ -2,12 +2,14 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/floorplan"
 	"repro/internal/sweep"
 	"repro/internal/thermal"
 )
@@ -281,5 +283,53 @@ func TestGroupKey(t *testing.T) {
 	dense.Solver = thermal.SolverDense
 	if GroupKey(dense) != "" {
 		t.Errorf("dense-solver job got grouping key %q, want none", GroupKey(dense))
+	}
+}
+
+// TestExpShorthandIsItsResolvedSpec pins the one-stack-identity
+// contract: a builtin scenario with a joint-resistivity override and
+// an inline scenario carrying the spec it resolves to are one thermal
+// system, so they batch together and their records differ only in the
+// wire-level names (key and scenario).
+func TestExpShorthandIsItsResolvedSpec(t *testing.T) {
+	short := sweep.Scenario{Exp: floorplan.EXP4, JointResistivityMKW: 0.46}
+	spec, err := short.StackSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := sweep.Scenario{Stack: &sweep.StackRef{Spec: &spec}}
+	run := NewRunner()
+	for _, pol := range []string{"Adapt3D", "DVFS_Rel"} {
+		a := sweep.Job{Scenario: short, Policy: pol, Bench: "Web-med", Seed: 3, DurationS: 20, Reliability: true}
+		b := a
+		b.Scenario = inline
+		if ga, gb := GroupKey(a), GroupKey(b); ga == "" || ga != gb {
+			t.Errorf("%s: group keys %q and %q, want one non-empty key", pol, ga, gb)
+		}
+		fields := func(j sweep.Job) map[string]any {
+			t.Helper()
+			rec, err := run(context.Background(), j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m map[string]any
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			if m["key"] == nil || m["scenario"] == nil {
+				t.Fatalf("record %s lacks key or scenario", raw)
+			}
+			delete(m, "key")
+			delete(m, "scenario")
+			delete(m, "elapsed_ms")
+			return m
+		}
+		if ra, rb := fields(a), fields(b); !reflect.DeepEqual(ra, rb) {
+			t.Errorf("%s: records differ beyond key and scenario:\n%v\n%v", pol, ra, rb)
+		}
 	}
 }

@@ -24,6 +24,17 @@
 // lifetime tracker labels its per-block wear reports with its block
 // names and layers.
 //
+// # Stack identity
+//
+// Every Stack is built from a declarative StackSpec, and the spec's
+// content hash (StackSpec.Hash) is the stack's identity everywhere
+// below the wire. The builtin configurations are shipped specs:
+// SpecForExperiment names EXP-n's layers, and SpecWithResistivity adds
+// an explicit joint interlayer resistivity — the single place the
+// "experiment plus joint resistivity" shorthand of sweep scenarios and
+// simulator configs becomes a spec, so the shorthand and the spec it
+// names always hash alike.
+//
 // # Concurrency
 //
 // A Stack is immutable after Finalize; every consumer — worker pools

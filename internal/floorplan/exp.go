@@ -100,52 +100,51 @@ func ParseExperiment(s string) (Experiment, error) {
 	return 0, fmt.Errorf("floorplan: unknown experiment %q (want 1..6)", s)
 }
 
-// NumCores returns the core count of the configuration (8 per core or
-// mixed-pair tier: 8 for two-layer, 16 for four-layer, 24 for the
-// six-layer stack).
-func (e Experiment) NumCores() int {
-	switch e {
-	case EXP3, EXP4, EXP5:
-		return 16
-	case EXP6:
-		return 24
-	}
-	return 8
-}
-
-// NumLayers returns the silicon tier count.
-func (e Experiment) NumLayers() int {
-	switch e {
-	case EXP3, EXP4, EXP5:
-		return 4
-	case EXP6:
-		return 6
-	}
-	return 2
-}
+// paperJointResistivityMKW is the paper's joint interlayer resistivity
+// in m·K/W: >=1024 TSVs at <1% area overhead (Section IV-C).
+const paperJointResistivityMKW = 0.23
 
 // Build constructs the stack for the experiment with the paper's joint
 // interlayer resistivity of 0.23 m·K/W (>=1024 TSVs, <1% area overhead;
 // Section IV-C). Use BuildWithResistivity to explore other TSV densities.
 func Build(e Experiment) (*Stack, error) {
-	return BuildWithResistivity(e, 0.23)
+	return BuildWithResistivity(e, paperJointResistivityMKW)
 }
 
 // BuildWithResistivity constructs the stack for the experiment with an
-// explicit joint interlayer resistivity (m·K/W). The experiment is
-// expressed as a declarative StackSpec (SpecForExperiment) and built
-// through the same path as user-defined stacks — EXP-1..6 are just the
-// shipped entries of the scenario vocabulary.
+// explicit, positive joint interlayer resistivity (m·K/W), building
+// SpecWithResistivity's spec through the same path as user-defined
+// stacks.
 func BuildWithResistivity(e Experiment, jointResistivity float64) (*Stack, error) {
 	if jointResistivity <= 0 {
 		return nil, fmt.Errorf("floorplan: joint resistivity must be positive, got %g", jointResistivity)
 	}
-	spec, err := SpecForExperiment(e)
+	spec, err := SpecWithResistivity(e, jointResistivity)
 	if err != nil {
 		return nil, err
 	}
-	spec.InterlayerResistivityMKW = jointResistivity
 	return spec.Build()
+}
+
+// SpecWithResistivity is SpecForExperiment with the joint interlayer
+// resistivity set explicitly: jointResistivity in m·K/W, 0 selecting
+// the paper's 0.23. It is the one resolution of the "experiment plus
+// joint resistivity" shorthand (sweep.Scenario, sim.Config) into a
+// StackSpec, so that shorthand and the spec it names share one content
+// hash and therefore one model key.
+func SpecWithResistivity(e Experiment, jointResistivity float64) (StackSpec, error) {
+	if jointResistivity < 0 {
+		return StackSpec{}, fmt.Errorf("floorplan: joint resistivity must be positive, got %g", jointResistivity)
+	}
+	spec, err := SpecForExperiment(e)
+	if err != nil {
+		return StackSpec{}, err
+	}
+	if jointResistivity == 0 {
+		jointResistivity = paperJointResistivityMKW
+	}
+	spec.InterlayerResistivityMKW = jointResistivity
+	return spec, nil
 }
 
 // MustBuild is Build for statically known experiments; it panics on error.

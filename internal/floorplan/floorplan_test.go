@@ -72,9 +72,6 @@ func TestExperimentShape(t *testing.T) {
 		if got := len(s.L2s()); got != c.l2s {
 			t.Errorf("%v: L2 banks = %d, want %d", c.e, got, c.l2s)
 		}
-		if c.e.NumCores() != c.cores || c.e.NumLayers() != c.layers {
-			t.Errorf("%v: Experiment accessors disagree with built stack", c.e)
-		}
 	}
 }
 
@@ -158,7 +155,11 @@ func TestCoreIDsAreDenseAndUnique(t *testing.T) {
 			}
 			seen[c.CoreID] = true
 		}
-		for id := 0; id < e.NumCores(); id++ {
+		spec, err := SpecForExperiment(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < spec.NumCores(); id++ {
 			if !seen[id] {
 				t.Errorf("%v: missing core id %d", e, id)
 			}

@@ -380,7 +380,7 @@ func (s *StackSpec) Build() (*Stack, error) {
 	if jr == 0 {
 		jr = jointResistivityFromTSVs(s.TSVsPerInterface)
 		if s.TSVsPerInterface == 0 {
-			jr = 0.23 // the paper's default (1024 TSVs)
+			jr = paperJointResistivityMKW
 		}
 	}
 	tInt := s.InterlayerThicknessMM

@@ -270,45 +270,6 @@ func (f *Cholesky) SolvePanel(dst, rhs []float64, k int, scratch []float64) erro
 	return nil
 }
 
-// SolveMultiBuffered solves A*X = B column by column, overwriting each
-// B column with its solution, using caller-provided scratch of length
-// n*len(cols) so repeated multi-RHS solves are allocation-free. The
-// columns are solved as one lane-interleaved panel (one traversal of L
-// for all of them), with per-column results bitwise identical to
-// SolveBuffered. scratch must not alias any column. For contiguous
-// lane-major panels use SolvePanel instead.
-func (f *Cholesky) SolveMultiBuffered(cols [][]float64, scratch []float64) error {
-	n, k := f.n, len(cols)
-	if k == 0 {
-		return nil
-	}
-	if len(scratch) != n*k {
-		return fmt.Errorf("linalg: Cholesky.SolveMultiBuffered scratch has length %d, want n*k = %d", len(scratch), n*k)
-	}
-	for ci, b := range cols {
-		if len(b) != n {
-			return fmt.Errorf("linalg: Cholesky.SolveMultiBuffered column %d has length %d, want %d", ci, len(b), n)
-		}
-	}
-	if k == 1 {
-		return f.SolveBuffered(cols[0], cols[0], scratch)
-	}
-	for kn, old := range f.perm {
-		base := kn * k
-		for l := 0; l < k; l++ {
-			scratch[base+l] = cols[l][old]
-		}
-	}
-	f.solvePanelScratch(scratch, k)
-	for kn, old := range f.perm {
-		base := kn * k
-		for l := 0; l < k; l++ {
-			cols[l][old] = scratch[base+l]
-		}
-	}
-	return nil
-}
-
 // solvePanelScratch runs the permuted forward/diagonal/backward sweeps
 // in place on a lane-interleaved panel w (lane l of permuted row i at
 // w[i*k+l]). Per lane it performs the exact operation sequence of

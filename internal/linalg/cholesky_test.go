@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -115,40 +116,6 @@ func TestCholeskySolveAliased(t *testing.T) {
 	}
 }
 
-// TestCholeskySolveMulti checks the multi-RHS path against per-vector
-// solves.
-func TestCholeskySolveMulti(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const n, k = 30, 4
-	s := randSPDSystem(rng, n, 25)
-	f, err := FactorCholesky(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := make([][]float64, k)
-	want := make([][]float64, k)
-	for c := range cols {
-		cols[c] = make([]float64, n)
-		want[c] = make([]float64, n)
-		for i := range cols[c] {
-			cols[c][i] = rng.NormFloat64()
-		}
-		if err := f.Solve(want[c], cols[c]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.SolveMultiBuffered(cols, make([]float64, n*k)); err != nil {
-		t.Fatal(err)
-	}
-	for c := range cols {
-		for i := range cols[c] {
-			if cols[c][i] != want[c][i] {
-				t.Fatalf("column %d row %d: multi %g single %g", c, i, cols[c][i], want[c][i])
-			}
-		}
-	}
-}
-
 // TestCholeskyRejectsIndefinite ensures a non-PD matrix is reported
 // rather than silently mis-factored.
 func TestCholeskyRejectsIndefinite(t *testing.T) {
@@ -229,12 +196,10 @@ func TestOrderingsArePermutations(t *testing.T) {
 	}
 }
 
-// TestMinDegreeBoundsHubFill checks that minimum degree keeps fill low
-// on a hub topology: a grid whose cells all couple to a few hub nodes,
-// the structure of a thermal network's package coupling. RCM degrades
-// here; MinDegree must keep nnz(L) within a small multiple of nnz(A).
-func TestMinDegreeBoundsHubFill(t *testing.T) {
-	const rows, cols, hubs = 24, 24, 5
+// hubGrid builds the hub topology of a thermal network's package
+// coupling: a rows x cols grid whose cells all couple to a few hub
+// nodes, one of which is grounded.
+func hubGrid(rows, cols, hubs int) *Sparse {
 	n := rows*cols + hubs
 	sb := NewSparseBuilder(n)
 	id := func(r, c int) int { return r*cols + c }
@@ -252,13 +217,56 @@ func TestMinDegreeBoundsHubFill(t *testing.T) {
 		}
 	}
 	sb.StampGroundConductance(rows*cols, 1)
-	s := sb.Build()
+	return sb.Build()
+}
+
+// TestMinDegreeBoundsHubFill checks that minimum degree keeps fill low
+// on a hub topology. RCM degrades here; MinDegree must keep nnz(L)
+// within a small multiple of nnz(A).
+func TestMinDegreeBoundsHubFill(t *testing.T) {
+	s := hubGrid(24, 24, 5)
 	f, err := FactorCholesky(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if limit := 4 * s.NNZ(); f.NNZ() > limit {
 		t.Fatalf("minimum-degree fill too high: nnz(L)=%d, nnz(A)=%d", f.NNZ(), s.NNZ())
+	}
+}
+
+// TestMinDegreeDeterministic pins that the ordering is a pure function
+// of the sparsity pattern: repeated calls on one grid system return one
+// permutation, so factorizations — and the grid-mode records built on
+// them — are bitwise reproducible across calls and processes.
+func TestMinDegreeDeterministic(t *testing.T) {
+	s := hubGrid(24, 24, 5)
+	rng := rand.New(rand.NewSource(12))
+	b := make([]float64, s.N)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	solve := func() []float64 {
+		t.Helper()
+		f, err := FactorCholesky(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, s.N)
+		if err := f.Solve(x, b); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	perm, x := MinDegree(s), solve()
+	for call := 1; call < 10; call++ {
+		if got := MinDegree(s); !reflect.DeepEqual(got, perm) {
+			t.Fatalf("call %d returned a different permutation", call)
+		}
+		for i, v := range solve() {
+			if math.Float64bits(v) != math.Float64bits(x[i]) {
+				t.Fatalf("call %d: solve differs at row %d: %g vs %g", call, i, v, x[i])
+			}
+		}
 	}
 }
 
@@ -360,6 +368,14 @@ func TestCholeskySolvePanel(t *testing.T) {
 						t.Fatalf("k=%d aliased: panel[%d]=%g, buffered=%g", k, i, inPlace[i], want[i])
 					}
 				}
+				allocs := testing.AllocsPerRun(20, func() {
+					if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("k=%d: SolvePanel allocates %.1f per call, want 0", k, allocs)
+				}
 			}
 		})
 	}
@@ -382,60 +398,6 @@ func TestCholeskySolvePanelValidation(t *testing.T) {
 	}
 	if err := f.SolvePanel(buf, buf, 2, buf[:10]); err == nil {
 		t.Fatal("expected error for short scratch")
-	}
-}
-
-// TestCholeskySolveMultiMatchesBuffered extends the multi-RHS pin: the
-// panel path must agree bitwise with repeated SolveBuffered calls, and
-// the buffered variants must not allocate — the removed SolveMulti
-// shim's per-call scratch make() was a leak in the tick path.
-func TestCholeskySolveMultiMatchesBuffered(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const n, k = 40, 3
-	s := randSPDSystem(rng, n, 30)
-	f, err := FactorCholesky(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := make([][]float64, k)
-	want := make([][]float64, k)
-	scratch := make([]float64, n*k)
-	for c := range cols {
-		cols[c] = make([]float64, n)
-		want[c] = make([]float64, n)
-		for i := range cols[c] {
-			cols[c][i] = rng.NormFloat64()
-		}
-		if err := f.SolveBuffered(want[c], cols[c], scratch[:n]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.SolveMultiBuffered(cols, scratch); err != nil {
-		t.Fatal(err)
-	}
-	for c := range cols {
-		for i := range cols[c] {
-			if cols[c][i] != want[c][i] {
-				t.Fatalf("column %d row %d: multi %g buffered %g", c, i, cols[c][i], want[c][i])
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := f.SolveMultiBuffered(cols, scratch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SolveMultiBuffered allocates %.1f per call, want 0", allocs)
-	}
-	panel := make([]float64, n*k)
-	allocs = testing.AllocsPerRun(50, func() {
-		if err := f.SolvePanel(panel, panel, k, scratch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SolvePanel allocates %.1f per call, want 0", allocs)
 	}
 }
 

@@ -3,18 +3,17 @@
 // nothing about floorplans or temperatures, only CSR/dense matrices —
 // internal/thermal is its sole in-repo consumer.
 //
-// Three solve paths are available, all behind the Solver interface:
+// Two solve paths are available, both behind the Solver interface:
 //
 //   - Sparse direct (Cholesky): an LDLᵀ factorization of the CSR
 //     conductance matrix with a fill-reducing ordering — reverse
 //     Cuthill-McKee for small block-mode systems, minimum degree for
 //     grid-mode systems whose package "hub" nodes would otherwise
-//     cause catastrophic fill. RC conductance systems are symmetric
-//     positive definite, and factoring once then back-solving per step
-//     turns the dense O(n³) solve into O(nnz(L)) per step.
-//   - Preconditioned conjugate gradients (Sparse.SolveCG): a Jacobi-
-//     preconditioned iterative fallback for SPD systems too large to
-//     factor, or for one-shot solves where no factorization is reused.
+//     cause catastrophic fill. Both orderings are deterministic, so a
+//     factorization is bitwise reproducible across processes. RC
+//     conductance systems are symmetric positive definite, and
+//     factoring once then back-solving per step turns the dense O(n³)
+//     solve into O(nnz(L)) per step.
 //   - Dense LU with partial pivoting (Factor/SolveDense): the
 //     reference path, kept for cross-validation tests, benchmark
 //     baselines, and matrices with no exploitable sparsity.
@@ -29,9 +28,6 @@
 // point operation sequence is exactly SolveBuffered's, so panel
 // results are bitwise identical to k scalar solves — the contract the
 // batched transient stepping in internal/thermal builds on.
-// SolveMultiBuffered adapts scattered column slices onto the same
-// kernel with caller-provided scratch, keeping repeated multi-RHS
-// solves allocation-free.
 //
 // # Buffer ownership and concurrency
 //

@@ -240,45 +240,6 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSolveCGMatchesLU(t *testing.T) {
-	s := buildLaplacian(40)
-	b := make([]float64, 40)
-	for i := range b {
-		b[i] = math.Sin(float64(i))
-	}
-	x := make([]float64, 40)
-	res, err := s.SolveCG(x, b, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("CG did not converge: %+v", res)
-	}
-	want, err := SolveDense(s.ToDense(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-6 {
-			t.Fatalf("x[%d] = %g, want %g", i, x[i], want[i])
-		}
-	}
-}
-
-func TestSolveCGZeroRHS(t *testing.T) {
-	s := buildLaplacian(5)
-	x := []float64{1, 2, 3, 4, 5}
-	res, err := s.SolveCG(x, make([]float64, 5), CGOptions{})
-	if err != nil || !res.Converged {
-		t.Fatalf("zero-RHS solve failed: %v %+v", err, res)
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatal("zero RHS should give zero solution")
-		}
-	}
-}
-
 func TestSparseDiag(t *testing.T) {
 	s := buildLaplacian(4)
 	d := s.Diag()

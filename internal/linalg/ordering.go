@@ -1,5 +1,7 @@
 package linalg
 
+import "sort"
+
 // MinDegree computes a minimum-degree fill-reducing ordering of the
 // symmetric matrix s, returning perm with perm[new] = old. At each step
 // the vertex of smallest current degree is eliminated and its neighbours
@@ -12,6 +14,12 @@ package linalg
 // hubs keep a high degree until the very end, so the sparse bulk of the
 // grid is eliminated first and the dense-ish clique that remains is only
 // a few nodes wide. This is the default ordering for FactorCholesky.
+//
+// The ordering is a pure function of s's sparsity pattern: each
+// eliminated vertex's neighbours are visited in ascending order, and
+// vertices of equal degree leave the heap in the order they entered it.
+// Factorizations, and so every grid-mode solve, are therefore
+// bitwise reproducible across calls and processes.
 func MinDegree(s *Sparse) []int {
 	n := s.N
 	adj := make([]map[int]struct{}, n)
@@ -28,14 +36,18 @@ func MinDegree(s *Sparse) []int {
 	}
 
 	// Lazy binary min-heap of (degree, vertex); stale entries are skipped
-	// when their recorded degree no longer matches.
-	type hnode struct{ deg, v int }
+	// when their recorded degree no longer matches. Equal degrees pop in
+	// push order (seq), so ties never depend on the heap's layout.
+	type hnode struct{ deg, seq, v int }
 	heap := make([]hnode, 0, 2*n)
-	push := func(h hnode) {
-		heap = append(heap, h)
+	less := func(a, b hnode) bool { return a.deg < b.deg || (a.deg == b.deg && a.seq < b.seq) }
+	seq := 0
+	push := func(deg, v int) {
+		heap = append(heap, hnode{deg, seq, v})
+		seq++
 		for i := len(heap) - 1; i > 0; {
 			p := (i - 1) / 2
-			if heap[p].deg <= heap[i].deg {
+			if !less(heap[i], heap[p]) {
 				break
 			}
 			heap[p], heap[i] = heap[i], heap[p]
@@ -50,10 +62,10 @@ func MinDegree(s *Sparse) []int {
 		for i := 0; ; {
 			l, r := 2*i+1, 2*i+2
 			m := i
-			if l < last && heap[l].deg < heap[m].deg {
+			if l < last && less(heap[l], heap[m]) {
 				m = l
 			}
-			if r < last && heap[r].deg < heap[m].deg {
+			if r < last && less(heap[r], heap[m]) {
 				m = r
 			}
 			if m == i {
@@ -66,7 +78,7 @@ func MinDegree(s *Sparse) []int {
 	}
 
 	for v := 0; v < n; v++ {
-		push(hnode{len(adj[v]), v})
+		push(len(adj[v]), v)
 	}
 	perm := make([]int, 0, n)
 	eliminated := make([]bool, n)
@@ -82,6 +94,7 @@ func MinDegree(s *Sparse) []int {
 		for u := range adj[v] {
 			nbrs = append(nbrs, u)
 		}
+		sort.Ints(nbrs)
 		for _, u := range nbrs {
 			delete(adj[u], v)
 		}
@@ -95,7 +108,7 @@ func MinDegree(s *Sparse) []int {
 		}
 		adj[v] = nil
 		for _, u := range nbrs {
-			push(hnode{len(adj[u]), u})
+			push(len(adj[u]), u)
 		}
 	}
 	return perm

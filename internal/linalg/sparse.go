@@ -185,99 +185,6 @@ func (s *Sparse) ToDense() *Matrix {
 	return m
 }
 
-// CGOptions configures the conjugate-gradient solver.
-type CGOptions struct {
-	MaxIter int     // maximum iterations; 0 means 10*N
-	Tol     float64 // relative residual tolerance; 0 means 1e-10
-}
-
-// CGResult reports convergence information.
-type CGResult struct {
-	Iterations int
-	Residual   float64 // final relative residual ||b-Ax|| / ||b||
-	Converged  bool
-}
-
-// SolveCG solves S*x = b for symmetric positive-definite S using Jacobi-
-// preconditioned conjugate gradients. x is used as the starting guess and
-// receives the solution.
-func (s *Sparse) SolveCG(x, b []float64, opts CGOptions) (CGResult, error) {
-	n := s.N
-	if len(x) != n || len(b) != n {
-		return CGResult{}, fmt.Errorf("linalg: SolveCG dimension mismatch n=%d x=%d b=%d", n, len(x), len(b))
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	normB := Norm2(b)
-	if normB == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return CGResult{Converged: true}, nil
-	}
-
-	diag := s.Diag()
-	for i, d := range diag {
-		if d <= 0 {
-			return CGResult{}, fmt.Errorf("linalg: SolveCG requires positive diagonal, got %g at row %d", d, i)
-		}
-	}
-
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-
-	s.MulVec(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	for i := range z {
-		z[i] = r[i] / diag[i]
-	}
-	copy(p, z)
-	rz := Dot(r, z)
-
-	res := CGResult{}
-	for iter := 0; iter < maxIter; iter++ {
-		s.MulVec(ap, p)
-		pap := Dot(p, ap)
-		if pap <= 0 {
-			return res, fmt.Errorf("linalg: SolveCG encountered non-SPD curvature %g at iteration %d", pap, iter)
-		}
-		alpha := rz / pap
-		AXPY(x, alpha, p)
-		AXPY(r, -alpha, ap)
-		res.Iterations = iter + 1
-		res.Residual = Norm2(r) / normB
-		if res.Residual < tol {
-			res.Converged = true
-			return res, nil
-		}
-		for i := range z {
-			z[i] = r[i] / diag[i]
-		}
-		rzNew := Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	res.Residual = Norm2(r) / normB
-	res.Converged = res.Residual < tol
-	if !res.Converged {
-		return res, fmt.Errorf("linalg: SolveCG failed to converge in %d iterations (residual %.3e)", maxIter, res.Residual)
-	}
-	return res, nil
-}
-
 // MaxOffDiagAsymmetry returns the largest |S[i][j]-S[j][i]| (for tests).
 func (s *Sparse) MaxOffDiagAsymmetry() float64 {
 	d := s.ToDense()

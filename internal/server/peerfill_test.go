@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -316,5 +317,105 @@ func TestJobEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid job answered %s, want 400", resp.Status)
+	}
+}
+
+// heldTransport holds every outbound request until want requests have
+// started, then forwards them all.
+type heldTransport struct {
+	want int
+
+	mu      sync.Mutex
+	started int
+	all     chan struct{}
+}
+
+func (h *heldTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	h.mu.Lock()
+	h.started++
+	if h.started == h.want {
+		close(h.all)
+	}
+	h.mu.Unlock()
+	select {
+	case <-h.all:
+	case <-r.Context().Done():
+		return nil, r.Context().Err()
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestPeerFillHoldsNoWorker: two single-worker nodes, each asked for a
+// cold key the other owns, peer-fill from each other at the same time.
+// A fill must not occupy the worker the owner needs to answer the
+// other node's fill, or both nodes wait on each other until the
+// requesters give up.
+func TestPeerFillHoldsNoWorker(t *testing.T) {
+	var handlers [2]http.Handler
+	var nodes [2]*httptest.Server
+	for i := range nodes {
+		nodes[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			handlers[i].ServeHTTP(w, r)
+		}))
+		defer nodes[i].Close()
+	}
+	peers := []string{nodes[0].URL, nodes[1].URL}
+
+	// owned[i] is a job node i owns, so node 1-i must peer-fill it.
+	var owned [2]*sweep.Job
+	spec := smallSpec()
+	spec.Replicates = 8
+	for _, j := range spec.Expand() {
+		if o := cluster.Owner(peers, j.Key()); owned[o] == nil {
+			owned[o] = &j
+		}
+	}
+	if owned[0] == nil || owned[1] == nil {
+		t.Fatal("no job split found between the two nodes")
+	}
+
+	held := &heldTransport{want: 2, all: make(chan struct{})}
+	var runners [2]*fakeRunner
+	var servers [2]*Server
+	for i := range servers {
+		runners[i] = newFakeRunner()
+		servers[i] = New(Config{Workers: 1, Runner: runners[i].run, ValidateJob: allowAll,
+			Peers: peers, Self: peers[i],
+			PeerClient: func(base string) *client.Client {
+				c := tightPeerClient(base)
+				c.HTTP = &http.Client{Transport: held}
+				return c
+			}})
+		defer servers[i].Stop()
+		handlers[i] = servers[i].Handler()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	errs := make(chan error, 2)
+	for i := range nodes {
+		go func(node string, j sweep.Job) {
+			rec, err := client.New(node).RunJob(ctx, j, false)
+			if err == nil && rec.Key != j.Key() {
+				err = fmt.Errorf("answered key %q, want %q", rec.Key, j.Key())
+			}
+			errs <- err
+		}(peers[i], *owned[1-i])
+	}
+	for range nodes {
+		if err := <-errs; err != nil {
+			t.Fatalf("cross peer-fill did not complete: %v", err)
+		}
+	}
+	for i := range servers {
+		if got := runners[i].count(owned[i].Key()); got != 1 {
+			t.Errorf("node %d ran its own key %d times, want 1", i, got)
+		}
+		if got := runners[i].count(owned[1-i].Key()); got != 0 {
+			t.Errorf("node %d ran its peer's key %d times, want 0", i, got)
+		}
+		if m := getMetrics(t, nodes[i]); m.PeerFills != 1 || m.ReroutedJobs != 0 {
+			t.Errorf("node %d: peer_fills_total=%d rerouted_jobs_total=%d, want 1 and 0", i, m.PeerFills, m.ReroutedJobs)
+		}
 	}
 }

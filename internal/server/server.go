@@ -14,7 +14,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/exp"
-	"repro/internal/floorplan"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -44,9 +43,10 @@ type Config struct {
 	// node's own as spelled in Self). When set, a cache miss for a job
 	// key another node owns (cluster.Owner over Peers) is peer-filled:
 	// fetched from the owner via POST /v1/job before falling back to a
-	// local run. Empty means single-node, no peer-fill. Every node and
-	// every router must spell the list identically for ownership to
-	// agree.
+	// local run. At most Workers fills are in flight at once, and none
+	// occupies a worker. Empty means single-node, no peer-fill. Every
+	// node and every router must spell the list identically for
+	// ownership to agree.
 	Peers []string
 	// Self is this node's own base URL exactly as it appears in Peers.
 	// Ignored when Peers is empty; when Peers is set, a Self that is
@@ -96,6 +96,11 @@ type Server struct {
 	baseCancel context.CancelFunc
 	tasks      chan *call
 	wg         sync.WaitGroup
+	// fills bounds concurrent outbound peer-fills to Workers. A fill
+	// never holds a worker: it runs before its call joins the task
+	// queue, so two nodes filling from each other can never each wait
+	// on the other's only worker.
+	fills chan struct{}
 
 	// Cluster membership for peer-fill, fixed at construction. self is
 	// the index of this node in peers, or -1 when peer-fill is off;
@@ -130,6 +135,7 @@ func New(cfg Config) *Server {
 		cache:    newLRUCache(cfg.CacheEntries),
 		inflight: make(map[string]*call),
 		tasks:    make(chan *call),
+		fills:    make(chan struct{}, cfg.Workers),
 	}
 	s.met.start = time.Now()
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -236,38 +242,13 @@ func (s *Server) worker() {
 		case c := <-s.tasks:
 			s.met.queueDepth.Add(-1)
 			s.met.activeJobs.Add(1)
-			rec, err := s.runJob(c)
+			rec, err := s.runner(c.ctx, c.job)
 			s.met.activeJobs.Add(-1)
-			// Strip the wall-clock field: served streams are a pure
-			// function of the spec, and a cached record must be
-			// indistinguishable from a fresh one.
-			rec.ElapsedMS = 0
 			s.finish(c, rec, err)
 		case <-s.baseCtx.Done():
 			return
 		}
 	}
-}
-
-// runJob resolves one cache-missed call: peer-fill from the key's
-// rendezvous owner when another node owns it (one hop, and only for
-// calls that did not themselves arrive as a peer-fill), local
-// simulation otherwise. An unreachable owner is not fatal — the job
-// re-routes to a local run and the rerouted counter moves — so a dead
-// peer degrades cache locality, never correctness.
-func (s *Server) runJob(c *call) (sweep.Record, error) {
-	if pc := s.peerFor(c); pc != nil {
-		rec, err := pc.RunJob(c.ctx, c.job, true)
-		if err == nil {
-			s.met.peerFills.Add(1)
-			return rec, nil
-		}
-		if c.ctx.Err() != nil {
-			return sweep.Record{}, c.ctx.Err()
-		}
-		s.met.reroutedJobs.Add(1)
-	}
-	return s.runner(c.ctx, c.job)
 }
 
 // peerFor returns the client to peer-fill c through, or nil when the
@@ -312,9 +293,19 @@ func (s *Server) acquire(j sweep.Job, peerOK bool) pending {
 	return pending{c: c}
 }
 
-// schedule hands the call to a worker, or finishes it as canceled if
-// every requester (or the server) goes away while it is still queued.
+// schedule resolves a cache-missed call. A key another node owns is
+// first peer-filled from its rendezvous owner (one hop, and only for
+// calls that did not themselves arrive as a peer-fill) before the call
+// joins the task queue, so the wait on the owner never holds a local
+// worker. An unreachable owner is not fatal — the job re-routes to a
+// local run and the rerouted counter moves — so a dead peer degrades
+// cache locality, never correctness. A call whose every requester (or
+// the server) goes away before it reaches a worker finishes as
+// canceled.
 func (s *Server) schedule(c *call) {
+	if pc := s.peerFor(c); pc != nil && s.peerFill(c, pc) {
+		return
+	}
 	select {
 	case s.tasks <- c:
 	case <-c.ctx.Done():
@@ -323,11 +314,45 @@ func (s *Server) schedule(c *call) {
 	}
 }
 
+// peerFill tries to resolve c from the key's owner through pc, holding
+// one of the Workers fill slots for the round trip. It reports whether
+// c finished: false means the owner could not answer and the job must
+// run locally.
+func (s *Server) peerFill(c *call, pc *client.Client) bool {
+	var (
+		rec sweep.Record
+		err error
+	)
+	select {
+	case s.fills <- struct{}{}:
+		rec, err = pc.RunJob(c.ctx, c.job, true)
+		<-s.fills
+	case <-c.ctx.Done():
+		err = c.ctx.Err()
+	}
+	switch {
+	case err == nil:
+		s.met.peerFills.Add(1)
+	case c.ctx.Err() != nil:
+		err = c.ctx.Err()
+	default:
+		s.met.reroutedJobs.Add(1)
+		return false
+	}
+	s.met.queueDepth.Add(-1)
+	s.finish(c, rec, err)
+	return true
+}
+
 // finish publishes a call's outcome: successful records enter the
 // result cache in the same critical section that retires the in-flight
 // entry, so a concurrent request always sees the job as either
 // in-flight or cached, never neither.
 func (s *Server) finish(c *call, rec sweep.Record, err error) {
+	// Strip the wall-clock field: served streams are a pure function of
+	// the spec, and a cached record must be indistinguishable from a
+	// fresh one.
+	rec.ElapsedMS = 0
 	s.mu.Lock()
 	if err == nil {
 		s.cache.Add(c.key, rec)
@@ -421,10 +446,9 @@ const (
 )
 
 // defaultValidateJob vets a job against the simulator's actual
-// vocabulary and the resource limits above, cheaply (builtin
-// experiments build no thermal model; declarative stacks are
-// size-gated from the spec and then built once in block mode, which
-// also proves the geometry validates).
+// vocabulary and the resource limits above, cheaply: every scenario
+// resolves to its StackSpec, is size-gated from the spec, and is then
+// built once in block mode, which also proves the geometry validates.
 func defaultValidateJob(j sweep.Job) error {
 	if !exp.KnownPolicy(j.Policy) {
 		return fmt.Errorf("unknown policy %q", j.Policy)
@@ -432,24 +456,17 @@ func defaultValidateJob(j sweep.Job) error {
 	if _, err := workload.ByName(j.Bench); err != nil {
 		return fmt.Errorf("unknown benchmark %q", j.Bench)
 	}
-	if err := j.Scenario.CheckStack(); err != nil {
+	spec, err := j.Scenario.StackSpec()
+	if err != nil {
 		return err
 	}
-	if st := j.Scenario.Stack; st != nil {
-		spec, err := st.Resolve()
-		if err != nil {
-			return err
-		}
-		if n := spec.NumLayers(); n > maxSpecLayers {
-			return fmt.Errorf("scenario %s: %d layers exceeds the %d-layer limit", j.Scenario.ID(), n, maxSpecLayers)
-		}
-		if n := spec.NumBlocks(); n > maxSpecBlocks {
-			return fmt.Errorf("scenario %s: %d blocks exceeds the %d-block limit", j.Scenario.ID(), n, maxSpecBlocks)
-		}
-		if _, err := spec.Build(); err != nil {
-			return fmt.Errorf("scenario %s: %v", j.Scenario.ID(), err)
-		}
-	} else if _, err := floorplan.Build(j.Scenario.Exp); err != nil {
+	if n := spec.NumLayers(); n > maxSpecLayers {
+		return fmt.Errorf("scenario %s: %d layers exceeds the %d-layer limit", j.Scenario.ID(), n, maxSpecLayers)
+	}
+	if n := spec.NumBlocks(); n > maxSpecBlocks {
+		return fmt.Errorf("scenario %s: %d blocks exceeds the %d-block limit", j.Scenario.ID(), n, maxSpecBlocks)
+	}
+	if _, err := spec.Build(); err != nil {
 		return fmt.Errorf("scenario %s: %v", j.Scenario.ID(), err)
 	}
 	if j.DurationS <= 0 || j.DurationS > maxDurationS {

@@ -688,10 +688,11 @@ func TestEndpointsAndStop(t *testing.T) {
 	}
 }
 
-// TestStackScenarioValidation walks the declarative-stack admission
-// paths: valid inline and registered-name scenarios are accepted, while
+// TestStackScenarioValidation walks the stack admission paths: valid
+// inline, registered-name, and builtin scenarios are accepted, while
 // selector conflicts, unknown names, pre-expansion size-gate breaches,
-// and specs with broken geometry are all refused before any job runs.
+// specs with broken geometry, and a negative joint resistivity are all
+// refused before any job runs.
 func TestStackScenarioValidation(t *testing.T) {
 	s := New(Config{Workers: 1, Runner: newFakeRunner().run})
 	defer s.Stop()
@@ -757,6 +758,8 @@ func TestStackScenarioValidation(t *testing.T) {
 		{"block gate", sweep.Scenario{Stack: &sweep.StackRef{Spec: tooManyBlocks}}, http.StatusBadRequest},
 		{"layer gate", sweep.Scenario{Stack: &sweep.StackRef{Spec: tooManyLayers}}, http.StatusBadRequest},
 		{"bad geometry", sweep.Scenario{Stack: &sweep.StackRef{Spec: badGeometry}}, http.StatusBadRequest},
+		{"exp jr ok", sweep.Scenario{Exp: floorplan.EXP4, JointResistivityMKW: 0.46}, http.StatusOK},
+		{"negative jr", sweep.Scenario{Exp: floorplan.EXP4, JointResistivityMKW: -0.46}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp := postSweep(t, ts, SweepRequest{Spec: specFor(tc.sc)}, "")

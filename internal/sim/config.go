@@ -14,21 +14,19 @@ import (
 
 // Config describes one simulation run.
 type Config struct {
-	// Exp selects the 3D configuration (EXP-1..EXP-4).
-	Exp floorplan.Experiment
-	// StackSpec, when non-nil, overrides Exp with a declarative stack
-	// description built through floorplan.StackSpec.Build — the same
-	// path the EXP configurations use. Unlike CustomStack, a spec has
-	// canonical identity (its content hash), so ModelKey, sweep
-	// batching, and the factorization cache all work for it. Mutually
-	// exclusive with CustomStack.
+	// StackSpec is the stack under simulation, built through
+	// floorplan.StackSpec.Build. It is the one stack input the engine,
+	// ModelKey, and Prewarm read: its content hash is the thermal
+	// model's identity, so sweep batching and the factorization cache
+	// work for every stack alike. Nil selects Exp below.
 	StackSpec *floorplan.StackSpec
-	// CustomStack, when non-nil, overrides Exp with a caller-built
-	// floorplan stack (it must pass Validate). Prefer StackSpec, which
-	// participates in model-identity keying.
-	CustomStack *floorplan.Stack
-	// JointResistivityMKW is the TSV-adjusted interlayer resistivity;
-	// 0 selects the paper's 0.23 m·K/W.
+	// Exp and JointResistivityMKW are shorthand for a builtin stack,
+	// used when StackSpec is nil: the experiment's shipped spec
+	// (EXP-1..EXP-6; 0 selects EXP-1) with the TSV-adjusted interlayer
+	// resistivity set explicitly (0 selects the paper's 0.23 m·K/W).
+	// They resolve to StackSpec once, through
+	// floorplan.SpecWithResistivity.
+	Exp                 floorplan.Experiment
 	JointResistivityMKW float64
 
 	// Policy is the management policy under test (required).
@@ -119,29 +117,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Policy == nil {
 		return c, fmt.Errorf("sim: config needs a policy")
 	}
-	if (c.GridRows > 0) != (c.GridCols > 0) {
-		return c, fmt.Errorf("sim: partial grid spec %dx%d: set both GridRows and GridCols (grid mode) or neither (block mode)", c.GridRows, c.GridCols)
-	}
-	if c.StackSpec != nil && c.CustomStack != nil {
-		return c, fmt.Errorf("sim: set StackSpec or CustomStack, not both")
-	}
-	if c.Exp == 0 {
-		c.Exp = floorplan.EXP1
-	}
-	if c.JointResistivityMKW == 0 {
-		c.JointResistivityMKW = 0.23
+	c, err := c.withModelDefaults()
+	if err != nil {
+		return c, err
 	}
 	if c.DurationS == 0 {
 		c.DurationS = 1800
 	}
 	if c.DurationS < 0 {
 		return c, fmt.Errorf("sim: negative duration %g", c.DurationS)
-	}
-	if c.TickS == 0 {
-		c.TickS = 0.1
-	}
-	if c.TickS <= 0 {
-		return c, fmt.Errorf("sim: non-positive tick %g", c.TickS)
 	}
 	if c.Thermal == nil {
 		p := thermal.DefaultParams()
@@ -178,6 +162,34 @@ func (c Config) withDefaults() (Config, error) {
 			return c, err
 		}
 		c.Bench = b
+	}
+	return c, nil
+}
+
+// withModelDefaults resolves and validates the fields that fix the
+// thermal system (everything ModelKey reads): the Exp shorthand becomes
+// StackSpec, the tick length defaults to the paper's 100 ms, and a
+// partially specified grid is rejected.
+func (c Config) withModelDefaults() (Config, error) {
+	if (c.GridRows > 0) != (c.GridCols > 0) {
+		return c, fmt.Errorf("sim: partial grid spec %dx%d: set both GridRows and GridCols (grid mode) or neither (block mode)", c.GridRows, c.GridCols)
+	}
+	if c.StackSpec == nil {
+		e := c.Exp
+		if e == 0 {
+			e = floorplan.EXP1
+		}
+		spec, err := floorplan.SpecWithResistivity(e, c.JointResistivityMKW)
+		if err != nil {
+			return c, err
+		}
+		c.StackSpec = &spec
+	}
+	if c.TickS == 0 {
+		c.TickS = 0.1
+	}
+	if c.TickS <= 0 {
+		return c, fmt.Errorf("sim: non-positive tick %g", c.TickS)
 	}
 	return c, nil
 }

@@ -21,6 +21,16 @@
 // orchestrator (internal/sweep) flattens Results into wire records, and
 // the serving layer (internal/server) streams those over HTTP.
 //
+// # Stack identity
+//
+// Config.StackSpec is the one stack input: the engine builds the stack
+// from it, and ModelKey and Prewarm key the thermal system on its
+// content hash ("stack:<hash>|tick…|solver…", plus "|grid…" in grid
+// mode). Config.Exp and Config.JointResistivityMKW are shorthand that
+// withDefaults resolves once, through floorplan.SpecWithResistivity,
+// when StackSpec is nil — so a run configured by experiment and one
+// configured by the equivalent spec share a key and a factorization.
+//
 // # The tick loop and its allocation contract
 //
 // Run builds an internal engine that preallocates every per-tick

@@ -21,7 +21,6 @@ import (
 // Result is the outcome of one simulation run.
 type Result struct {
 	PolicyName string
-	Exp        floorplan.Experiment
 	UseDPM     bool
 
 	Metrics metrics.Summary
@@ -56,29 +55,11 @@ type Result struct {
 // already-defaulted config. Run and Prewarm share it so a prewarmed
 // factorization is guaranteed to match the one Run would build.
 func buildThermal(cfg Config) (*floorplan.Stack, *thermal.Model, error) {
-	stack := cfg.CustomStack
-	switch {
-	case cfg.StackSpec != nil:
-		var err error
-		stack, err = cfg.StackSpec.Build()
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: stack spec invalid: %w", err)
-		}
-	case stack == nil:
-		var err error
-		stack, err = floorplan.BuildWithResistivity(cfg.Exp, cfg.JointResistivityMKW)
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		if err := stack.Finalize(); err != nil {
-			return nil, nil, fmt.Errorf("sim: custom stack invalid: %w", err)
-		}
+	stack, err := cfg.StackSpec.Build()
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: stack spec invalid: %w", err)
 	}
-	var (
-		model *thermal.Model
-		err   error
-	)
+	var model *thermal.Model
 	if cfg.GridRows > 0 && cfg.GridCols > 0 {
 		model, err = thermal.NewGridModel(stack, *cfg.Thermal, cfg.GridRows, cfg.GridCols)
 	} else {
@@ -99,15 +80,9 @@ func Prewarm(cfg Config) error {
 	if cfg.Policy == nil {
 		cfg.Policy = policy.NewDefault()
 	}
-	// Validate the model identity first: a config ModelKey rejects
-	// (notably a partial grid spec) must never warm a factorization,
-	// because the one it would build is not the one a corrected run
-	// uses. Custom stacks are exempt — they carry their own geometry.
-	if cfg.CustomStack == nil {
-		if _, err := ModelKey(cfg); err != nil {
-			return err
-		}
-	}
+	// withDefaults rejects what ModelKey rejects (notably a partial grid
+	// spec), so a config with no canonical identity never warms a
+	// factorization a corrected run would not use.
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return err
@@ -423,7 +398,6 @@ func newEngine(cfg Config) (*Engine, error) {
 
 	e.res = &Result{
 		PolicyName:    cfg.Policy.Name(),
-		Exp:           cfg.Exp,
 		UseDPM:        cfg.UseDPM,
 		JobsGenerated: len(jobs),
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // TestModelKey pins the canonical thermal-identity keys that sweep
-// grouping and prewarming batch on: builtin experiments key on
-// exp/jr/tick/solver, declarative stacks on the spec's content hash,
-// and the two namespaces never intersect.
+// grouping and prewarming batch on: every stack keys on its spec's
+// content hash in one namespace, and the Exp shorthand keys exactly
+// like the spec it resolves to.
 func TestModelKey(t *testing.T) {
 	key := func(cfg Config) string {
 		t.Helper()
@@ -22,6 +22,14 @@ func TestModelKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		return k
+	}
+	resolved := func(e floorplan.Experiment, jr float64) *floorplan.StackSpec {
+		t.Helper()
+		spec, err := floorplan.SpecWithResistivity(e, jr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &spec
 	}
 
 	// Zero-valued fields resolve to the run defaults.
@@ -48,21 +56,25 @@ func TestModelKey(t *testing.T) {
 	if key(Config{StackSpec: &changed}) == specKey {
 		t.Error("spec content change did not change the key")
 	}
-	if !strings.Contains(key(Config{StackSpec: spec, GridRows: 4, GridCols: 4}), "|grid4x4") {
+	if !strings.HasSuffix(key(Config{StackSpec: spec, GridRows: 4, GridCols: 4}), "|grid4x4") {
 		t.Error("grid suffix missing from spec keys")
 	}
 	for _, e := range floorplan.ExtendedExperiments() {
-		if strings.HasPrefix(key(Config{Exp: e}), "stack:") {
-			t.Errorf("%v key collides with the stack namespace", e)
+		if got, want := key(Config{Exp: e, GridRows: 4, GridCols: 4}), key(Config{StackSpec: resolved(e, 0), GridRows: 4, GridCols: 4}); got != want {
+			t.Errorf("%v keys %q, its resolved spec %q", e, got, want)
 		}
+	}
+	degraded := key(Config{Exp: floorplan.EXP4, JointResistivityMKW: 0.46})
+	if degraded != key(Config{StackSpec: resolved(floorplan.EXP4, 0.46)}) || degraded == key(Config{Exp: floorplan.EXP4}) {
+		t.Error("joint-resistivity override does not key like its resolved spec")
 	}
 
 	// Configs with no canonical identity must error, not silently alias.
-	if _, err := ModelKey(Config{CustomStack: floorplan.MustBuild(floorplan.EXP1)}); err == nil {
-		t.Error("custom stack produced a model key")
-	}
 	if _, err := ModelKey(Config{GridRows: 8}); err == nil {
 		t.Error("partial grid spec produced a model key")
+	}
+	if _, err := ModelKey(Config{Exp: floorplan.Experiment(9)}); err == nil {
+		t.Error("unknown experiment produced a model key")
 	}
 }
 
@@ -90,14 +102,6 @@ func TestRunStackSpec(t *testing.T) {
 	if got.EnergyJ != want.EnergyJ || got.Metrics.MaxTempC != want.Metrics.MaxTempC || got.Ticks != want.Ticks {
 		t.Errorf("spec-built run diverged from builtin EXP-2: energy %g vs %g, maxT %g vs %g",
 			got.EnergyJ, want.EnergyJ, got.Metrics.MaxTempC, want.Metrics.MaxTempC)
-	}
-
-	// Both selectors at once is a config error.
-	bad := shortCfg(t, policy.NewDefault())
-	bad.StackSpec = &spec
-	bad.CustomStack = floorplan.MustBuild(floorplan.EXP1)
-	if _, err := Run(bad); err == nil {
-		t.Error("StackSpec+CustomStack config ran")
 	}
 
 	// An invalid spec fails at engine construction with a clear error.

@@ -203,16 +203,26 @@ func TestRunGridModeAgreesWithBlockMode(t *testing.T) {
 	}
 }
 
+// TestRunCustomStack runs a hand-declared floorplan — an explicit
+// block list, not a builtin layer template — end to end.
 func TestRunCustomStack(t *testing.T) {
-	stack := floorplan.MustBuild(floorplan.EXP2)
+	w, h := floorplan.ChipWMM, floorplan.ChipHMM
+	spec := floorplan.StackSpec{Name: "two-core", Layers: []floorplan.LayerSpec{
+		{Template: "memory"},
+		{Blocks: []floorplan.BlockSpec{
+			{Name: "big0", Kind: "core", X: 0, Y: 0, W: w / 2, H: h / 2},
+			{Name: "big1", Kind: "core", X: w / 2, Y: 0, W: w / 2, H: h / 2},
+			{Name: "rest", Kind: "other", X: 0, Y: h / 2, W: w, H: h / 2},
+		}},
+	}}
 	cfg := shortCfg(t, policy.NewDefault())
-	cfg.CustomStack = stack
+	cfg.StackSpec = &spec
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Metrics.PerCoreHotPct) != stack.NumCores() {
-		t.Errorf("per-core metrics sized %d, want %d", len(r.Metrics.PerCoreHotPct), stack.NumCores())
+	if len(r.Metrics.PerCoreHotPct) != 2 {
+		t.Errorf("per-core metrics sized %d, want 2", len(r.Metrics.PerCoreHotPct))
 	}
 }
 

@@ -313,7 +313,6 @@ func (e *Engine) fork(pol policy.Policy) (*Engine, error) {
 	}
 	f.res = &Result{
 		PolicyName:    pol.Name(),
-		Exp:           cfg.Exp,
 		UseDPM:        cfg.UseDPM,
 		JobsGenerated: len(e.jobs),
 	}

@@ -27,8 +27,8 @@ type Scenario struct {
 	// can never collide in job keys (and therefore in result caches).
 	Name string `json:"name,omitempty"`
 	// Exp selects a builtin floorplan stack (EXP-1..EXP-6). Exactly one
-	// of Exp and Stack must be set (runners and the server validate
-	// this; the zero Exp is omitted from the wire form).
+	// of Exp and Stack must be set (StackSpec enforces this; the zero
+	// Exp is omitted from the wire form).
 	Exp floorplan.Experiment `json:"exp,omitempty"`
 	// Stack selects a declarative stack instead of a builtin
 	// experiment: either a registered spec by name or a full inline
@@ -142,26 +142,31 @@ func (s Scenario) ID() string {
 	return id
 }
 
-// CheckStack validates the scenario's stack selection: exactly one of
-// Exp and Stack, no joint-resistivity override on declarative stacks
-// (they carry their own interface physics), and a resolvable
-// reference. Runners and the server both call it, so a bad scenario
-// fails with the same message locally and over the wire.
-func (s Scenario) CheckStack() error {
+// StackSpec resolves the scenario to the one stack identity every
+// layer below the wire consumes. A builtin experiment becomes its
+// shipped spec with the joint resistivity set explicitly
+// (floorplan.SpecWithResistivity: 0 selects the paper's 0.23 m·K/W);
+// a stack reference resolves to its inline or registered spec. It
+// rejects invalid selections — neither or both of Exp and Stack, a
+// joint-resistivity override on a declarative stack (which carries its
+// own interface physics), an unresolvable reference — and runners and
+// the server both call it, so a bad scenario fails with the same
+// message locally and over the wire. The scenario's ID is unaffected:
+// job keys stay the wire-level names.
+func (s Scenario) StackSpec() (floorplan.StackSpec, error) {
 	if s.Stack == nil {
 		if s.Exp == 0 {
-			return fmt.Errorf("sweep: scenario %q selects no stack (set exp or stack)", s.Name)
+			return floorplan.StackSpec{}, fmt.Errorf("sweep: scenario %q selects no stack (set exp or stack)", s.Name)
 		}
-		return nil
+		return floorplan.SpecWithResistivity(s.Exp, s.JointResistivityMKW)
 	}
 	if s.Exp != 0 {
-		return fmt.Errorf("sweep: scenario %q sets both exp %s and a stack reference", s.Name, s.Exp)
+		return floorplan.StackSpec{}, fmt.Errorf("sweep: scenario %q sets both exp %s and a stack reference", s.Name, s.Exp)
 	}
 	if s.JointResistivityMKW != 0 {
-		return fmt.Errorf("sweep: scenario %q: joint_resistivity_mkw does not apply to declarative stacks (set the spec's interlayer fields)", s.Name)
+		return floorplan.StackSpec{}, fmt.Errorf("sweep: scenario %q: joint_resistivity_mkw does not apply to declarative stacks (set the spec's interlayer fields)", s.Name)
 	}
-	_, err := s.Stack.Resolve()
-	return err
+	return s.Stack.Resolve()
 }
 
 // ScenariosFor wraps plain experiments as block-model scenarios.

@@ -95,7 +95,7 @@ func TestStackScenarioWire(t *testing.T) {
 		t.Fatal("round-tripped stack spec expands to a different job list")
 	}
 	for _, sc := range spec.Scenarios {
-		if err := sc.CheckStack(); err != nil {
+		if _, err := sc.StackSpec(); err != nil {
 			t.Errorf("scenario %s: %v", sc.ID(), err)
 		}
 	}
@@ -140,7 +140,10 @@ func TestStackScenarioIdentity(t *testing.T) {
 	}
 }
 
-// TestCheckStackErrors walks the invalid selector combinations.
+// TestCheckStackErrors walks the invalid stack selections
+// Scenario.StackSpec rejects, and pins how it resolves the builtin
+// shorthand: the shipped spec with the joint resistivity set
+// explicitly.
 func TestCheckStackErrors(t *testing.T) {
 	spec := &floorplan.StackSpec{Layers: []floorplan.LayerSpec{{Template: "cores"}}}
 	cases := []struct {
@@ -152,19 +155,33 @@ func TestCheckStackErrors(t *testing.T) {
 		{"both", Scenario{Exp: floorplan.EXP1, Stack: &StackRef{Spec: spec}}, "both exp"},
 		{"jr on stack", Scenario{Stack: &StackRef{Spec: spec}, JointResistivityMKW: 0.1}, "does not apply"},
 		{"unknown name", Scenario{Stack: &StackRef{Name: "not-registered-anywhere"}}, "unknown stack"},
+		{"negative jr", Scenario{Exp: floorplan.EXP1, JointResistivityMKW: -0.1}, "must be positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.sc.CheckStack()
+			_, err := tc.sc.StackSpec()
 			if err == nil {
-				t.Fatal("invalid scenario passed CheckStack")
+				t.Fatal("invalid scenario resolved to a stack spec")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
 	}
-	if err := (Scenario{Exp: floorplan.EXP2, JointResistivityMKW: 0.4}).CheckStack(); err != nil {
-		t.Errorf("jr override on a builtin experiment must stay legal: %v", err)
+	for _, tc := range []struct {
+		jr, want float64
+	}{{0.4, 0.4}, {0, 0.23}} {
+		got, err := (Scenario{Exp: floorplan.EXP2, JointResistivityMKW: tc.jr}).StackSpec()
+		if err != nil {
+			t.Fatalf("jr override %g on a builtin experiment must stay legal: %v", tc.jr, err)
+		}
+		want, err := floorplan.SpecForExperiment(floorplan.EXP2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.InterlayerResistivityMKW = tc.want
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("jr %g resolved to %+v, want %+v", tc.jr, got, want)
+		}
 	}
 }
