@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -221,48 +222,77 @@ func TestSweepRecordsFullTickCount(t *testing.T) {
 // stream records identical — after stripping the wall-clock field — to
 // the per-job path's, per job key. Aggregate equality follows, but the
 // record-level check is the stronger pin: checkpoints, shards, and
-// canonical streams all serialize these records.
+// canonical streams all serialize these records. The full roster on one
+// stack is a single 14-lane group, so its panel solves run the kernel's
+// 8-lane, 4-lane and single-lane blocks end to end; the capped sweep
+// splits its group into 4- and 2-lane chunks.
 func TestGroupedSweepRecordsByteIdentical(t *testing.T) {
-	cfg := resumeConfig()
-	spec := cfg.Spec()
-	jobs := spec.Expand()
-	if err := Prewarm(spec); err != nil {
-		t.Fatal(err)
+	roster := goldenConfig()
+	roster.Policies = nil // the whole PolicyOrder roster
+	roster.DurationS = 5
+	cases := []struct {
+		name     string
+		cfg      MatrixConfig
+		maxGroup int
+		lanes    int // the largest group dispatched
+	}{
+		{"capped", resumeConfig(), 4, 4},
+		{"full-roster", roster, 0, len(PolicyOrder)},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := c.cfg.Spec()
+			jobs := spec.Expand()
+			if err := Prewarm(spec); err != nil {
+				t.Fatal(err)
+			}
 
-	perJob := &sweep.Collector{}
-	run, _ := NewRunners(RunnerHooks{})
-	if _, err := sweep.Execute(context.Background(), jobs, run, sweep.Options{Workers: 2}, perJob); err != nil {
-		t.Fatal(err)
-	}
+			perJob := &sweep.Collector{}
+			run, _ := NewRunners(RunnerHooks{})
+			if _, err := sweep.Execute(context.Background(), jobs, run, sweep.Options{Workers: 2}, perJob); err != nil {
+				t.Fatal(err)
+			}
 
-	grouped := &sweep.Collector{}
-	run2, runGroup := NewRunners(RunnerHooks{})
-	opts := sweep.Options{Workers: 2, Group: GroupKey, RunGroup: runGroup, MaxGroup: 4}
-	if _, err := sweep.Execute(context.Background(), jobs, run2, opts, grouped); err != nil {
-		t.Fatal(err)
-	}
+			grouped := &sweep.Collector{}
+			run2, runGroup := NewRunners(RunnerHooks{})
+			var mu sync.Mutex
+			lanes := 0
+			sized := func(ctx context.Context, group []sweep.Job) ([]sweep.Record, error) {
+				mu.Lock()
+				lanes = max(lanes, len(group))
+				mu.Unlock()
+				return runGroup(ctx, group)
+			}
+			opts := sweep.Options{Workers: 2, Group: GroupKey, RunGroup: sized, MaxGroup: c.maxGroup}
+			if _, err := sweep.Execute(context.Background(), jobs, run2, opts, grouped); err != nil {
+				t.Fatal(err)
+			}
+			if lanes != c.lanes {
+				t.Fatalf("largest group ran %d lanes, want %d", lanes, c.lanes)
+			}
 
-	if len(grouped.Records) != len(perJob.Records) {
-		t.Fatalf("grouped path streamed %d records, per-job %d", len(grouped.Records), len(perJob.Records))
-	}
-	byKey := func(recs []sweep.Record) map[string]sweep.Record {
-		m := make(map[string]sweep.Record, len(recs))
-		for _, r := range recs {
-			r.ElapsedMS = 0
-			m[r.Key] = r
-		}
-		return m
-	}
-	want, got := byKey(perJob.Records), byKey(grouped.Records)
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
-			t.Fatalf("grouped path missing record %q", k)
-		}
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("record %q differs between grouped and per-job paths\n got %+v\nwant %+v", k, g, w)
-		}
+			if len(grouped.Records) != len(perJob.Records) {
+				t.Fatalf("grouped path streamed %d records, per-job %d", len(grouped.Records), len(perJob.Records))
+			}
+			byKey := func(recs []sweep.Record) map[string]sweep.Record {
+				m := make(map[string]sweep.Record, len(recs))
+				for _, r := range recs {
+					r.ElapsedMS = 0
+					m[r.Key] = r
+				}
+				return m
+			}
+			want, got := byKey(perJob.Records), byKey(grouped.Records)
+			for k, w := range want {
+				g, ok := got[k]
+				if !ok {
+					t.Fatalf("grouped path missing record %q", k)
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("record %q differs between grouped and per-job paths\n got %+v\nwant %+v", k, g, w)
+				}
+			}
+		})
 	}
 }
 

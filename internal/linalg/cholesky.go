@@ -229,10 +229,10 @@ func (f *Cholesky) SolveBuffered(x, b, scratch []float64) error {
 //
 // The panel is gathered into a lane-interleaved layout (the k lane
 // values of each node adjacent in memory), so the forward, diagonal,
-// and backward sweeps traverse L's sparsity pattern once for all k
-// right-hand sides with unit-stride inner loops over the lanes —
-// cache- and SIMD-friendly where the per-column path re-walks L per
-// RHS. Per lane, the arithmetic is the exact operation sequence of
+// and backward sweeps walk L's columns once for all k right-hand
+// sides, updating up to 8 adjacent lanes per column entry — cache-
+// friendly where the per-column path re-walks L per RHS. Per lane,
+// the arithmetic is the exact operation sequence of
 // SolveBuffered, so each solution column is bitwise identical to a
 // single-RHS solve of that column (the property the batched transient
 // integrator's byte-identity contract rests on). Like SolveBuffered it
@@ -276,27 +276,66 @@ func (f *Cholesky) SolvePanel(dst, rhs []float64, k int, scratch []float64) erro
 // solveScratch — including the skip of zero pivot values in the forward
 // sweep, which matters for bitwise identity when signed zeros are in
 // play — so lane results match single-RHS solves bit for bit.
+//
+// Both triangular sweeps walk each column's entries once per block of
+// 8 lanes, then 4, then single lanes, holding the block's pivot values
+// (forward) or accumulators (backward) in locals the compiler can keep
+// in registers, so the loop over a column's entries carries no per-lane
+// branch, no reload of the pivots through a possibly aliasing slice,
+// and — backward — no store-to-load chain through memory. Blocking only
+// interleaves the lanes: within a lane, every update happens in column
+// order and, within a column, in entry order, as in solveScratch.
 func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 	n := f.n
-	// L W = B' (unit lower triangular, CSC forward sweep). Column j's
-	// lane values wj are loop-invariant across its updates (rowIdx > j
-	// strictly below the unit diagonal), so the full-capacity subslice
-	// is taken once per column; the per-lane zero skip mirrors the
-	// scalar path's — beyond saving a multiply, skipping preserves the
-	// sign of a -0.0 target that x -= v*0 would flip.
+	// L W = B' (unit lower triangular, CSC forward sweep). Row indices
+	// lie strictly below the unit diagonal, so a column's pivots are
+	// loop-invariant across its updates. A block runs branch-free only
+	// when none of its pivots is zero; otherwise its lanes take the
+	// scalar path's per-lane skip, which — beyond saving a multiply —
+	// preserves the sign of a -0.0 target that x -= v*0 would flip.
 	for j := 0; j < n; j++ {
+		p0, p1 := f.colPtr[j], f.colPtr[j+1]
+		vals := f.val[p0:p1]
+		rows := f.rowIdx[p0:p1][:len(vals)]
 		bj := j * k
-		wj := w[bj : bj+k : bj+k]
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			base := f.rowIdx[p] * k
-			v := f.val[p]
-			wr := w[base : base+k : base+k]
-			for l, x := range wj {
-				if x != 0 {
-					wr[l] -= v * x
-				}
+		l := 0
+		for ; l+8 <= k; l += 8 {
+			x := w[bj+l : bj+l+8 : bj+l+8]
+			x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+			if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 || x4 == 0 || x5 == 0 || x6 == 0 || x7 == 0 {
+				forwardLanes(w, rows, vals, k, bj, l, l+8)
+				continue
+			}
+			for i, r := range rows {
+				v, b := vals[i], r*k+l
+				y := w[b : b+8 : b+8]
+				y[0] -= v * x0
+				y[1] -= v * x1
+				y[2] -= v * x2
+				y[3] -= v * x3
+				y[4] -= v * x4
+				y[5] -= v * x5
+				y[6] -= v * x6
+				y[7] -= v * x7
 			}
 		}
+		for ; l+4 <= k; l += 4 {
+			x := w[bj+l : bj+l+4 : bj+l+4]
+			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+			if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
+				forwardLanes(w, rows, vals, k, bj, l, l+4)
+				continue
+			}
+			for i, r := range rows {
+				v, b := vals[i], r*k+l
+				y := w[b : b+4 : b+4]
+				y[0] -= v * x0
+				y[1] -= v * x1
+				y[2] -= v * x2
+				y[3] -= v * x3
+			}
+		}
+		forwardLanes(w, rows, vals, k, bj, l, k)
 	}
 	for j := 0; j < n; j++ {
 		d := f.d[j]
@@ -307,17 +346,66 @@ func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 		}
 	}
 	// Lᵀ W = W (CSC backward sweep): column j's lanes accumulate from
-	// already-solved rows below, so wj is the update target here.
+	// already-solved rows below, so a block's lanes of row j are the
+	// accumulators, stored once after the column's last entry.
 	for j := n - 1; j >= 0; j-- {
+		p0, p1 := f.colPtr[j], f.colPtr[j+1]
+		vals := f.val[p0:p1]
+		rows := f.rowIdx[p0:p1][:len(vals)]
 		bj := j * k
-		wj := w[bj : bj+k : bj+k]
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			base := f.rowIdx[p] * k
-			v := f.val[p]
-			wr := w[base : base+k : base+k]
-			for l := range wj {
-				wj[l] -= v * wr[l]
+		l := 0
+		for ; l+8 <= k; l += 8 {
+			s := w[bj+l : bj+l+8 : bj+l+8]
+			s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+			for i, r := range rows {
+				v, b := vals[i], r*k+l
+				y := w[b : b+8 : b+8]
+				s0 -= v * y[0]
+				s1 -= v * y[1]
+				s2 -= v * y[2]
+				s3 -= v * y[3]
+				s4 -= v * y[4]
+				s5 -= v * y[5]
+				s6 -= v * y[6]
+				s7 -= v * y[7]
 			}
+			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		}
+		for ; l+4 <= k; l += 4 {
+			s := w[bj+l : bj+l+4 : bj+l+4]
+			s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+			for i, r := range rows {
+				v, b := vals[i], r*k+l
+				y := w[b : b+4 : b+4]
+				s0 -= v * y[0]
+				s1 -= v * y[1]
+				s2 -= v * y[2]
+				s3 -= v * y[3]
+			}
+			s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+		}
+		for ; l < k; l++ {
+			s := w[bj+l]
+			for i, r := range rows {
+				s -= vals[i] * w[r*k+l]
+			}
+			w[bj+l] = s
+		}
+	}
+}
+
+// forwardLanes applies one forward-sweep column (entries rows/vals,
+// pivots at w[bj+l]) to lanes [lo, hi) one lane at a time, skipping a
+// lane whose pivot is zero exactly as solveScratch does.
+func forwardLanes(w []float64, rows []int, vals []float64, k, bj, lo, hi int) {
+	vals = vals[:len(rows)]
+	for l := lo; l < hi; l++ {
+		x := w[bj+l]
+		if x == 0 {
+			continue
+		}
+		for i, r := range rows {
+			w[r*k+l] -= vals[i] * x
 		}
 	}
 }

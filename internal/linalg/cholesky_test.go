@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -323,62 +324,143 @@ func gridLaplacian(rows, cols int) *Sparse {
 // buffered path bit for bit: for every lane, SolvePanel must produce
 // exactly the floats SolveBuffered produces on that lane's column —
 // including on the minimum-degree grid ordering — because the sweep
-// batching layer promises byte-identical per-job records.
+// batching layer promises byte-identical per-job records. The lane
+// counts reach every mix of the kernel's 8-lane blocks, 4-lane blocks
+// and single-lane tails.
 func TestCholeskySolvePanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	systems := map[string]*Sparse{
-		"rcm-block":   randSPDSystem(rng, 30, 25), // n < 200: RCM ordering
-		"mindeg-grid": gridLaplacian(16, 16),      // n >= 200: minimum degree
+	systems := []struct {
+		name string
+		s    *Sparse
+	}{
+		{"rcm-block", randSPDSystem(rng, 30, 25)}, // n < 200: RCM ordering
+		{"mindeg-grid", gridLaplacian(16, 16)},    // n >= 200: minimum degree
 	}
-	for name, s := range systems {
-		t.Run(name, func(t *testing.T) {
-			f, err := FactorCholesky(s)
+	// Signed-zero lanes are -0 except for one +0 entry, so every forward
+	// pivot is zero: unless a block with a zero pivot falls back to the
+	// scalar path's per-lane skip, x -= v*0 turns -0 targets into +0.
+	// Mixed panels interleave them with ordinary lanes in one block.
+	fills := []struct {
+		name       string
+		signedZero func(lane int) bool
+	}{
+		{"normal", func(int) bool { return false }},
+		{"signed-zero", func(int) bool { return true }},
+		{"mixed", func(l int) bool { return l%2 == 1 }},
+	}
+	for _, sys := range systems {
+		t.Run(sys.name, func(t *testing.T) {
+			f, err := FactorCholesky(sys.s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := s.N
-			for _, k := range []int{1, 2, 5, 8} {
-				rhs := make([]float64, n*k)
-				for i := range rhs {
-					rhs[i] = rng.NormFloat64()
-				}
-				want := make([]float64, n*k)
-				scratch := make([]float64, n*k)
-				for l := 0; l < k; l++ {
-					if err := f.SolveBuffered(want[l*n:(l+1)*n], rhs[l*n:(l+1)*n], scratch[:n]); err != nil {
+			n := sys.s.N
+			for _, fill := range fills {
+				for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 17} {
+					rhs := make([]float64, n*k)
+					for l := 0; l < k; l++ {
+						lane := rhs[l*n : (l+1)*n]
+						if !fill.signedZero(l) {
+							for i := range lane {
+								lane[i] = rng.NormFloat64()
+							}
+							continue
+						}
+						for i := range lane {
+							lane[i] = math.Copysign(0, -1)
+						}
+						lane[rng.Intn(n)] = 0
+					}
+					want := make([]float64, n*k)
+					scratch := make([]float64, n*k)
+					for l := 0; l < k; l++ {
+						if err := f.SolveBuffered(want[l*n:(l+1)*n], rhs[l*n:(l+1)*n], scratch[:n]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					dst := make([]float64, n*k)
+					if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
 						t.Fatal(err)
 					}
-				}
-				dst := make([]float64, n*k)
-				if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
-					t.Fatal(err)
-				}
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("k=%d: panel[%d]=%g, buffered=%g", k, i, dst[i], want[i])
+					for i := range dst {
+						if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s k=%d: panel[%d]=%g, buffered=%g", fill.name, k, i, dst[i], want[i])
+						}
 					}
-				}
-				// In-place: dst aliasing rhs must give the same answer.
-				inPlace := append([]float64(nil), rhs...)
-				if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
-					t.Fatal(err)
-				}
-				for i := range inPlace {
-					if inPlace[i] != want[i] {
-						t.Fatalf("k=%d aliased: panel[%d]=%g, buffered=%g", k, i, inPlace[i], want[i])
-					}
-				}
-				allocs := testing.AllocsPerRun(20, func() {
+					// In-place: dst aliasing rhs must give the same answer.
+					inPlace := append([]float64(nil), rhs...)
 					if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
 						t.Fatal(err)
 					}
-				})
-				if allocs != 0 {
-					t.Fatalf("k=%d: SolvePanel allocates %.1f per call, want 0", k, allocs)
+					for i := range inPlace {
+						if math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s k=%d aliased: panel[%d]=%g, buffered=%g", fill.name, k, i, inPlace[i], want[i])
+						}
+					}
+					allocs := testing.AllocsPerRun(20, func() {
+						if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs != 0 {
+						t.Fatalf("%s k=%d: SolvePanel allocates %.1f per call, want 0", fill.name, k, allocs)
+					}
 				}
 			}
 		})
 	}
+}
+
+// FuzzSolvePanel fuzzes the same bitwise contract over random RC-shaped
+// systems on both sides of FactorCholesky's 200-node switch from RCM to
+// minimum-degree ordering, 1 to 20 lanes, and right-hand sides whose
+// entries, chosen by the pattern bytes, mix ordinary values with ±0,
+// subnormals, ±Inf and NaN.
+func FuzzSolvePanel(f *testing.F) {
+	f.Add(int64(1), uint16(28), uint8(7), []byte{1, 1, 1, 0})
+	f.Add(int64(2), uint16(197), uint8(12), []byte{1, 0, 200, 201, 255})
+	f.Add(int64(3), uint16(198), uint8(15), []byte{2, 3, 4, 5, 6, 7, 8})
+	f.Add(int64(4), uint16(258), uint8(19), []byte{9, 10, 128})
+	specials := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -0x1p-1050,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		1, -1, math.MaxFloat64,
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, lanes uint8, pattern []byte) {
+		n := 2 + int(size)%299 // 2..300
+		k := 1 + int(lanes)%20
+		rng := rand.New(rand.NewSource(seed))
+		fac, err := FactorCholesky(randSPDSystem(rng, n, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhs := make([]float64, n*k)
+		for i := range rhs {
+			rhs[i] = rng.NormFloat64()
+			if len(pattern) > 0 {
+				if c := int(pattern[i%len(pattern)]) % 16; c < len(specials) {
+					rhs[i] = specials[c]
+				}
+			}
+		}
+		want := make([]float64, n*k)
+		scratch := make([]float64, n*k)
+		for l := 0; l < k; l++ {
+			if err := fac.SolveBuffered(want[l*n:(l+1)*n], rhs[l*n:(l+1)*n], scratch[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fac.SolvePanel(rhs, rhs, k, scratch); err != nil {
+			t.Fatal(err)
+		}
+		for i := range rhs {
+			if math.Float64bits(rhs[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d k=%d: panel[%d]=%g (%#x), buffered=%g (%#x)",
+					n, k, i, rhs[i], math.Float64bits(rhs[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	})
 }
 
 // TestCholeskySolvePanelValidation covers the panel contract errors.
@@ -403,8 +485,10 @@ func TestCholeskySolvePanelValidation(t *testing.T) {
 
 // BenchmarkSolvePanel measures the blocked k-lane solve against k
 // sequential buffered solves on the grid-ordering factorization the
-// sweep batch path exercises. Run with -benchmem: both must report
-// zero allocations.
+// sweep batch path exercises. Grouped sweeps dispatch panels of up to
+// sweep.DefaultMaxGroup (16) lanes and their remainders, hence the 12-
+// and 16-lane panels beside the 8-lane pair. Run with -benchmem: all
+// must report zero allocations.
 func BenchmarkSolvePanel(b *testing.B) {
 	s := gridLaplacian(32, 32)
 	f, err := FactorCholesky(s)
@@ -412,21 +496,23 @@ func BenchmarkSolvePanel(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := s.N
-	const k = 8
-	rhs := make([]float64, n*k)
+	rhs := make([]float64, n*16)
 	for i := range rhs {
 		rhs[i] = float64(i%11) - 5
 	}
-	b.Run("panel8", func(b *testing.B) {
-		dst := make([]float64, n*k)
-		scratch := make([]float64, n*k)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
-				b.Fatal(err)
+	for _, k := range []int{8, 12, 16} {
+		b.Run(fmt.Sprintf("panel%d", k), func(b *testing.B) {
+			dst := make([]float64, n*k)
+			scratch := make([]float64, n*k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.SolvePanel(dst, rhs[:n*k], k, scratch); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
+	const k = 8
 	b.Run("sequential8", func(b *testing.B) {
 		dst := make([]float64, n*k)
 		scratch := make([]float64, n)

@@ -23,11 +23,20 @@
 // Cholesky.SolvePanel solves k right-hand sides through one blocked
 // traversal of the triangular factors: the column-major n×k panel is
 // gathered into a lane-interleaved working layout so the forward,
-// diagonal, and backward sweeps walk L's sparsity pattern once with
-// unit-stride inner loops over the k lanes. Per lane the floating-
-// point operation sequence is exactly SolveBuffered's, so panel
-// results are bitwise identical to k scalar solves — the contract the
-// batched transient stepping in internal/thermal builds on.
+// diagonal, and backward sweeps walk L's columns once for all k lanes.
+// Within a column, both triangular sweeps take the lanes in register
+// blocks of 8, then 4, then one: a block's forward pivots, or its
+// backward accumulators, live in local variables for the whole column,
+// and the backward block is stored once at the column's end. The
+// forward sweep tests a block's pivots for zero once; with none zero
+// its update is branch-free, otherwise the block's lanes take the
+// scalar solve's per-lane zero skip, which keeps the sign of -0
+// targets that x -= v*0 would flip. Blocking only interleaves lanes:
+// within a lane every multiply and subtract happens on the same
+// operands in the same column and entry order, so the floating-point
+// operation sequence is exactly SolveBuffered's and panel results are
+// bitwise identical to k scalar solves — the contract the batched
+// transient stepping in internal/thermal builds on.
 //
 // # Buffer ownership and concurrency
 //

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -94,7 +95,9 @@ func TestTransientTempsRoundTrip(t *testing.T) {
 // TestTransientBatchMatchesSequential is the batching contract: every
 // lane of a TransientBatch must follow the bit-identical trajectory of
 // the same integrator stepped alone, across all paper stacks (RCM
-// ordering, n < 200) and a grid model (minimum-degree ordering).
+// ordering, n < 200) and grid models (minimum-degree ordering), at lane
+// counts that reach the panel kernel's 8-lane blocks, 4-lane blocks and
+// single-lane tails — 16 is the largest group a sweep dispatches.
 func TestTransientBatchMatchesSequential(t *testing.T) {
 	type modelCase struct {
 		name string
@@ -110,67 +113,71 @@ func TestTransientBatchMatchesSequential(t *testing.T) {
 		}
 		cases = append(cases, modelCase{e.String(), m, s})
 	}
-	{
+	for _, cells := range []int{8, 16} {
 		s := floorplan.MustBuild(floorplan.EXP4)
-		m, err := NewGridModel(s, DefaultParams(), 8, 8)
+		m, err := NewGridModel(s, DefaultParams(), cells, cells)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, modelCase{"grid8x8", m, s})
+		cases = append(cases, modelCase{fmt.Sprintf("grid%dx%d", cells, cells), m, s})
 	}
-	const dt, k, steps = 0.1, 3, 20
+	const dt, steps = 0.1, 20
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			powers := make([][]float64, k)
-			for l := range powers {
-				powers[l] = uniformCorePower(c.s, 0.8+0.7*float64(l))
-			}
-			// Reference: each lane stepped alone.
-			want := make([][]float64, k)
-			for l := 0; l < k; l++ {
-				tr, err := c.m.NewTransient(dt, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dst := make([]float64, c.m.NumNodes)
-				for s := 0; s < steps; s++ {
-					if err := tr.StepInto(dst, powers[l]); err != nil {
+			for _, k := range []int{3, 13, 16} {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					powers := make([][]float64, k)
+					for l := range powers {
+						powers[l] = uniformCorePower(c.s, 0.8+0.7*float64(l))
+					}
+					// Reference: each lane stepped alone.
+					want := make([][]float64, k)
+					for l := 0; l < k; l++ {
+						tr, err := c.m.NewTransient(dt, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dst := make([]float64, c.m.NumNodes)
+						for s := 0; s < steps; s++ {
+							if err := tr.StepInto(dst, powers[l]); err != nil {
+								t.Fatal(err)
+							}
+						}
+						want[l] = append([]float64(nil), dst...)
+					}
+					// Batched: fresh lanes advanced through the panel solve.
+					lanes := make([]*Transient, k)
+					for l := range lanes {
+						tr, err := c.m.NewTransient(dt, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						lanes[l] = tr
+					}
+					batch, err := NewTransientBatch(lanes)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				want[l] = append([]float64(nil), dst...)
-			}
-			// Batched: fresh lanes advanced through the panel solve.
-			lanes := make([]*Transient, k)
-			for l := range lanes {
-				tr, err := c.m.NewTransient(dt, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lanes[l] = tr
-			}
-			batch, err := NewTransientBatch(lanes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch.Lanes() != k {
-				t.Fatalf("Lanes() = %d, want %d", batch.Lanes(), k)
-			}
-			dsts := make([][]float64, k)
-			for l := range dsts {
-				dsts[l] = make([]float64, c.m.NumNodes)
-			}
-			for s := 0; s < steps; s++ {
-				if err := batch.StepInto(dsts, powers); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for l := 0; l < k; l++ {
-				for i := range want[l] {
-					if dsts[l][i] != want[l][i] {
-						t.Fatalf("lane %d node %d: batch %g, sequential %g", l, i, dsts[l][i], want[l][i])
+					if batch.Lanes() != k {
+						t.Fatalf("Lanes() = %d, want %d", batch.Lanes(), k)
 					}
-				}
+					dsts := make([][]float64, k)
+					for l := range dsts {
+						dsts[l] = make([]float64, c.m.NumNodes)
+					}
+					for s := 0; s < steps; s++ {
+						if err := batch.StepInto(dsts, powers); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for l := 0; l < k; l++ {
+						for i := range want[l] {
+							if math.Float64bits(dsts[l][i]) != math.Float64bits(want[l][i]) {
+								t.Fatalf("lane %d node %d: batch %g, sequential %g", l, i, dsts[l][i], want[l][i])
+							}
+						}
+					}
+				})
 			}
 		})
 	}
