@@ -9,7 +9,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/floorplan"
 	"repro/internal/policy"
@@ -51,23 +50,23 @@ func BenchmarkAblationAlphaSource(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	build := map[string]func() (*core.Adapt3D, error){
-		"steady-state": func() (*core.Adapt3D, error) {
-			cfg := core.DefaultConfig()
+	build := map[string]func() (*policy.Adapt3D, error){
+		"steady-state": func() (*policy.Adapt3D, error) {
+			cfg := policy.DefaultAdapt3DConfig()
 			cfg.Seed = 5
-			return core.NewWithModel(stack, model, cfg)
+			return policy.NewAdapt3D(stack, model, cfg)
 		},
-		"geometric": func() (*core.Adapt3D, error) {
-			cfg := core.DefaultConfig()
+		"geometric": func() (*policy.Adapt3D, error) {
+			cfg := policy.DefaultAdapt3DConfig()
 			cfg.Seed = 5
-			cfg.Alpha = core.GeometricIndices(stack)
-			return core.New(stack, cfg)
+			cfg.Alpha = policy.GeometricIndices(stack)
+			return policy.NewAdapt3D(stack, nil, cfg)
 		},
-		"online": func() (*core.Adapt3D, error) {
-			cfg := core.DefaultConfig()
+		"online": func() (*policy.Adapt3D, error) {
+			cfg := policy.DefaultAdapt3DConfig()
 			cfg.Seed = 5
 			cfg.OnlineWindow = 300
-			return core.New(stack, cfg)
+			return policy.NewAdapt3D(stack, nil, cfg)
 		},
 	}
 	results := make(map[string]float64)
@@ -170,10 +169,10 @@ func BenchmarkAblationHistoryWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts = pts[:0]
 		for _, win := range []int{3, 10, 30, 100} {
-			cfg := core.DefaultConfig()
+			cfg := policy.DefaultAdapt3DConfig()
 			cfg.Seed = 5
 			cfg.Window = win
-			pol, err := core.NewWithModel(stack, model, cfg)
+			pol, err := policy.NewAdapt3D(stack, model, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -380,7 +380,7 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pol, err := exp.BuildPolicy("Adapt3D", stack, 1)
+	pol, err := exp.BuildPolicy("Adapt3D", stack, 1, thermal.SolverCached)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 // paper argues it is negligible).
 func BenchmarkAdapt3DTick(b *testing.B) {
 	stack := floorplan.MustBuild(floorplan.EXP4)
-	pol, err := exp.BuildPolicy("Adapt3D", stack, 1)
+	pol, err := exp.BuildPolicy("Adapt3D", stack, 1, thermal.SolverCached)
 	if err != nil {
 		b.Fatal(err)
 	}

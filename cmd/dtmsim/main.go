@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/floorplan"
+	"repro/internal/reliability"
 	"repro/internal/sim"
 	"repro/internal/thermal"
 	"repro/internal/workload"
@@ -34,18 +35,17 @@ func main() {
 	dpmFlag := flag.Bool("dpm", false, "enable dynamic power management (fixed timeout)")
 	gridFlag := flag.Int("grid", 0, "thermal grid resolution per side (0 = block mode)")
 	traceFlag := flag.String("trace", "", "write a per-tick CSV temperature/power trace to this file")
-	relFlag := flag.Bool("reliability", false, "track lifetime metrics: per-core wear assessor plus the streaming per-block tracker (cycling damage, EM acceleration, relative MTTF)")
+	relFlag := flag.Bool("reliability", false, "track lifetime metrics with the streaming per-block wear tracker: worst core, worst block, per-layer cycling damage, EM acceleration, relative MTTF")
 	heatFlag := flag.Bool("heatmap", false, "draw per-layer ASCII heat maps of the final thermal field")
 	flag.Parse()
 
 	cfg := sim.Config{
-		UseDPM:            *dpmFlag,
-		DurationS:         *durFlag,
-		Seed:              *seedFlag,
-		GridRows:          *gridFlag,
-		GridCols:          *gridFlag,
-		AssessReliability: *relFlag,
-		TrackLifetime:     *relFlag,
+		UseDPM:        *dpmFlag,
+		DurationS:     *durFlag,
+		Seed:          *seedFlag,
+		GridRows:      *gridFlag,
+		GridCols:      *gridFlag,
+		TrackLifetime: *relFlag,
 	}
 	var stack *floorplan.Stack
 	var stackLabel string
@@ -73,7 +73,7 @@ func main() {
 		cfg.Exp = e
 		stackLabel = e.String()
 	}
-	pol, err := exp.BuildPolicy(*policyFlag, stack, *seedFlag)
+	pol, err := exp.BuildPolicy(*policyFlag, stack, *seedFlag, thermal.SolverCached)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,17 +112,15 @@ func main() {
 	if res.GatedTicks > 0 {
 		fmt.Fprintf(w, "  clock gating     : %d core-ticks stalled\n", res.GatedTicks)
 	}
-	if *relFlag {
-		worst := res.WorstCoreStress
+	if lt := res.Lifetime; lt != nil {
+		core, worst := worstCore(stack, lt)
 		fmt.Fprintf(w, "  reliability      : worst core %d — EM acceleration %.2fx, cycling damage %.3f (%d full cycles)\n",
-			worst.Core, worst.EMAcceleration, worst.CyclingDamage, worst.FullCycles)
-		if lt := res.Lifetime; lt != nil {
-			wb := lt.Worst()
-			fmt.Fprintf(w, "  lifetime         : worst block %s (layer %d) — cycling damage %.3f over %d cycles, EM %.2fx; chip total %.3f, rel. MTTF %.3g\n",
-				wb.Name, wb.Layer, wb.CycleDamage, wb.Cycles, wb.EMFactor, lt.TotalCycleDamage, lt.RelMTTF)
-			for l, d := range lt.LayerDamage {
-				fmt.Fprintf(w, "    layer %d damage : %.3f\n", l, d)
-			}
+			core, worst.EMFactor, worst.CycleDamage, worst.Cycles)
+		wb := lt.Worst()
+		fmt.Fprintf(w, "  lifetime         : worst block %s (layer %d) — cycling damage %.3f over %d cycles, EM %.2fx; chip total %.3f, rel. MTTF %.3g\n",
+			wb.Name, wb.Layer, wb.CycleDamage, wb.Cycles, wb.EMFactor, lt.TotalCycleDamage, lt.RelMTTF)
+		for l, d := range lt.LayerDamage {
+			fmt.Fprintf(w, "    layer %d damage : %.3f\n", l, d)
 		}
 	}
 	if *traceFlag != "" {
@@ -139,4 +137,18 @@ func main() {
 			fmt.Fprintf(w, "blocks above 85 °C at end of run: %s\n", strings.Join(hot, ", "))
 		}
 	}
+}
+
+// worstCore picks the most stressed core from the run's per-block wear:
+// the core block with the largest cycling damage plus EM factor, ties
+// going to the lower core id.
+func worstCore(stack *floorplan.Stack, lt *reliability.Report) (int, reliability.BlockWear) {
+	core, worst := -1, reliability.BlockWear{}
+	for c, b := range stack.Cores() {
+		w := lt.Blocks[stack.BlockIndex(b)]
+		if core < 0 || w.CycleDamage+w.EMFactor > worst.CycleDamage+worst.EMFactor {
+			core, worst = c, w
+		}
+	}
+	return core, worst
 }

@@ -3,8 +3,12 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/floorplan"
+	"repro/internal/reliability"
 )
 
 // TestMain re-execs the test binary as dtmsim when the marker is
@@ -54,5 +58,90 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	}
 	if !strings.Contains(out, "Usage") {
 		t.Fatalf("bad flag printed no usage:\n%s", out)
+	}
+}
+
+// TestReliabilityOutput pins the -reliability report byte for byte
+// against committed golden text, worst-core line included.
+func TestReliabilityOutput(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"exp4-adapt3d.txt", []string{"-exp", "4", "-policy", "Adapt3D", "-reliability", "-duration", "60"}},
+		{"exp3-dvfsrel-dpm-grid8.txt", []string{"-exp", "3", "-policy", "DVFS_Rel", "-reliability", "-dpm", "-grid", "8", "-duration", "60"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, out := runMain(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("%v exited %d:\n%s", tc.args, code, out)
+			}
+			if out != string(want) {
+				t.Fatalf("%v output differs from testdata/%s\n got:\n%s\nwant:\n%s", tc.args, tc.golden, out, want)
+			}
+		})
+	}
+}
+
+// TestWorstCore pins the worst-core rule of the -reliability report:
+// the core block with the largest cycling damage plus EM factor wins,
+// so a hot steady core can out-stress a cool cycling one, and ties go
+// to the lower core id.
+func TestWorstCore(t *testing.T) {
+	stack := floorplan.MustBuild(floorplan.EXP1)
+	worst := func(coreTemp func(core, sample int) float64) int {
+		t.Helper()
+		tr, err := reliability.NewTracker(stack.NumBlocks(), 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		temps := make([]float64, stack.NumBlocks())
+		for i := 0; i < 100; i++ {
+			for b := range temps {
+				temps[b] = 60
+			}
+			for c, b := range stack.Cores() {
+				temps[stack.BlockIndex(b)] = coreTemp(c, i)
+			}
+			if err := tr.Observe(temps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep := tr.Report()
+		c, w := worstCore(stack, &rep)
+		if w != rep.Blocks[stack.BlockIndex(stack.Core(c))] {
+			t.Fatalf("worst core %d reported another block's wear", c)
+		}
+		return c
+	}
+	// Core 2 cycles hard and runs hot.
+	if c := worst(func(c, i int) float64 {
+		if c == 2 && i%2 == 0 {
+			return 90
+		}
+		return 60
+	}); c != 2 {
+		t.Errorf("cycling hot core: worst core %d, want 2", c)
+	}
+	// Core 5 cycles mildly near 60 °C; core 3 sits at 95 °C without
+	// cycling. EM acceleration makes core 3 the more stressed one.
+	if c := worst(func(c, i int) float64 {
+		switch {
+		case c == 3:
+			return 95
+		case c == 5 && i%2 == 0:
+			return 62
+		}
+		return 60
+	}); c != 3 {
+		t.Errorf("hot steady core vs cool cycling core: worst core %d, want 3", c)
+	}
+	// Identical cores tie; the lowest id wins.
+	if c := worst(func(int, int) float64 { return 70 }); c != 0 {
+		t.Errorf("tied cores: worst core %d, want 0", c)
 	}
 }

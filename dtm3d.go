@@ -18,7 +18,6 @@ package repro
 import (
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/floorplan"
 	"repro/internal/metrics"
@@ -55,14 +54,14 @@ type (
 	// MetricsSummary is the paper's metric set for one run.
 	MetricsSummary = metrics.Summary
 	// Adapt3D is the paper's thermally-aware job allocator.
-	Adapt3D = core.Adapt3D
+	Adapt3D = policy.Adapt3D
 	// Adapt3DConfig holds the Adapt3D constants.
-	Adapt3DConfig = core.Config
+	Adapt3DConfig = policy.Adapt3DConfig
 	// FigureConfig controls figure regeneration sweeps.
 	FigureConfig = exp.FigureConfig
-	// ReliabilityReport is the per-core wear summary produced when
-	// SimConfig.AssessReliability is set.
-	ReliabilityReport = reliability.CoreReport
+	// ReliabilityReport is the per-block wear report a run carries in
+	// SimResult.Lifetime when SimConfig.TrackLifetime is set.
+	ReliabilityReport = reliability.Report
 )
 
 // The four experimental configurations (Figure 1).
@@ -108,9 +107,9 @@ func NewAdapt3D(s *Stack, seed int64) (*Adapt3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig()
+	cfg := policy.DefaultAdapt3DConfig()
 	cfg.Seed = seed
-	return core.NewWithModel(s, m, cfg)
+	return policy.NewAdapt3D(s, m, cfg)
 }
 
 // NewDefaultPolicy returns the baseline OS load balancer.
@@ -118,12 +117,22 @@ func NewDefaultPolicy() Policy { return policy.NewDefault() }
 
 // PolicySet builds the full 14-policy roster for a stack (the paper's
 // 11 plus the lifetime-aware DVFS_Rel and the model-predictive
-// MPC_Thermal/MPC_Rel pair).
-func PolicySet(s *Stack, seed int64) ([]Policy, error) { return exp.BuildPolicySet(s, seed) }
+// MPC_Thermal/MPC_Rel pair) in the paper's Figure 3 order.
+func PolicySet(s *Stack, seed int64) ([]Policy, error) {
+	set := make([]Policy, len(exp.PolicyOrder))
+	for i, name := range exp.PolicyOrder {
+		p, err := PolicyByName(name, s, seed)
+		if err != nil {
+			return nil, err
+		}
+		set[i] = p
+	}
+	return set, nil
+}
 
 // PolicyByName builds one policy from the roster by its Figure 3 name.
 func PolicyByName(name string, s *Stack, seed int64) (Policy, error) {
-	return exp.BuildPolicy(name, s, seed)
+	return exp.BuildPolicy(name, s, seed, thermal.SolverCached)
 }
 
 // PolicyNames lists the roster in the paper's Figure 3 order.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/floorplan"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -83,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	alpha, err := core.SteadyStateIndices(stack, model)
+	alpha, err := policy.SteadyStateIndices(stack, model, thermal.SolverCached)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,9 +95,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
+	cfg := policy.DefaultAdapt3DConfig()
 	cfg.Seed = 9
-	adapt, err := core.NewWithModel(stack, model, cfg)
+	adapt, err := policy.NewAdapt3D(stack, model, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

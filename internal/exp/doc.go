@@ -1,6 +1,7 @@
 // Package exp assembles the paper's experiments: the full policy
 // roster of Section III (PolicyOrder — the paper's eleven plus the
-// lifetime-aware DVFS_Rel), the benchmark suite of Table I, and the
+// lifetime-aware DVFS_Rel and the MPC pair, each built by name through
+// BuildPolicy), the benchmark suite of Table I, and the
 // run matrices behind Figures 3-6 plus the lifetime report extension.
 // It is the layer cmd/dtmsweep, cmd/dtmserved (via internal/server),
 // and the benchmark harness sit on.
@@ -11,8 +12,10 @@
 //
 //   - MatrixConfig.Spec translates a figure matrix into a sweep.Spec;
 //   - NewRunner returns the simulator-backed sweep.RunFunc that builds
-//     the policy, replays the cached workload trace, and runs
-//     sim.Run (attaching the lifetime tracker when the job asks);
+//     the job's policy (and only that one; only the Adapt3D-based
+//     policies build a thermal model, for their offline indices),
+//     replays the cached workload trace, and runs sim.Run (attaching
+//     the lifetime tracker when the job asks);
 //   - Aggregate folds streamed records — from any mix of inline runs,
 //     shards, checkpoints, and remote servers — into deterministic
 //     mean±stddev matrix cells, normalized against the baseline

@@ -5,28 +5,24 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/thermal"
 )
 
-func TestBuildPolicySetMatchesPaperRoster(t *testing.T) {
-	s := floorplan.MustBuild(floorplan.EXP1)
-	set, err := BuildPolicySet(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 14 {
-		t.Fatalf("roster has %d policies, want the paper's 11 + DVFS_Rel + MPC pair", len(set))
-	}
-	for i, p := range set {
-		if p.Name() != PolicyOrder[i] {
-			t.Errorf("policy %d = %q, want %q", i, p.Name(), PolicyOrder[i])
-		}
-	}
-}
-
+// TestBuildPolicyByName builds the whole roster by name: the paper's 11
+// plus DVFS_Rel and the MPC pair, each name unique and each policy
+// reporting the name it was built under.
 func TestBuildPolicyByName(t *testing.T) {
+	if len(PolicyOrder) != 14 {
+		t.Fatalf("roster has %d policies, want the paper's 11 + DVFS_Rel + MPC pair", len(PolicyOrder))
+	}
 	s := floorplan.MustBuild(floorplan.EXP2)
+	seen := make(map[string]bool)
 	for _, name := range PolicyOrder {
-		p, err := BuildPolicy(name, s, 1)
+		if seen[name] {
+			t.Errorf("duplicate policy name %q", name)
+		}
+		seen[name] = true
+		p, err := BuildPolicy(name, s, 1, thermal.SolverCached)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -34,7 +30,7 @@ func TestBuildPolicyByName(t *testing.T) {
 			t.Errorf("built %q when asking for %q", p.Name(), name)
 		}
 	}
-	if _, err := BuildPolicy("NoSuch", s, 1); err == nil {
+	if _, err := BuildPolicy("NoSuch", s, 1, thermal.SolverCached); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/floorplan"
 	"repro/internal/policy"
 	"repro/internal/thermal"
@@ -30,65 +29,10 @@ var PolicyOrder = []string{
 	"Adapt3D&DVFS_FLP",
 }
 
-// BuildPolicySet constructs the full roster for one stack: the paper's
-// seven baselines plus the lifetime-aware DVFS_Rel, Adapt3D with
-// thermal indices derived offline from the block thermal model, and
-// the three hybrid policies of Section III-C. Every stochastic policy
-// gets a deterministic seed derived from seed.
-func BuildPolicySet(stack *floorplan.Stack, seed int64) ([]policy.Policy, error) {
-	return BuildPolicySetWith(stack, seed, thermal.SolverCached)
-}
-
-// BuildPolicySetWith is BuildPolicySet with an explicit thermal solver
-// path for the Adapt3D offline index solves, so a dense-reference sweep
-// never touches the sparse factorization cache.
-func BuildPolicySetWith(stack *floorplan.Stack, seed int64, solver thermal.SolverKind) ([]policy.Policy, error) {
-	model, err := thermal.NewBlockModel(stack, thermal.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	base, err := policy.Registry(stack.NumCores(), seed)
-	if err != nil {
-		return nil, err
-	}
-	mkAdapt := func(s int64) (*core.Adapt3D, error) {
-		cfg := core.DefaultConfig()
-		cfg.Seed = s
-		cfg.Solver = solver
-		return core.NewWithModel(stack, model, cfg)
-	}
-	a3d, err := mkAdapt(seed + 1)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]policy.Policy{}, base...)
-	out = append(out, a3d)
-	for i, dvfs := range []policy.Policy{policy.NewDVFSTT(), policy.NewDVFSUtil(), policy.NewDVFSFLP()} {
-		alloc, err := mkAdapt(seed + 2 + int64(i))
-		if err != nil {
-			return nil, err
-		}
-		h, err := policy.NewHybrid(alloc, dvfs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, h)
-	}
-	if len(out) != len(PolicyOrder) {
-		return nil, fmt.Errorf("exp: built %d policies, expected %d", len(out), len(PolicyOrder))
-	}
-	for i, p := range out {
-		if p.Name() != PolicyOrder[i] {
-			return nil, fmt.Errorf("exp: policy %d is %q, expected %q", i, p.Name(), PolicyOrder[i])
-		}
-	}
-	return out, nil
-}
-
 // KnownPolicy reports whether name is a buildable policy. It lets
 // request validation (the dtmserved sweep API) reject a bad roster
 // before any simulation starts, instead of failing mid-stream when
-// BuildPolicyWith first sees the name.
+// BuildPolicy first sees the name.
 func KnownPolicy(name string) bool {
 	for _, p := range PolicyOrder {
 		if p == name {
@@ -98,21 +42,71 @@ func KnownPolicy(name string) bool {
 	return false
 }
 
-// BuildPolicy constructs a single policy by name (for cmd/dtmsim).
-func BuildPolicy(name string, stack *floorplan.Stack, seed int64) (policy.Policy, error) {
-	return BuildPolicyWith(name, stack, seed, thermal.SolverCached)
-}
-
-// BuildPolicyWith is BuildPolicy with an explicit thermal solver path.
-func BuildPolicyWith(name string, stack *floorplan.Stack, seed int64, solver thermal.SolverKind) (policy.Policy, error) {
-	set, err := BuildPolicySetWith(stack, seed, solver)
+// BuildPolicy constructs the named roster policy (one of PolicyOrder)
+// for one stack: the paper's seven baselines, the lifetime-aware
+// DVFS_Rel, the MPC pair, Adapt3D, or one of the three hybrids of
+// Section III-C. Every stochastic allocator gets a deterministic seed
+// derived from seed: AdaptRand seed, Adapt3D seed+1, and the
+// Adapt3D&DVFS_TT/_Util/_FLP hybrids seed+2/+3/+4. Only the four
+// Adapt3D-based policies build a thermal model: their thermal indices
+// come from a steady-state solve of the stack's block model on
+// solver's path, so a dense-reference sweep never touches the sparse
+// factorization cache.
+func BuildPolicy(name string, stack *floorplan.Stack, seed int64, solver thermal.SolverKind) (policy.Policy, error) {
+	var dvfs policy.Policy // the hybrid's DVFS half; nil for Adapt3D alone
+	offset := int64(1)
+	switch name {
+	case "Default":
+		return policy.NewDefault(), nil
+	case "CGate":
+		return policy.NewCGate(), nil
+	case "DVFS_TT":
+		return policy.NewDVFSTT(), nil
+	case "DVFS_Util":
+		return policy.NewDVFSUtil(), nil
+	case "DVFS_FLP":
+		return policy.NewDVFSFLP(), nil
+	case "DVFS_Rel":
+		return policy.NewDVFSRel(), nil
+	case "MPC_Thermal":
+		return policy.NewMPCThermal(), nil
+	case "MPC_Rel":
+		return policy.NewMPCRel(), nil
+	case "Migr":
+		return policy.NewMigr(), nil
+	case "AdaptRand":
+		ar, err := policy.NewAdaptRand(stack.NumCores(), seed)
+		if err != nil {
+			return nil, err
+		}
+		return ar, nil
+	case "Adapt3D":
+	case "Adapt3D&DVFS_TT":
+		dvfs, offset = policy.NewDVFSTT(), 2
+	case "Adapt3D&DVFS_Util":
+		dvfs, offset = policy.NewDVFSUtil(), 3
+	case "Adapt3D&DVFS_FLP":
+		dvfs, offset = policy.NewDVFSFLP(), 4
+	default:
+		return nil, fmt.Errorf("exp: unknown policy %q (want one of %v)", name, PolicyOrder)
+	}
+	model, err := thermal.NewBlockModel(stack, thermal.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range set {
-		if p.Name() == name {
-			return p, nil
-		}
+	cfg := policy.DefaultAdapt3DConfig()
+	cfg.Seed = seed + offset
+	cfg.Solver = solver
+	a3d, err := policy.NewAdapt3D(stack, model, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("exp: unknown policy %q (want one of %v)", name, PolicyOrder)
+	if dvfs == nil {
+		return a3d, nil
+	}
+	h, err := policy.NewHybrid(a3d, dvfs)
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
 }

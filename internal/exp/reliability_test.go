@@ -8,6 +8,7 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -15,7 +16,7 @@ import (
 // the streaming lifetime tracker enabled.
 func lifetimeRun(t *testing.T, policy string, jobs []workload.Job, stack *floorplan.Stack) *sim.Result {
 	t.Helper()
-	pol, err := BuildPolicy(policy, stack, 11)
+	pol, err := BuildPolicy(policy, stack, 11, thermal.SolverCached)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/sim"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -18,7 +19,7 @@ func TestPaperShapeClaims(t *testing.T) {
 	run := func(policyName string, e floorplan.Experiment, jobs []workload.Job, dpm bool) *sim.Result {
 		t.Helper()
 		stack := floorplan.MustBuild(e)
-		pol, err := BuildPolicy(policyName, stack, 5)
+		pol, err := BuildPolicy(policyName, stack, 5, thermal.SolverCached)
 		if err != nil {
 			t.Fatal(err)
 		}

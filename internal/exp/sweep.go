@@ -105,7 +105,7 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	if cfg.Policy, err = BuildPolicyWith(j.Policy, stack, j.Seed, j.Solver); err != nil {
+	if cfg.Policy, err = BuildPolicy(j.Policy, stack, j.Seed, j.Solver); err != nil {
 		return sim.Config{}, err
 	}
 	cfg.UseDPM = j.UseDPM

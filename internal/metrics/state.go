@@ -109,14 +109,3 @@ func (c *Collector) Load(s *CollectorState) error {
 type errShape string
 
 func (e errShape) Error() string { return string(e) }
-
-// CopyFrom overwrites r with a value copy of src's counting state,
-// reusing r's slices. It is the building block reliability.Assessor
-// uses to snapshot its growing per-core cycle censuses.
-func (r *Rainflow) CopyFrom(src *Rainflow) {
-	r.turning = append(r.turning[:0], src.turning...)
-	r.full = append(r.full[:0], src.full...)
-	r.last = src.last
-	r.dir = src.dir
-	r.started = src.started
-}

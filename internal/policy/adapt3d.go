@@ -1,18 +1,17 @@
-package core
+package policy
 
 import (
 	"fmt"
 	"sort"
 
 	"repro/internal/floorplan"
-	"repro/internal/policy"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
-// Config holds the Adapt3D constants. DefaultConfig reproduces the
-// paper's experimental settings.
-type Config struct {
+// Adapt3DConfig holds the Adapt3D constants. DefaultAdapt3DConfig
+// reproduces the paper's experimental settings.
+type Adapt3DConfig struct {
 	// BetaInc is the probability increase rate (paper: 0.01).
 	BetaInc float64
 	// BetaDec is the probability decrease rate (paper: 0.1). The rates
@@ -22,8 +21,8 @@ type Config struct {
 	// i.e. 1 s at a 100 ms sampling rate).
 	Window int
 	// Alpha holds the per-core thermal indices in (0,1); higher means
-	// more prone to hot spots. Leave nil to derive them from the stack
-	// geometry (the offline option the paper adopts).
+	// more prone to hot spots. Leave nil to derive them at construction
+	// (see NewAdapt3D).
 	Alpha []float64
 	// Seed drives the allocation sampling (an LFSR in hardware).
 	Seed int64
@@ -35,74 +34,69 @@ type Config struct {
 	// found offline and runtime indices to behave equivalently.
 	OnlineWindow int
 	// Solver selects the thermal solve path for the offline index
-	// derivation in NewWithModel (zero value: shared-cache sparse).
+	// derivation in NewAdapt3D (zero value: shared-cache sparse).
 	Solver thermal.SolverKind
 }
 
-// DefaultConfig returns the paper's constants.
-func DefaultConfig() Config {
-	return Config{BetaInc: 0.01, BetaDec: 0.1, Window: 10}
+// DefaultAdapt3DConfig returns the paper's constants.
+func DefaultAdapt3DConfig() Adapt3DConfig {
+	return Adapt3DConfig{BetaInc: 0.01, BetaDec: 0.1, Window: 10}
 }
 
-// Adapt3D implements policy.Policy.
+// Adapt3D is the paper's thermally-aware job allocator (Section
+// III-B); see the package documentation for its equations.
 type Adapt3D struct {
-	cfg   Config
+	cfg   Adapt3DConfig
 	alpha []float64
-	eng   *policy.ProbEngine
+	eng   *ProbEngine
 
 	// Online index estimation state (cfg.OnlineWindow > 0).
 	onlineSum []float64
 	onlineN   int
 }
 
-// New builds Adapt3D for the given stack. When cfg.Alpha is nil the
-// thermal indices are computed offline from the stack's geometry
-// (distance from the heat sink and lateral centrality); use NewWithModel
-// to derive them from a steady-state thermal solve instead.
-func New(stack *floorplan.Stack, cfg Config) (*Adapt3D, error) {
+// NewAdapt3D builds Adapt3D for the given stack. When cfg.Alpha is nil
+// the thermal indices are derived offline: from a steady-state solve
+// of model on cfg.Solver's path under a uniform reference power map
+// (the paper's preferred option; it found offline and runtime-derived
+// indices to behave equivalently), or, when model is nil, from the
+// stack's geometry alone (distance from the heat sink and lateral
+// centrality).
+func NewAdapt3D(stack *floorplan.Stack, model *thermal.Model, cfg Adapt3DConfig) (*Adapt3D, error) {
 	if stack == nil {
-		return nil, fmt.Errorf("core: Adapt3D needs a stack")
+		return nil, fmt.Errorf("policy: Adapt3D needs a stack")
 	}
 	if cfg.BetaInc <= 0 || cfg.BetaDec <= 0 {
-		return nil, fmt.Errorf("core: beta rates must be positive, got inc=%g dec=%g", cfg.BetaInc, cfg.BetaDec)
+		return nil, fmt.Errorf("policy: beta rates must be positive, got inc=%g dec=%g", cfg.BetaInc, cfg.BetaDec)
 	}
 	if cfg.Window <= 0 {
-		return nil, fmt.Errorf("core: history window must be positive, got %d", cfg.Window)
+		return nil, fmt.Errorf("policy: history window must be positive, got %d", cfg.Window)
 	}
 	alpha := cfg.Alpha
+	if alpha == nil && model != nil {
+		var err error
+		if alpha, err = SteadyStateIndices(stack, model, cfg.Solver); err != nil {
+			return nil, err
+		}
+	}
 	if alpha == nil {
 		alpha = GeometricIndices(stack)
 	}
 	if len(alpha) != stack.NumCores() {
-		return nil, fmt.Errorf("core: got %d thermal indices for %d cores", len(alpha), stack.NumCores())
+		return nil, fmt.Errorf("policy: got %d thermal indices for %d cores", len(alpha), stack.NumCores())
 	}
 	for i, a := range alpha {
 		if a <= 0 || a >= 1 {
-			return nil, fmt.Errorf("core: thermal index α[%d]=%g out of (0,1)", i, a)
+			return nil, fmt.Errorf("policy: thermal index α[%d]=%g out of (0,1)", i, a)
 		}
 	}
 	p := &Adapt3D{cfg: cfg, alpha: alpha}
-	eng, err := policy.NewProbEngine(stack.NumCores(), cfg.Window, cfg.Seed, p.weight)
+	eng, err := NewProbEngine(stack.NumCores(), cfg.Window, cfg.Seed, p.weight)
 	if err != nil {
 		return nil, err
 	}
 	p.eng = eng
 	return p, nil
-}
-
-// NewWithModel builds Adapt3D with thermal indices derived offline from a
-// steady-state solve of the given thermal model under a uniform
-// reference power map — the paper's preferred offline option (it found
-// offline and runtime-derived indices to behave equivalently).
-func NewWithModel(stack *floorplan.Stack, model *thermal.Model, cfg Config) (*Adapt3D, error) {
-	if cfg.Alpha == nil && model != nil {
-		alpha, err := SteadyStateIndicesWith(stack, model, cfg.Solver)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Alpha = alpha
-	}
-	return New(stack, cfg)
 }
 
 // weight is Eq. 3.
@@ -114,22 +108,22 @@ func (p *Adapt3D) weight(coreID int, wdiff float64) float64 {
 	return p.cfg.BetaDec * wdiff * a
 }
 
-// Name implements policy.Policy.
+// Name implements Policy.
 func (p *Adapt3D) Name() string { return "Adapt3D" }
 
-// AssignCore implements policy.Policy: draw from the adaptive
+// AssignCore implements Policy: draw from the adaptive
 // distribution among the least-loaded cores (the paper's "we do not
 // overload cores that are already highly utilized and getting warm").
-func (p *Adapt3D) AssignCore(v *policy.View, _ workload.Job) int {
+func (p *Adapt3D) AssignCore(v *View, _ workload.Job) int {
 	return p.eng.SampleLeastLoaded(v.QueueLens, v.TempsC, v.TprefC)
 }
 
-// Tick implements policy.Policy: record the new samples and update the
+// Tick implements Policy: record the new samples and update the
 // probabilities (Eq. 1), refreshing the thermal indices from the long
 // temperature history when the runtime option is enabled.
-func (p *Adapt3D) Tick(v *policy.View) policy.TickDecision {
+func (p *Adapt3D) Tick(v *View) TickDecision {
 	if err := p.eng.Observe(v.TempsC); err != nil {
-		return policy.TickDecision{}
+		return TickDecision{}
 	}
 	_ = p.eng.Update(v.TprefC, v.ThresholdC, v.TempsC)
 	if p.cfg.OnlineWindow > 0 && len(v.TempsC) == len(p.alpha) {
@@ -148,7 +142,7 @@ func (p *Adapt3D) Tick(v *policy.View) policy.TickDecision {
 			p.onlineN = 0
 		}
 	}
-	return policy.TickDecision{}
+	return TickDecision{}
 }
 
 // rankIndices maps values to (0.1, 0.9) by rank (highest value gets the
@@ -170,12 +164,12 @@ func rankIndices(values []float64) []float64 {
 	return out
 }
 
-// Fork implements policy.Forker: the clone duplicates the thermal
+// Fork implements Forker: the clone duplicates the thermal
 // indices, the online-estimation accumulators, and the probability
 // engine (including its random stream position), with the weight
 // closure rebound to the clone so online index refreshes stay
 // per-instance.
-func (p *Adapt3D) Fork() policy.Policy {
+func (p *Adapt3D) Fork() Policy {
 	f := &Adapt3D{
 		cfg:     p.cfg,
 		alpha:   append([]float64(nil), p.alpha...),
@@ -208,24 +202,20 @@ func GeometricIndices(stack *floorplan.Stack) []float64 {
 
 // SteadyStateIndices derives thermal indices from the steady-state core
 // temperatures under a uniform reference power map (every core at its
-// nominal active power): hotter steady-state locations get higher α.
-// Cores are ranked by steady-state temperature and mapped evenly into
-// (0.1, 0.9); rank mapping keeps the full lateral ordering even when the
-// interlayer temperature difference dominates the absolute spread.
-func SteadyStateIndices(stack *floorplan.Stack, model *thermal.Model) ([]float64, error) {
-	return SteadyStateIndicesWith(stack, model, thermal.SolverCached)
-}
-
-// SteadyStateIndicesWith is SteadyStateIndices with an explicit thermal
-// solver path, so dense-reference sweeps stay purely dense.
-func SteadyStateIndicesWith(stack *floorplan.Stack, model *thermal.Model, kind thermal.SolverKind) ([]float64, error) {
+// nominal active power), solved on kind's path so dense-reference
+// sweeps stay purely dense: hotter steady-state locations get higher
+// α. Cores are ranked by steady-state temperature and mapped evenly
+// into (0.1, 0.9); rank mapping keeps the full lateral ordering even
+// when the interlayer temperature difference dominates the absolute
+// spread.
+func SteadyStateIndices(stack *floorplan.Stack, model *thermal.Model, kind thermal.SolverKind) ([]float64, error) {
 	ref := make([]float64, stack.NumBlocks())
 	for _, c := range stack.Cores() {
 		ref[stack.BlockIndex(c)] = 3.0 // nominal active power, Section IV-B
 	}
 	temps, err := model.SteadyStateWith(ref, kind)
 	if err != nil {
-		return nil, fmt.Errorf("core: offline index solve failed: %w", err)
+		return nil, fmt.Errorf("policy: Adapt3D offline index solve failed: %w", err)
 	}
 	return rankIndices(model.CoreTemps(temps)), nil
 }

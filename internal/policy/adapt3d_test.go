@@ -1,65 +1,45 @@
-package core
+package policy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/floorplan"
-	"repro/internal/policy"
-	"repro/internal/power"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
-func view(n int, temps []float64) *policy.View {
-	exp := floorplan.EXP1
-	if n == 16 {
-		exp = floorplan.EXP3
-	}
-	return &policy.View{
-		TickS:      0.1,
-		TempsC:     temps,
-		Utils:      make([]float64, n),
-		QueueLens:  make([]int, n),
-		States:     make([]power.CoreState, n),
-		Levels:     make([]power.VfLevel, n),
-		Stack:      floorplan.MustBuild(exp),
-		DVFS:       power.DefaultDVFS(),
-		ThresholdC: 85,
-		TprefC:     80,
-	}
-}
-
-func TestNewValidation(t *testing.T) {
+func TestNewAdapt3DValidation(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
-	if _, err := New(nil, DefaultConfig()); err == nil {
+	if _, err := NewAdapt3D(nil, nil, DefaultAdapt3DConfig()); err == nil {
 		t.Error("nil stack accepted")
 	}
-	cfg := DefaultConfig()
+	cfg := DefaultAdapt3DConfig()
 	cfg.BetaInc = 0
-	if _, err := New(s, cfg); err == nil {
+	if _, err := NewAdapt3D(s, nil, cfg); err == nil {
 		t.Error("zero beta accepted")
 	}
-	cfg = DefaultConfig()
+	cfg = DefaultAdapt3DConfig()
 	cfg.Window = 0
-	if _, err := New(s, cfg); err == nil {
+	if _, err := NewAdapt3D(s, nil, cfg); err == nil {
 		t.Error("zero window accepted")
 	}
-	cfg = DefaultConfig()
+	cfg = DefaultAdapt3DConfig()
 	cfg.Alpha = []float64{0.5} // wrong length
-	if _, err := New(s, cfg); err == nil {
+	if _, err := NewAdapt3D(s, nil, cfg); err == nil {
 		t.Error("short alpha accepted")
 	}
-	cfg = DefaultConfig()
+	cfg = DefaultAdapt3DConfig()
 	cfg.Alpha = make([]float64, 8)
 	cfg.Alpha[0] = 1.5 // out of (0,1)
-	if _, err := New(s, cfg); err == nil {
+	if _, err := NewAdapt3D(s, nil, cfg); err == nil {
 		t.Error("alpha out of range accepted")
 	}
 }
 
-func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultConfig()
+func TestDefaultAdapt3DConfigMatchesPaper(t *testing.T) {
+	cfg := DefaultAdapt3DConfig()
 	if cfg.BetaInc != 0.01 || cfg.BetaDec != 0.1 || cfg.Window != 10 {
 		t.Errorf("constants %+v do not match the paper (βinc=0.01, βdec=0.1, window=10)", cfg)
 	}
@@ -68,9 +48,9 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 // TestWeightEquation verifies Eq. 3 exactly.
 func TestWeightEquation(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
-	cfg := DefaultConfig()
+	cfg := DefaultAdapt3DConfig()
 	cfg.Alpha = []float64{0.2, 0.8, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
-	p, err := New(s, cfg)
+	p, err := NewAdapt3D(s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +70,9 @@ func TestWeightAsymmetry(t *testing.T) {
 	// Per Section III-B: when decreasing, high-α cores lose probability
 	// faster; when increasing, high-α cores gain more slowly.
 	s := floorplan.MustBuild(floorplan.EXP1)
-	cfg := DefaultConfig()
+	cfg := DefaultAdapt3DConfig()
 	cfg.Alpha = []float64{0.2, 0.8, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
-	p, _ := New(s, cfg)
+	p, _ := NewAdapt3D(s, nil, cfg)
 	if !(p.weight(1, -3) < p.weight(0, -3)) {
 		t.Error("high-α core should lose probability faster when hot")
 	}
@@ -103,14 +83,14 @@ func TestWeightAsymmetry(t *testing.T) {
 
 func TestProbabilitiesShiftAwayFromHotCore(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
-	cfg := DefaultConfig()
+	cfg := DefaultAdapt3DConfig()
 	cfg.Seed = 1
-	p, err := New(s, cfg)
+	p, err := NewAdapt3D(s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	temps := []float64{84, 60, 60, 60, 60, 60, 60, 60} // hot but below threshold
-	v := view(8, temps)
+	v := testView(t, 8, temps)
 	for i := 0; i < 30; i++ {
 		p.Tick(v)
 	}
@@ -131,11 +111,11 @@ func TestProbabilitiesShiftAwayFromHotCore(t *testing.T) {
 
 func TestThresholdZeroesProbability(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
-	cfg := DefaultConfig()
+	cfg := DefaultAdapt3DConfig()
 	cfg.Seed = 2
-	p, _ := New(s, cfg)
+	p, _ := NewAdapt3D(s, nil, cfg)
 	temps := []float64{90, 60, 60, 60, 60, 60, 60, 60}
-	v := view(8, temps)
+	v := testView(t, 8, temps)
 	p.Tick(v)
 	if got := p.Probabilities()[0]; got != 0 {
 		t.Errorf("above-threshold core probability = %g, want 0", got)
@@ -173,7 +153,7 @@ func TestSteadyStateIndicesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alpha, err := SteadyStateIndices(s, m)
+	alpha, err := SteadyStateIndices(s, m, thermal.SolverCached)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +167,32 @@ func TestSteadyStateIndicesOrdering(t *testing.T) {
 	}
 }
 
-func TestNewWithModel(t *testing.T) {
+// TestNewAdapt3DWithModel checks where NewAdapt3D takes its indices
+// from: the model's steady-state solve when given a model, the stack
+// geometry without one.
+func TestNewAdapt3DWithModel(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP2)
 	m, _ := thermal.NewBlockModel(s, thermal.DefaultParams())
-	p, err := NewWithModel(s, m, DefaultConfig())
+	p, err := NewAdapt3D(s, m, DefaultAdapt3DConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Alpha()) != 8 {
 		t.Errorf("alpha length %d", len(p.Alpha()))
+	}
+	steady, err := SteadyStateIndices(s, m, thermal.SolverCached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p.Alpha(), steady) {
+		t.Errorf("indices with a model %v, want the steady-state indices %v", p.Alpha(), steady)
+	}
+	g, err := NewAdapt3D(s, nil, DefaultAdapt3DConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Alpha(), GeometricIndices(s)) {
+		t.Errorf("indices without a model %v, want the geometric indices %v", g.Alpha(), GeometricIndices(s))
 	}
 }
 
@@ -206,9 +203,9 @@ func TestAdapt3DFavorsNearSinkLayerUnderStress(t *testing.T) {
 	// near-sink layer. (When everything is cool all cores saturate at
 	// full willingness — uniform allocation is then the correct answer.)
 	s := floorplan.MustBuild(floorplan.EXP3)
-	cfg := DefaultConfig()
+	cfg := DefaultAdapt3DConfig()
 	cfg.Seed = 3
-	p, err := New(s, cfg)
+	p, err := NewAdapt3D(s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +213,7 @@ func TestAdapt3DFavorsNearSinkLayerUnderStress(t *testing.T) {
 	for i := range temps {
 		temps[i] = 83 // uniformly a few degrees above Tpref=80
 	}
-	v := view(16, temps)
+	v := testView(t, 16, temps)
 	for i := 0; i < 3; i++ {
 		p.Tick(v)
 	}
@@ -231,17 +228,17 @@ func TestAdapt3DFavorsNearSinkLayerUnderStress(t *testing.T) {
 	}
 }
 
-func TestDeterministicSampling(t *testing.T) {
+func TestAdapt3DDeterministicSampling(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
 	mk := func() *Adapt3D {
-		cfg := DefaultConfig()
+		cfg := DefaultAdapt3DConfig()
 		cfg.Seed = 42
-		p, _ := New(s, cfg)
+		p, _ := NewAdapt3D(s, nil, cfg)
 		return p
 	}
 	a, b := mk(), mk()
 	temps := []float64{70, 65, 72, 60, 75, 68, 62, 71}
-	v := view(8, temps)
+	v := testView(t, 8, temps)
 	for i := 0; i < 10; i++ {
 		a.Tick(v)
 		b.Tick(v)
@@ -253,17 +250,94 @@ func TestDeterministicSampling(t *testing.T) {
 	}
 }
 
-func TestNameAndInterfaceCompliance(t *testing.T) {
+func TestAdapt3DNameAndInterfaceCompliance(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
-	p, _ := New(s, DefaultConfig())
-	var _ policy.Policy = p
+	p, _ := NewAdapt3D(s, nil, DefaultAdapt3DConfig())
+	var _ Policy = p
 	if p.Name() != "Adapt3D" {
 		t.Errorf("Name = %q", p.Name())
 	}
 	// Tick with no valid observation should not panic and returns an
 	// empty decision.
-	d := p.Tick(view(8, make([]float64, 8)))
+	d := p.Tick(testView(t, 8, make([]float64, 8)))
 	if d.Levels != nil || d.Gate != nil || d.Migrations != nil {
 		t.Error("Adapt3D should not actuate DVFS or migrations by itself")
+	}
+}
+
+func TestOnlineWindowRefreshesAlpha(t *testing.T) {
+	s := floorplan.MustBuild(floorplan.EXP1)
+	cfg := DefaultAdapt3DConfig()
+	cfg.Seed = 1
+	cfg.OnlineWindow = 5
+	// Start from uniform indices so any change must come from the online
+	// estimator.
+	cfg.Alpha = []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+	p, err := NewAdapt3D(s, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Core 3 consistently hottest, core 0 coolest.
+	temps := []float64{60, 65, 66, 78, 67, 68, 69, 70}
+	v := testView(t, 8, temps)
+	for i := 0; i < 5; i++ {
+		p.Tick(v)
+	}
+	alpha := p.Alpha()
+	if alpha[3] != 0.9 {
+		t.Errorf("hottest core α = %g, want 0.9 after the online refresh", alpha[3])
+	}
+	if alpha[0] != 0.1 {
+		t.Errorf("coolest core α = %g, want 0.1", alpha[0])
+	}
+	for i := 1; i < 8; i++ {
+		if i != 3 && alpha[i] >= alpha[3] {
+			t.Errorf("core %d α %g should be below hottest core's", i, alpha[i])
+		}
+	}
+}
+
+func TestOnlineWindowResetsBetweenWindows(t *testing.T) {
+	s := floorplan.MustBuild(floorplan.EXP1)
+	cfg := DefaultAdapt3DConfig()
+	cfg.Seed = 1
+	cfg.OnlineWindow = 3
+	p, err := NewAdapt3D(s, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// First window: core 0 hottest.
+	hot0 := []float64{90, 60, 60, 60, 60, 60, 60, 60}
+	for i := 0; i < 3; i++ {
+		p.Tick(testView(t, 8, hot0))
+	}
+	if a := p.Alpha(); a[0] != 0.9 {
+		t.Fatalf("after first window α[0] = %g, want 0.9", a[0])
+	}
+	// Second window: core 7 hottest; the estimator must forget window 1.
+	hot7 := []float64{60, 60, 60, 60, 60, 60, 60, 90}
+	for i := 0; i < 3; i++ {
+		p.Tick(testView(t, 8, hot7))
+	}
+	if a := p.Alpha(); a[7] != 0.9 {
+		t.Errorf("after second window α[7] = %g, want 0.9 (stale history retained?)", a[7])
+	}
+}
+
+func TestRankIndicesProperties(t *testing.T) {
+	vals := []float64{5, 1, 3, 9}
+	idx := rankIndices(vals)
+	if len(idx) != 4 {
+		t.Fatal("length mismatch")
+	}
+	// Ordering preserved.
+	if !(idx[1] < idx[2] && idx[2] < idx[0] && idx[0] < idx[3]) {
+		t.Errorf("rank ordering broken: %v", idx)
+	}
+	if math.Abs(idx[1]-0.1) > 1e-12 || math.Abs(idx[3]-0.9) > 1e-12 {
+		t.Errorf("extremes should map to 0.1/0.9: %v", idx)
+	}
+	if one := rankIndices([]float64{42}); one[0] != 0.5 {
+		t.Errorf("singleton should map to 0.5, got %g", one[0])
 	}
 }

@@ -73,33 +73,6 @@ func (d DPM) ShouldSleep(idleS float64) bool {
 	return d.TimeoutS > 0 && idleS >= d.TimeoutS
 }
 
-// Registry builds the paper's policy list — Default, CGate, DVFS_TT,
-// DVFS_Util, DVFS_FLP, Migr, AdaptRand — plus the lifetime-aware
-// DVFS_Rel extension and the model-predictive MPC_Thermal/MPC_Rel
-// pair, for a machine with numCores cores. Adapt3D and its hybrids
-// (via internal/core) are appended by the caller. The seed feeds the
-// stochastic allocators. The MPC policies plan by simulator rollout:
-// the engine attaches their Rollout at run setup (see Planner), and
-// until then they fall back to utilization-covering DVFS.
-func Registry(numCores int, seed int64) ([]Policy, error) {
-	ar, err := NewAdaptRand(numCores, seed)
-	if err != nil {
-		return nil, err
-	}
-	return []Policy{
-		NewDefault(),
-		NewCGate(),
-		NewDVFSTT(),
-		NewDVFSUtil(),
-		NewDVFSFLP(),
-		NewDVFSRel(),
-		NewMPCThermal(),
-		NewMPCRel(),
-		NewMigr(),
-		ar,
-	}, nil
-}
-
 // StaticLevels is a helper used in tests: a policy holding every core at
 // a fixed V/f level with Default allocation.
 type StaticLevels struct {

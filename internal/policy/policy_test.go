@@ -331,23 +331,6 @@ func TestDPMTimeout(t *testing.T) {
 	}
 }
 
-func TestRegistryNamesAreUnique(t *testing.T) {
-	ps, err := Registry(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 10 {
-		t.Fatalf("registry has %d policies, want 7 baselines + DVFS_Rel + MPC pair", len(ps))
-	}
-	seen := make(map[string]bool)
-	for _, p := range ps {
-		if seen[p.Name()] {
-			t.Errorf("duplicate policy name %q", p.Name())
-		}
-		seen[p.Name()] = true
-	}
-}
-
 func TestStaticLevels(t *testing.T) {
 	p := NewStaticLevels(2)
 	v := testView(t, 8, nil)

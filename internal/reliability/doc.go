@@ -6,20 +6,22 @@
 // extends the paper's percentage metrics into relative-MTTF estimates,
 // the quantity lifetime-aware schedulers ultimately target.
 //
-// # Two accumulators
+// # One accumulator and its oracle
 //
-// Assessor is the batch form: it keeps per-core rainflow censuses
-// (via metrics.Rainflow) and summarizes at the end — fine for single
-// runs, but its memory grows with the temperature history.
+// Tracker is the wear accumulator: one fixed-footprint Stream per
+// block folds every closed rainflow cycle into a running damage sum
+// the moment the 4-point rule extracts it, alongside running
+// electromigration and peak-temperature accumulators. Observe is
+// allocation-free, which is what lets the simulation engine
+// (sim.Config.TrackLifetime) feed it from the zero-allocation tick
+// loop, every sweep run afford lifetime metrics, and the wear-aware
+// DVFS_Rel policy poll per-core damage online. Per-core wear is the
+// report's core blocks.
 //
-// Tracker is the streaming form the sweep infrastructure uses: one
-// fixed-footprint Stream per block folds every closed rainflow cycle
-// into a running damage sum the moment the 4-point rule extracts it,
-// alongside running electromigration and peak-temperature
-// accumulators. Observe is allocation-free, which is what lets the
-// simulation engine (sim.Config.TrackLifetime) feed it from the
-// zero-allocation tick loop, every sweep run afford lifetime metrics,
-// and the wear-aware DVFS_Rel policy poll per-core damage online.
+// metrics.Rainflow, the batch cycle counter that stores the full
+// census, is kept as the test oracle: the tests check that a Stream's
+// damage and cycle count equal CyclingModel.Damage over Rainflow's
+// census of the same samples.
 //
 // # Place in the dataflow
 //
@@ -32,7 +34,7 @@
 //
 // # Concurrency
 //
-// Assessor, Tracker, and Stream are single-goroutine accumulators
-// owned by one simulation; snapshot methods (Report, Damage) share no
-// state with the returned values.
+// Tracker and Stream are single-goroutine accumulators owned by one
+// simulation; snapshot methods (Report, Damage) share no state with
+// the returned values.
 package reliability

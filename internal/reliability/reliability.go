@@ -3,8 +3,6 @@ package reliability
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/metrics"
 )
 
 // Boltzmann constant in eV/K.
@@ -80,121 +78,4 @@ func (m EMModel) RateFactor(tempC float64) float64 {
 	t := tempC + 273.15
 	ref := m.RefC + 273.15
 	return math.Exp(m.ActivationEV / boltzmannEV * (1/ref - 1/t))
-}
-
-// Assessor accumulates per-core reliability stress over a simulation:
-// a rainflow counter per core for cycling fatigue and a time-averaged
-// electromigration acceleration factor.
-type Assessor struct {
-	Cycling CyclingModel
-	EM      EMModel
-
-	flows   []*metrics.Rainflow
-	emSum   []float64
-	samples int
-	tickS   float64
-}
-
-// NewAssessor builds an assessor for numCores cores sampled every tickS
-// seconds.
-func NewAssessor(numCores int, tickS float64) (*Assessor, error) {
-	if numCores <= 0 {
-		return nil, fmt.Errorf("reliability: need cores, got %d", numCores)
-	}
-	if tickS <= 0 {
-		return nil, fmt.Errorf("reliability: tick must be positive, got %g", tickS)
-	}
-	a := &Assessor{
-		Cycling: DefaultCycling(),
-		EM:      DefaultEM(),
-		flows:   make([]*metrics.Rainflow, numCores),
-		emSum:   make([]float64, numCores),
-		tickS:   tickS,
-	}
-	for i := range a.flows {
-		a.flows[i] = metrics.NewRainflow()
-	}
-	return a, nil
-}
-
-// Record adds one sampling interval of per-core temperatures.
-func (a *Assessor) Record(coreTempsC []float64) error {
-	if len(coreTempsC) != len(a.flows) {
-		return fmt.Errorf("reliability: got %d temps for %d cores", len(coreTempsC), len(a.flows))
-	}
-	for c, t := range coreTempsC {
-		a.flows[c].Push(t)
-		a.emSum[c] += a.EM.RateFactor(t)
-	}
-	a.samples++
-	return nil
-}
-
-// CoreReport is the per-core reliability stress summary.
-type CoreReport struct {
-	Core int
-	// CyclingDamage is the accumulated Coffin-Manson damage (reference
-	// cycles equivalent) over the observed interval.
-	CyclingDamage float64
-	// EMAcceleration is the time-averaged electromigration wear rate
-	// relative to the reference temperature.
-	EMAcceleration float64
-	// FullCycles is the rainflow census size.
-	FullCycles int
-}
-
-// Report returns per-core summaries, index == CoreID.
-func (a *Assessor) Report() []CoreReport {
-	out := make([]CoreReport, len(a.flows))
-	for c := range a.flows {
-		full := a.flows[c].FullCycles()
-		half := a.flows[c].ResidualHalfCycles()
-		em := 0.0
-		if a.samples > 0 {
-			em = a.emSum[c] / float64(a.samples)
-		}
-		out[c] = CoreReport{
-			Core:           c,
-			CyclingDamage:  a.Cycling.Damage(full, half),
-			EMAcceleration: em,
-			FullCycles:     len(full),
-		}
-	}
-	return out
-}
-
-// WorstCore returns the report of the core with the highest combined
-// stress (cycling damage rank plus EM rank); ties favour the lower id.
-func (a *Assessor) WorstCore() CoreReport {
-	reports := a.Report()
-	worst := reports[0]
-	for _, r := range reports[1:] {
-		if r.CyclingDamage+r.EMAcceleration > worst.CyclingDamage+worst.EMAcceleration {
-			worst = r
-		}
-	}
-	return worst
-}
-
-// RelativeMTTF compares two assessors (e.g. two policies on the same
-// trace): it returns the ratio of the baseline's worst-core combined
-// stress to this assessor's — values above 1 mean this run is gentler on
-// the silicon. Combined stress is EM acceleration plus cycling damage
-// normalized per hour of simulated time.
-func (a *Assessor) RelativeMTTF(baseline *Assessor) float64 {
-	sb := baseline.combinedStress()
-	sa := a.combinedStress()
-	if sa <= 0 {
-		return math.Inf(1)
-	}
-	return sb / sa
-}
-
-func (a *Assessor) combinedStress() float64 {
-	w := a.WorstCore()
-	hours := float64(a.samples) * a.tickS / 3600
-	if hours <= 0 {
-		return w.EMAcceleration
-	}
-	return w.EMAcceleration + w.CyclingDamage/hours
 }

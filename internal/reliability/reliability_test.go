@@ -82,72 +82,3 @@ func TestEMValidate(t *testing.T) {
 		t.Error("sub-absolute-zero reference accepted")
 	}
 }
-
-func TestAssessorValidation(t *testing.T) {
-	if _, err := NewAssessor(0, 0.1); err == nil {
-		t.Error("zero cores accepted")
-	}
-	if _, err := NewAssessor(4, 0); err == nil {
-		t.Error("zero tick accepted")
-	}
-	a, _ := NewAssessor(2, 0.1)
-	if err := a.Record([]float64{1}); err == nil {
-		t.Error("wrong vector length accepted")
-	}
-}
-
-func TestAssessorCyclingVsSteady(t *testing.T) {
-	// A core that swings 60<->85 repeatedly must accumulate far more
-	// cycling damage than one parked at the average.
-	cycler, _ := NewAssessor(1, 0.1)
-	steady, _ := NewAssessor(1, 0.1)
-	for i := 0; i < 200; i++ {
-		temp := 60.0
-		if i%2 == 1 {
-			temp = 85
-		}
-		cycler.Record([]float64{temp})
-		steady.Record([]float64{72.5})
-	}
-	rc := cycler.Report()[0]
-	rs := steady.Report()[0]
-	if rc.CyclingDamage <= rs.CyclingDamage {
-		t.Errorf("cycling damage %g should exceed steady %g", rc.CyclingDamage, rs.CyclingDamage)
-	}
-	if rc.FullCycles == 0 {
-		t.Error("no full cycles counted for an oscillating core")
-	}
-	if rs.FullCycles != 0 {
-		t.Error("steady core should close no cycles")
-	}
-}
-
-func TestAssessorEMHotterIsWorse(t *testing.T) {
-	hot, _ := NewAssessor(1, 0.1)
-	cool, _ := NewAssessor(1, 0.1)
-	for i := 0; i < 100; i++ {
-		hot.Record([]float64{90})
-		cool.Record([]float64{65})
-	}
-	if hot.Report()[0].EMAcceleration <= cool.Report()[0].EMAcceleration {
-		t.Error("hotter core should have higher EM acceleration")
-	}
-	// The cool run should win relative MTTF vs the hot baseline.
-	if r := cool.RelativeMTTF(hot); r <= 1 {
-		t.Errorf("RelativeMTTF(cool vs hot) = %g, want > 1", r)
-	}
-}
-
-func TestWorstCore(t *testing.T) {
-	a, _ := NewAssessor(3, 0.1)
-	for i := 0; i < 100; i++ {
-		t2 := 60.0
-		if i%2 == 0 {
-			t2 = 90 // core 2 cycles hard and runs hot
-		}
-		a.Record([]float64{60, 62, t2})
-	}
-	if w := a.WorstCore(); w.Core != 2 {
-		t.Errorf("worst core = %d, want 2", w.Core)
-	}
-}

@@ -3,8 +3,6 @@ package reliability
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/metrics"
 )
 
 // This file holds the snapshot side of the wear accumulators, used by
@@ -62,44 +60,4 @@ func (t *Tracker) Reset() {
 		t.maxC[i] = math.Inf(-1)
 	}
 	t.samples = 0
-}
-
-// AssessorState is a value snapshot of an Assessor's stress
-// accumulators. Unlike TrackerState its size grows with the run (the
-// assessor stores full rainflow cycle censuses), so snapshot-heavy
-// users prefer the Tracker. The zero value is a ready Save
-// destination.
-type AssessorState struct {
-	flows   []*metrics.Rainflow
-	emSum   []float64
-	samples int
-}
-
-// Save captures the assessor's accumulated stress into s.
-func (a *Assessor) Save(s *AssessorState) {
-	if len(s.flows) != len(a.flows) {
-		s.flows = make([]*metrics.Rainflow, len(a.flows))
-		for i := range s.flows {
-			s.flows[i] = metrics.NewRainflow()
-		}
-	}
-	for i, f := range a.flows {
-		s.flows[i].CopyFrom(f)
-	}
-	s.emSum = append(s.emSum[:0], a.emSum...)
-	s.samples = a.samples
-}
-
-// Load restores the assessor's stress from s. The assessor must cover
-// the same number of cores the state was saved from.
-func (a *Assessor) Load(s *AssessorState) error {
-	if len(s.flows) != len(a.flows) {
-		return fmt.Errorf("reliability: assessor state has %d cores, assessor %d", len(s.flows), len(a.flows))
-	}
-	for i, f := range s.flows {
-		a.flows[i].CopyFrom(f)
-	}
-	copy(a.emSum, s.emSum)
-	a.samples = s.samples
-	return nil
 }

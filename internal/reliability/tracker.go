@@ -199,10 +199,10 @@ func (r Report) Worst() BlockWear {
 
 // Tracker accumulates per-block reliability wear over a simulation:
 // one streaming rainflow Stream per block for thermal-cycling fatigue
-// and a running Black's-equation electromigration factor. Unlike
-// Assessor it never stores cycle censuses, so its memory footprint is
-// constant in the run length — the property that lets every sweep run
-// afford lifetime metrics.
+// and a running Black's-equation electromigration factor. It never
+// stores cycle censuses, so its memory footprint is constant in the
+// run length — the property that lets every sweep run afford lifetime
+// metrics.
 //
 // A Tracker is owned by one simulation goroutine; it is not safe for
 // concurrent Observe calls.

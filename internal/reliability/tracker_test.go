@@ -99,7 +99,8 @@ func TestStreamOverflowRetiresOldest(t *testing.T) {
 }
 
 // TestTrackerReport runs a two-signal tracker and checks the report's
-// aggregates and metadata plumbing.
+// per-block wear (a swinging signal closes cycles and a flat one none;
+// the hotter signal wears faster), aggregates, and metadata plumbing.
 func TestTrackerReport(t *testing.T) {
 	tr, err := NewTracker(2, 0.1)
 	if err != nil {
@@ -128,6 +129,12 @@ func TestTrackerReport(t *testing.T) {
 	if rep.Blocks[0].CycleDamage <= rep.Blocks[1].CycleDamage {
 		t.Fatalf("swinging signal damage %.3g not above flat signal %.3g",
 			rep.Blocks[0].CycleDamage, rep.Blocks[1].CycleDamage)
+	}
+	if rep.Blocks[0].Cycles == 0 {
+		t.Fatal("swinging signal closed no cycles")
+	}
+	if rep.Blocks[1].Cycles != 0 || rep.Blocks[1].CycleDamage != 0 {
+		t.Fatalf("flat signal closed %d cycles (damage %.3g), want none", rep.Blocks[1].Cycles, rep.Blocks[1].CycleDamage)
 	}
 	if rep.Blocks[0].EMFactor <= rep.Blocks[1].EMFactor {
 		t.Fatal("hotter signal should carry the higher EM factor")

@@ -81,18 +81,13 @@ type Config struct {
 	// 100 ticks = 10 s).
 	CycleWindowTicks int
 
-	// AssessReliability additionally runs the rainflow/Black's-equation
-	// reliability assessor over the per-core thermal histories and
-	// attaches per-core reports to the result.
-	AssessReliability bool
-
 	// TrackLifetime attaches a streaming reliability.Tracker to the
 	// per-block temperature field: every tick feeds the tracker's
 	// allocation-free rainflow/electromigration accumulators, and the
 	// run's Result carries the Lifetime wear report (per-block and
-	// per-layer cycling damage, EM acceleration, relative MTTF). Unlike
-	// AssessReliability it stores no cycle censuses, so its cost is
-	// constant in the run length and every sweep run can afford it.
+	// per-layer cycling damage, EM acceleration, relative MTTF). It
+	// stores no cycle censuses, so its cost is constant in the run
+	// length and every sweep run can afford it.
 	TrackLifetime bool
 
 	// TraceWriter, when non-nil, receives a per-tick CSV trace:

@@ -2,12 +2,13 @@
 // — the engine that every simulation in the repository ultimately runs
 // through. It couples the synthetic workload (internal/workload), the
 // multi-queue job scheduler (internal/sched), the management policy
-// under test (internal/policy, internal/core), the power model with its
+// under test (internal/policy), the power model with its
 // leakage feedback loop (internal/power), and the 3D thermal model
 // (internal/thermal), advancing everything on a common 100 ms
 // sampling/scheduling tick, and collects the paper's metrics
 // (internal/metrics) plus the streaming lifetime wear report
-// (internal/reliability) when requested.
+// (internal/reliability, Config.TrackLifetime) when requested; that
+// report's core blocks are the per-core wear.
 //
 // # Place in the dataflow
 //
@@ -62,10 +63,12 @@
 // and wear accumulators, a clone of the policy — into a reusable
 // Snapshot value; Restore rewinds, and the resumed run is bitwise
 // identical to never having stopped (TestSnapshotRestoreResumesBitwise
-// pins this across every stack, the grid discretization, and both
-// reliability-tracking modes). Engine.Fork branches an independent
+// pins this across every stack, the grid discretization, and runs with
+// and without lifetime tracking). Engine.Fork branches an independent
 // engine that shares the immutable inputs (stack, thermal model,
-// cached factorization, job trace) and copies all mutable state.
+// cached factorization, job trace) and copies all mutable state. A new
+// engine and a fork build their mutable half through one constructor,
+// so the two cannot drift apart in what state they own.
 //
 // Ownership rules for forked engines: the fork owns its buffers
 // outright — nothing mutable is shared with the parent, so parent and

@@ -35,15 +35,9 @@ type Result struct {
 	SleepEntries  int // DPM sleep transitions
 	GatedTicks    int // core-ticks spent clock gated
 
-	// Reliability holds the per-core wear reports when
-	// Config.AssessReliability is set; WorstCoreStress identifies the
-	// most stressed core.
-	Reliability     []reliability.CoreReport
-	WorstCoreStress reliability.CoreReport
-
-	// Lifetime is the streaming per-block wear report (cycling damage,
-	// EM acceleration, relative MTTF) when Config.TrackLifetime is set;
-	// nil otherwise.
+	// Lifetime is the per-block wear report (cycling damage, EM
+	// acceleration, relative MTTF) when Config.TrackLifetime is set;
+	// nil otherwise. Its core blocks are the per-core wear.
 	Lifetime *reliability.Report
 
 	// FinalBlockTempsC is the block temperature field at the end of the
@@ -59,16 +53,20 @@ func buildThermal(cfg Config) (*floorplan.Stack, *thermal.Model, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: stack spec invalid: %w", err)
 	}
-	var model *thermal.Model
-	if cfg.GridRows > 0 && cfg.GridCols > 0 {
-		model, err = thermal.NewGridModel(stack, *cfg.Thermal, cfg.GridRows, cfg.GridCols)
-	} else {
-		model, err = thermal.NewBlockModel(stack, *cfg.Thermal)
-	}
+	model, err := newModel(stack, &cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return stack, model, nil
+}
+
+// newModel builds the thermal model of stack in the mode cfg selects:
+// grid mode when both grid dimensions are set, block mode otherwise.
+func newModel(stack *floorplan.Stack, cfg *Config) (*thermal.Model, error) {
+	if cfg.GridRows > 0 && cfg.GridCols > 0 {
+		return thermal.NewGridModel(stack, *cfg.Thermal, cfg.GridRows, cfg.GridCols)
+	}
+	return thermal.NewBlockModel(stack, *cfg.Thermal)
 }
 
 // Prewarm builds cfg's thermal model and factors its steady-state and
@@ -184,7 +182,6 @@ type Engine struct {
 
 	collector *metrics.Collector
 	energy    *power.EnergyMeter
-	assessor  *reliability.Assessor
 	lifetime  *reliability.Tracker
 	trace     *traceWriter
 	obs       Observer
@@ -301,17 +298,11 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 
-	n := stack.NumCores()
-	machine, err := sched.NewMachine(n, cfg.MigrationCostS)
-	if err != nil {
-		return nil, err
-	}
-
 	jobs := cfg.Jobs
 	if jobs == nil {
 		jobs, err = workload.Generate(workload.GenConfig{
 			Bench:     cfg.Bench,
-			NumCores:  n,
+			NumCores:  stack.NumCores(),
 			DurationS: cfg.DurationS,
 			Seed:      cfg.Seed,
 		})
@@ -320,37 +311,17 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 	}
 
-	e := &Engine{
-		cfg:     cfg,
-		stack:   stack,
-		model:   model,
-		sensors: sensors,
-		machine: machine,
-		jobs:    jobs,
-		nTicks:  tickCount(cfg.DurationS, cfg.TickS),
-		n:       n,
-
-		freqScale: make([]float64, n),
-
-		states:     make([]power.CoreState, n),
-		levels:     make([]power.VfLevel, n),
-		utils:      make([]float64, n),
-		speeds:     make([]float64, n),
-		mem:        make([]float64, n),
-		queueLens:  make([]int, n),
-		coreIn:     make([]power.CoreInput, n),
-		gated:      make([]bool, n),
-		sleeping:   make([]bool, n),
-		blockPower: make([]float64, stack.NumBlocks()),
-		blockTemps: make([]float64, stack.NumBlocks()),
-		coreTemps:  make([]float64, n),
-		readings:   make([]float64, n),
+	e, err := newEngineState(cfg, stack, model, jobs)
+	if err != nil {
+		return nil, err
+	}
+	e.sensors = sensors
+	e.freqScale = make([]float64, e.n)
+	for c, b := range stack.Cores() {
+		e.freqScale[c] = b.FreqScale
 	}
 	for c := range e.states {
 		e.states[c] = power.StateIdle
-	}
-	for c, b := range stack.Cores() {
-		e.freqScale[c] = b.FreqScale
 	}
 
 	// Initialize the thermal state with the steady-state temperatures of
@@ -375,7 +346,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	if nodeTemps, err = model.SteadyStateWith(e.blockPower, cfg.Solver); err != nil {
 		return nil, err
 	}
-	e.nodeTemps = nodeTemps
+	copy(e.nodeTemps, nodeTemps)
 
 	if e.tr, err = model.NewTransientWith(cfg.TickS, e.nodeTemps, cfg.Solver); err != nil {
 		return nil, err
@@ -388,43 +359,9 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	sensors.ReadInto(e.readings, e.coreTemps)
 
-	if e.collector, err = metrics.NewCollector(stack, metrics.CollectorConfig{
-		HotSpotC:    cfg.ThresholdC,
-		CycleWindow: cfg.CycleWindowTicks,
-	}); err != nil {
-		return nil, err
-	}
-	e.energy = power.NewEnergyMeter()
-
-	e.res = &Result{
-		PolicyName:    cfg.Policy.Name(),
-		UseDPM:        cfg.UseDPM,
-		JobsGenerated: len(jobs),
-	}
-
-	if cfg.AssessReliability {
-		if e.assessor, err = reliability.NewAssessor(n, cfg.TickS); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.TrackLifetime {
-		if e.lifetime, err = reliability.NewTracker(stack.NumBlocks(), cfg.TickS); err != nil {
-			return nil, err
-		}
-		blocks := stack.Blocks()
-		names := make([]string, len(blocks))
-		layers := make([]int, len(blocks))
-		for i, b := range blocks {
-			names[i] = b.Name
-			layers[i] = b.Layer
-		}
-		if err := e.lifetime.SetMeta(names, layers); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.TraceWriter != nil {
 		e.trace = newTraceWriter(cfg.TraceWriter)
-		if err := e.trace.header(n); err != nil {
+		if err := e.trace.header(e.n); err != nil {
 			return nil, err
 		}
 		// The t=0 row: the fixed-point initialized state the run starts
@@ -434,18 +371,83 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 	}
 
-	e.view = policy.View{
-		TickS:      cfg.TickS,
-		Stack:      stack,
-		DVFS:       cfg.Power.DVFS,
-		ThresholdC: cfg.ThresholdC,
-		TprefC:     cfg.TprefC,
-	}
 	if cfg.ctx != nil {
 		e.done = cfg.ctx.Done()
 	}
 	e.obs = cfg.Observer
 	e.attachRollout()
+	return e, nil
+}
+
+// newEngineState builds the mutable half of an engine around its
+// immutable run inputs (config, stack, thermal model, job trace): every
+// per-tick scratch buffer, the scheduler machine, the metrics
+// collector, the energy meter, the Result, the policy View, and the
+// wear tracker when cfg.TrackLifetime is set. newEngine then settles
+// it at the idle fixed point; fork transplants a snapshot into it.
+func newEngineState(cfg Config, stack *floorplan.Stack, model *thermal.Model, jobs []workload.Job) (*Engine, error) {
+	n, nb := stack.NumCores(), stack.NumBlocks()
+	e := &Engine{
+		cfg:    cfg,
+		stack:  stack,
+		model:  model,
+		jobs:   jobs,
+		nTicks: tickCount(cfg.DurationS, cfg.TickS),
+		n:      n,
+
+		states:     make([]power.CoreState, n),
+		levels:     make([]power.VfLevel, n),
+		utils:      make([]float64, n),
+		speeds:     make([]float64, n),
+		mem:        make([]float64, n),
+		queueLens:  make([]int, n),
+		coreIn:     make([]power.CoreInput, n),
+		gated:      make([]bool, n),
+		sleeping:   make([]bool, n),
+		blockPower: make([]float64, nb),
+		nodeTemps:  make([]float64, model.NumNodes),
+		blockTemps: make([]float64, nb),
+		coreTemps:  make([]float64, n),
+		readings:   make([]float64, n),
+
+		energy: power.NewEnergyMeter(),
+		res: &Result{
+			PolicyName:    cfg.Policy.Name(),
+			UseDPM:        cfg.UseDPM,
+			JobsGenerated: len(jobs),
+		},
+		view: policy.View{
+			TickS:      cfg.TickS,
+			Stack:      stack,
+			DVFS:       cfg.Power.DVFS,
+			ThresholdC: cfg.ThresholdC,
+			TprefC:     cfg.TprefC,
+		},
+	}
+	var err error
+	if e.machine, err = sched.NewMachine(n, cfg.MigrationCostS); err != nil {
+		return nil, err
+	}
+	if e.collector, err = metrics.NewCollector(stack, metrics.CollectorConfig{
+		HotSpotC:    cfg.ThresholdC,
+		CycleWindow: cfg.CycleWindowTicks,
+	}); err != nil {
+		return nil, err
+	}
+	if cfg.TrackLifetime {
+		if e.lifetime, err = reliability.NewTracker(nb, cfg.TickS); err != nil {
+			return nil, err
+		}
+		names := make([]string, nb)
+		layers := make([]int, nb)
+		for i, b := range stack.Blocks() {
+			names[i] = b.Name
+			layers[i] = b.Layer
+		}
+		if err := e.lifetime.SetMeta(names, layers); err != nil {
+			return nil, err
+		}
+	}
 	return e, nil
 }
 
@@ -657,11 +659,6 @@ func (e *Engine) tickPost(tick int) error {
 	if err := e.collector.Record(e.blockTemps, e.coreTemps); err != nil {
 		return err
 	}
-	if e.assessor != nil {
-		if err := e.assessor.Record(e.coreTemps); err != nil {
-			return err
-		}
-	}
 	if e.lifetime != nil {
 		if err := e.lifetime.Observe(e.blockTemps); err != nil {
 			return err
@@ -688,10 +685,6 @@ func (e *Engine) finish() *Result {
 	res := e.res
 	res.Metrics = e.collector.Summarize()
 	res.FinalBlockTempsC = append([]float64(nil), e.blockTemps...)
-	if e.assessor != nil {
-		res.Reliability = e.assessor.Report()
-		res.WorstCoreStress = e.assessor.WorstCore()
-	}
 	if e.lifetime != nil {
 		rep := e.lifetime.Report()
 		res.Lifetime = &rep

@@ -5,38 +5,35 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/floorplan"
 	"repro/internal/policy"
 )
 
 func TestRunReliabilityAssessment(t *testing.T) {
 	cfg := shortCfg(t, policy.NewDefault())
-	cfg.AssessReliability = true
+	cfg.TrackLifetime = true
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stack := floorplan.MustBuild(cfg.Exp)
-	if len(r.Reliability) != stack.NumCores() {
-		t.Fatalf("reliability reports for %d cores, want %d", len(r.Reliability), stack.NumCores())
+	lt := r.Lifetime
+	if lt == nil || len(lt.Blocks) != stack.NumBlocks() {
+		t.Fatalf("lifetime report missing or not one entry per block (%d blocks)", stack.NumBlocks())
 	}
-	for _, rep := range r.Reliability {
-		if rep.EMAcceleration <= 0 {
-			t.Errorf("core %d has zero EM acceleration", rep.Core)
+	for c, b := range stack.Cores() {
+		w := lt.Blocks[stack.BlockIndex(b)]
+		if w.EMFactor <= 0 {
+			t.Errorf("core %d has zero EM acceleration", c)
 		}
-		if rep.CyclingDamage < 0 {
-			t.Errorf("core %d has negative cycling damage", rep.Core)
-		}
-	}
-	found := false
-	for _, rep := range r.Reliability {
-		if rep == r.WorstCoreStress {
-			found = true
+		if w.CycleDamage < 0 {
+			t.Errorf("core %d has negative cycling damage", c)
 		}
 	}
-	if !found {
-		t.Error("worst core report not among the per-core reports")
+	for _, w := range lt.Blocks {
+		if w.CycleDamage > lt.Worst().CycleDamage {
+			t.Errorf("block %s out-damages the reported worst block %s", w.Name, lt.Worst().Name)
+		}
 	}
 }
 
@@ -81,10 +78,10 @@ func TestRunOnlineIndicesConverge(t *testing.T) {
 	// offline solve produces: after a warm-up on a 4-tier stack, the
 	// far-layer cores should carry higher α than near-layer cores.
 	stack := floorplan.MustBuild(floorplan.EXP3)
-	cfg := core.DefaultConfig()
+	cfg := policy.DefaultAdapt3DConfig()
 	cfg.Seed = 5
 	cfg.OnlineWindow = 200 // 20 s at the 100 ms tick
-	pol, err := core.New(stack, cfg)
+	pol, err := policy.NewAdapt3D(stack, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +112,7 @@ func TestReliabilityComparesPolicies(t *testing.T) {
 	cfg := shortCfg(t, policy.NewDefault())
 	cfg.Exp = floorplan.EXP3
 	cfg.DurationS = 120
-	cfg.AssessReliability = true
+	cfg.TrackLifetime = true
 	rNo, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +122,12 @@ func TestReliabilityComparesPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stack := floorplan.MustBuild(cfg.Exp)
 	var cycNo, cycDpm float64
-	for i := range rNo.Reliability {
-		cycNo += rNo.Reliability[i].CyclingDamage
-		cycDpm += rDpm.Reliability[i].CyclingDamage
+	for _, b := range stack.Cores() {
+		i := stack.BlockIndex(b)
+		cycNo += rNo.Lifetime.Blocks[i].CycleDamage
+		cycDpm += rDpm.Lifetime.Blocks[i].CycleDamage
 	}
 	if cycDpm <= cycNo {
 		t.Errorf("DPM cycling damage %g should exceed no-DPM %g", cycDpm, cycNo)

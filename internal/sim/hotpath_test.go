@@ -130,9 +130,9 @@ func BenchmarkRunTick(b *testing.B) {
 }
 
 // TestTickLoopAllocationContract locks down the zero-allocation property
-// of the steady-state tick pipeline (no trace writer, no reliability
-// assessor): if a per-tick allocation sneaks back into the thermal step,
-// power model, scheduler, sensors, metrics, or policy plumbing, this
+// of the steady-state tick pipeline (no trace writer): if a per-tick
+// allocation sneaks back into the thermal step, power model,
+// scheduler, sensors, metrics, wear tracker, or policy plumbing, this
 // fails rather than silently rotting the hot path.
 func TestTickLoopAllocationContract(t *testing.T) {
 	adaptRand, err := policy.NewAdaptRand(8, 1)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/policy"
 	"repro/internal/power"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -106,15 +105,7 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 			}
 		}
 	}
-	var (
-		model *thermal.Model
-		err   error
-	)
-	if e.cfg.GridRows > 0 && e.cfg.GridCols > 0 {
-		model, err = thermal.NewGridModel(&ns, *e.cfg.Thermal, e.cfg.GridRows, e.cfg.GridCols)
-	} else {
-		model, err = thermal.NewBlockModel(&ns, *e.cfg.Thermal)
-	}
+	model, err := newModel(&ns, &e.cfg)
 	if err != nil {
 		return fmt.Errorf("sim: degraded stack: %w", err)
 	}

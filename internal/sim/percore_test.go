@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/floorplan"
 	"repro/internal/policy"
 	"repro/internal/thermal"
@@ -26,9 +25,9 @@ func TestPerCoreResidencyProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	model, _ := thermal.NewBlockModel(stack, thermal.DefaultParams())
-	cfg := core.DefaultConfig()
+	cfg := policy.DefaultAdapt3DConfig()
 	cfg.Seed = 5
-	a3d, err := core.NewWithModel(stack, model, cfg)
+	a3d, err := policy.NewAdapt3D(stack, model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,6 @@ type Snapshot struct {
 	machine   sched.MachineState
 	collector metrics.CollectorState
 	energy    power.EnergyState
-	assessor  *reliability.AssessorState
 	lifetime  *reliability.TrackerState
 
 	// pol is the policy clone; captured by the public Snapshot, absent
@@ -69,7 +68,7 @@ func (s *Snapshot) Ticks() int { return s.resTicks }
 
 // Snapshot captures the engine's full mutable state into s, reusing
 // s's buffers. It requires a policy that supports forking (all
-// registry policies do — see policy.Forker); the snapshot owns a clone
+// roster policies do — see policy.Forker); the snapshot owns a clone
 // of the policy state, so later mutations of the live policy do not
 // leak into it.
 func (e *Engine) Snapshot(s *Snapshot) error {
@@ -159,14 +158,6 @@ func (e *Engine) snapshotInto(s *Snapshot) {
 	e.machine.Save(&s.machine)
 	e.collector.Save(&s.collector)
 	e.energy.Save(&s.energy)
-	if e.assessor != nil {
-		if s.assessor == nil {
-			s.assessor = &reliability.AssessorState{}
-		}
-		e.assessor.Save(s.assessor)
-	} else {
-		s.assessor = nil
-	}
 	if e.lifetime != nil {
 		if s.lifetime == nil {
 			s.lifetime = &reliability.TrackerState{}
@@ -191,7 +182,7 @@ func (e *Engine) restoreFrom(s *Snapshot) error {
 		return fmt.Errorf("sim: snapshot shape mismatch (%d cores, %d blocks, %d nodes vs engine %d, %d, %d)",
 			len(s.states), len(s.blockPower), len(s.nodeTemps), e.n, len(e.blockPower), len(e.nodeTemps))
 	}
-	if (s.assessor == nil) != (e.assessor == nil) || (s.lifetime == nil) != (e.lifetime == nil) {
+	if (s.lifetime == nil) != (e.lifetime == nil) {
 		return fmt.Errorf("sim: snapshot reliability-tracking shape does not match engine config")
 	}
 
@@ -229,11 +220,6 @@ func (e *Engine) restoreFrom(s *Snapshot) error {
 		return err
 	}
 	e.energy.Load(&s.energy)
-	if e.assessor != nil {
-		if err := e.assessor.Load(s.assessor); err != nil {
-			return err
-		}
-	}
 	if e.lifetime != nil {
 		if err := e.lifetime.Load(s.lifetime); err != nil {
 			return err
@@ -252,77 +238,13 @@ func (e *Engine) fork(pol policy.Policy) (*Engine, error) {
 	cfg.ctx = nil
 	cfg.Observer = nil
 
-	n := e.n
-	f := &Engine{
-		cfg:     cfg,
-		stack:   e.stack,
-		model:   e.model,
-		sensors: e.sensors.Fork(),
-		tr:      e.tr.Fork(),
-		jobs:    e.jobs,
-		nTicks:  e.nTicks,
-		n:       n,
-
-		freqScale: e.freqScale, // immutable per run, safe to share
-
-		states:     make([]power.CoreState, n),
-		levels:     make([]power.VfLevel, n),
-		utils:      make([]float64, n),
-		speeds:     make([]float64, n),
-		mem:        make([]float64, n),
-		queueLens:  make([]int, n),
-		coreIn:     make([]power.CoreInput, n),
-		gated:      make([]bool, n),
-		sleeping:   make([]bool, n),
-		blockPower: make([]float64, len(e.blockPower)),
-		nodeTemps:  make([]float64, len(e.nodeTemps)),
-		blockTemps: make([]float64, len(e.blockTemps)),
-		coreTemps:  make([]float64, n),
-		readings:   make([]float64, n),
-	}
-	var err error
-	if f.machine, err = sched.NewMachine(n, cfg.MigrationCostS); err != nil {
+	f, err := newEngineState(cfg, e.stack, e.model, e.jobs)
+	if err != nil {
 		return nil, err
 	}
-	if f.collector, err = metrics.NewCollector(e.stack, metrics.CollectorConfig{
-		HotSpotC:    cfg.ThresholdC,
-		CycleWindow: cfg.CycleWindowTicks,
-	}); err != nil {
-		return nil, err
-	}
-	f.energy = power.NewEnergyMeter()
-	if e.assessor != nil {
-		if f.assessor, err = reliability.NewAssessor(n, cfg.TickS); err != nil {
-			return nil, err
-		}
-	}
-	if e.lifetime != nil {
-		if f.lifetime, err = reliability.NewTracker(e.stack.NumBlocks(), cfg.TickS); err != nil {
-			return nil, err
-		}
-		blocks := e.stack.Blocks()
-		names := make([]string, len(blocks))
-		layers := make([]int, len(blocks))
-		for i, b := range blocks {
-			names[i] = b.Name
-			layers[i] = b.Layer
-		}
-		if err := f.lifetime.SetMeta(names, layers); err != nil {
-			return nil, err
-		}
-	}
-	f.res = &Result{
-		PolicyName:    pol.Name(),
-		UseDPM:        cfg.UseDPM,
-		JobsGenerated: len(e.jobs),
-	}
-	f.view = policy.View{
-		TickS:      cfg.TickS,
-		Stack:      e.stack,
-		DVFS:       cfg.Power.DVFS,
-		ThresholdC: cfg.ThresholdC,
-		TprefC:     cfg.TprefC,
-	}
+	f.sensors = e.sensors.Fork()
+	f.tr = e.tr.Fork()
+	f.freqScale = e.freqScale // immutable per run, safe to share
 
 	var s Snapshot
 	e.snapshotInto(&s)

@@ -14,8 +14,8 @@ import (
 
 // snapCase is one snapshot/restore scenario: a config factory (fresh
 // policy per engine — policies are stateful) spanning the paper's
-// stacks, the grid discretization, sensor noise, DPM, and both
-// reliability-tracking modes.
+// stacks, the grid discretization, sensor noise, DPM, and runs with
+// and without lifetime tracking.
 type snapCase struct {
 	name string
 	cfg  func(t *testing.T) Config
@@ -62,9 +62,9 @@ func snapCases() []snapCase {
 			c.UseDPM = true
 			return c
 		}},
-		{"EXP6/CGate+assessor", func(t *testing.T) Config {
+		{"EXP6/CGate+lifetime", func(t *testing.T) Config {
 			c := base(t, floorplan.EXP6, policy.NewCGate())
-			c.AssessReliability = true
+			c.TrackLifetime = true
 			return c
 		}},
 		{"EXP2-grid/DVFS_Util", func(t *testing.T) Config {
