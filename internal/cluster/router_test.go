@@ -43,7 +43,7 @@ func fakeRecord(j sweep.Job) sweep.Record {
 // dieAfter records, and every later request answers 503.
 type fakeBackend struct {
 	ts       *httptest.Server
-	dieAfter int32 // records to stream before dying; -1: healthy forever
+	dieAfter atomic.Int32 // records to stream before dying; -1: healthy forever
 	died     atomic.Bool
 
 	mu     sync.Mutex
@@ -52,7 +52,8 @@ type fakeBackend struct {
 
 func newFakeBackend(t *testing.T, dieAfter int32) *fakeBackend {
 	t.Helper()
-	b := &fakeBackend{dieAfter: dieAfter, served: make(map[string]int)}
+	b := &fakeBackend{served: make(map[string]int)}
+	b.dieAfter.Store(dieAfter)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if b.died.Load() {
@@ -77,7 +78,7 @@ func newFakeBackend(t *testing.T, dieAfter int32) *fakeBackend {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
 		for i, j := range jobs {
-			if b.dieAfter >= 0 && int32(i) == b.dieAfter {
+			if die := b.dieAfter.Load(); die >= 0 && int32(i) == die {
 				b.died.Store(true)
 				w.(http.Flusher).Flush()
 				panic(http.ErrAbortHandler) // cut the stream, no trailer
@@ -196,24 +197,30 @@ func TestRouterFailoverMidSweep(t *testing.T) {
 	spec := testSpec()
 	jobs := spec.Expand()
 
-	// Build 2 healthy backends plus one that dies after one record, and
-	// make sure the dying one actually owns at least 2 keys (one it
-	// serves, one it dies owing) — with 16 jobs over 3 nodes this holds
-	// for any URL assignment, but verify rather than assume.
-	backends := []*fakeBackend{newFakeBackend(t, -1), newFakeBackend(t, -1), newFakeBackend(t, 1)}
+	// Build 3 backends and make the one owning the most keys die after
+	// one record. Ownership follows the servers' random ports, so pick
+	// the dying node after the URLs are known: it must own at least 2
+	// keys (one it serves, one it dies owing), which the busiest of 3
+	// nodes does whenever there are 4+ jobs.
+	backends := []*fakeBackend{newFakeBackend(t, -1), newFakeBackend(t, -1), newFakeBackend(t, -1)}
 	nodes := make([]string, len(backends))
 	for i, b := range backends {
 		nodes[i] = b.ts.URL
 	}
-	dyingOwned := 0
+	owned := make([]int, len(backends))
 	for _, j := range jobs {
-		if Owner(nodes, j.Key()) == 2 {
-			dyingOwned++
+		owned[Owner(nodes, j.Key())]++
+	}
+	dying := 0
+	for i, n := range owned {
+		if n > owned[dying] {
+			dying = i
 		}
 	}
-	if dyingOwned < 2 {
-		t.Skipf("dying backend owns %d keys; need 2+ for a meaningful failover", dyingOwned)
+	if owned[dying] < 2 {
+		t.Fatalf("busiest backend owns %d of %d keys; need 2+ for a meaningful failover", owned[dying], len(jobs))
 	}
+	backends[dying].dieAfter.Store(1)
 
 	r := newTestRouter(t, backends...)
 	assertCanonical(t, jobs, collectStream(t, r, spec))

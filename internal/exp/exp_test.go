@@ -8,13 +8,41 @@ import (
 	"repro/internal/thermal"
 )
 
-// TestBuildPolicyByName builds the whole roster by name: the paper's 11
-// plus DVFS_Rel and the MPC pair, each name unique and each policy
-// reporting the name it was built under.
-func TestBuildPolicyByName(t *testing.T) {
-	if len(PolicyOrder) != 14 {
-		t.Fatalf("roster has %d policies, want the paper's 11 + DVFS_Rel + MPC pair", len(PolicyOrder))
+// TestBuildPolicySetMatchesPaperRoster builds the whole roster in
+// PolicyOrder: the paper's 11 plus DVFS_Rel and the MPC pair, with the
+// paper's 11 keeping their published Figure 3 order.
+func TestBuildPolicySetMatchesPaperRoster(t *testing.T) {
+	s := floorplan.MustBuild(floorplan.EXP1)
+	var set []string
+	for _, name := range PolicyOrder {
+		p, err := BuildPolicy(name, s, 1, thermal.SolverCached)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		set = append(set, p.Name())
 	}
+	if len(set) != 14 {
+		t.Fatalf("roster has %d policies, want the paper's 11 + DVFS_Rel + MPC pair", len(set))
+	}
+	paper := []string{
+		"Default", "CGate", "DVFS_TT", "DVFS_Util", "DVFS_FLP", "Migr",
+		"AdaptRand", "Adapt3D", "Adapt3D&DVFS_TT", "Adapt3D&DVFS_Util", "Adapt3D&DVFS_FLP",
+	}
+	next := 0
+	for _, name := range set {
+		if next < len(paper) && name == paper[next] {
+			next++
+		}
+	}
+	if next != len(paper) {
+		t.Errorf("roster %v lost the paper's Figure 3 order at %q", set, paper[next])
+	}
+}
+
+// TestBuildPolicyByName builds every roster policy by name: each name
+// unique, each policy reporting the name it was built under, and an
+// unknown name refused.
+func TestBuildPolicyByName(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP2)
 	seen := make(map[string]bool)
 	for _, name := range PolicyOrder {

@@ -331,6 +331,35 @@ func TestDPMTimeout(t *testing.T) {
 	}
 }
 
+// TestRegistryNamesAreUnique builds each policy this package offers on
+// its own — the paper's seven baselines, DVFS_Rel and the MPC pair —
+// and checks that no two report the same name.
+func TestRegistryNamesAreUnique(t *testing.T) {
+	ar, err := NewAdaptRand(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := []Policy{
+		NewDefault(),
+		NewCGate(),
+		NewDVFSTT(),
+		NewDVFSUtil(),
+		NewDVFSFLP(),
+		NewDVFSRel(),
+		NewMPCThermal(),
+		NewMPCRel(),
+		NewMigr(),
+		ar,
+	}
+	seen := make(map[string]bool)
+	for _, p := range ps {
+		if seen[p.Name()] {
+			t.Errorf("duplicate policy name %q", p.Name())
+		}
+		seen[p.Name()] = true
+	}
+}
+
 func TestStaticLevels(t *testing.T) {
 	p := NewStaticLevels(2)
 	v := testView(t, 8, nil)
