@@ -111,7 +111,7 @@ func main() {
 	csvFlag := flag.Bool("csv", false, "emit CSV instead of aligned tables (figure mode)")
 	benchFlag := flag.String("benchmarks", "", "comma-separated Table I benchmark names (default: representative mix)")
 	solverFlag := flag.String("solver", "cached", "thermal solver path(s): cached (sparse direct, shared factorizations), sparse, or dense; sweep mode accepts a comma-separated list")
-	statsFlag := flag.Bool("solverstats", false, "print thermal factorization cache statistics after the sweep")
+	statsFlag := flag.Bool("solverstats", false, "print shared thermal model cache statistics after the sweep")
 	repFlag := flag.Int("replicates", 1, "independent seeds per cell; >1 reports mean±stddev")
 
 	outFlag := flag.String("out", "", "switch to streaming sweep mode and write per-run records to stdout as csv or jsonl")
@@ -147,7 +147,7 @@ func main() {
 	if *statsFlag {
 		defer func() {
 			entries, hits, misses := thermal.FactorCacheStats()
-			fmt.Fprintf(os.Stderr, "thermal factor cache: %d entries, %d hits, %d factorizations\n", entries, hits, misses)
+			fmt.Fprintf(os.Stderr, "thermal model cache: %d models, %d hits, %d built\n", entries, hits, misses)
 		}()
 	}
 

@@ -215,9 +215,9 @@ func modelConfig(sc sweep.Scenario) (sim.Config, error) {
 	return sim.Config{StackSpec: &spec, GridRows: sc.GridRows, GridCols: sc.GridCols}, nil
 }
 
-// Prewarm factors every cached-solver scenario's thermal systems into
-// the shared factorization cache before a worker pool starts, so the
-// workers don't all block on the first run per stack.
+// Prewarm builds every cached-solver scenario's shared thermal model
+// and factors its systems before a worker pool starts, so the workers
+// don't all block on the first run per stack.
 func Prewarm(spec sweep.Spec) error {
 	for _, sc := range spec.Scenarios {
 		mc, err := modelConfig(sc)

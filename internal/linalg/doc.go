@@ -45,7 +45,7 @@
 // of solve/mat-vec operations, so the hot paths (SolveInto-style
 // methods) write into caller-owned slices and allocate nothing. A
 // completed factorization is immutable and safe to share across
-// goroutines (the thermal factorization cache does exactly that);
+// goroutines (every run of a shared thermal model does exactly that);
 // factoring itself is not synchronized. SolvePanel's dst and rhs may
 // alias each other; the scratch buffer (length n·k) is caller-owned
 // and clobbered, never retained.

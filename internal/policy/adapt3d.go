@@ -34,7 +34,8 @@ type Adapt3DConfig struct {
 	// found offline and runtime indices to behave equivalently.
 	OnlineWindow int
 	// Solver selects the thermal solve path for the offline index
-	// derivation in NewAdapt3D (zero value: shared-cache sparse).
+	// derivation in NewAdapt3D (zero value: the model's memoized sparse
+	// factorization, thermal.SolverCached).
 	Solver thermal.SolverKind
 }
 

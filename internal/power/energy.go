@@ -6,17 +6,16 @@ import (
 	"repro/internal/floorplan"
 )
 
-// EnergyMeter accumulates energy per block category over a simulation,
-// used for the energy-reduction claims of the DPM/DVFS comparisons.
+// EnergyMeter accumulates chip energy over a simulation, used for the
+// energy-reduction claims of the DPM/DVFS comparisons.
 type EnergyMeter struct {
 	totalJ  float64
-	byKind  map[floorplan.BlockKind]float64
 	elapsed float64
 }
 
 // NewEnergyMeter returns an empty meter.
 func NewEnergyMeter() *EnergyMeter {
-	return &EnergyMeter{byKind: make(map[floorplan.BlockKind]float64)}
+	return &EnergyMeter{}
 }
 
 // Accumulate adds one interval of length dt seconds with the given
@@ -28,10 +27,8 @@ func (e *EnergyMeter) Accumulate(stack *floorplan.Stack, blockPower []float64, d
 	if dt <= 0 {
 		return fmt.Errorf("power: energy interval must be positive, got %g", dt)
 	}
-	for bi, b := range stack.Blocks() {
-		j := blockPower[bi] * dt
-		e.totalJ += j
-		e.byKind[b.Kind] += j
+	for _, p := range blockPower {
+		e.totalJ += p * dt
 	}
 	e.elapsed += dt
 	return nil
@@ -39,9 +36,6 @@ func (e *EnergyMeter) Accumulate(stack *floorplan.Stack, blockPower []float64, d
 
 // TotalJ returns the accumulated energy in joules.
 func (e *EnergyMeter) TotalJ() float64 { return e.totalJ }
-
-// ByKindJ returns the energy attributed to one block kind.
-func (e *EnergyMeter) ByKindJ(k floorplan.BlockKind) float64 { return e.byKind[k] }
 
 // AveragePowerW returns total energy divided by elapsed time.
 func (e *EnergyMeter) AveragePowerW() float64 {

@@ -1,36 +1,21 @@
 package power
 
-import "repro/internal/floorplan"
-
 // EnergyState is a value snapshot of an EnergyMeter's accumulators,
 // used by the simulation engine's checkpoint machinery. The zero value
-// is a ready Save destination; the per-kind map is reused across Save
-// calls, so a steady snapshot cadence settles to zero allocations.
+// is a ready Save destination.
 type EnergyState struct {
 	totalJ  float64
 	elapsed float64
-	byKind  map[floorplan.BlockKind]float64
 }
 
 // Save captures the meter's accumulated energy into s.
 func (e *EnergyMeter) Save(s *EnergyState) {
 	s.totalJ = e.totalJ
 	s.elapsed = e.elapsed
-	if s.byKind == nil {
-		s.byKind = make(map[floorplan.BlockKind]float64, len(e.byKind))
-	}
-	clear(s.byKind)
-	for k, v := range e.byKind {
-		s.byKind[k] = v
-	}
 }
 
 // Load restores the meter's accumulators from s.
 func (e *EnergyMeter) Load(s *EnergyState) {
 	e.totalJ = s.totalJ
 	e.elapsed = s.elapsed
-	clear(e.byKind)
-	for k, v := range s.byKind {
-		e.byKind[k] = v
-	}
 }

@@ -14,9 +14,8 @@ import (
 )
 
 // fuzzRig holds one live engine fuzz inputs are applied to, rebuilt
-// when a run completes. The sparse solver keeps arbitrary fail_tsv
-// factors from growing the process-wide factorization cache one entry
-// per fuzzed factor.
+// when a run completes. On the sparse solver each fuzzed fail_tsv
+// factor is factored privately, so nothing is retained per factor.
 var fuzzRig struct {
 	sync.Mutex
 	eng *sim.Engine

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/policy"
-	"repro/internal/power"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
@@ -17,7 +16,7 @@ type Config struct {
 	// StackSpec is the stack under simulation, built through
 	// floorplan.StackSpec.Build. It is the one stack input the engine,
 	// ModelKey, and Prewarm read: its content hash is the thermal
-	// model's identity, so sweep batching and the factorization cache
+	// model's identity, so sweep batching and the shared model cache
 	// work for every stack alike. Nil selects Exp below.
 	StackSpec *floorplan.StackSpec
 	// Exp and JointResistivityMKW are shorthand for a builtin stack,
@@ -50,9 +49,9 @@ type Config struct {
 	// Seed drives workload generation (when Jobs is nil).
 	Seed int64
 
-	// Thermal, Power and Sensors default to the paper's models when zero.
-	Thermal *thermal.Params
-	Power   *power.Model
+	// Sensors configures the core temperature sensors; the zero value
+	// selects the paper's noise model. The thermal and power models are
+	// always the paper's (thermal.DefaultParams, power.DefaultModel).
 	Sensors thermal.SensorConfig
 
 	// ThresholdC is the thermal emergency threshold (default 85 °C);
@@ -68,10 +67,11 @@ type Config struct {
 	GridRows, GridCols int
 
 	// Solver selects the thermal linear-solve path. The zero value is
-	// thermal.SolverCached: sparse direct factorizations shared across
-	// every run with the same stack geometry and parameters, which is
-	// what makes large policy x floorplan sweeps cheap. SolverSparse
-	// factors privately; SolverDense is the O(n³) reference path.
+	// thermal.SolverCached: every run with the same ModelKey shares one
+	// thermal model (thermal.SharedModel) and its memoized sparse
+	// factorizations, which is what makes large policy x floorplan
+	// sweeps cheap. SolverSparse builds a private model and factors
+	// privately; SolverDense is the O(n³) reference path.
 	Solver thermal.SolverKind
 
 	// MigrationCostS is the per-migration penalty (default 1 ms).
@@ -121,14 +121,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.DurationS < 0 {
 		return c, fmt.Errorf("sim: negative duration %g", c.DurationS)
-	}
-	if c.Thermal == nil {
-		p := thermal.DefaultParams()
-		c.Thermal = &p
-	}
-	if c.Power == nil {
-		m := power.DefaultModel()
-		c.Power = &m
 	}
 	if c.ThresholdC == 0 {
 		c.ThresholdC = 85

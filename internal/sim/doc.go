@@ -22,15 +22,21 @@
 // orchestrator (internal/sweep) flattens Results into wire records, and
 // the serving layer (internal/server) streams those over HTTP.
 //
-// # Stack identity
+// # Stack identity and the shared model
 //
-// Config.StackSpec is the one stack input: the engine builds the stack
-// from it, and ModelKey and Prewarm key the thermal system on its
-// content hash ("stack:<hash>|tick…|solver…", plus "|grid…" in grid
-// mode). Config.Exp and Config.JointResistivityMKW are shorthand that
-// withDefaults resolves once, through floorplan.SpecWithResistivity,
-// when StackSpec is nil — so a run configured by experiment and one
-// configured by the equivalent spec share a key and a factorization.
+// Config.StackSpec is the one stack input: ModelKey and Prewarm key the
+// thermal system on its content hash ("stack:<hash>|tick…|solver…",
+// plus "|grid…" in grid mode). Config.Exp and Config.JointResistivityMKW
+// are shorthand that withDefaults resolves once, through
+// floorplan.SpecWithResistivity, when StackSpec is nil — so a run
+// configured by experiment and one configured by the equivalent spec
+// share a key. On the cached solver path the key is also the identity
+// of the run's thermal model: the engine gets it from
+// thermal.SharedModel, which builds the stack and the model once per
+// key, so every run, batch lane, fork and Prewarm of one key reads the
+// same immutable model, its stack and its memoized factorizations.
+// Each engine settles its own idle fixed point. The other solver
+// paths, and a session's DegradeInterfaces, build private models.
 //
 // # The tick loop and its allocation contract
 //
@@ -65,8 +71,8 @@
 // identical to never having stopped (TestSnapshotRestoreResumesBitwise
 // pins this across every stack, the grid discretization, and runs with
 // and without lifetime tracking). Engine.Fork branches an independent
-// engine that shares the immutable inputs (stack, thermal model,
-// cached factorization, job trace) and copies all mutable state. A new
+// engine that shares the immutable inputs (thermal model with its stack
+// and factorizations, job trace) and copies all mutable state. A new
 // engine and a fork build their mutable half through one constructor,
 // so the two cannot drift apart in what state they own.
 //

@@ -45,34 +45,47 @@ type Result struct {
 	FinalBlockTempsC []float64
 }
 
-// buildThermal constructs the floorplan stack and thermal model for an
-// already-defaulted config. Run and Prewarm share it so a prewarmed
-// factorization is guaranteed to match the one Run would build.
-func buildThermal(cfg Config) (*floorplan.Stack, *thermal.Model, error) {
-	stack, err := cfg.StackSpec.Build()
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: stack spec invalid: %w", err)
+// paperPower is the paper's power model, which every engine reads and
+// none modifies.
+var paperPower = power.DefaultModel()
+
+// buildThermal returns the thermal model, and through Model.Stack the
+// floorplan stack, for an already-defaulted config. On the cached
+// solver path the model is shared process-wide under ModelKey(cfg), so
+// every engine, batch lane, fork and Prewarm of one key reads one model
+// and its memoized factorizations; the other solver paths build a
+// private model.
+func buildThermal(cfg Config) (*thermal.Model, error) {
+	build := func() (*thermal.Model, error) {
+		stack, err := cfg.StackSpec.Build()
+		if err != nil {
+			return nil, fmt.Errorf("sim: stack spec invalid: %w", err)
+		}
+		return newModel(stack, &cfg)
 	}
-	model, err := newModel(stack, &cfg)
-	if err != nil {
-		return nil, nil, err
+	if cfg.Solver != thermal.SolverCached {
+		return build()
 	}
-	return stack, model, nil
+	key, err := ModelKey(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return thermal.SharedModel(key, build)
 }
 
 // newModel builds the thermal model of stack in the mode cfg selects:
 // grid mode when both grid dimensions are set, block mode otherwise.
 func newModel(stack *floorplan.Stack, cfg *Config) (*thermal.Model, error) {
 	if cfg.GridRows > 0 && cfg.GridCols > 0 {
-		return thermal.NewGridModel(stack, *cfg.Thermal, cfg.GridRows, cfg.GridCols)
+		return thermal.NewGridModel(stack, thermal.DefaultParams(), cfg.GridRows, cfg.GridCols)
 	}
-	return thermal.NewBlockModel(stack, *cfg.Thermal)
+	return thermal.NewBlockModel(stack, thermal.DefaultParams())
 }
 
-// Prewarm builds cfg's thermal model and factors its steady-state and
-// transient systems into the shared thermal factorization cache, so a
-// worker pool about to execute many Run calls over the same stack starts
-// from warm factorizations instead of racing to build the first one.
+// Prewarm builds cfg's shared thermal model and factors its
+// steady-state and transient systems, so a worker pool about to execute
+// many Run calls over the same stack starts from a warm model instead
+// of racing to build the first one.
 // cfg.Policy may be nil; only the thermal-model-relevant fields matter.
 func Prewarm(cfg Config) error {
 	if cfg.Policy == nil {
@@ -88,7 +101,7 @@ func Prewarm(cfg Config) error {
 	if cfg.Solver != thermal.SolverCached {
 		return nil // nothing shareable to warm
 	}
-	_, model, err := buildThermal(cfg)
+	model, err := buildThermal(cfg)
 	if err != nil {
 		return err
 	}
@@ -170,11 +183,12 @@ func (t *traceWriter) flush() error { return t.bw.Flush() }
 // and checkpointing (Snapshot/Restore/Fork, in snapshot.go): all
 // mutable tick state can be captured into a Snapshot and later
 // restored — or transplanted into a forked engine sharing the
-// immutable thermal model and cached factorization — resuming
+// immutable thermal model and its factorizations — resuming
 // bitwise-identically to an uninterrupted run.
 type Engine struct {
-	cfg     Config
-	stack   *floorplan.Stack
+	cfg Config
+	// model is the run's thermal model; model.Stack is the floorplan
+	// stack under simulation.
 	model   *thermal.Model
 	sensors *thermal.Sensors
 	machine *sched.Machine
@@ -286,13 +300,11 @@ func newEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	stack, model, err := buildThermal(cfg)
+	model, err := buildThermal(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Power.Validate(); err != nil {
-		return nil, err
-	}
+	stack := model.Stack
 	sensors, err := thermal.NewSensors(cfg.Sensors)
 	if err != nil {
 		return nil, err
@@ -311,7 +323,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		}
 	}
 
-	e, err := newEngineState(cfg, stack, model, jobs)
+	e, err := newEngineState(cfg, model, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -328,8 +340,8 @@ func newEngine(cfg Config) (*Engine, error) {
 	// the idle chip (two fixed-point iterations to make leakage
 	// consistent with temperature).
 	e.fillCoreInputs()
-	idleIn := power.ChipInput{Cores: e.coreIn, AmbientC: cfg.Thermal.AmbientC}
-	if err := cfg.Power.ComputeInto(e.blockPower, stack, idleIn); err != nil {
+	idleIn := power.ChipInput{Cores: e.coreIn, AmbientC: model.Params.AmbientC}
+	if err := paperPower.ComputeInto(e.blockPower, stack, idleIn); err != nil {
 		return nil, err
 	}
 	nodeTemps, err := model.SteadyStateWith(e.blockPower, cfg.Solver)
@@ -340,7 +352,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	idleIn.BlockTempsC = e.blockTemps
-	if err := cfg.Power.ComputeInto(e.blockPower, stack, idleIn); err != nil {
+	if err := paperPower.ComputeInto(e.blockPower, stack, idleIn); err != nil {
 		return nil, err
 	}
 	if nodeTemps, err = model.SteadyStateWith(e.blockPower, cfg.Solver); err != nil {
@@ -380,16 +392,16 @@ func newEngine(cfg Config) (*Engine, error) {
 }
 
 // newEngineState builds the mutable half of an engine around its
-// immutable run inputs (config, stack, thermal model, job trace): every
-// per-tick scratch buffer, the scheduler machine, the metrics
-// collector, the energy meter, the Result, the policy View, and the
-// wear tracker when cfg.TrackLifetime is set. newEngine then settles
+// immutable run inputs (config, thermal model with its stack, job
+// trace): every per-tick scratch buffer, the scheduler machine, the
+// metrics collector, the energy meter, the Result, the policy View, and
+// the wear tracker when cfg.TrackLifetime is set. newEngine then settles
 // it at the idle fixed point; fork transplants a snapshot into it.
-func newEngineState(cfg Config, stack *floorplan.Stack, model *thermal.Model, jobs []workload.Job) (*Engine, error) {
+func newEngineState(cfg Config, model *thermal.Model, jobs []workload.Job) (*Engine, error) {
+	stack := model.Stack
 	n, nb := stack.NumCores(), stack.NumBlocks()
 	e := &Engine{
 		cfg:    cfg,
-		stack:  stack,
 		model:  model,
 		jobs:   jobs,
 		nTicks: tickCount(cfg.DurationS, cfg.TickS),
@@ -419,7 +431,7 @@ func newEngineState(cfg Config, stack *floorplan.Stack, model *thermal.Model, jo
 		view: policy.View{
 			TickS:      cfg.TickS,
 			Stack:      stack,
-			DVFS:       cfg.Power.DVFS,
+			DVFS:       paperPower.DVFS,
 			ThresholdC: cfg.ThresholdC,
 			TprefC:     cfg.TprefC,
 		},
@@ -596,7 +608,7 @@ func (e *Engine) tickPre(tick int) error {
 		default:
 			// e.freqScale is exactly 1.0 on homogeneous stacks, which
 			// multiplies to a bitwise-identical float64.
-			e.speeds[c] = cfg.Power.DVFS.FreqScale(e.levels[c]) * e.freqScale[c]
+			e.speeds[c] = paperPower.DVFS.FreqScale(e.levels[c]) * e.freqScale[c]
 		}
 		if e.gated[c] {
 			e.res.GatedTicks++
@@ -625,12 +637,12 @@ func (e *Engine) tickPre(tick int) error {
 	in := power.ChipInput{
 		Cores:       e.coreIn,
 		BlockTempsC: e.blockTemps,
-		AmbientC:    cfg.Thermal.AmbientC,
+		AmbientC:    e.model.Params.AmbientC,
 	}
-	if err := cfg.Power.ComputeInto(e.blockPower, e.stack, in); err != nil {
+	if err := paperPower.ComputeInto(e.blockPower, e.model.Stack, in); err != nil {
 		return err
 	}
-	if err := e.energy.Accumulate(e.stack, e.blockPower, cfg.TickS); err != nil {
+	if err := e.energy.Accumulate(e.model.Stack, e.blockPower, cfg.TickS); err != nil {
 		return err
 	}
 	return nil

@@ -19,7 +19,7 @@ import (
 // Stack returns the floorplan stack the engine is currently simulating.
 // After DegradeInterfaces this is the degraded clone, so policies built
 // against it (session policy swaps) see the chip as it now is.
-func (e *Engine) Stack() *floorplan.Stack { return e.stack }
+func (e *Engine) Stack() *floorplan.Stack { return e.model.Stack }
 
 // TickS returns the sampling interval in seconds.
 func (e *Engine) TickS() float64 { return e.cfg.TickS }
@@ -86,18 +86,19 @@ func (e *Engine) SpliceJobs(tick int, replacement []workload.Job) error {
 // rebuilds the thermal model around the degraded stack and transplants
 // the integrator state bitwise, so the temperature trajectory is
 // continuous across the event. Geometry is unchanged — only interface
-// physics — so every other subsystem keeps its buffers. On the cached
-// solver path the degraded system gets its own factorization cache
-// entry (the cache keys on matrix content).
+// physics — so every other subsystem keeps its buffers. The degraded
+// model is private to this engine (and its forks): it is never entered
+// in the shared model cache, and on the cached solver path it memoizes
+// its own factorization.
 func (e *Engine) DegradeInterfaces(factor float64) error {
 	if factor <= 0 {
 		return fmt.Errorf("sim: interface degradation factor %g must be positive", factor)
 	}
-	ns := *e.stack
+	ns := *e.model.Stack
 	ns.InterlayerResistivityMKW *= factor
-	if len(e.stack.Interfaces) > 0 {
-		ns.Interfaces = make([]floorplan.InterfaceProps, len(e.stack.Interfaces))
-		copy(ns.Interfaces, e.stack.Interfaces)
+	if len(ns.Interfaces) > 0 {
+		ns.Interfaces = make([]floorplan.InterfaceProps, len(ns.Interfaces))
+		copy(ns.Interfaces, e.model.Stack.Interfaces)
 		for i := range ns.Interfaces {
 			// Zero falls back to the stack-level value, already scaled.
 			if ns.Interfaces[i].ResistivityMKW > 0 {
@@ -124,7 +125,6 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 	if err := tr.SetState(rise); err != nil {
 		return err
 	}
-	e.stack = &ns
 	e.model = model
 	e.tr = tr
 	e.view.Stack = &ns

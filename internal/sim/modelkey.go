@@ -6,12 +6,14 @@ import (
 
 // ModelKey returns the canonical identity of the thermal system a
 // config builds: two configs produce equal keys exactly when Run would
-// hand them the same shared-cache factorization — same stack (any spec
-// field that changes the built system changes the spec's content
-// hash), grid discretization, solver path, and tick length (the
-// transient factorization bakes in C/dt). Sweep grouping (exp.GroupKey)
-// and Prewarm both derive from it, so batched jobs can never be grouped
-// across — or warm — a factorization the run would not use.
+// hand them the same shared thermal model and factorizations — same
+// stack (any spec field that changes the built system changes the
+// spec's content hash), grid discretization, solver path, and tick
+// length (the transient factorization bakes in C/dt). On the cached
+// solver path it is the key of thermal.SharedModel itself, and sweep
+// grouping (exp.GroupKey) and Prewarm derive from it, so batched jobs
+// can never be grouped across — or warm — a model the run would not
+// use.
 //
 // The key has one form for every stack,
 // "stack:<hash>|tick<s>s|solver<n>" plus "|grid<r>x<c>" in grid mode:

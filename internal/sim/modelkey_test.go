@@ -111,3 +111,73 @@ func TestRunStackSpec(t *testing.T) {
 		t.Errorf("invalid spec error = %v, want mention of invalid stack spec", err)
 	}
 }
+
+// TestEnginesShareModel pins how cached-solver engines share one
+// thermal model per ModelKey: the Exp shorthand and its resolved spec
+// reach the same model and factorization, as do a RunBatch group's
+// lanes and a Fork; a SolverSparse engine builds privately and never
+// touches the cache; and Prewarm after ResetFactorCache rebuilds.
+func TestEnginesShareModel(t *testing.T) {
+	thermal.ResetFactorCache()
+	t.Cleanup(thermal.ResetFactorCache)
+	wantStats := func(what string, entries int, hits, builds int64) {
+		t.Helper()
+		if e, h, b := thermal.FactorCacheStats(); e != entries || h != hits || b != builds {
+			t.Fatalf("%s: cache holds %d models after %d hits and %d builds, want %d/%d/%d", what, e, h, b, entries, hits, builds)
+		}
+	}
+	engine := func(cfg Config) *Engine {
+		t.Helper()
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	short := engine(shortCfg(t, policy.NewDefault()))
+	spec, err := floorplan.SpecWithResistivity(floorplan.EXP1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inlineCfg := shortCfg(t, policy.NewDefault())
+	inlineCfg.Exp, inlineCfg.StackSpec = 0, &spec
+	inline := engine(inlineCfg)
+	if inline.model != short.model {
+		t.Fatal("the EXP-1 shorthand and its resolved spec built two models")
+	}
+	if _, err := thermal.NewTransientBatch([]*thermal.Transient{short.tr, inline.tr}); err != nil {
+		t.Fatalf("engines of one model do not share a factorization: %v", err)
+	}
+	wantStats("shorthand and inline spec", 1, 1, 1)
+
+	fork, err := short.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fork.model != short.model {
+		t.Fatal("a fork rebuilt the thermal model")
+	}
+	lanes := batchLaneCfgs(t)
+	if _, err := RunBatch(lanes); err != nil {
+		t.Fatal(err)
+	}
+	wantStats("batch lanes", 2, 1+int64(len(lanes)-1), 2)
+
+	sparseCfg := shortCfg(t, policy.NewDefault())
+	sparseCfg.Solver = thermal.SolverSparse
+	if engine(sparseCfg).model == short.model {
+		t.Fatal("a SolverSparse engine used the shared model")
+	}
+	wantStats("SolverSparse engine", 2, 1+int64(len(lanes)-1), 2)
+
+	thermal.ResetFactorCache()
+	if err := Prewarm(shortCfg(t, nil)); err != nil {
+		t.Fatal(err)
+	}
+	wantStats("Prewarm after reset", 1, 0, 1)
+	if engine(shortCfg(t, policy.NewDefault())).model == short.model {
+		t.Fatal("an engine after reset got the dropped model")
+	}
+	wantStats("engine after Prewarm", 1, 1, 1)
+}

@@ -238,7 +238,7 @@ func (e *Engine) fork(pol policy.Policy) (*Engine, error) {
 	cfg.ctx = nil
 	cfg.Observer = nil
 
-	f, err := newEngineState(cfg, e.stack, e.model, e.jobs)
+	f, err := newEngineState(cfg, e.model, e.jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +283,7 @@ func newRolloutLane(host *Engine) (*rolloutLane, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracker, err := reliability.NewTracker(host.stack.NumBlocks(), host.cfg.TickS)
+	tracker, err := reliability.NewTracker(host.model.NumBlocks(), host.cfg.TickS)
 	if err != nil {
 		return nil, err
 	}

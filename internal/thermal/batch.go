@@ -41,8 +41,8 @@ type TransientBatch struct {
 
 // NewTransientBatch wraps the given integrators into a lockstep batch.
 // All lanes must share one sparse factorization — the same *Cholesky,
-// which SolverCached guarantees for models built from the same stack
-// geometry, parameters, and time step — and therefore the same node
+// which SolverCached guarantees for integrators built from one Model
+// with one time step — and therefore the same node
 // count and dt; otherwise ErrNotBatchable is returned and the caller
 // should step the integrators individually. The integrators remain
 // usable on their own (StepInto outside the batch stays valid and

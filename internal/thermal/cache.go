@@ -1,11 +1,8 @@
 package thermal
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -17,18 +14,16 @@ import (
 type SolverKind int
 
 const (
-	// SolverCached factors the sparse conductance system once per unique
-	// (stack geometry, parameters, time step) and shares the
-	// factorization process-wide. This is the default: a policy x
-	// floorplan x benchmark sweep runs hundreds of simulations over the
-	// same four stacks, and every one of them reuses the same handful of
-	// factorizations. Entries are retained for the life of the process
-	// (see ResetFactorCache), so callers that solve each geometry exactly
-	// once — e.g. a search over candidate floorplans — should use
-	// SolverSparse instead of filling the cache with single-use entries.
+	// SolverCached solves against the model's own memoized sparse
+	// factorizations: G once, and C/dt + G once per time step, each
+	// built on first use. This is the default. A model shared through
+	// SharedModel therefore hands every run of its system the same
+	// factorization: a policy x floorplan x benchmark sweep runs
+	// hundreds of simulations over the same four stacks and factors
+	// each system once.
 	SolverCached SolverKind = iota
-	// SolverSparse factors the sparse system privately, without
-	// consulting the cache (isolated runs, cache-behaviour tests).
+	// SolverSparse factors the sparse system privately on every call,
+	// keeping nothing on the model (isolated runs, one-shot solves).
 	SolverSparse
 	// SolverDense densifies the conductance matrix and LU-factors it —
 	// the seed's original O(n³) path, kept as the cross-validation
@@ -89,138 +84,33 @@ func (k *SolverKind) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// factorCache shares sparse factorizations across models and goroutines.
-// Keys are content fingerprints of the factored matrix, so two Model
-// instances built independently from the same stack geometry and
-// parameters (as the sweep worker pool does) hit the same entry. Each
-// entry factors exactly once even under concurrent first access.
-type factorCache struct {
-	entries sync.Map // string -> *factorEntry
-	count   atomic.Int64
-	hits    atomic.Int64
-	misses  atomic.Int64
-}
-
-type factorEntry struct {
+// lazyFactor is a sparse factorization computed at most once, on
+// first use, and safe to read from any number of goroutines after.
+type lazyFactor struct {
 	once sync.Once
 	chol *linalg.Cholesky
 	err  error
 }
 
-// maxSharedFactorEntries bounds the process-wide cache. A sweep over
-// every shipped scenario (six stacks, block + grid modes, steady-state
-// + transient systems) touches a few dozen entries, so the bound never
-// binds for experiment workloads; it exists for long-running servers,
-// where client-chosen parameters (grid dimensions, joint resistivity)
-// would otherwise pin an unbounded number of factorizations forever.
-// Eviction is correctness-neutral: a dropped system refactors on the
-// next use, and holders of the evicted *Cholesky keep using it.
-const maxSharedFactorEntries = 64
-
-var sharedFactors factorCache
-
-// get returns the factorization for key, building it at most once.
-func (c *factorCache) get(key string, build func() (*linalg.Cholesky, error)) (*linalg.Cholesky, error) {
-	e, loaded := c.entries.LoadOrStore(key, &factorEntry{})
-	entry := e.(*factorEntry)
-	if !loaded && c.count.Add(1) > maxSharedFactorEntries {
-		// Evict one arbitrary other entry to make room. Concurrent
-		// over-inserts may briefly overshoot the bound by the number of
-		// racing goroutines; each evicts one entry, so the size still
-		// converges back under the cap. LoadAndDelete keeps the counter
-		// honest when two evictors race to the same victim: only the
-		// one that actually removed it decrements, the other walks on
-		// to the next candidate.
-		c.entries.Range(func(k, _ any) bool {
-			if k.(string) == key {
-				return true
-			}
-			if _, ok := c.entries.LoadAndDelete(k); ok {
-				c.count.Add(-1)
-				return false
-			}
-			return true
-		})
-	}
-	entry.once.Do(func() {
-		c.misses.Add(1)
-		entry.chol, entry.err = build()
-	})
-	if loaded {
-		c.hits.Add(1)
-	}
-	return entry.chol, entry.err
+func (f *lazyFactor) get(build func() (*linalg.Cholesky, error)) (*linalg.Cholesky, error) {
+	f.once.Do(func() { f.chol, f.err = build() })
+	return f.chol, f.err
 }
 
-// FactorCacheStats reports the shared factorization cache counters:
-// entries currently cached, lookup hits, and factorizations performed.
-func FactorCacheStats() (entries int, hits, misses int64) {
-	sharedFactors.entries.Range(func(_, _ any) bool {
-		entries++
-		return true
-	})
-	return entries, sharedFactors.hits.Load(), sharedFactors.misses.Load()
-}
-
-// ResetFactorCache drops every cached factorization and zeroes the
-// counters (tests and cold-path benchmarks).
-func ResetFactorCache() {
-	sharedFactors.entries.Range(func(k, _ any) bool {
-		sharedFactors.entries.Delete(k)
-		return true
-	})
-	sharedFactors.count.Store(0)
-	sharedFactors.hits.Store(0)
-	sharedFactors.misses.Store(0)
-}
-
-// fingerprint returns a content hash of the model's conductance system —
-// matrix structure, values, and capacitances — which identifies the
-// stack geometry plus thermal parameters exactly: any change to either
-// changes some conductance or capacitance and therefore the key.
-func (m *Model) fingerprint() string {
-	m.fpOnce.Do(func() {
-		h := sha256.New()
-		var buf [8]byte
-		writeInt := func(v int) {
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			h.Write(buf[:])
-		}
-		writeFloat := func(v float64) {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-		writeInt(m.G.N)
-		for _, p := range m.G.RowPtr {
-			writeInt(p)
-		}
-		for _, c := range m.G.Col {
-			writeInt(c)
-		}
-		for _, v := range m.G.Val {
-			writeFloat(v)
-		}
-		for _, c := range m.C {
-			writeFloat(c)
-		}
-		m.fp = string(h.Sum(nil))
-	})
-	return m.fp
-}
-
-// steadyFactor returns the sparse factorization of G, shared through the
-// cache when kind is SolverCached.
+// steadyFactor returns the sparse factorization of G: the model's
+// memoized one under SolverCached, a private one under SolverSparse.
 func (m *Model) steadyFactor(kind SolverKind) (*linalg.Cholesky, error) {
 	if kind == SolverSparse {
 		return linalg.FactorCholesky(m.G)
 	}
-	return sharedFactors.get(m.fingerprint(), func() (*linalg.Cholesky, error) {
+	return m.steady.get(func() (*linalg.Cholesky, error) {
 		return linalg.FactorCholesky(m.G)
 	})
 }
 
 // transientFactor returns the sparse factorization of C/dt + G for the
-// given step, shared through the cache when kind is SolverCached.
+// given step: the model's memoized one for dt under SolverCached, a
+// private one under SolverSparse.
 func (m *Model) transientFactor(dt float64, kind SolverKind) (*linalg.Cholesky, error) {
 	build := func() (*linalg.Cholesky, error) {
 		cdt := make([]float64, m.NumNodes)
@@ -232,8 +122,97 @@ func (m *Model) transientFactor(dt float64, kind SolverKind) (*linalg.Cholesky, 
 	if kind == SolverSparse {
 		return build()
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(dt))
-	key := m.fingerprint() + "|dt|" + string(buf[:])
-	return sharedFactors.get(key, build)
+	f, _ := m.transient.LoadOrStore(dt, new(lazyFactor))
+	return f.(*lazyFactor).get(build)
+}
+
+// modelCache shares prepared models across engines and goroutines. Keys
+// are caller-supplied system identities (the simulator uses its
+// ModelKey), so every run of one stack, discretization and tick length
+// gets the same *Model and, through it, the same factorizations. Each
+// entry is built exactly once even under concurrent first access.
+type modelCache struct {
+	entries sync.Map // string -> *modelEntry
+	count   atomic.Int64
+	hits    atomic.Int64
+	builds  atomic.Int64
+}
+
+type modelEntry struct {
+	once  sync.Once
+	model *Model
+	err   error
+}
+
+// maxSharedModels bounds the process-wide cache. A sweep over every
+// shipped scenario (six stacks, block and grid modes) touches about a
+// dozen models, so the bound never binds for experiment workloads; it
+// exists for long-running servers, where client-chosen parameters (grid
+// dimensions, joint resistivity) would otherwise pin an unbounded
+// number of models forever. Eviction is correctness-neutral: a dropped
+// model is rebuilt on the next lookup, and holders of the evicted
+// *Model keep using it.
+const maxSharedModels = 64
+
+var sharedModels modelCache
+
+// SharedModel returns the process-wide model registered under key,
+// calling build to construct it on the first lookup only; concurrent
+// first lookups build once and all receive the result, error included.
+// The key must identify everything build depends on. A shared Model is
+// read-only, and its SolverCached factorizations are memoized on first
+// use, so every holder solves against the same *linalg.Cholesky.
+func SharedModel(key string, build func() (*Model, error)) (*Model, error) {
+	e, loaded := sharedModels.entries.LoadOrStore(key, &modelEntry{})
+	entry := e.(*modelEntry)
+	if !loaded && sharedModels.count.Add(1) > maxSharedModels {
+		// Evict one arbitrary other entry to make room. Concurrent
+		// over-inserts may briefly overshoot the bound by the number of
+		// racing goroutines; each evicts one entry, so the size still
+		// converges back under the cap. LoadAndDelete keeps the counter
+		// honest when two evictors race to the same victim: only the
+		// one that actually removed it decrements, the other walks on
+		// to the next candidate.
+		sharedModels.entries.Range(func(k, _ any) bool {
+			if k.(string) == key {
+				return true
+			}
+			if _, ok := sharedModels.entries.LoadAndDelete(k); ok {
+				sharedModels.count.Add(-1)
+				return false
+			}
+			return true
+		})
+	}
+	entry.once.Do(func() {
+		sharedModels.builds.Add(1)
+		entry.model, entry.err = build()
+	})
+	if loaded {
+		sharedModels.hits.Add(1)
+	}
+	return entry.model, entry.err
+}
+
+// FactorCacheStats reports the shared model cache counters: models
+// currently held, lookups served from the cache, and models built.
+func FactorCacheStats() (entries int, hits, misses int64) {
+	sharedModels.entries.Range(func(_, _ any) bool {
+		entries++
+		return true
+	})
+	return entries, sharedModels.hits.Load(), sharedModels.builds.Load()
+}
+
+// ResetFactorCache drops every shared model, and every factorization
+// it memoized, and zeroes the counters (tests and cold-path
+// benchmarks).
+func ResetFactorCache() {
+	sharedModels.entries.Range(func(k, _ any) bool {
+		sharedModels.entries.Delete(k)
+		return true
+	})
+	sharedModels.count.Store(0)
+	sharedModels.hits.Store(0)
+	sharedModels.builds.Store(0)
 }

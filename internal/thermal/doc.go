@@ -11,13 +11,16 @@
 // against the sparse conductance system, which is symmetric positive
 // definite. Three paths exist, selected by SolverKind:
 //
-//   - SolverCached (default): sparse LDLᵀ factorizations shared
-//     process-wide through a cache keyed by a content hash of the
-//     conductance matrix, capacitances, and time step — i.e. by stack
-//     geometry plus thermal parameters. Sweeps running many simulations
-//     over the same stacks factor each system once and reuse it from
-//     every worker; concurrent first access factors exactly once.
-//   - SolverSparse: the same sparse factorization, computed privately.
+//   - SolverCached (default): sparse LDLᵀ factorizations memoized on
+//     the Model — G once, and C/dt + G once per time step — each built
+//     on first use, exactly once even under concurrent first access.
+//     SharedModel hands every caller of one key (the simulator uses its
+//     ModelKey) the same Model, so sweeps running many simulations over
+//     the same stacks build and factor each system once and reuse it
+//     from every worker. A model built outside that cache memoizes its
+//     own factorizations the same way.
+//   - SolverSparse: the same sparse factorization, computed privately
+//     on every call and never kept on the model.
 //   - SolverDense: the dense LU reference path (O(n³)), retained for
 //     cross-validation tests and benchmark baselines.
 //
@@ -26,9 +29,10 @@
 //
 // # Batched transient stepping
 //
-// Transients that share one cached factorization — the cache hands the
-// same *linalg.Cholesky to every integrator built from the same stack
-// geometry, parameters, and time step — can advance in lockstep:
+// Transients that share one factorization — every integrator built
+// with SolverCached from one Model and time step holds the same
+// *linalg.Cholesky, and SharedModel gives one Model to every run of a
+// system — can advance in lockstep:
 // TransientBatch gathers every lane's implicit-Euler right-hand side
 // into a column-major panel and performs one blocked triangular solve
 // (linalg.Cholesky.SolvePanel) per tick instead of K independent
@@ -47,9 +51,10 @@
 //
 // # Place in the dataflow
 //
-// The simulation engine builds one Model per run from its floorplan
-// stack, initializes temperatures with a leakage-consistent
-// steady-state solve, then advances a Transient once per 100 ms tick
+// The simulation engine gets one Model per system from SharedModel (or
+// builds a private one off the cached path), initializes each run's
+// temperatures with a leakage-consistent steady-state solve, then
+// advances the run's own Transient once per 100 ms tick
 // with the power model's per-block output; sensors add the paper's
 // noise model on the way back to the policy layer.
 //
@@ -59,8 +64,11 @@
 // BlockTempsInto / CoreTempsInto, Sensors.ReadInto) write into
 // caller-owned slices and retain nothing; source and destination must
 // not alias except where a method documents otherwise
-// (Sensors.ReadInto allows dst to alias its input). A Model and its
-// Transients belong to one simulation goroutine; the only shared state
-// is the factorization cache, which is internally synchronized and
-// safe for every worker of a sweep pool.
+// (Sensors.ReadInto allows dst to alias its input). A Model is
+// immutable once built, apart from its memoized factorizations, which
+// are once-guarded, so one Model is safely shared by every goroutine of
+// a sweep pool, a server or a session host; the SharedModel cache is
+// internally synchronized. A Transient belongs to one simulation
+// goroutine; it reads the shared factorization and owns its state and
+// solve scratch.
 package thermal

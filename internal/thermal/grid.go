@@ -35,14 +35,12 @@ func NewGridModel(stack *floorplan.Stack, p Params, rows, cols int) (*Model, err
 	n := nCells + nEntry + numPackageNodes
 
 	m := &Model{
-		Params:        p,
-		Stack:         stack,
-		NumNodes:      n,
-		C:             make([]float64, n),
-		GroundG:       make([]float64, n),
-		powerFrac:     make(map[int]map[int]float64),
-		blockReadback: make(map[int]map[int]float64),
-		numBlocks:     len(blocks),
+		Params:    p,
+		Stack:     stack,
+		NumNodes:  n,
+		C:         make([]float64, n),
+		GroundG:   make([]float64, n),
+		numBlocks: len(blocks),
 	}
 	sb := linalg.NewSparseBuilder(n)
 
@@ -125,6 +123,8 @@ func NewGridModel(stack *floorplan.Stack, p Params, rows, cols int) (*Model, err
 	}
 
 	// Power spreading and temperature readback per block.
+	powerFrac := make(map[int]map[int]float64)
+	blockReadback := make(map[int]map[int]float64, len(blocks))
 	for bi, b := range blocks {
 		fr := grid.OverlapFractions(b.Rect)
 		if len(fr) == 0 {
@@ -133,17 +133,17 @@ func NewGridModel(stack *floorplan.Stack, p Params, rows, cols int) (*Model, err
 		read := make(map[int]float64, len(fr))
 		for cell, f := range fr {
 			nd := b.Layer*cellsPerLayer + cell
-			if m.powerFrac[nd] == nil {
-				m.powerFrac[nd] = make(map[int]float64)
+			if powerFrac[nd] == nil {
+				powerFrac[nd] = make(map[int]float64)
 			}
-			m.powerFrac[nd][bi] += f
+			powerFrac[nd][bi] += f
 			read[nd] = f // fractions of the block's area => weighted mean
 		}
-		m.blockReadback[bi] = read
+		blockReadback[bi] = read
 	}
 
 	m.buildPackage(sb, firstPkg, bounds.W*mmToM, bounds.H*mmToM)
 	m.G = sb.Build()
-	m.finalizeHotPath()
+	m.finalizeHotPath(powerFrac, blockReadback)
 	return m, nil
 }

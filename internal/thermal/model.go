@@ -33,7 +33,9 @@ const (
 // power; the last 10 nodes model the spreader, sink, and convection.
 //
 // The network state is expressed as temperature rise above ambient; all
-// public methods speak °C.
+// public methods speak °C. A Model is read-only once built, so one Model
+// may serve any number of goroutines (see SharedModel); callers must not
+// modify its exported fields.
 type Model struct {
 	Params Params
 	Stack  *floorplan.Stack
@@ -47,22 +49,10 @@ type Model struct {
 	// on sink nodes); used for energy accounting.
 	GroundG []float64
 
-	// powerNodes maps a per-block power vector onto network nodes:
-	// node j receives sum_b powerFrac[j][b] * P[b]. In block mode this is
-	// the identity embedding; in grid mode it spreads block power over
-	// the cells the block overlaps.
-	powerFrac map[int]map[int]float64 // node -> block -> fraction
-
-	// blockReadback recovers per-block temperatures from node
-	// temperatures: T_block[b] = sum_j readFrac[b][j] * T[j]
-	// (area-weighted average over the block's cells).
-	blockReadback map[int]map[int]float64 // block -> node -> weight
-
-	// Flattened hot-path forms of powerFrac and blockReadback, built once
-	// by finalizeHotPath in deterministic (sorted) order so per-tick
-	// ExpandPowerInto/BlockTempsInto walk contiguous slices instead of
-	// maps — and so grid-mode readback sums are bit-reproducible across
-	// runs (map iteration order is not).
+	// Flattened per-block power expansion and temperature readback,
+	// built once by finalizeHotPath in deterministic (sorted) order so
+	// per-tick ExpandPowerInto/BlockTempsInto walk contiguous slices —
+	// and so grid-mode readback sums are bit-reproducible across runs.
 	powerEntries []powerEntry
 	readback     [][]readEntry // indexed by block
 	// coreBlock maps CoreID -> stack block index for CoreTempsInto.
@@ -70,10 +60,12 @@ type Model struct {
 
 	numBlocks int
 
-	// fp memoizes the conductance-system content hash that keys the
-	// shared factorization cache.
-	fpOnce sync.Once
-	fp     string
+	// steady and transient memoize the SolverCached factorizations of
+	// G and, per time step, of C/dt + G (float64 dt -> *lazyFactor).
+	// They are the only state a Model gains after construction, and
+	// both are safe for concurrent use.
+	steady    lazyFactor
+	transient sync.Map
 }
 
 // powerEntry is one term of the node-power expansion:
@@ -95,16 +87,20 @@ type readEntry struct {
 func (m *Model) NumBlocks() int { return m.numBlocks }
 
 // finalizeHotPath flattens the construction-time maps into sorted slices
-// for the per-tick hot path. Both constructors call it exactly once,
-// after powerFrac and blockReadback are complete.
-func (m *Model) finalizeHotPath() {
-	nodes := make([]int, 0, len(m.powerFrac))
-	for nd := range m.powerFrac {
+// for the per-tick hot path. powerFrac maps node -> block -> fraction
+// (node j receives sum_b powerFrac[j][b] * P[b]); blockReadback maps
+// block -> node -> weight (T_block[b] = sum_j weight * T[j], the
+// area-weighted average over the block's cells). Both constructors call
+// it exactly once, after the maps are complete; the Model keeps only the
+// flattened forms.
+func (m *Model) finalizeHotPath(powerFrac, blockReadback map[int]map[int]float64) {
+	nodes := make([]int, 0, len(powerFrac))
+	for nd := range powerFrac {
 		nodes = append(nodes, nd)
 	}
 	sort.Ints(nodes)
 	for _, nd := range nodes {
-		fracs := m.powerFrac[nd]
+		fracs := powerFrac[nd]
 		blocks := make([]int, 0, len(fracs))
 		for b := range fracs {
 			blocks = append(blocks, b)
@@ -116,7 +112,7 @@ func (m *Model) finalizeHotPath() {
 	}
 	m.readback = make([][]readEntry, m.numBlocks)
 	for b := 0; b < m.numBlocks; b++ {
-		weights := m.blockReadback[b]
+		weights := blockReadback[b]
 		nds := make([]int, 0, len(weights))
 		for nd := range weights {
 			nds = append(nds, nd)
@@ -153,21 +149,21 @@ func NewBlockModel(stack *floorplan.Stack, p Params) (*Model, error) {
 	nEntry := len(stack.Layers[0].Blocks)
 	n := nb + nEntry + numPackageNodes
 	m := &Model{
-		Params:        p,
-		Stack:         stack,
-		NumNodes:      n,
-		C:             make([]float64, n),
-		GroundG:       make([]float64, n),
-		powerFrac:     make(map[int]map[int]float64, nb),
-		blockReadback: make(map[int]map[int]float64, nb),
-		numBlocks:     nb,
+		Params:    p,
+		Stack:     stack,
+		NumNodes:  n,
+		C:         make([]float64, n),
+		GroundG:   make([]float64, n),
+		numBlocks: nb,
 	}
 	sb := linalg.NewSparseBuilder(n)
 
 	// Identity power map and readback.
+	powerFrac := make(map[int]map[int]float64, nb)
+	blockReadback := make(map[int]map[int]float64, nb)
 	for i := range blocks {
-		m.powerFrac[i] = map[int]float64{i: 1}
-		m.blockReadback[i] = map[int]float64{i: 1}
+		powerFrac[i] = map[int]float64{i: 1}
+		blockReadback[i] = map[int]float64{i: 1}
 	}
 
 	// Node capacitances and within-layer lateral resistances.
@@ -214,8 +210,8 @@ func NewBlockModel(stack *floorplan.Stack, p Params) (*Model, error) {
 		}
 		// Interlayer microfluidic cooling: both faces of the cooled
 		// interface convect to coolant held at ambient. Linearized as a
-		// ground conductance, so the system stays SPD and the shared
-		// factorization cache keys it like any other matrix change.
+		// ground conductance, so the system stays SPD and factors like
+		// any other.
 		if htc := ifc.CoolantHTCWm2K; htc > 0 {
 			for _, lay := range []*floorplan.Layer{lower, upper} {
 				for _, b := range lay.Blocks {
@@ -254,7 +250,7 @@ func NewBlockModel(stack *floorplan.Stack, p Params) (*Model, error) {
 	m.buildPackage(sb, firstPkg, bottom.Bounds().W*mmToM, bottom.Bounds().H*mmToM)
 
 	m.G = sb.Build()
-	m.finalizeHotPath()
+	m.finalizeHotPath(powerFrac, blockReadback)
 	return m, nil
 }
 
@@ -467,8 +463,8 @@ func (m *Model) CoreTempsInto(dst, nodeTemps []float64) error {
 }
 
 // SteadyState solves for the equilibrium temperature (°C per node) under
-// the given per-block power (W), using the shared sparse factorization
-// of G (SolverCached).
+// the given per-block power (W), using the model's memoized sparse
+// factorization of G (SolverCached).
 func (m *Model) SteadyState(blockPower []float64) ([]float64, error) {
 	return m.SteadyStateWith(blockPower, SolverCached)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -116,72 +117,101 @@ func TestTransientSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestFactorCacheSharing verifies that two independently built models of
-// the same stack geometry and parameters share one factorization, that a
-// different stack does not, and that concurrent first access factors
-// exactly once.
+// TestFactorCacheSharing pins the shared-model contract: one key is
+// one *Model with one memoized factorization per system, a different
+// key is a different model, transient factorizations are per dt,
+// racing first lookups build once, and ResetFactorCache empties the
+// cache and its counters.
 func TestFactorCacheSharing(t *testing.T) {
 	ResetFactorCache()
 	t.Cleanup(ResetFactorCache)
 
-	build := func(e floorplan.Experiment) *Model {
-		m, err := NewBlockModel(floorplan.MustBuild(e), DefaultParams())
+	var builds atomic.Int32
+	build := func(e floorplan.Experiment) func() (*Model, error) {
+		return func() (*Model, error) {
+			builds.Add(1)
+			return NewBlockModel(floorplan.MustBuild(e), DefaultParams())
+		}
+	}
+	lookup := func(key string, e floorplan.Experiment) *Model {
+		t.Helper()
+		m, err := SharedModel(key, build(e))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	m1, m2 := build(floorplan.EXP2), build(floorplan.EXP2)
-	p := randomPower(m1, 5)
-	if _, err := m1.SteadyState(p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.SteadyState(p); err != nil {
-		t.Fatal(err)
-	}
-	entries, hits, misses := FactorCacheStats()
-	if entries != 1 || misses != 1 || hits != 1 {
-		t.Fatalf("same-geometry models: entries=%d hits=%d misses=%d, want 1/1/1", entries, hits, misses)
-	}
-
-	// A different experiment must key a different factorization.
-	m3 := build(floorplan.EXP3)
-	if _, err := m3.SteadyState(randomPower(m3, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if entries, _, _ = FactorCacheStats(); entries != 2 {
-		t.Fatalf("different geometry reused a cache entry: entries=%d", entries)
+	transient := func(m *Model, dt float64) *linalg.Cholesky {
+		t.Helper()
+		tr, err := m.NewTransient(dt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.chol == nil {
+			t.Fatal("cached transient has no sparse factorization")
+		}
+		return tr.chol
 	}
 
-	// Transient factors key on dt as well.
-	if _, err := m1.NewTransient(0.1, nil); err != nil {
-		t.Fatal(err)
+	m1, m2 := lookup("exp2", floorplan.EXP2), lookup("exp2", floorplan.EXP2)
+	if m1 != m2 {
+		t.Fatal("two lookups of one key returned different models")
 	}
-	if _, err := m1.NewTransient(0.05, nil); err != nil {
-		t.Fatal(err)
+	if transient(m1, 0.1) != transient(m2, 0.1) {
+		t.Fatal("one model's transients hold different factorizations")
 	}
-	if entries, _, _ = FactorCacheStats(); entries != 4 {
-		t.Fatalf("transient dt keys: entries=%d, want 4", entries)
+	if entries, hits, misses := FactorCacheStats(); entries != 1 || hits != 1 || misses != 1 {
+		t.Fatalf("one key looked up twice: entries=%d hits=%d misses=%d, want 1/1/1", entries, hits, misses)
 	}
 
-	// Concurrent first access to a fresh key factors once.
-	ResetFactorCache()
+	if m3 := lookup("exp3", floorplan.EXP3); m3 == m1 {
+		t.Fatal("a different key returned the same model")
+	}
+	if entries, _, misses := FactorCacheStats(); entries != 2 || misses != 2 {
+		t.Fatalf("two keys: entries=%d misses=%d, want 2/2", entries, misses)
+	}
+
+	if f05 := transient(m1, 0.05); f05 == transient(m1, 0.1) || f05 != transient(m1, 0.05) {
+		t.Fatal("transient factorizations are not memoized per dt")
+	}
+
+	builds.Store(0)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	models := make([]*Model, 8)
+	factors := make([]*linalg.Cholesky, 8)
+	for w := range models {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := build(floorplan.EXP4).SteadyState(p[:0:0]); err == nil {
-				t.Error("expected power-length error") // wrong-length power: solve path untouched
-			}
-			if _, err := build(floorplan.EXP4).NewTransient(0.1, nil); err != nil {
+			m, err := SharedModel("exp4", build(floorplan.EXP4))
+			if err != nil {
 				t.Error(err)
+				return
 			}
+			tr, err := m.NewTransient(0.1, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			models[w], factors[w] = m, tr.chol
 		}()
 	}
 	wg.Wait()
-	if entries, _, misses = FactorCacheStats(); entries != 1 || misses != 1 {
-		t.Fatalf("concurrent access: entries=%d misses=%d, want 1/1", entries, misses)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("8 racing lookups built %d models, want 1", n)
+	}
+	for w := range models {
+		if models[w] != models[0] || factors[w] != factors[0] {
+			t.Fatalf("racer %d got a different model or factorization", w)
+		}
+	}
+
+	ResetFactorCache()
+	if entries, hits, misses := FactorCacheStats(); entries != 0 || hits != 0 || misses != 0 {
+		t.Fatalf("after reset: entries=%d hits=%d misses=%d, want 0/0/0", entries, hits, misses)
+	}
+	if lookup("exp2", floorplan.EXP2) == m1 {
+		t.Fatal("a lookup after reset returned the dropped model")
 	}
 }
 
@@ -203,24 +233,24 @@ func TestSolverKindRoundTrip(t *testing.T) {
 
 // TestFactorCacheBounded pins the shared-cache eviction bound: a
 // server fed ever-new thermal systems (client-chosen grid dims or
-// resistivities) must not pin factorizations without limit.
+// resistivities) must not pin models without limit.
 func TestFactorCacheBounded(t *testing.T) {
 	ResetFactorCache()
 	defer ResetFactorCache()
-	for i := 0; i < maxSharedFactorEntries+20; i++ {
+	for i := 0; i < maxSharedModels+20; i++ {
 		key := fmt.Sprintf("bound-test-%d", i)
-		if _, err := sharedFactors.get(key, func() (*linalg.Cholesky, error) {
-			return nil, nil
+		if _, err := SharedModel(key, func() (*Model, error) {
+			return &Model{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	entries, _, misses := FactorCacheStats()
-	if entries > maxSharedFactorEntries {
-		t.Fatalf("cache holds %d entries, bound is %d", entries, maxSharedFactorEntries)
+	if entries > maxSharedModels {
+		t.Fatalf("cache holds %d models, bound is %d", entries, maxSharedModels)
 	}
-	if misses != int64(maxSharedFactorEntries+20) {
-		t.Fatalf("factored %d systems, want %d", misses, maxSharedFactorEntries+20)
+	if misses != int64(maxSharedModels+20) {
+		t.Fatalf("built %d models, want %d", misses, maxSharedModels+20)
 	}
 }
 

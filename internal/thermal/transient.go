@@ -13,9 +13,9 @@ import (
 //	(C/dt + G) T_{k+1} = (C/dt) T_k + P_{k+1}
 //
 // The left-hand matrix is factored once — by default with the sparse
-// Cholesky path shared through the process-wide factorization cache, so
-// concurrent sweep runs over the same stack reuse one factorization —
-// and each Step costs one pair of sparse triangular solves. This matches
+// Cholesky path memoized on the Model, so concurrent sweep runs sharing
+// a model (see SharedModel) reuse one factorization — and each Step
+// costs one pair of sparse triangular solves. This matches
 // how the paper's framework advances HotSpot once per 100 ms sampling
 // interval.
 type Transient struct {
@@ -25,7 +25,7 @@ type Transient struct {
 	// chol aliases solver when it is a sparse factorization; Step then
 	// uses SolveBuffered with the integrator-owned scratch so the
 	// per-tick solve stays allocation-free even though the factorization
-	// itself is shared across goroutines.
+	// itself may be shared across goroutines.
 	chol    *linalg.Cholesky
 	scratch []float64
 	cdt     []float64 // C/dt per node
@@ -40,7 +40,8 @@ type Transient struct {
 
 // NewTransient prepares an integrator with time step dt seconds, starting
 // from the node temperatures init (°C); pass nil to start at ambient.
-// The left-hand factorization comes from the shared cache (SolverCached).
+// The left-hand factorization is the model's memoized one for dt
+// (SolverCached).
 func (m *Model) NewTransient(dt float64, init []float64) (*Transient, error) {
 	return m.NewTransientWith(dt, init, SolverCached)
 }
