@@ -134,10 +134,10 @@ RELJOBS1=$(metric reliability_jobs_total)
 	fail "reliability_jobs_total went $RELJOBS0 -> $RELJOBS1, want +$JOBS"
 
 echo "e2e: 2c/5 model-predictive sweep is byte-identical served vs local"
-# The MPC policies drive snapshot/fork rollouts inside every decision
-# epoch — parallel lane evaluation included — so this round proves the
-# planning path stays deterministic across processes: the served stream
-# must match the direct run byte for byte.
+# The MPC policies drive lockstep rollout lanes inside every decision
+# epoch, so this round proves the planning path stays deterministic
+# across processes: the served stream must match the direct run byte
+# for byte.
 MPC_ARGS="-exps 2 -policies DVFS_TT,MPC_Thermal,MPC_Rel -benchmarks Web-med -duration 2 -seed 1"
 "$WORKDIR/dtmsweep" -out jsonl -canonical $MPC_ARGS \
 	>"$WORKDIR/direct_mpc.jsonl" 2>/dev/null || fail "direct MPC sweep failed"

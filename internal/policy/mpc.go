@@ -11,13 +11,14 @@ import (
 // the current sensor reading (DVFS_TT) or an AR forecast of it, the
 // MPC policies ask the simulator itself what each candidate action
 // would do. Every decision epoch the policy enumerates K candidate
-// actions, the engine forks itself into rollout lanes that replay each
-// candidate over a short horizon (sharing the cached thermal
-// factorization, so a lane costs state vectors rather than a
-// factorization), and the policy commits the winner. The engine side
-// of the contract lives in sim (Engine.Fork and its rollout adapter);
-// the policy side — the action vocabulary, the scoring interface, and
-// the epoch loop — lives here.
+// actions, the engine replays each distinct candidate over a short
+// horizon on a rollout lane (a copy of its tick state sharing the
+// cached thermal factorization, so a lane costs state vectors rather
+// than a factorization; the lanes advance in lockstep through one
+// panel solve per tick), and the policy commits the winner. The engine
+// side of the contract lives in sim (its rollout adapter); the policy
+// side — the action vocabulary, the scoring interface, and the epoch
+// loop — lives here.
 
 // Action is one candidate the MPC policies ask the engine to roll
 // out: a per-core V/f assignment, optionally with one head-swap job
@@ -45,8 +46,8 @@ type RolloutScore struct {
 // provides the implementation; Evaluate fills scores[i] for
 // actions[i] over horizonTicks scheduling intervals from the current
 // engine state. Implementations must be deterministic: the same
-// engine state and actions produce the same scores, whatever the
-// evaluation order or parallelism.
+// engine state and actions produce the same scores, whatever order
+// the candidates are evaluated in and however many of them repeat.
 type Rollout interface {
 	Evaluate(actions []Action, horizonTicks int, scores []RolloutScore) error
 }

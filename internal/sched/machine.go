@@ -32,27 +32,35 @@ type Machine struct {
 	migrationCostS float64
 	nowS           float64
 
-	queues    [][]*QueuedJob
-	completed []*QueuedJob
+	queues [][]*QueuedJob
+	done   completion
 	// idleSinceS tracks, per core, when the queue last became empty
 	// (used by the DPM fixed-timeout policy). A busy core has -1.
 	idleSinceS []float64
 
 	totalMigrations int
 
-	// pool recycles QueuedJob allocations across Load calls so that
-	// restoring a snapshot reuses the machine's existing job objects
-	// instead of reallocating every queue entry.
+	// pool recycles QueuedJob objects: a finished job returns to it,
+	// and Enqueue and Load draw from it, so the machine allocates only
+	// when more jobs are queued at once than ever before.
 	pool []*QueuedJob
 }
 
+// completion is the running summary of the finished jobs: their count
+// and their response, service and slowdown sums, each added in
+// completion order.
+type completion struct {
+	n                int
+	resp, serv, slow float64
+}
+
 // MachineState is a value snapshot of a Machine's mutable state: the
-// per-core queues flattened into one job vector, the completed list,
+// per-core queues flattened into one job vector, the completion sums,
 // and the clock/idle bookkeeping. Save reuses the state's slices, and
-// Load reuses the machine's existing job allocations, so a
-// Save/Load cycle is allocation-bounded after warm-up. A state saved
-// from one machine may only be loaded into a machine with the same
-// core count.
+// Load reuses the machine's existing job allocations, so a Save/Load
+// cycle costs O(queued jobs), however many jobs have finished. A state
+// saved from one machine may only be loaded into a machine with the
+// same core count.
 type MachineState struct {
 	NowS            float64
 	TotalMigrations int
@@ -61,7 +69,7 @@ type MachineState struct {
 	// contents concatenated in core order, head first.
 	QueueLens []int
 	Queued    []QueuedJob
-	Completed []QueuedJob
+	done      completion
 }
 
 // Save captures the machine's mutable state into s, reusing s's
@@ -78,10 +86,7 @@ func (m *Machine) Save(s *MachineState) {
 			s.Queued = append(s.Queued, *j)
 		}
 	}
-	s.Completed = s.Completed[:0]
-	for _, j := range m.completed {
-		s.Completed = append(s.Completed, *j)
-	}
+	s.done = m.done
 }
 
 // Load restores the machine's mutable state from s. Existing QueuedJob
@@ -91,22 +96,9 @@ func (m *Machine) Load(s *MachineState) error {
 	if len(s.QueueLens) != m.numCores || len(s.IdleSinceS) != m.numCores {
 		return fmt.Errorf("sched: state for %d cores loaded into %d-core machine", len(s.QueueLens), m.numCores)
 	}
-	// Recycle every live job object through the pool, then repopulate.
-	m.pool = m.pool[:0]
+	// Recycle every queued job object through the pool, then repopulate.
 	for _, q := range m.queues {
 		m.pool = append(m.pool, q...)
-	}
-	m.pool = append(m.pool, m.completed...)
-	alloc := func(v QueuedJob) *QueuedJob {
-		if n := len(m.pool); n > 0 {
-			j := m.pool[n-1]
-			m.pool = m.pool[:n-1]
-			*j = v
-			return j
-		}
-		j := new(QueuedJob)
-		*j = v
-		return j
 	}
 	m.nowS = s.NowS
 	m.totalMigrations = s.TotalMigrations
@@ -115,7 +107,7 @@ func (m *Machine) Load(s *MachineState) error {
 	for c := 0; c < m.numCores; c++ {
 		q := m.queues[c][:0]
 		for i := 0; i < s.QueueLens[c]; i++ {
-			q = append(q, alloc(s.Queued[pos]))
+			q = append(q, m.newJob(s.Queued[pos]))
 			pos++
 		}
 		m.queues[c] = q
@@ -123,11 +115,22 @@ func (m *Machine) Load(s *MachineState) error {
 	if pos != len(s.Queued) {
 		return fmt.Errorf("sched: state queue lengths sum to %d but %d jobs saved", pos, len(s.Queued))
 	}
-	m.completed = m.completed[:0]
-	for i := range s.Completed {
-		m.completed = append(m.completed, alloc(s.Completed[i]))
-	}
+	m.done = s.done
 	return nil
+}
+
+// newJob returns a job object holding v, recycled from the pool when
+// one is free.
+func (m *Machine) newJob(v QueuedJob) *QueuedJob {
+	if n := len(m.pool); n > 0 {
+		j := m.pool[n-1]
+		m.pool = m.pool[:n-1]
+		*j = v
+		return j
+	}
+	j := new(QueuedJob)
+	*j = v
+	return j
 }
 
 // NewMachine builds a machine with the given core count and per-migration
@@ -162,12 +165,12 @@ func (m *Machine) Enqueue(j workload.Job, core int) error {
 	if core < 0 || core >= m.numCores {
 		return fmt.Errorf("sched: core %d out of range [0,%d)", core, m.numCores)
 	}
-	m.queues[core] = append(m.queues[core], &QueuedJob{
+	m.queues[core] = append(m.queues[core], m.newJob(QueuedJob{
 		Job:         j,
 		RemainingS:  j.WorkS,
 		CoreID:      core,
 		CompletionS: -1,
-	})
+	}))
 	m.idleSinceS[core] = -1
 	return nil
 }
@@ -193,16 +196,9 @@ func (m *Machine) QueueLensInto(dst []int) {
 	}
 }
 
-// TotalQueued returns the number of jobs currently in the system.
-func (m *Machine) TotalQueued() int {
-	n := 0
-	for _, q := range m.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// Running returns the job at the head of the core's queue, or nil.
+// Running returns the job at the head of the core's queue, or nil. The
+// object stays the machine's: once the job finishes, a later Enqueue or
+// Load reuses it, so callers must not keep it across Advance.
 func (m *Machine) Running(core int) *QueuedJob {
 	if len(m.queues[core]) == 0 {
 		return nil
@@ -378,7 +374,7 @@ func (m *Machine) AdvanceInto(utils []float64, dt float64, speed []float64) erro
 						if j.RemainingS <= 1e-12 {
 							j.RemainingS = 0
 							j.CompletionS = done
-							m.completed = append(m.completed, j)
+							m.finish(j)
 						} else {
 							remaining = append(remaining, j)
 						}
@@ -409,28 +405,29 @@ func (m *Machine) AdvanceInto(utils []float64, dt float64, speed []float64) erro
 	return nil
 }
 
-// Completed returns the finished jobs (in completion order).
-func (m *Machine) Completed() []*QueuedJob { return m.completed }
+// finish folds a completed job into the completion sums and returns
+// its object to the pool.
+func (m *Machine) finish(j *QueuedJob) {
+	r := j.CompletionS - j.Job.ArrivalS
+	m.done.n++
+	m.done.resp += r
+	m.done.serv += j.Job.WorkS
+	m.done.slow += r / j.Job.WorkS
+	m.pool = append(m.pool, j)
+}
 
 // TotalMigrations returns the count of job moves performed.
 func (m *Machine) TotalMigrations() int { return m.totalMigrations }
 
 // ComputeStats summarizes the completed jobs.
 func (m *Machine) ComputeStats() Stats {
-	st := Stats{Completed: len(m.completed), TotalMigration: m.totalMigrations}
+	st := Stats{Completed: m.done.n, TotalMigration: m.totalMigrations}
 	if st.Completed == 0 {
 		return st
 	}
-	var resp, serv, slow float64
-	for _, j := range m.completed {
-		r := j.CompletionS - j.Job.ArrivalS
-		resp += r
-		serv += j.Job.WorkS
-		slow += r / j.Job.WorkS
-	}
 	n := float64(st.Completed)
-	st.MeanResponseS = resp / n
-	st.MeanServiceS = serv / n
-	st.MeanSlowdown = slow / n
+	st.MeanResponseS = m.done.resp / n
+	st.MeanServiceS = m.done.serv / n
+	st.MeanSlowdown = m.done.slow / n
 	return st
 }

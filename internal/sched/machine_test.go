@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/workload"
@@ -19,6 +20,24 @@ func fullSpeed(n int) []float64 {
 	return s
 }
 
+// advance runs m.Advance and returns the per-core utilizations and
+// copies of the jobs that finished during it, in completion order. A
+// finished job's object goes back to the machine's pool, where the
+// next Enqueue reuses it, so the copies are taken by value right away.
+func advance(t *testing.T, m *Machine, dt float64, speed []float64) ([]float64, []QueuedJob) {
+	t.Helper()
+	before := len(m.pool)
+	utils, err := m.Advance(dt, speed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []QueuedJob
+	for _, j := range m.pool[before:] {
+		done = append(done, *j)
+	}
+	return utils, done
+}
+
 func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(0, 0.001); err == nil {
 		t.Error("zero cores accepted")
@@ -33,17 +52,13 @@ func TestEnqueueAndAdvanceCompletesJob(t *testing.T) {
 	if err := m.Enqueue(job(0, 0, 0.05), 0); err != nil {
 		t.Fatal(err)
 	}
-	utils, err := m.Advance(0.1, fullSpeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	utils, done := advance(t, m, 0.1, fullSpeed(2))
 	if math.Abs(utils[0]-0.5) > 1e-9 {
 		t.Errorf("core 0 util = %g, want 0.5 (50 ms of work in a 100 ms tick)", utils[0])
 	}
 	if utils[1] != 0 {
 		t.Errorf("idle core util = %g, want 0", utils[1])
 	}
-	done := m.Completed()
 	if len(done) != 1 {
 		t.Fatalf("%d jobs completed, want 1", len(done))
 	}
@@ -56,11 +71,11 @@ func TestAdvanceRespectsSpeed(t *testing.T) {
 	m, _ := NewMachine(1, 0)
 	m.Enqueue(job(0, 0, 0.085), 0)
 	// At 0.85 speed, 0.085 s of work takes exactly 0.1 s of wall clock.
-	utils, _ := m.Advance(0.1, []float64{0.85})
+	utils, done := advance(t, m, 0.1, []float64{0.85})
 	if math.Abs(utils[0]-1.0) > 1e-9 {
 		t.Errorf("util = %g, want 1.0", utils[0])
 	}
-	if len(m.Completed()) != 1 {
+	if len(done) != 1 {
 		t.Error("job should have just completed")
 	}
 }
@@ -68,11 +83,11 @@ func TestAdvanceRespectsSpeed(t *testing.T) {
 func TestAdvanceZeroSpeedStalls(t *testing.T) {
 	m, _ := NewMachine(1, 0)
 	m.Enqueue(job(0, 0, 0.05), 0)
-	utils, _ := m.Advance(0.1, []float64{0})
+	utils, done := advance(t, m, 0.1, []float64{0})
 	if utils[0] != 0 {
 		t.Errorf("stalled core util = %g, want 0", utils[0])
 	}
-	if len(m.Completed()) != 0 {
+	if len(done) != 0 {
 		t.Error("stalled core completed a job")
 	}
 	if m.Running(0) == nil || m.Running(0).RemainingS != 0.05 {
@@ -91,8 +106,7 @@ func TestMultipleJobsProcessorSharing(t *testing.T) {
 	m.Enqueue(job(0, 0, 0.03), 0)
 	m.Enqueue(job(1, 0, 0.03), 0)
 	m.Enqueue(job(2, 0, 0.03), 0)
-	m.Advance(0.1, fullSpeed(1))
-	done := m.Completed()
+	_, done := advance(t, m, 0.1, fullSpeed(1))
 	if len(done) != 3 {
 		t.Fatalf("%d completed, want 3", len(done))
 	}
@@ -110,8 +124,7 @@ func TestProcessorSharingShortJobNotStuck(t *testing.T) {
 	m, _ := NewMachine(1, 0)
 	m.Enqueue(job(0, 0, 1.0), 0)  // long
 	m.Enqueue(job(1, 0, 0.05), 0) // short
-	m.Advance(0.2, fullSpeed(1))
-	done := m.Completed()
+	_, done := advance(t, m, 0.2, fullSpeed(1))
 	if len(done) != 1 || done[0].Job.ID != 1 {
 		t.Fatalf("expected the short job to finish first, got %v", done)
 	}
@@ -264,8 +277,8 @@ func TestQueueLens(t *testing.T) {
 	if lens[0] != 2 || lens[1] != 0 || lens[2] != 1 {
 		t.Errorf("QueueLens = %v", lens)
 	}
-	if m.TotalQueued() != 3 {
-		t.Errorf("TotalQueued = %d, want 3", m.TotalQueued())
+	if n := m.QueueLen(0) + m.QueueLen(1) + m.QueueLen(2); n != 3 {
+		t.Errorf("queued jobs = %d, want 3", n)
 	}
 }
 
@@ -279,13 +292,13 @@ func TestWorkConservation(t *testing.T) {
 		m.Enqueue(job(i, 0, w), i%4)
 		totalIn += w
 	}
+	done := 0.0
 	for tick := 0; tick < 10; tick++ {
 		m.Migrate(tick%4, (tick+1)%4)
-		m.Advance(0.05, fullSpeed(4))
-	}
-	done := 0.0
-	for _, j := range m.Completed() {
-		done += j.Job.WorkS
+		_, finished := advance(t, m, 0.05, fullSpeed(4))
+		for _, j := range finished {
+			done += j.Job.WorkS
+		}
 	}
 	remaining := 0.0
 	for c := 0; c < 4; c++ {
@@ -306,5 +319,90 @@ func TestWorkConservation(t *testing.T) {
 	}
 	if math.Abs(totalOut-totalIn) > 1e-9 {
 		t.Errorf("work not conserved: in %g, out %g", totalIn, totalOut)
+	}
+}
+
+// TestSaveLoadAcrossCompletions pins the completion sums through a
+// snapshot: a state saved after jobs have finished carries their sums,
+// not the jobs, and a machine loaded from it — a fresh one, or the
+// original rewound — ends with ComputeStats equal (==) to the
+// uninterrupted machine's.
+func TestSaveLoadAcrossCompletions(t *testing.T) {
+	const n, steps, mid = 4, 300, 150
+	rng := rand.New(rand.NewSource(7))
+	type op struct {
+		kind, a, b int
+		work       float64
+		speeds     []float64
+	}
+	ops := make([]op, steps)
+	for i := range ops {
+		o := op{kind: rng.Intn(4), a: rng.Intn(n), b: rng.Intn(n), work: 0.01 + rng.Float64()*0.3}
+		o.speeds = make([]float64, n)
+		for c := range o.speeds {
+			o.speeds[c] = []float64{0, 0.85, 0.95, 1}[rng.Intn(4)]
+		}
+		ops[i] = o
+	}
+	apply := func(m *Machine, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			o := ops[i]
+			var err error
+			switch o.kind {
+			case 0:
+				err = m.Enqueue(job(i, m.NowS(), o.work), o.a)
+			case 1:
+				err = m.Migrate(o.a, o.b)
+			case 2:
+				err = m.MoveTail(o.a, o.b)
+			default:
+				_, err = m.Advance(0.1, o.speeds)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	newM := func() *Machine {
+		m, err := NewMachine(n, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	ref := newM()
+	apply(ref, 0, steps)
+	want := ref.ComputeStats()
+
+	m := newM()
+	apply(m, 0, mid)
+	atSave := m.ComputeStats().Completed
+	var s MachineState
+	m.Save(&s)
+	if atSave == 0 || len(s.Queued) == 0 || want.Completed <= atSave {
+		t.Fatalf("want completions before and after the save and queued jobs at it: %d before, %d in all, %d queued",
+			atSave, want.Completed, len(s.Queued))
+	}
+	apply(m, mid, steps)
+	if got := m.ComputeStats(); got != want {
+		t.Fatalf("machine with a mid-run save: %+v, want %+v", got, want)
+	}
+
+	fresh := newM()
+	if err := fresh.Load(&s); err != nil {
+		t.Fatal(err)
+	}
+	apply(fresh, mid, steps)
+	if got := fresh.ComputeStats(); got != want {
+		t.Errorf("fresh machine loaded mid-run: %+v, want %+v", got, want)
+	}
+	if err := m.Load(&s); err != nil {
+		t.Fatal(err)
+	}
+	apply(m, mid, steps)
+	if got := m.ComputeStats(); got != want {
+		t.Errorf("rewound machine: %+v, want %+v", got, want)
 	}
 }

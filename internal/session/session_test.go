@@ -138,8 +138,9 @@ func runLive(t *testing.T, s *Session, events []scheduled) *capture {
 
 // TestReplayDeterminismMatrix is the central invariant, pinned across
 // three scenario shapes (a builtin experiment, a grid-mode thermal
-// model, and a declarative library stack), reliability tracking off and
-// on, with all four event types injected mid-run: replaying the
+// model, and a declarative library stack) and a model-predictive
+// planner, reliability tracking off and on, with all four event types
+// injected mid-run: replaying the
 // recorded event log against a fresh engine reproduces the live SSE
 // stream byte-identically, and checkpoint seeks reproduce the stream's
 // tick-filtered suffix byte-identically.
@@ -170,6 +171,20 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 				{4, Event{Type: EventFailTSV, Factor: 1.5}},
 				{10, Event{Type: EventSetPolicy, Policy: "DVFS_Util"}},
 				{14, Event{Type: EventSetWorkload, Bench: "Database", Seed: 99}},
+			},
+		},
+		{
+			// A planner through the events that drop its rollout lanes:
+			// fail_tsv and set_workload before the tick-5 checkpoint, a
+			// decision epoch at tick 10, and a swap to the other planner.
+			name:    "exp2-mpc",
+			job:     sweep.Job{Scenario: sweep.Scenario{Exp: floorplan.EXP2}, Policy: "MPC_Rel", Bench: "Web-med", Seed: 7, DurationS: 2},
+			cadence: 1,
+			events: []scheduled{
+				{2, Event{Type: EventFailTSV, Factor: 2}},
+				{3, Event{Type: EventSetWorkload, Bench: "Web-high"}},
+				{8, Event{Type: EventMigrate, From: 0, To: 3}},
+				{12, Event{Type: EventSetPolicy, Policy: "MPC_Thermal"}},
 			},
 		},
 		{

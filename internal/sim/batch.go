@@ -11,24 +11,23 @@ import (
 // batchDriver advances K engines in lockstep: per tick it runs every
 // engine's pre-thermal phase, fuses the K implicit-Euler solves into
 // one thermal.TransientBatch panel solve, then runs every post-thermal
-// phase. All per-tick state (the destination and power slice headers
-// included) is wired at construction, so the lockstep tick performs no
-// heap allocations — the same contract the sequential engine tick
-// keeps.
+// phase. Engines that cannot share a panel solve (a single engine, or
+// a non-sparse solver path) step their integrators one after another
+// instead, which is always equivalent. All per-tick state (the
+// destination and power slice headers included) is wired at
+// construction, so the lockstep tick performs no heap allocations —
+// the same contract the sequential engine tick keeps.
 type batchDriver struct {
 	engines []*Engine
-	batch   *thermal.TransientBatch
+	batch   *thermal.TransientBatch // nil: each engine steps alone
 	dsts    [][]float64
 	powers  [][]float64
 	nTicks  int
 }
 
 // newBatchDriver wraps already-constructed engines into a lockstep
-// driver. It returns thermal.ErrNotBatchable when the engines cannot
-// share a panel solve (different factorizations — i.e. different
-// stacks, parameters, or time steps — a non-sparse solver path, or
-// mismatched tick counts); the caller then falls back to running each
-// engine sequentially, which is always equivalent.
+// driver. It returns thermal.ErrNotBatchable when the engines' tick
+// counts differ; the caller then runs each engine to completion alone.
 func newBatchDriver(engines []*Engine) (*batchDriver, error) {
 	nTicks := engines[0].nTicks
 	trs := make([]*thermal.Transient, len(engines))
@@ -38,17 +37,20 @@ func newBatchDriver(engines []*Engine) (*batchDriver, error) {
 		}
 		trs[i] = e.tr
 	}
+	d := &batchDriver{engines: engines, nTicks: nTicks}
+	if len(engines) == 1 {
+		return d, nil
+	}
 	batch, err := thermal.NewTransientBatch(trs)
+	if errors.Is(err, thermal.ErrNotBatchable) {
+		return d, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	d := &batchDriver{
-		engines: engines,
-		batch:   batch,
-		dsts:    make([][]float64, len(engines)),
-		powers:  make([][]float64, len(engines)),
-		nTicks:  nTicks,
-	}
+	d.batch = batch
+	d.dsts = make([][]float64, len(engines))
+	d.powers = make([][]float64, len(engines))
 	for i, e := range engines {
 		d.dsts[i] = e.nodeTemps
 		d.powers[i] = e.blockPower
@@ -56,19 +58,32 @@ func newBatchDriver(engines []*Engine) (*batchDriver, error) {
 	return d, nil
 }
 
-// tick advances every engine by one sampling interval through one
-// panel solve.
+// tick advances every engine by one sampling interval.
 func (d *batchDriver) tick(tick int) error {
 	for _, e := range d.engines {
 		if err := e.tickPre(tick); err != nil {
 			return err
 		}
 	}
-	if err := d.batch.StepInto(d.dsts, d.powers); err != nil {
+	if err := d.step(); err != nil {
 		return err
 	}
 	for _, e := range d.engines {
 		if err := e.tickPost(tick); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// step advances every engine's thermal network by one interval under
+// the power its pre-thermal phase left in blockPower.
+func (d *batchDriver) step() error {
+	if d.batch != nil {
+		return d.batch.StepInto(d.dsts, d.powers)
+	}
+	for _, e := range d.engines {
+		if err := e.tr.StepInto(e.nodeTemps, e.blockPower); err != nil {
 			return err
 		}
 	}
@@ -123,16 +138,6 @@ func RunBatchContext(ctx context.Context, cfgs []Config) ([]*Result, error) {
 func runEngineBatch(engines []*Engine) ([]*Result, error) {
 	results := make([]*Result, len(engines))
 	if len(engines) == 0 {
-		return results, nil
-	}
-	if len(engines) == 1 {
-		// A single lane gains nothing from the panel path; the
-		// sequential engine loop is the same arithmetic.
-		res, err := engines[0].run()
-		if err != nil {
-			return nil, err
-		}
-		results[0] = res
 		return results, nil
 	}
 	d, err := newBatchDriver(engines)

@@ -60,7 +60,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		}
 		engines[i] = e
 	}
-	if _, err := newBatchDriver(engines); err != nil {
+	if d, err := newBatchDriver(engines); err != nil || d.batch == nil {
 		t.Fatalf("lanes unexpectedly not batchable: %v", err)
 	}
 
@@ -78,32 +78,38 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunBatchFallsBack checks the sequential fallback: lanes that
-// cannot share a factorization (mixed durations, a dense solver lane)
-// still produce exactly the per-run results.
+// TestRunBatchFallsBack checks the fallbacks: lanes that cannot share
+// a factorization (mixed durations, which run one after another; a
+// dense solver lane, which steps alone in lockstep) still produce
+// exactly the per-run results.
 func TestRunBatchFallsBack(t *testing.T) {
-	mk := func() []Config {
-		cfgs := batchLaneCfgs(t)
-		cfgs[1].DurationS = 20 // different tick count: not batchable
-		cfgs[2].Solver = thermal.SolverDense
-		return cfgs
-	}
-	seq := mk()
-	want := make([]*Result, len(seq))
-	for i := range seq {
-		r, err := Run(seq[i])
+	var want []*Result
+	for _, mixedDurations := range []bool{true, false} {
+		mk := func() []Config {
+			cfgs := batchLaneCfgs(t)
+			if mixedDurations {
+				cfgs[1].DurationS = 20 // different tick count: not batchable
+			}
+			cfgs[2].Solver = thermal.SolverDense
+			return cfgs
+		}
+		seq := mk()
+		want = make([]*Result, len(seq))
+		for i := range seq {
+			r, err := Run(seq[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = r
+		}
+		got, err := RunBatch(mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = r
-	}
-	got, err := RunBatch(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("lane %d: fallback result differs from sequential Run", i)
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("mixed durations %v, lane %d: fallback result differs from sequential Run", mixedDurations, i)
+			}
 		}
 	}
 	// A single-config batch degenerates to Run.

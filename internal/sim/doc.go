@@ -81,11 +81,16 @@
 // fork may advance on different goroutines concurrently (the shared
 // factorization is read-only under the buffered solves). The fork
 // drops the parent's trace writer, observer, and context. The
-// model-predictive policies run on exactly this machinery: the engine
-// hands a policy.Planner a rollout evaluator that snapshots the host
-// mid-decision and replays candidate actions on pooled forked lanes.
+// model-predictive policies run on a lean form of this machinery: the
+// engine hands a policy.Planner a rollout evaluator that captures the
+// host's tick state mid-decision (position, per-tick vectors,
+// integrator, scheduler, energy meter — no sensors, metrics or wear)
+// and replays each distinct candidate action on a reused lane engine.
+// The lanes advance in lockstep through the batched driver, one panel
+// solve per tick (each lane steps alone on the dense solver).
 //
-// A single engine is strictly single-goroutine; concurrency lives in
-// the sweep worker pool (one engine per worker) and in rollout lanes
-// (one forked engine per lane).
+// A single engine is strictly single-goroutine, and so are its
+// rollouts: they run on the goroutine that ticks the host. Concurrency
+// lives in the sweep worker pool (one engine, or one lockstep group,
+// per worker).
 package sim

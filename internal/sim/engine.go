@@ -509,7 +509,9 @@ func (e *Engine) run() (res *Result, err error) {
 // allocations. It is the sequential composition of tickPre (scheduling
 // and power), the thermal step, and tickPost (readback, metrics,
 // hooks); the batched driver runs the same three phases with the
-// thermal steps of K co-scheduled runs fused into one panel solve.
+// thermal steps of K co-scheduled runs fused into one panel solve, and
+// MPC rollout lanes run tickPre and that fused step with a lean
+// readback of their own.
 func (e *Engine) tick(tick int) error {
 	if err := e.tickPre(tick); err != nil {
 		return err
@@ -658,10 +660,7 @@ func (e *Engine) tickPost(tick int) error {
 	now := float64(tick) * cfg.TickS
 
 	// 6. Read back the advanced thermal state and the sensors.
-	if err := e.model.BlockTempsInto(e.blockTemps, e.nodeTemps); err != nil {
-		return err
-	}
-	if err := e.model.CoreTempsInto(e.coreTemps, e.nodeTemps); err != nil {
+	if err := e.readback(); err != nil {
 		return err
 	}
 	e.sensors.ReadInto(e.readings, e.coreTemps)
@@ -690,6 +689,15 @@ func (e *Engine) tickPost(tick int) error {
 		e.obs.ObserveTick(e.res.Ticks)
 	}
 	return nil
+}
+
+// readback derives the block and core temperatures from the advanced
+// node temperatures.
+func (e *Engine) readback() error {
+	if err := e.model.BlockTempsInto(e.blockTemps, e.nodeTemps); err != nil {
+		return err
+	}
+	return e.model.CoreTempsInto(e.coreTemps, e.nodeTemps)
 }
 
 // finish summarizes the run into the result.

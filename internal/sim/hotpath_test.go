@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -139,20 +140,31 @@ func TestTickLoopAllocationContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The planners decide on every tick, so each measured tick runs a
+	// full rollout epoch.
+	everyTick := func(p *policy.MPC) *policy.MPC {
+		p.EpochTicks = 1
+		return p
+	}
+	noise := thermal.SensorConfig{NoiseStdDevC: 0.5, Seed: 3}
 	for _, pc := range []struct {
 		name     string
 		pol      policy.Policy
 		lifetime bool
+		sensors  thermal.SensorConfig
 	}{
-		{"Default", policy.NewDefault(), false},
-		{"DVFS_TT", policy.NewDVFSTT(), false},
-		{"CGate", policy.NewCGate(), false},
-		{"Migr", policy.NewMigr(), false},
-		{"AdaptRand", adaptRand, false},
+		{"Default", policy.NewDefault(), false, thermal.SensorConfig{}},
+		{"DVFS_TT", policy.NewDVFSTT(), false, thermal.SensorConfig{}},
+		{"CGate", policy.NewCGate(), false, thermal.SensorConfig{}},
+		{"Migr", policy.NewMigr(), false, thermal.SensorConfig{}},
+		{"AdaptRand", adaptRand, false, thermal.SensorConfig{}},
 		// The streaming lifetime tracker must preserve the contract:
 		// reliability-enabled sweeps run the same zero-alloc loop.
-		{"Default+lifetime", policy.NewDefault(), true},
-		{"DVFS_Rel+lifetime", policy.NewDVFSRel(), true},
+		{"Default+lifetime", policy.NewDefault(), true, thermal.SensorConfig{}},
+		{"DVFS_Rel+lifetime", policy.NewDVFSRel(), true, thermal.SensorConfig{}},
+		{"MPC_Thermal", everyTick(policy.NewMPCThermal()), false, thermal.SensorConfig{}},
+		{"MPC_Thermal+noise", everyTick(policy.NewMPCThermal()), false, noise},
+		{"MPC_Rel+lifetime", everyTick(policy.NewMPCRel()), true, thermal.SensorConfig{}},
 	} {
 		t.Run(pc.name, func(t *testing.T) {
 			// A representative temperature observer (fold, don't retain)
@@ -164,6 +176,7 @@ func TestTickLoopAllocationContract(t *testing.T) {
 				DurationS:     1800,
 				Seed:          1,
 				TrackLifetime: pc.lifetime,
+				Sensors:       pc.sensors,
 				Observer: FuncObserver{Temps: func(blockTempsC, coreTempsC []float64) {
 					sum += blockTempsC[0] + coreTempsC[0]
 				}},

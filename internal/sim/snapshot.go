@@ -3,8 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/policy"
@@ -116,8 +115,15 @@ func (e *Engine) Fork() (*Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: policy %s does not support forking (implement policy.Forker)", e.cfg.Policy.Name())
 	}
-	f, err := e.fork(pol)
+	cfg := e.cfg
+	cfg.Policy = pol
+	f, err := e.fork(cfg)
 	if err != nil {
+		return nil, err
+	}
+	var s Snapshot
+	e.snapshotInto(&s)
+	if err := f.restoreFrom(&s); err != nil {
 		return nil, err
 	}
 	f.attachRollout()
@@ -128,6 +134,25 @@ func (e *Engine) Fork() (*Engine, error) {
 // for the public contract; rollout lanes capture with the policy left
 // out because each lane runs its own frozen action policy).
 func (e *Engine) snapshotInto(s *Snapshot) {
+	e.saveTick(s)
+	s.sensorDraws = e.sensors.Draws()
+	e.collector.Save(&s.collector)
+	if e.lifetime != nil {
+		if s.lifetime == nil {
+			s.lifetime = &reliability.TrackerState{}
+		}
+		e.lifetime.Save(s.lifetime)
+	} else {
+		s.lifetime = nil
+	}
+	s.pol = nil
+}
+
+// saveTick captures the state a tick reads and advances: position,
+// per-tick vectors, integrator, scheduler and energy meter. That is
+// all a rollout lane restores; the reporting state — sensor stream,
+// metrics, wear — is snapshotInto's.
+func (e *Engine) saveTick(s *Snapshot) {
 	s.tickIdx = e.tickIdx
 	s.jobIdx = e.jobIdx
 	s.resTicks = e.res.Ticks
@@ -153,20 +178,8 @@ func (e *Engine) snapshotInto(s *Snapshot) {
 	}
 	// StateInto cannot fail on a length-matched buffer.
 	_ = e.tr.StateInto(s.trRise)
-	s.sensorDraws = e.sensors.Draws()
-
 	e.machine.Save(&s.machine)
-	e.collector.Save(&s.collector)
 	e.energy.Save(&s.energy)
-	if e.lifetime != nil {
-		if s.lifetime == nil {
-			s.lifetime = &reliability.TrackerState{}
-		}
-		e.lifetime.Save(s.lifetime)
-	} else {
-		s.lifetime = nil
-	}
-	s.pol = nil
 	s.valid = true
 }
 
@@ -175,15 +188,32 @@ func (e *Engine) snapshotInto(s *Snapshot) {
 // slice headers at construction, so reassigning them would silently
 // detach a batch lane from its panel solve.
 func (e *Engine) restoreFrom(s *Snapshot) error {
+	if (s.lifetime == nil) != (e.lifetime == nil) {
+		return fmt.Errorf("sim: snapshot reliability-tracking shape does not match engine config")
+	}
+	if err := e.restoreTick(s); err != nil {
+		return err
+	}
+	if e.sensors.Draws() != s.sensorDraws {
+		e.sensors.Reseed(s.sensorDraws)
+	}
+	if err := e.collector.Load(&s.collector); err != nil {
+		return err
+	}
+	if e.lifetime != nil {
+		return e.lifetime.Load(s.lifetime)
+	}
+	return nil
+}
+
+// restoreTick rewinds the state saveTick captures.
+func (e *Engine) restoreTick(s *Snapshot) error {
 	if !s.valid {
 		return fmt.Errorf("sim: restore from empty snapshot")
 	}
 	if len(s.states) != e.n || len(s.blockPower) != len(e.blockPower) || len(s.nodeTemps) != len(e.nodeTemps) {
 		return fmt.Errorf("sim: snapshot shape mismatch (%d cores, %d blocks, %d nodes vs engine %d, %d, %d)",
 			len(s.states), len(s.blockPower), len(s.nodeTemps), e.n, len(e.blockPower), len(e.nodeTemps))
-	}
-	if (s.lifetime == nil) != (e.lifetime == nil) {
-		return fmt.Errorf("sim: snapshot reliability-tracking shape does not match engine config")
 	}
 
 	e.tickIdx = s.tickIdx
@@ -209,35 +239,21 @@ func (e *Engine) restoreFrom(s *Snapshot) error {
 	if err := e.tr.SetState(s.trRise); err != nil {
 		return err
 	}
-	if e.sensors.Draws() != s.sensorDraws {
-		e.sensors.Reseed(s.sensorDraws)
-	}
-
 	if err := e.machine.Load(&s.machine); err != nil {
 		return err
 	}
-	if err := e.collector.Load(&s.collector); err != nil {
-		return err
-	}
 	e.energy.Load(&s.energy)
-	if e.lifetime != nil {
-		if err := e.lifetime.Load(s.lifetime); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// fork builds a lane engine around pol: fresh mutable state sharing
-// the receiver's immutable inputs, then a snapshot/restore round trip
-// to transplant the current state.
-func (e *Engine) fork(pol policy.Policy) (*Engine, error) {
-	cfg := e.cfg
-	cfg.Policy = pol
+// fork builds an engine on cfg around the receiver's immutable inputs
+// (thermal model, job trace, frequency scales), with its own mutable
+// half and an integrator and sensor bank forked from the receiver's;
+// the caller transplants the state it needs.
+func (e *Engine) fork(cfg Config) (*Engine, error) {
 	cfg.TraceWriter = nil
 	cfg.ctx = nil
 	cfg.Observer = nil
-
 	f, err := newEngineState(cfg, e.model, e.jobs)
 	if err != nil {
 		return nil, err
@@ -245,52 +261,74 @@ func (e *Engine) fork(pol policy.Policy) (*Engine, error) {
 	f.sensors = e.sensors.Fork()
 	f.tr = e.tr.Fork()
 	f.freqScale = e.freqScale // immutable per run, safe to share
-
-	var s Snapshot
-	e.snapshotInto(&s)
-	if err := f.restoreFrom(&s); err != nil {
-		return nil, err
-	}
 	return f, nil
 }
 
-// rolloutSim is the engine's implementation of policy.Rollout: it
-// checkpoints the host engine mid-decision, replays each candidate
-// action on forked lane engines over the horizon, and scores them.
-// Lanes are built lazily on the first Evaluate and reused across
-// epochs; candidate i's score is written to scores[i] regardless of
-// which lane or goroutine computed it, so the evaluation is
-// deterministic under any parallel schedule.
+// rolloutSim is the engine's implementation of policy.Rollout. Each
+// epoch it captures the host's tick state, gives every distinct
+// candidate a lane, and advances the lanes in lockstep on the calling
+// goroutine, their thermal steps fused into one panel solve over the
+// host's factorization (each lane steps alone on the dense solver).
+// A candidate that repeats an earlier one takes that one's score.
+// Lanes and their drivers are built on the first Evaluate and reused.
 type rolloutSim struct {
 	host  *Engine
 	snap  Snapshot
 	lanes []*rolloutLane
-	errs  []error
+	// dup[i] is the earlier candidate actions[i] repeats, or -1.
+	dup []int
 }
 
-// rolloutLane is one reusable candidate evaluator: a forked engine
-// frozen on a HeldAction policy plus a private scoring tracker reset
-// per candidate (so damage scores cover only the horizon).
+// rolloutLane is one reusable candidate evaluator: an engine frozen on
+// a HeldAction policy, a private scoring tracker reset per candidate
+// (so damage scores cover only the horizon), and the candidate's
+// running peak and starting energy. The lane engine keeps no wear
+// tracker of its own and never reads its sensors or records metrics.
 type rolloutLane struct {
 	eng     *Engine
 	pol     *policy.HeldAction
 	tracker *reliability.Tracker
+	// upTo advances this lane and every lane before it in lockstep.
+	upTo   *batchDriver
+	peak   float64
+	startJ float64
 }
 
-func newRolloutLane(host *Engine) (*rolloutLane, error) {
-	pol := policy.NewHeldAction()
-	eng, err := host.fork(pol)
-	if err != nil {
-		return nil, err
+// grow builds lanes until there are n.
+func (r *rolloutSim) grow(n int) error {
+	for len(r.lanes) < n {
+		cfg := r.host.cfg
+		pol := policy.NewHeldAction()
+		cfg.Policy = pol
+		cfg.TrackLifetime = false
+		eng, err := r.host.fork(cfg)
+		if err != nil {
+			return err
+		}
+		// A lane records no metrics; its collector would be most of
+		// its memory.
+		eng.collector = nil
+		tracker, err := reliability.NewTracker(r.host.model.NumBlocks(), r.host.cfg.TickS)
+		if err != nil {
+			return err
+		}
+		lane := &rolloutLane{eng: eng, pol: pol, tracker: tracker}
+		r.lanes = append(r.lanes, lane)
+		engines := make([]*Engine, len(r.lanes))
+		for i, l := range r.lanes {
+			engines[i] = l.eng
+		}
+		if lane.upTo, err = newBatchDriver(engines); err != nil {
+			return err
+		}
 	}
-	tracker, err := reliability.NewTracker(host.model.NumBlocks(), host.cfg.TickS)
-	if err != nil {
-		return nil, err
-	}
-	return &rolloutLane{eng: eng, pol: pol, tracker: tracker}, nil
+	return nil
 }
 
-// Evaluate implements policy.Rollout.
+// Evaluate implements policy.Rollout: rewind one lane per distinct
+// candidate to the host's state, advance the lanes up to horizonTicks
+// (clipped at the end of the run), and score peak temperature, added
+// worst-block cycling damage, and energy.
 func (r *rolloutSim) Evaluate(actions []policy.Action, horizonTicks int, scores []policy.RolloutScore) error {
 	if len(scores) < len(actions) {
 		return fmt.Errorf("sim: rollout got %d score slots for %d actions", len(scores), len(actions))
@@ -298,81 +336,99 @@ func (r *rolloutSim) Evaluate(actions []policy.Action, horizonTicks int, scores 
 	if horizonTicks <= 0 {
 		return fmt.Errorf("sim: rollout horizon must be positive, got %d", horizonTicks)
 	}
-	r.host.snapshotInto(&r.snap)
-
-	par := runtime.GOMAXPROCS(0)
-	if par > len(actions) {
-		par = len(actions)
+	if len(actions) == 0 {
+		return nil
 	}
-	if par < 1 {
-		par = 1
+	if err := r.grow(len(actions)); err != nil {
+		return err
 	}
-	for len(r.lanes) < par {
-		lane, err := newRolloutLane(r.host)
-		if err != nil {
-			return err
-		}
-		r.lanes = append(r.lanes, lane)
-	}
-	if len(r.errs) < par {
-		r.errs = make([]error, par)
-	}
-	for w := range r.errs {
-		r.errs[w] = nil
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lane := r.lanes[w]
-			for i := w; i < len(actions); i += par {
-				sc, err := lane.evaluate(&r.snap, actions[i], horizonTicks)
-				if err != nil {
-					r.errs[w] = err
-					return
-				}
-				scores[i] = sc
+	r.host.saveTick(&r.snap)
+	r.dup = r.dup[:0]
+	k := 0
+	for i, a := range actions {
+		r.dup = append(r.dup, -1)
+		for j := 0; j < i; j++ {
+			if r.dup[j] < 0 && sameAction(a, actions[j]) {
+				r.dup[i] = j
+				break
 			}
-		}(w)
+		}
+		if r.dup[i] < 0 {
+			if err := r.lanes[k].start(&r.snap, a); err != nil {
+				return err
+			}
+			k++
+		}
 	}
-	wg.Wait()
-	for _, err := range r.errs[:par] {
-		if err != nil {
+	lanes, d := r.lanes[:k], r.lanes[k-1].upTo
+	end := min(r.host.tickIdx+horizonTicks, r.host.nTicks)
+	for tick := r.host.tickIdx; tick < end; tick++ {
+		for _, l := range lanes {
+			if err := l.eng.tickPre(tick); err != nil {
+				return err
+			}
+		}
+		if err := d.step(); err != nil {
 			return err
 		}
+		for _, l := range lanes {
+			if err := l.observe(); err != nil {
+				return err
+			}
+		}
+	}
+	k = 0
+	for i := range actions {
+		if j := r.dup[i]; j >= 0 {
+			scores[i] = scores[j]
+			continue
+		}
+		scores[i] = lanes[k].score()
+		k++
 	}
 	return nil
 }
 
-// evaluate rolls one candidate out: rewind the lane to the host's
-// checkpoint, freeze the action, advance up to horizonTicks (clipped
-// at the end of the run), and score peak temperature, added worst-block
-// cycling damage, and energy.
-func (l *rolloutLane) evaluate(snap *Snapshot, a policy.Action, horizonTicks int) (policy.RolloutScore, error) {
-	var sc policy.RolloutScore
-	e := l.eng
-	if err := e.restoreFrom(snap); err != nil {
-		return sc, err
+// sameAction reports whether a and b hold the same levels and the same
+// migration, so their rollouts from one state are identical.
+func sameAction(a, b policy.Action) bool {
+	if !slices.Equal(a.Levels, b.Levels) || (a.Migration == nil) != (b.Migration == nil) {
+		return false
+	}
+	return a.Migration == nil || *a.Migration == *b.Migration
+}
+
+// start rewinds the lane to the host's tick state and arms it with a.
+func (l *rolloutLane) start(snap *Snapshot, a policy.Action) error {
+	if err := l.eng.restoreTick(snap); err != nil {
+		return err
 	}
 	l.pol.Set(a)
 	l.tracker.Reset()
-	startJ := e.energy.TotalJ()
-	peak := math.Inf(-1)
-	for t := 0; t < horizonTicks && e.tickIdx < e.nTicks; t++ {
-		if err := e.tick(e.tickIdx); err != nil {
-			return sc, err
-		}
-		for _, c := range e.coreTemps {
-			if c > peak {
-				peak = c
-			}
-		}
-		if err := l.tracker.Observe(e.blockTemps); err != nil {
-			return sc, err
+	l.peak = math.Inf(-1)
+	l.startJ = l.eng.energy.TotalJ()
+	return nil
+}
+
+// observe reads one lockstep tick back: block and core temperatures,
+// the running peak, and the scoring tracker.
+func (l *rolloutLane) observe() error {
+	e := l.eng
+	if err := e.readback(); err != nil {
+		return err
+	}
+	for _, c := range e.coreTemps {
+		if c > l.peak {
+			l.peak = c
 		}
 	}
+	return l.tracker.Observe(e.blockTemps)
+}
+
+// score reports the lane's candidate after its horizon.
+func (l *rolloutLane) score() policy.RolloutScore {
+	e := l.eng
+	peak := l.peak
 	if math.IsInf(peak, -1) {
 		// Horizon clipped to zero ticks (end of run): score the current
 		// field so the decision is still well-defined.
@@ -388,8 +444,5 @@ func (l *rolloutLane) evaluate(snap *Snapshot, a policy.Action, horizonTicks int
 			worst = d
 		}
 	}
-	sc.PeakTempC = peak
-	sc.WorstCycleDamage = worst
-	sc.EnergyJ = e.energy.TotalJ() - startJ
-	return sc, nil
+	return policy.RolloutScore{PeakTempC: peak, WorstCycleDamage: worst, EnergyJ: e.energy.TotalJ() - l.startJ}
 }

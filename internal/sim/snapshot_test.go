@@ -328,37 +328,58 @@ func TestSnapshotAllocationContract(t *testing.T) {
 // TestForkAllocationBounded pins that Fork's cost is a constant per
 // call — fresh per-tick buffers and a state transplant — independent of
 // how far the parent has advanced. A regression that made forking
-// retain or copy per-tick history would blow the bound.
+// retain or copy per-tick history would blow the bound. The Web-high
+// engine finishes jobs all along, so a fork that copied the finished
+// jobs would grow by one allocation per job.
 func TestForkAllocationBounded(t *testing.T) {
-	e := steadyEngine(t, policy.NewDefault())
-	measure := func() float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := e.Fork(); err != nil {
-				t.Fatal(err)
+	b, err := workload.ByName("Web-high")
+	if err != nil {
+		t.Fatal(err)
+	}
+	webHigh, err := NewEngine(Config{Exp: floorplan.EXP1, Policy: policy.NewDefault(), Bench: b, DurationS: 300, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+	}{
+		{"steady", steadyEngine(t, policy.NewDefault())},
+		{"Web-high", webHigh},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.e
+			measure := func(until int) float64 {
+				for e.tickIdx < until {
+					if err := e.tick(e.tickIdx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return testing.AllocsPerRun(20, func() {
+					if _, err := e.Fork(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			early := measure(50)
+			for _, until := range []int{500, 2500} {
+				late := measure(until)
+				t.Logf("%.0f allocs per fork at tick 50, %.0f at tick %d", early, late, until)
+				if late > early*1.5+16 {
+					t.Errorf("fork cost grew with run progress: %.1f allocs at tick 50, %.1f at tick %d", early, late, until)
+				}
+			}
+			if n := e.machine.ComputeStats().Completed; tc.e == webHigh && n < 100 {
+				t.Fatalf("only %d jobs finished by tick 2500; the case needs job history", n)
 			}
 		})
-	}
-	for ; e.tickIdx < 50; e.tickIdx++ {
-		if err := e.tick(e.tickIdx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	early := measure()
-	for ; e.tickIdx < 500; e.tickIdx++ {
-		if err := e.tick(e.tickIdx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	late := measure()
-	if late > early*1.5+16 {
-		t.Errorf("fork cost grew with run progress: %.1f allocs at tick 50, %.1f at tick 500", early, late)
 	}
 }
 
 // TestMPCDeterministicActions pins the MPC decision loop: with the same
 // seed, two runs must choose the identical per-tick DVFS level
-// sequence and produce bitwise-identical Results, regardless of the
-// parallel rollout evaluation schedule.
+// sequence and produce bitwise-identical Results, with rollout lanes
+// reused across epochs and duplicate candidates scored once.
 func TestMPCDeterministicActions(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -447,9 +468,11 @@ func BenchmarkSnapshotFork(b *testing.B) {
 }
 
 // BenchmarkMPCDecision measures one full MPC decision epoch: candidate
-// construction, parallel horizon rollouts on the forked lanes, and the
-// commit. Lane engines are built outside the timer (first Evaluate),
-// matching the steady per-epoch cost a long run pays.
+// construction, the lockstep horizon rollout of the distinct
+// candidates on the calling goroutine (one panel solve per lane tick),
+// and the commit. Lanes are built outside the timer (first Evaluate),
+// matching the steady per-epoch cost a long run pays; the epoch
+// allocates nothing.
 func BenchmarkMPCDecision(b *testing.B) {
 	pol := policy.NewMPCThermal()
 	pol.EpochTicks = 1 // decide on every tick: each iteration is one epoch
