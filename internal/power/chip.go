@@ -2,7 +2,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/floorplan"
 )
@@ -20,7 +19,7 @@ func DefaultCacheParams() CacheParams { return CacheParams{MaxW: 1.28, IdleFrac:
 
 // Power returns the bank's power for an activity factor in [0,1].
 func (c CacheParams) Power(activity float64) float64 {
-	a := math.Min(math.Max(activity, 0), 1)
+	a := min(max(activity, 0), 1)
 	return c.MaxW * (c.IdleFrac + (1-c.IdleFrac)*a)
 }
 
@@ -39,8 +38,8 @@ func DefaultCrossbarParams() CrossbarParams { return CrossbarParams{MaxW: 2.0, I
 // Power returns the crossbar power given the fraction of cores active
 // and a normalized memory traffic factor, both in [0,1].
 func (c CrossbarParams) Power(activeFrac, memTraffic float64) float64 {
-	a := math.Min(math.Max(activeFrac, 0), 1)
-	mt := math.Min(math.Max(memTraffic, 0), 1)
+	a := min(max(activeFrac, 0), 1)
+	mt := min(max(memTraffic, 0), 1)
 	activity := 0.5*a + 0.5*mt
 	return c.MaxW * (c.IdleFrac + (1-c.IdleFrac)*activity)
 }
@@ -108,7 +107,7 @@ type CoreInput struct {
 	MemActivity float64
 }
 
-// ChipInput is everything Compute needs for one interval.
+// ChipInput is everything ComputeInto needs for one interval.
 type ChipInput struct {
 	Cores []CoreInput
 	// BlockTempsC are the previous interval's block temperatures used for
@@ -117,22 +116,13 @@ type ChipInput struct {
 	AmbientC    float64
 }
 
-// Compute returns the per-block power vector (W) for the stack, in stack
-// block order. The L2 activity of a bank follows the average memory
-// activity of all cores (the T1 interleaves L2 banks across cores), and
-// the crossbar follows active-core count and total memory traffic, as
-// described in Section IV-B.
-func (m Model) Compute(stack *floorplan.Stack, in ChipInput) ([]float64, error) {
-	out := make([]float64, stack.NumBlocks())
-	if err := m.ComputeInto(out, stack, in); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ComputeInto is Compute writing into a caller-owned dst of length
-// stack.NumBlocks(). dst is fully overwritten; the hot tick loop reuses
-// one power buffer across the whole run.
+// ComputeInto writes the per-block power vector (W) for the stack into
+// a caller-owned dst of length stack.NumBlocks(), in stack block order.
+// dst is fully overwritten; the hot tick loop reuses one power buffer
+// across the whole run. The L2 activity of a bank follows the average
+// memory activity of all cores (the T1 interleaves L2 banks across
+// cores), and the crossbar follows active-core count and total memory
+// traffic, as described in Section IV-B.
 func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) error {
 	if len(in.Cores) != stack.NumCores() {
 		return fmt.Errorf("power: got %d core inputs for %d cores", len(in.Cores), stack.NumCores())
@@ -154,7 +144,10 @@ func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) 
 		memTraffic += c.MemActivity * c.Util
 	}
 	activeFrac := float64(activeCores) / float64(len(in.Cores))
-	memTraffic = math.Min(memTraffic/float64(len(in.Cores))*2, 1) // saturating
+	memTraffic = min(memTraffic/float64(len(in.Cores))*2, 1) // saturating
+	l2W := m.Cache.Power(memTraffic)
+	xbarW := m.Xbar.Power(activeFrac, memTraffic)
+	g := m.Leak.curve()
 
 	for bi, b := range stack.Blocks() {
 		var p float64
@@ -172,9 +165,9 @@ func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) 
 				volt = 0.3 // power-gated rail retains only a keeper voltage
 			}
 		case floorplan.KindL2:
-			p = m.Cache.Power(memTraffic)
+			p = l2W
 		case floorplan.KindCrossbar:
-			p = m.Xbar.Power(activeFrac, memTraffic)
+			p = xbarW
 		case floorplan.KindOther:
 			if onMemoryLayer(stack, b) {
 				p = m.MemOtherW
@@ -187,7 +180,11 @@ func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) 
 			if in.BlockTempsC != nil {
 				temp = in.BlockTempsC[bi]
 			}
-			p += m.Leak.BlockLeakage(b.Area(), temp, volt) * leakDensityFactor(b.Kind)
+			leak := 0.0
+			if area := b.Area(); !(area <= 0) { // no area, no leakage; NaN stays NaN
+				leak = m.Leak.BaseDensityWPerMM2 * area * g.at(temp) * volt * volt
+			}
+			p += leak * leakDensityFactor(b.Kind)
 		}
 		dst[bi] = p
 	}

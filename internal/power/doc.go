@@ -3,7 +3,7 @@
 // scaling, temperature- and voltage-dependent leakage (second-order
 // polynomial in the style of Su et al. [25], calibrated to 0.5 W/mm²
 // at 383 K), CACTI-derived L2 cache power, activity-scaled crossbar
-// power, and per-category energy accounting.
+// power, and chip-total energy accounting (EnergyMeter).
 //
 // # Place in the dataflow
 //

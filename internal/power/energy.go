@@ -44,6 +44,3 @@ func (e *EnergyMeter) AveragePowerW() float64 {
 	}
 	return e.totalJ / e.elapsed
 }
-
-// ElapsedS returns the accumulated simulated time in seconds.
-func (e *EnergyMeter) ElapsedS() float64 { return e.elapsed }

@@ -1,6 +1,9 @@
 package power
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // LeakageModel is the temperature/voltage-dependent leakage model of
 // Section IV-B: a base leakage power density of 0.5 W/mm² at 383 K
@@ -57,35 +60,44 @@ func (m LeakageModel) Validate() error {
 // positive value and capped at the top of the polynomial fit's validity
 // range (the fit of [25] covers up to ~400 K; beyond it the quadratic
 // would overestimate leakage and destabilize the feedback loop).
-func (m LeakageModel) TempFactor(tempC float64) float64 {
-	dt := (tempC + 273.15) - m.TRefK
+func (m LeakageModel) TempFactor(tempC float64) float64 { return m.curve().at(tempC) }
+
+// leakCurve is g(T) with the model's per-call constants resolved once,
+// so the per-block power loop pays no division for the vertex.
+type leakCurve struct {
+	tRefK, c1, c2 float64
+	// vertex is the parabola's vertex as an offset from TRefK, below
+	// which g is held; -Inf unless C2 > 0, so no floor applies.
+	vertex float64
+	cap    float64
+}
+
+func (m LeakageModel) curve() leakCurve {
+	c := leakCurve{tRefK: m.TRefK, c1: m.C1, c2: m.C2, vertex: math.Inf(-1), cap: m.GCap}
+	if m.C2 > 0 {
+		c.vertex = -m.C1 / (2 * m.C2)
+	}
+	if c.cap <= 0 {
+		c.cap = 1.0
+	}
+	return c
+}
+
+// at is the one definition of g(T).
+func (c leakCurve) at(tempC float64) float64 {
+	dt := (tempC + 273.15) - c.tRefK
 	// Evaluate at the parabola's vertex for temperatures below it: the
 	// quadratic is a local fit around the reference and turns back up
 	// outside its validity range.
-	if m.C2 > 0 {
-		if vertex := -m.C1 / (2 * m.C2); dt < vertex {
-			dt = vertex
-		}
+	if dt < c.vertex {
+		dt = c.vertex
 	}
-	g := 1 + m.C1*dt + m.C2*dt*dt
+	g := 1 + c.c1*dt + c.c2*dt*dt
 	if g < 0.02 {
 		return 0.02
 	}
-	cap := m.GCap
-	if cap <= 0 {
-		cap = 1.0
-	}
-	if g > cap {
-		return cap
+	if g > c.cap {
+		return c.cap
 	}
 	return g
-}
-
-// BlockLeakage returns the leakage power in W of a block of the given
-// area at the given temperature and relative supply voltage.
-func (m LeakageModel) BlockLeakage(areaMM2, tempC, voltRel float64) float64 {
-	if areaMM2 <= 0 {
-		return 0
-	}
-	return m.BaseDensityWPerMM2 * areaMM2 * m.TempFactor(tempC) * voltRel * voltRel
 }

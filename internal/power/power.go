@@ -133,7 +133,7 @@ func DefaultCoreParams() CoreParams {
 // Power returns the core's switching power in W given its state, V/f
 // level, and utilization (fraction of the interval spent executing).
 func (c CoreParams) Power(t DVFSTable, st CoreState, l VfLevel, util float64) float64 {
-	util = math.Min(math.Max(util, 0), 1)
+	util = min(max(util, 0), 1)
 	switch st {
 	case StateSleep:
 		return c.SleepW

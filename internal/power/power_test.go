@@ -125,7 +125,7 @@ func TestLeakageCalibration(t *testing.T) {
 	// 0.5 W/mm² ([5]); the default model saturates at the 85 °C value.
 	uncapped := l
 	uncapped.GCap = 1.0
-	if got := uncapped.BlockLeakage(1, 383-273.15, 1); math.Abs(got-0.5) > 1e-9 {
+	if got := uncapped.BaseDensityWPerMM2 * uncapped.TempFactor(383-273.15); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("uncapped leakage density at 383 K = %g, want 0.5", got)
 	}
 	if got := l.TempFactor(120); math.Abs(got-l.GCap) > 1e-9 {
@@ -182,15 +182,33 @@ func TestLeakageMonotoneInTemperature(t *testing.T) {
 	}
 }
 
+// TestLeakageVoltageQuadratic reads a core's leakage off ComputeInto as
+// the difference between leakage on and off: it scales with V² across
+// V/f levels, and a block without area leaks nothing.
 func TestLeakageVoltageQuadratic(t *testing.T) {
-	l := DefaultLeakage()
-	full := l.BlockLeakage(10, 70, 1.0)
-	reduced := l.BlockLeakage(10, 70, 0.85)
+	s := floorplan.MustBuild(floorplan.EXP1)
+	core := s.BlockIndex(s.Cores()[0])
+	leakAt := func(lvl VfLevel) float64 {
+		m := DefaultModel()
+		in := chipInput(8, StateActive, lvl, 1)
+		in.AmbientC = 70
+		on := compute(t, m, s, in)
+		m.LeakageEnabled = false
+		return on[core] - compute(t, m, s, in)[core]
+	}
+	full, reduced := leakAt(0), leakAt(2)
 	if math.Abs(reduced/full-0.85*0.85) > 1e-9 {
 		t.Errorf("voltage scaling ratio %g, want V² = %g", reduced/full, 0.85*0.85)
 	}
-	if l.BlockLeakage(0, 70, 1) != 0 {
-		t.Error("zero-area block should leak nothing")
+	l2 := s.BlockIndex(s.L2s()[0])
+	s.Blocks()[l2].Rect.W = 0
+	in := chipInput(8, StateActive, 0, 1)
+	in.AmbientC = 70
+	m := DefaultModel()
+	on := compute(t, m, s, in)
+	m.LeakageEnabled = false
+	if off := compute(t, m, s, in); on[l2] != off[l2] {
+		t.Errorf("zero-area block leaks %g W", on[l2]-off[l2])
 	}
 }
 
@@ -227,6 +245,16 @@ func TestCrossbarPowerScalesWithActivity(t *testing.T) {
 	}
 }
 
+// compute returns ComputeInto's vector for in, failing t on error.
+func compute(t *testing.T, m Model, s *floorplan.Stack, in ChipInput) []float64 {
+	t.Helper()
+	pv := make([]float64, s.NumBlocks())
+	if err := m.ComputeInto(pv, s, in); err != nil {
+		t.Fatal(err)
+	}
+	return pv
+}
+
 func chipInput(n int, st CoreState, lvl VfLevel, util float64) ChipInput {
 	cores := make([]CoreInput, n)
 	for i := range cores {
@@ -241,20 +269,14 @@ func TestComputeBlockVector(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	pv, err := m.Compute(s, chipInput(8, StateActive, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pv) != s.NumBlocks() {
-		t.Fatalf("power vector length %d, want %d", len(pv), s.NumBlocks())
-	}
+	pv := compute(t, m, s, chipInput(8, StateActive, 0, 1))
 	for i, p := range pv {
 		if p < 0 {
 			t.Errorf("block %d has negative power %g", i, p)
 		}
 	}
 	// A fully busy chip should draw meaningfully more than an idle one.
-	idle, _ := m.Compute(s, chipInput(8, StateIdle, 0, 0))
+	idle := compute(t, m, s, chipInput(8, StateIdle, 0, 0))
 	if Total(pv) <= Total(idle) {
 		t.Errorf("busy total %g W <= idle total %g W", Total(pv), Total(idle))
 	}
@@ -264,13 +286,13 @@ func TestComputeLeakageFeedback(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
 	m := DefaultModel()
 	in := chipInput(8, StateActive, 0, 1)
-	cold, _ := m.Compute(s, in)
+	cold := compute(t, m, s, in)
 	hot := make([]float64, s.NumBlocks())
 	for i := range hot {
 		hot[i] = 90
 	}
 	in.BlockTempsC = hot
-	hotP, _ := m.Compute(s, in)
+	hotP := compute(t, m, s, in)
 	if Total(hotP) <= Total(cold) {
 		t.Errorf("hot chip should leak more: %g W vs %g W", Total(hotP), Total(cold))
 	}
@@ -281,7 +303,7 @@ func TestComputeLeakageDisabled(t *testing.T) {
 	m := DefaultModel()
 	m.LeakageEnabled = false
 	in := chipInput(8, StateSleep, 0, 0)
-	pv, _ := m.Compute(s, in)
+	pv := compute(t, m, s, in)
 	// With leakage off and all cores asleep, core blocks draw exactly
 	// the sleep power.
 	for _, c := range s.Cores() {
@@ -294,12 +316,16 @@ func TestComputeLeakageDisabled(t *testing.T) {
 func TestComputeValidation(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
 	m := DefaultModel()
-	if _, err := m.Compute(s, chipInput(3, StateActive, 0, 1)); err == nil {
+	pv := make([]float64, s.NumBlocks())
+	if err := m.ComputeInto(pv, s, chipInput(3, StateActive, 0, 1)); err == nil {
 		t.Error("wrong core count accepted")
 	}
 	in := chipInput(8, StateActive, 0, 1)
+	if err := m.ComputeInto(pv[:3], s, in); err == nil {
+		t.Error("wrong destination length accepted")
+	}
 	in.BlockTempsC = []float64{1, 2}
-	if _, err := m.Compute(s, in); err == nil {
+	if err := m.ComputeInto(pv, s, in); err == nil {
 		t.Error("wrong block temp count accepted")
 	}
 }
@@ -320,7 +346,7 @@ func TestModelValidate(t *testing.T) {
 func TestEnergyMeter(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
 	m := DefaultModel()
-	pv, _ := m.Compute(s, chipInput(8, StateActive, 0, 1))
+	pv := compute(t, m, s, chipInput(8, StateActive, 0, 1))
 	e := NewEnergyMeter()
 	if err := e.Accumulate(s, pv, 0.1); err != nil {
 		t.Fatal(err)
@@ -335,8 +361,9 @@ func TestEnergyMeter(t *testing.T) {
 	if math.Abs(e.AveragePowerW()-Total(pv)) > 1e-9 {
 		t.Errorf("AveragePowerW = %g, want %g", e.AveragePowerW(), Total(pv))
 	}
-	if e.ElapsedS() != 0.2 {
-		t.Errorf("elapsed = %g, want 0.2", e.ElapsedS())
+	// Average power divides by the elapsed time: exactly 0.1 + 0.1.
+	if got, want := e.AveragePowerW(), e.TotalJ()/0.2; got != want {
+		t.Errorf("AveragePowerW = %g, want TotalJ/0.2 = %g", got, want)
 	}
 }
 

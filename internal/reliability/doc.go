@@ -36,5 +36,6 @@
 //
 // Tracker and Stream are single-goroutine accumulators owned by one
 // simulation; snapshot methods (Report, Damage) share no state with
-// the returned values.
+// the returned values. They are not read-only: Stream.Damage, and so
+// Tracker.Damage and Report, writes the stream's residue cache.
 package reliability

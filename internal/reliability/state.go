@@ -1,18 +1,14 @@
 package reliability
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file holds the snapshot side of the wear accumulators, used by
 // the simulation engine's checkpoint/fork machinery (sim.Engine
-// Snapshot/Restore/Fork) and by MPC rollout lanes, which reset a
-// tracker per candidate evaluation. Save reuses the state's buffers
-// and Load the accumulator's, so a snapshot cadence is
-// allocation-bounded after the first capture — Stream is a plain value
-// (fixed-capacity turning-point array), which is what makes a tracker
-// snapshot a slice copy rather than a deep walk.
+// Snapshot/Restore/Fork). Save reuses the state's buffers and Load the
+// accumulator's, so a snapshot cadence is allocation-bounded after the
+// first capture — Stream is a plain value (fixed-capacity
+// turning-point array), which is what makes a tracker snapshot a slice
+// copy rather than a deep walk.
 
 // TrackerState is a value snapshot of a Tracker's wear accumulators.
 // The zero value is ready to use as a Save destination.
@@ -43,21 +39,4 @@ func (t *Tracker) Load(s *TrackerState) error {
 	copy(t.maxC, s.maxC)
 	t.samples = s.samples
 	return nil
-}
-
-// Reset returns the tracker to its just-constructed state: empty
-// streams, zero EM sums, no samples. MPC rollout lanes call it once
-// per candidate evaluation so each rollout scores only the damage its
-// own horizon would add. Allocation-free.
-func (t *Tracker) Reset() {
-	for i := range t.streams {
-		t.streams[i].Init(t.Cycling)
-	}
-	for i := range t.emSum {
-		t.emSum[i] = 0
-	}
-	for i := range t.maxC {
-		t.maxC[i] = math.Inf(-1)
-	}
-	t.samples = 0
 }

@@ -39,6 +39,12 @@ type Stream struct {
 
 	closedDamage float64 // damage of extracted full cycles
 	cycles       int     // count of extracted full cycles
+
+	// residue caches closedDamage plus the half-cycle damage of each
+	// committed turning-point pair, summed in Damage's order; commit
+	// and collapse mark it stale. Fresh from Init it is 0, and correct.
+	residue      float64
+	residueStale bool
 }
 
 // Init resets the stream to empty with the given cycling model.
@@ -83,6 +89,7 @@ func (s *Stream) commit(t float64) {
 	}
 	s.pts[s.n] = t
 	s.n++
+	s.residueStale = true
 }
 
 // collapse applies the 4-point rule over the committed turning points
@@ -96,6 +103,7 @@ func (s *Stream) collapse() {
 			s.closedDamage += s.model.CycleDamage(inner)
 			s.cycles++
 			s.n -= 2
+			s.residueStale = true
 		} else {
 			return
 		}
@@ -105,27 +113,26 @@ func (s *Stream) collapse() {
 // Cycles returns the number of full cycles closed so far.
 func (s *Stream) Cycles() int { return s.cycles }
 
-// ClosedDamage returns the accumulated damage of closed full cycles
-// (plus any overflow-retired half cycles).
-func (s *Stream) ClosedDamage() float64 { return s.closedDamage }
-
 // Damage returns the total accumulated damage: closed cycles plus the
 // unclosed residue counted as half cycles, per the usual rainflow
-// convention. It walks the fixed turning-point stack and allocates
-// nothing, so policies may call it every tick.
+// convention. It re-sums the committed turning points only after a
+// Push changed them, so a steady call costs one CycleDamage, for the
+// open segment from the last turning point to the latest sample, and
+// allocates nothing; policies may call it every tick. Damage writes
+// that cache, so one Stream must not take concurrent Damage calls.
 func (s *Stream) Damage() float64 {
-	d := s.closedDamage
-	prev := math.NaN()
-	for i := 0; i < s.n; i++ {
-		if i > 0 {
-			if amp := math.Abs(s.pts[i] - prev); amp > 0 {
+	if s.residueStale {
+		d := s.closedDamage
+		for i := 1; i < s.n; i++ {
+			if amp := math.Abs(s.pts[i] - s.pts[i-1]); amp > 0 {
 				d += s.model.CycleDamage(amp) / 2
 			}
 		}
-		prev = s.pts[i]
+		s.residue, s.residueStale = d, false
 	}
-	if s.started && s.n > 0 {
-		if amp := math.Abs(s.last - prev); amp > 0 {
+	d := s.residue
+	if s.n > 0 {
+		if amp := math.Abs(s.last - s.pts[s.n-1]); amp > 0 {
 			d += s.model.CycleDamage(amp) / 2
 		}
 	}
@@ -205,7 +212,7 @@ func (r Report) Worst() BlockWear {
 // metrics.
 //
 // A Tracker is owned by one simulation goroutine; it is not safe for
-// concurrent Observe calls.
+// concurrent calls: Observe, Damage and Report all write it.
 type Tracker struct {
 	// Cycling and EM are the wear models; set them before the first
 	// Observe (NewTracker installs the JEDEC-calibrated defaults).

@@ -49,12 +49,107 @@ func TestStreamKnownCensus(t *testing.T) {
 	if s.Cycles() != 1 {
 		t.Fatalf("closed %d cycles, want 1", s.Cycles())
 	}
-	if d := s.ClosedDamage(); math.Abs(d-1) > 1e-12 {
+	if d := s.closedDamage; math.Abs(d-1) > 1e-12 {
 		t.Fatalf("closed damage %.12g, want 1", d)
 	}
 	// Residue 60->80 is one half cycle at reference amplitude: +0.5.
 	if d := s.Damage(); math.Abs(d-1.5) > 1e-12 {
 		t.Fatalf("total damage %.12g, want 1.5", d)
+	}
+}
+
+// refDamage is Stream.Damage without the residue cache: every call
+// re-walks the whole turning-point stack.
+func refDamage(s *Stream) float64 {
+	d := s.closedDamage
+	prev := math.NaN()
+	for i := 0; i < s.n; i++ {
+		if i > 0 {
+			if amp := math.Abs(s.pts[i] - prev); amp > 0 {
+				d += s.model.CycleDamage(amp) / 2
+			}
+		}
+		prev = s.pts[i]
+	}
+	if s.started && s.n > 0 {
+		if amp := math.Abs(s.last - prev); amp > 0 {
+			d += s.model.CycleDamage(amp) / 2
+		}
+	}
+	return d
+}
+
+// TestStreamDamageMatchesUncachedLoop checks every cached Damage result
+// bit for bit against refDamage, polled at irregular intervals (often
+// twice with no Push between) on three signals: a random walk, a
+// quantized one full of plateaus, and widening swings that overflow
+// streamCap before a narrower stretch collapses them. Tracker Save and
+// Load, and a re-Init of every stream (how rollout lanes reset), land
+// between pushes.
+func TestStreamDamageMatchesUncachedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	tr, err := NewTracker(3, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved TrackerState
+	haveSaved := false
+	check := func(step int) {
+		t.Helper()
+		for i := range tr.streams {
+			want := refDamage(&tr.streams[i])
+			if got := tr.streams[i].Damage(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d signal %d: Damage %.17g, uncached loop %.17g", step, i, got, want)
+			}
+		}
+	}
+	temps := []float64{60, 60, 0}
+	overflowed := false
+	for step := 0; step < 30000; step++ {
+		temps[0] += rng.NormFloat64() * 3
+		temps[1] = math.Round(60 + 8*rng.NormFloat64())
+		k := step % 500
+		amp := float64(k)
+		if k >= 3*streamCap {
+			amp = float64(k % 7)
+		}
+		if k%2 == 1 {
+			amp = -amp
+		}
+		temps[2] = amp
+		if err := tr.Observe(temps); err != nil {
+			t.Fatal(err)
+		}
+		if tr.streams[2].n == streamCap {
+			overflowed = true
+		}
+		switch r := rng.Intn(10); {
+		case r < 2:
+			check(step)
+			check(step)
+		case r < 5:
+			check(step)
+		}
+		switch rng.Intn(300) {
+		case 0:
+			tr.Save(&saved)
+			haveSaved = true
+		case 1:
+			if haveSaved {
+				if err := tr.Load(&saved); err != nil {
+					t.Fatal(err)
+				}
+				check(step)
+			}
+		case 2:
+			for i := range tr.streams {
+				tr.streams[i].Init(tr.Cycling)
+			}
+			check(step)
+		}
+	}
+	if !overflowed {
+		t.Fatal("the widening signal never filled the turning-point stack")
 	}
 }
 

@@ -280,14 +280,15 @@ type rolloutSim struct {
 }
 
 // rolloutLane is one reusable candidate evaluator: an engine frozen on
-// a HeldAction policy, a private scoring tracker reset per candidate
-// (so damage scores cover only the horizon), and the candidate's
-// running peak and starting energy. The lane engine keeps no wear
-// tracker of its own and never reads its sensors or records metrics.
+// a HeldAction policy, one rainflow stream per block reset per
+// candidate (so damage scores cover only the horizon), and the
+// candidate's running peak and starting energy. The lane engine keeps
+// no wear tracker of its own and never reads its sensors or records
+// metrics.
 type rolloutLane struct {
 	eng     *Engine
 	pol     *policy.HeldAction
-	tracker *reliability.Tracker
+	streams []reliability.Stream
 	// upTo advances this lane and every lane before it in lockstep.
 	upTo   *batchDriver
 	peak   float64
@@ -308,11 +309,7 @@ func (r *rolloutSim) grow(n int) error {
 		// A lane records no metrics; its collector would be most of
 		// its memory.
 		eng.collector = nil
-		tracker, err := reliability.NewTracker(r.host.model.NumBlocks(), r.host.cfg.TickS)
-		if err != nil {
-			return err
-		}
-		lane := &rolloutLane{eng: eng, pol: pol, tracker: tracker}
+		lane := &rolloutLane{eng: eng, pol: pol, streams: make([]reliability.Stream, r.host.model.NumBlocks())}
 		r.lanes = append(r.lanes, lane)
 		engines := make([]*Engine, len(r.lanes))
 		for i, l := range r.lanes {
@@ -404,14 +401,16 @@ func (l *rolloutLane) start(snap *Snapshot, a policy.Action) error {
 		return err
 	}
 	l.pol.Set(a)
-	l.tracker.Reset()
+	for i := range l.streams {
+		l.streams[i].Init(reliability.DefaultCycling())
+	}
 	l.peak = math.Inf(-1)
 	l.startJ = l.eng.energy.TotalJ()
 	return nil
 }
 
 // observe reads one lockstep tick back: block and core temperatures,
-// the running peak, and the scoring tracker.
+// the running peak, and the scoring streams.
 func (l *rolloutLane) observe() error {
 	e := l.eng
 	if err := e.readback(); err != nil {
@@ -422,7 +421,10 @@ func (l *rolloutLane) observe() error {
 			l.peak = c
 		}
 	}
-	return l.tracker.Observe(e.blockTemps)
+	for i, c := range e.blockTemps {
+		l.streams[i].Push(c)
+	}
+	return nil
 }
 
 // score reports the lane's candidate after its horizon.
@@ -439,8 +441,8 @@ func (l *rolloutLane) score() policy.RolloutScore {
 		}
 	}
 	worst := 0.0
-	for i := range e.blockTemps {
-		if d := l.tracker.Damage(i); d > worst {
+	for i := range l.streams {
+		if d := l.streams[i].Damage(); d > worst {
 			worst = d
 		}
 	}
