@@ -11,11 +11,13 @@
 // exp glues the declarative sweep layer to the simulator:
 //
 //   - MatrixConfig.Spec translates a figure matrix into a sweep.Spec;
-//   - NewRunner returns the simulator-backed sweep.RunFunc that builds
-//     the job's policy (and only that one; only the Adapt3D-based
-//     policies build a thermal model, for their offline indices),
-//     replays the cached workload trace, and runs sim.Run (attaching
-//     the lifetime tracker when the job asks);
+//   - NewRunners returns the simulator-backed sweep.RunFunc and
+//     sweep.RunGroupFunc: each builds the job's policy (and only that
+//     one; only the Adapt3D-based policies build a thermal model, for
+//     their offline indices), replays the cached workload trace, and
+//     runs sim.RunBatch (attaching the lifetime tracker when the job
+//     asks) — the group runner over a chunk of same-system jobs that
+//     GroupKey gathers, the job runner over its one job;
 //   - Aggregate folds streamed records — from any mix of inline runs,
 //     shards, checkpoints, and remote servers — into deterministic
 //     mean±stddev matrix cells, normalized against the baseline
@@ -35,9 +37,9 @@
 //
 // # Concurrency
 //
-// A RunFunc from NewRunner is called concurrently by the sweep worker
-// pool; everything it touches (trace cache, thermal factorization
-// cache) is internally synchronized. RunnerHooks must likewise be
+// The runners from NewRunners are called concurrently by the sweep
+// worker pool; everything they touch (trace cache, thermal
+// factorization cache) is internally synchronized. RunnerHooks must likewise be
 // safe for concurrent calls and cheap — the serving layer feeds
 // per-tick atomic counters from them.
 package exp

@@ -96,7 +96,7 @@ func TestStressScenarioExercisesReliability(t *testing.T) {
 		Reliability: true,
 	}
 	col := &sweep.Collector{}
-	if _, err := sweep.Execute(context.Background(), spec.Expand(), NewRunner(), sweep.Options{}, col); err != nil {
+	if _, err := sweep.Execute(context.Background(), spec.Expand(), newRunner(), sweep.Options{}, col); err != nil {
 		t.Fatal(err)
 	}
 	byScenario := make(map[string]sweep.Record, len(col.Records))

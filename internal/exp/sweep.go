@@ -57,21 +57,6 @@ type RunnerHooks struct {
 	Observer sim.Observer
 }
 
-// NewRunner returns the simulator-backed job runner. All runs launched
-// from one runner share a trace cache, so every policy replays the
-// exact same pre-generated job trace per (scenario, benchmark,
-// replicate) — the fairness invariant the figure sweeps rely on.
-func NewRunner() sweep.RunFunc {
-	return NewRunnerWithHooks(RunnerHooks{})
-}
-
-// NewRunnerWithHooks is NewRunner with progress hooks attached to every
-// simulation the runner executes.
-func NewRunnerWithHooks(hooks RunnerHooks) sweep.RunFunc {
-	run, _ := NewRunners(hooks)
-	return run
-}
-
 // JobConfig translates one sweep job into the simulator configuration
 // the runners execute: the scenario resolved to its StackSpec (see
 // modelConfig), the stack built from it (Adapt3D's offline thermal
@@ -116,42 +101,27 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 	return cfg, nil
 }
 
-// NewRunners returns the per-job runner together with its batched
-// counterpart. Both closures share one trace cache, so a job produces
-// the identical workload trace whichever path executes it. The batched
-// runner drives same-system jobs through sim.RunBatch — one panel solve
-// per tick over the shared factorization — and returns records
-// byte-identical to the per-job path's; pair it with GroupKey in
-// sweep.Options.
+// NewRunners returns the simulator-backed job runner together with
+// its batched counterpart; the job runner is the group runner over one
+// job. Both closures share one trace cache, so every policy replays the
+// exact same pre-generated job trace per (scenario, benchmark,
+// replicate) — the fairness invariant the figure sweeps rely on — and a
+// job produces the identical record whichever path executes it. The
+// batched runner drives same-system jobs through sim.RunBatch — one
+// panel solve per tick over the shared factorization, runs of shorter
+// duration retiring mid-batch — and returns records byte-identical to
+// the per-job path's; pair it with GroupKey in sweep.Options.
 func NewRunners(hooks RunnerHooks) (sweep.RunFunc, sweep.RunGroupFunc) {
 	obs := hooks.Observer
 	traces := workload.NewTraceCache()
-	cfgFor := func(j sweep.Job) (sim.Config, error) {
-		cfg, err := JobConfig(traces, j)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		cfg.Observer = obs
-		return cfg, nil
-	}
-	run := func(ctx context.Context, j sweep.Job) (sweep.Record, error) {
-		cfg, err := cfgFor(j)
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		res, err := sim.RunContext(ctx, cfg)
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		return sweep.NewRecord(j, res, 0), nil
-	}
 	runGroup := func(ctx context.Context, group []sweep.Job) ([]sweep.Record, error) {
 		cfgs := make([]sim.Config, len(group))
 		for i, j := range group {
-			cfg, err := cfgFor(j)
+			cfg, err := JobConfig(traces, j)
 			if err != nil {
 				return nil, err
 			}
+			cfg.Observer = obs
 			cfgs[i] = cfg
 		}
 		results, err := sim.RunBatchContext(ctx, cfgs)
@@ -164,18 +134,26 @@ func NewRunners(hooks RunnerHooks) (sweep.RunFunc, sweep.RunGroupFunc) {
 		}
 		return recs, nil
 	}
+	run := func(ctx context.Context, j sweep.Job) (sweep.Record, error) {
+		recs, err := runGroup(ctx, []sweep.Job{j})
+		if err != nil {
+			return sweep.Record{}, err
+		}
+		return recs[0], nil
+	}
 	return run, runGroup
 }
 
 // GroupKey is the exp-standard sweep grouping key: jobs mapping to the
 // same non-empty key build the identical thermal system — same stack
-// geometry, interlayer physics, and duration, on the shared-cache
-// solver path — so their transient factorizations are one *Cholesky
-// and sim.RunBatch can advance them through a single panel solve per
-// tick. Policy, benchmark, seed, replicate, DPM, and reliability
-// tracking are deliberately absent: they vary freely across the lanes
-// of a batch without affecting the factorization. Non-cached solver
-// jobs return "" and stay on the per-job path.
+// geometry and interlayer physics, on the shared-cache solver path — so
+// their transient factorizations are one *Cholesky and sim.RunBatch can
+// advance them through a single panel solve per tick. Policy,
+// benchmark, seed, replicate, DPM, reliability tracking and duration
+// are deliberately absent: they vary freely across the lanes of a
+// batch without affecting the factorization, a shorter run retiring at
+// its last tick. Non-cached solver jobs return "" and stay on the
+// per-job path.
 //
 // The model identity comes from sim.ModelKey — the same helper Prewarm
 // validates against — so grouping can never diverge from the
@@ -199,7 +177,7 @@ func GroupKey(j sweep.Job) string {
 		// per-job path, where sim.Run reports the config error itself.
 		return ""
 	}
-	return fmt.Sprintf("%s|%gs", key, j.DurationS)
+	return key
 }
 
 // modelConfig translates a scenario into the thermal-model-identity

@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/thermal"
+	"repro/internal/workload"
 )
 
 // resumeConfig is a small but non-trivial sweep: two stacks, two
@@ -22,6 +24,12 @@ func resumeConfig() MatrixConfig {
 	cfg.DurationS = 10
 	cfg.Replicates = 2
 	return cfg
+}
+
+// newRunner returns the per-job runner of a fresh NewRunners pair.
+func newRunner() sweep.RunFunc {
+	run, _ := NewRunners(RunnerHooks{})
+	return run
 }
 
 func runMatrix(t *testing.T, cfg MatrixConfig) *Matrix {
@@ -78,7 +86,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killer := &cancelAfter{n: len(jobs) / 2, cancel: cancel}
-	_, err = sweep.Execute(ctx, jobs, NewRunner(), sweep.Options{},
+	_, err = sweep.Execute(ctx, jobs, newRunner(), sweep.Options{},
 		sweep.NewJSONLSink(ck), killer)
 	ck.Close()
 	if !errors.Is(err, context.Canceled) {
@@ -99,7 +107,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	// Phase 2: resume. Only the unfinished jobs run; completed keys are
 	// skipped.
 	col := &sweep.Collector{}
-	ran, err := sweep.Execute(context.Background(), jobs, NewRunner(),
+	ran, err := sweep.Execute(context.Background(), jobs, newRunner(),
 		sweep.Options{Skip: sweep.CompletedKeys(done)}, col)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +141,7 @@ func TestShardedSweepMergesIdentical(t *testing.T) {
 		}
 		sizes[i] = len(shard)
 		col := &sweep.Collector{}
-		if _, err := sweep.Execute(context.Background(), shard, NewRunner(), sweep.Options{}, col); err != nil {
+		if _, err := sweep.Execute(context.Background(), shard, newRunner(), sweep.Options{}, col); err != nil {
 			t.Fatal(err)
 		}
 		merged = append(merged, col.Records...)
@@ -204,7 +212,7 @@ func TestSweepRecordsFullTickCount(t *testing.T) {
 	cfg.Policies = []string{"Default"}
 	col := &sweep.Collector{}
 	spec := cfg.Spec()
-	if _, err := sweep.Execute(context.Background(), spec.Expand(), NewRunner(), sweep.Options{}, col); err != nil {
+	if _, err := sweep.Execute(context.Background(), spec.Expand(), newRunner(), sweep.Options{}, col); err != nil {
 		t.Fatal(err)
 	}
 	if len(col.Records) == 0 {
@@ -225,23 +233,29 @@ func TestSweepRecordsFullTickCount(t *testing.T) {
 // canonical streams all serialize these records. The full roster on one
 // stack is a single 14-lane group, so its panel solves run the kernel's
 // 8-lane, 4-lane and single-lane blocks end to end; the capped sweep
-// splits its group into 4- and 2-lane chunks.
+// (the roster on two benchmarks, 28 jobs of one key) splits its group
+// into 16- and 12-lane chunks; the two-duration sweep is one group
+// whose shorter runs retire mid-batch.
 func TestGroupedSweepRecordsByteIdentical(t *testing.T) {
 	roster := goldenConfig()
 	roster.Policies = nil // the whole PolicyOrder roster
 	roster.DurationS = 5
+	capped := roster
+	capped.Benchmarks = []string{"Web-high", "Web-med"}
+	durations := resumeConfig().Spec()
+	durations.DurationsS = []float64{4, 10}
 	cases := []struct {
-		name     string
-		cfg      MatrixConfig
-		maxGroup int
-		lanes    int // the largest group dispatched
+		name  string
+		spec  sweep.Spec
+		lanes int // the largest group dispatched
 	}{
-		{"capped", resumeConfig(), 4, 4},
-		{"full-roster", roster, 0, len(PolicyOrder)},
+		{"capped", capped.Spec(), 16},
+		{"full-roster", roster.Spec(), len(PolicyOrder)},
+		{"two-durations", durations, 12},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			spec := c.cfg.Spec()
+			spec := c.spec
 			jobs := spec.Expand()
 			if err := Prewarm(spec); err != nil {
 				t.Fatal(err)
@@ -263,7 +277,7 @@ func TestGroupedSweepRecordsByteIdentical(t *testing.T) {
 				mu.Unlock()
 				return runGroup(ctx, group)
 			}
-			opts := sweep.Options{Workers: 2, Group: GroupKey, RunGroup: sized, MaxGroup: c.maxGroup}
+			opts := sweep.Options{Workers: 2, Group: GroupKey, RunGroup: sized}
 			if _, err := sweep.Execute(context.Background(), jobs, run2, opts, grouped); err != nil {
 				t.Fatal(err)
 			}
@@ -296,18 +310,28 @@ func TestGroupedSweepRecordsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGroupKey pins the batching key's scope: same thermal system and
-// duration batch together across policies, benchmarks, seeds, and
-// reliability; different scenarios or durations do not; non-cached
-// solvers opt out entirely.
+// TestGroupKey pins the batching key's scope: jobs over one thermal
+// system batch together across policies, benchmarks, seeds,
+// reliability and durations, under the system's ModelKey; different
+// scenarios do not; non-cached solvers opt out entirely.
 func TestGroupKey(t *testing.T) {
-	jobs := resumeConfig().Spec().Expand()
+	spec := resumeConfig().Spec()
+	spec.Scenarios = append(spec.Scenarios, sweep.ScenariosFor([]floorplan.Experiment{floorplan.EXP2})...)
+	spec.DurationsS = []float64{10, 20}
+	jobs := spec.Expand()
 	base := jobs[0]
 	for _, j := range jobs[1:] {
-		same := j.Scenario.ID() == base.Scenario.ID() && j.DurationS == base.DurationS && j.Solver == base.Solver
+		same := j.Scenario.ID() == base.Scenario.ID() && j.Solver == base.Solver
 		if got := GroupKey(j) == GroupKey(base); got != same {
 			t.Errorf("GroupKey(%s) vs GroupKey(%s): equal=%v, want %v", j.Key(), base.Key(), got, same)
 		}
+	}
+	cfg, err := JobConfig(workload.NewTraceCache(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, err := sim.ModelKey(cfg); err != nil || GroupKey(base) != key {
+		t.Errorf("GroupKey(%s) = %q, want its ModelKey %q (%v)", base.Key(), GroupKey(base), key, err)
 	}
 	dense := base
 	dense.Solver = thermal.SolverDense
@@ -328,7 +352,7 @@ func TestExpShorthandIsItsResolvedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	inline := sweep.Scenario{Stack: &sweep.StackRef{Spec: &spec}}
-	run := NewRunner()
+	run := newRunner()
 	for _, pol := range []string{"Adapt3D", "DVFS_Rel"} {
 		a := sweep.Job{Scenario: short, Policy: pol, Bench: "Web-med", Seed: 3, DurationS: 20, Reliability: true}
 		b := a

@@ -27,9 +27,6 @@ func (g Grid) CellW() float64 { return g.Bounds.W / float64(g.Cols) }
 // CellH returns the height of one cell.
 func (g Grid) CellH() float64 { return g.Bounds.H / float64(g.Rows) }
 
-// NumCells returns Rows*Cols.
-func (g Grid) NumCells() int { return g.Rows * g.Cols }
-
 // Cell returns the rectangle of the cell at (row, col). Row 0 is at the
 // bottom (lowest Y), column 0 at the left (lowest X).
 func (g Grid) Cell(row, col int) Rect {
@@ -43,9 +40,6 @@ func (g Grid) Cell(row, col int) Rect {
 
 // Index maps (row, col) to a linear cell index in row-major order.
 func (g Grid) Index(row, col int) int { return row*g.Cols + col }
-
-// RowCol inverts Index.
-func (g Grid) RowCol(idx int) (row, col int) { return idx / g.Cols, idx % g.Cols }
 
 // OverlapFractions returns, for the given rectangle, the fraction of the
 // rectangle's area falling inside each grid cell, as a map from linear cell

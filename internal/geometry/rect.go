@@ -107,9 +107,6 @@ func (r Rect) SharedBoundary(s Rect) float64 {
 	return 0
 }
 
-// Adjacent reports whether r and s share a boundary of positive length.
-func (r Rect) Adjacent(s Rect) bool { return r.SharedBoundary(s) > 0 }
-
 // CenterDistance returns the Euclidean distance between the centroids of
 // r and s, in millimetres.
 func (r Rect) CenterDistance(s Rect) float64 {

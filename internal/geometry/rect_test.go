@@ -112,8 +112,8 @@ func TestSharedBoundary(t *testing.T) {
 		t.Errorf("corner-touching rects share boundary %g, want 0", got)
 	}
 	far := MustRect(9, 9, 1, 1)
-	if a.Adjacent(far) {
-		t.Error("distant rects reported adjacent")
+	if got := a.SharedBoundary(far); got != 0 {
+		t.Errorf("distant rects share boundary %g, want 0", got)
 	}
 }
 
@@ -205,17 +205,12 @@ func TestGridBasics(t *testing.T) {
 	if !almostEq(g.CellW(), 2) || !almostEq(g.CellH(), 5) {
 		t.Errorf("cell dims = %gx%g, want 2x5", g.CellW(), g.CellH())
 	}
-	if g.NumCells() != 20 {
-		t.Errorf("NumCells = %d, want 20", g.NumCells())
-	}
 	cell := g.Cell(1, 2)
 	if !almostEq(cell.X, 4) || !almostEq(cell.Y, 5) {
 		t.Errorf("Cell(1,2) at (%g,%g), want (4,5)", cell.X, cell.Y)
 	}
-	idx := g.Index(3, 4)
-	r, c := g.RowCol(idx)
-	if r != 3 || c != 4 {
-		t.Errorf("RowCol(Index(3,4)) = (%d,%d)", r, c)
+	if idx := g.Index(3, 4); idx != 19 {
+		t.Errorf("Index(3,4) = %d, want 19 (row-major, 5 columns)", idx)
 	}
 }
 

@@ -56,22 +56,6 @@ func FactorCholesky(s *Sparse) (*Cholesky, error) {
 	return factorCholesky(s, MinDegree(s))
 }
 
-// FactorCholeskyRCM factors with the reverse Cuthill-McKee ordering,
-// which suits banded systems without hub vertices.
-func FactorCholeskyRCM(s *Sparse) (*Cholesky, error) {
-	return factorCholesky(s, RCM(s))
-}
-
-// FactorCholeskyNatural factors without reordering (for tests comparing
-// orderings).
-func FactorCholeskyNatural(s *Sparse) (*Cholesky, error) {
-	perm := make([]int, s.N)
-	for i := range perm {
-		perm[i] = i
-	}
-	return factorCholesky(s, perm)
-}
-
 func factorCholesky(s *Sparse, perm []int) (*Cholesky, error) {
 	n := s.N
 	iperm := make([]int, n)

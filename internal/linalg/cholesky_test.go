@@ -46,8 +46,14 @@ func TestCholeskyMatchesDense(t *testing.T) {
 		{"sparse-small", 20, 10, 2, FactorCholesky, 3},
 		{"sparse-mid", 60, 50, 3, FactorCholesky, 3},
 		{"dense-ish", 40, 300, 4, FactorCholesky, 3},
-		{"natural-order", 30, 25, 5, FactorCholeskyNatural, 3},
-		{"rcm-order", 30, 25, 5, FactorCholeskyRCM, 3},
+		{"natural-order", 30, 25, 5, func(s *Sparse) (*Cholesky, error) {
+			perm := make([]int, s.N)
+			for i := range perm {
+				perm[i] = i
+			}
+			return factorCholesky(s, perm)
+		}, 3},
+		{"rcm-order", 30, 25, 5, func(s *Sparse) (*Cholesky, error) { return factorCholesky(s, RCM(s)) }, 3},
 		{"large", 200, 180, 6, FactorCholesky, 2},
 	}
 	for _, tc := range cases {
@@ -486,7 +492,7 @@ func TestCholeskySolvePanelValidation(t *testing.T) {
 // BenchmarkSolvePanel measures the blocked k-lane solve against k
 // sequential buffered solves on the grid-ordering factorization the
 // sweep batch path exercises. Grouped sweeps dispatch panels of up to
-// sweep.DefaultMaxGroup (16) lanes and their remainders, hence the 12-
+// 16 lanes (sweep's chunk cap) and their remainders, hence the 12-
 // and 16-lane panels beside the 8-lane pair. Run with -benchmem: all
 // must report zero allocations.
 func BenchmarkSolvePanel(b *testing.B) {

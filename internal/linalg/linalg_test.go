@@ -17,11 +17,6 @@ func TestMatrixAccessors(t *testing.T) {
 	if len(m.Row(1)) != 3 {
 		t.Errorf("Row length = %d, want 3", len(m.Row(1)))
 	}
-	c := m.Clone()
-	c.Set(0, 1, 0)
-	if m.At(0, 1) != 7 {
-		t.Error("Clone aliases original storage")
-	}
 }
 
 func TestMulVec(t *testing.T) {
@@ -151,8 +146,8 @@ func TestLUSolveResidualProperty(t *testing.T) {
 		for i := range res {
 			res[i] -= b[i]
 		}
-		if NormInf(res) > 1e-8*(1+NormInf(b)) {
-			t.Fatalf("trial %d: residual %g too large", trial, NormInf(res))
+		if normInf(res) > 1e-8*(1+normInf(b)) {
+			t.Fatalf("trial %d: residual %g too large", trial, normInf(res))
 		}
 	}
 }
@@ -174,21 +169,20 @@ func TestVectorKernels(t *testing.T) {
 	if Dot(a, b) != 32 {
 		t.Errorf("Dot = %g, want 32", Dot(a, b))
 	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
-		t.Error("Norm2 wrong")
-	}
-	if NormInf([]float64{-7, 2}) != 7 {
-		t.Error("NormInf wrong")
-	}
 	v := []float64{1, 1}
 	AXPY(v, 2, []float64{1, 2})
 	if v[0] != 3 || v[1] != 5 {
 		t.Errorf("AXPY = %v, want [3 5]", v)
 	}
-	Scale(v, 0.5)
-	if v[0] != 1.5 || v[1] != 2.5 {
-		t.Errorf("Scale = %v", v)
+}
+
+// normInf returns the maximum absolute entry of v.
+func normInf(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		m = max(m, math.Abs(x))
 	}
+	return m
 }
 
 func buildLaplacian(n int) *Sparse {

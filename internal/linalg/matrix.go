@@ -31,13 +31,6 @@ func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 // Row returns a slice aliasing row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // MulVec computes dst = m * x. dst must have length m.Rows and x length
 // m.Cols; dst and x must not alias.
 func (m *Matrix) MulVec(dst, x []float64) {
@@ -53,21 +46,6 @@ func (m *Matrix) MulVec(dst, x []float64) {
 		}
 		dst[i] = s
 	}
-}
-
-// IsSymmetric reports whether m is symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // GershgorinMaxAbs returns an upper bound on the spectral radius of m
@@ -100,20 +78,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// NormInf returns the maximum absolute entry of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // AXPY computes dst[i] += alpha * x[i].
 func AXPY(dst []float64, alpha float64, x []float64) {
 	if len(dst) != len(x) {
@@ -121,12 +85,5 @@ func AXPY(dst []float64, alpha float64, x []float64) {
 	}
 	for i := range dst {
 		dst[i] += alpha * x[i]
-	}
-}
-
-// Scale multiplies every entry of v by alpha in place.
-func Scale(v []float64, alpha float64) {
-	for i := range v {
-		v[i] *= alpha
 	}
 }

@@ -201,6 +201,3 @@ func (m *VerticalGradientMeter) MeanMaxC() float64 {
 	}
 	return m.sumMax / float64(m.samples)
 }
-
-// NumPairs returns how many overlapping block pairs are tracked.
-func (m *VerticalGradientMeter) NumPairs() int { return len(m.pairs) }

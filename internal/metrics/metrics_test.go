@@ -95,7 +95,7 @@ func TestGradientMeterValidation(t *testing.T) {
 func TestVerticalGradientMeter(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
 	v := NewVerticalGradientMeter(s)
-	if v.NumPairs() == 0 {
+	if len(v.pairs) == 0 {
 		t.Fatal("no overlapping pairs found in a stacked floorplan")
 	}
 	temps := make([]float64, s.NumBlocks())

@@ -297,11 +297,6 @@ func (t *Tracker) Observe(tempsC []float64) error {
 // Samples returns the number of Observe calls so far.
 func (t *Tracker) Samples() int { return t.samples }
 
-// Damage returns signal i's current total cycling damage (closed plus
-// residue). Allocation-free, so online consumers (wear-aware policies,
-// progress displays) may poll it every tick.
-func (t *Tracker) Damage(i int) float64 { return t.streams[i].Damage() }
-
 // Report snapshots the accumulated wear. The tracker remains usable;
 // a report is a pure summary and shares no state with it.
 func (t *Tracker) Report() Report {

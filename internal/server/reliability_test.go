@@ -46,7 +46,8 @@ func TestReliabilityStreamByteIdenticalAndCacheIsolated(t *testing.T) {
 
 	jobs := rel.Expand()
 	var want bytes.Buffer
-	if _, err := sweep.Execute(context.Background(), jobs, exp.NewRunner(), sweep.Options{Workers: 4},
+	run, _ := exp.NewRunners(exp.RunnerHooks{})
+	if _, err := sweep.Execute(context.Background(), jobs, run, sweep.Options{Workers: 4},
 		sweep.NewOrderedSink(sweep.StripElapsed(sweep.NewJSONLSink(&want)), jobs)); err != nil {
 		t.Fatal(err)
 	}

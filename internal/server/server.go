@@ -141,7 +141,7 @@ func New(cfg Config) *Server {
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.runner = cfg.Runner
 	if s.runner == nil {
-		s.runner = exp.NewRunnerWithHooks(exp.RunnerHooks{
+		s.runner, _ = exp.NewRunners(exp.RunnerHooks{
 			Observer: sim.FuncObserver{
 				Tick: func(int) { s.met.simTicks.Add(1) },
 			},

@@ -1,17 +1,21 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 
 	"repro/internal/thermal"
 )
 
-// batchDriver advances K engines in lockstep: per tick it runs every
-// engine's pre-thermal phase, fuses the K implicit-Euler solves into
-// one thermal.TransientBatch panel solve, then runs every post-thermal
-// phase. Engines that cannot share a panel solve (a single engine, or
+// batchDriver advances its first k of K engines in lockstep: per tick
+// it runs each of those engines' pre-thermal phase, fuses their
+// implicit-Euler solves into one thermal.TransientBatch panel solve
+// over the batch's first k lanes, then runs each post-thermal phase.
+// Callers order the engines longest run first, so the runs still going
+// at any tick are always a prefix and a retired run is never stepped
+// again. Engines that cannot share a panel solve (a single engine, or
 // a non-sparse solver path) step their integrators one after another
 // instead, which is always equivalent. All per-tick state (the
 // destination and power slice headers included) is wired at
@@ -22,24 +26,18 @@ type batchDriver struct {
 	batch   *thermal.TransientBatch // nil: each engine steps alone
 	dsts    [][]float64
 	powers  [][]float64
-	nTicks  int
 }
 
 // newBatchDriver wraps already-constructed engines into a lockstep
-// driver. It returns thermal.ErrNotBatchable when the engines' tick
-// counts differ; the caller then runs each engine to completion alone.
+// driver.
 func newBatchDriver(engines []*Engine) (*batchDriver, error) {
-	nTicks := engines[0].nTicks
-	trs := make([]*thermal.Transient, len(engines))
-	for i, e := range engines {
-		if e.nTicks != nTicks {
-			return nil, fmt.Errorf("%w: run %d has %d ticks, run 0 has %d", thermal.ErrNotBatchable, i, e.nTicks, nTicks)
-		}
-		trs[i] = e.tr
-	}
-	d := &batchDriver{engines: engines, nTicks: nTicks}
+	d := &batchDriver{engines: engines}
 	if len(engines) == 1 {
 		return d, nil
+	}
+	trs := make([]*thermal.Transient, len(engines))
+	for i, e := range engines {
+		trs[i] = e.tr
 	}
 	batch, err := thermal.NewTransientBatch(trs)
 	if errors.Is(err, thermal.ErrNotBatchable) {
@@ -58,17 +56,18 @@ func newBatchDriver(engines []*Engine) (*batchDriver, error) {
 	return d, nil
 }
 
-// tick advances every engine by one sampling interval.
-func (d *batchDriver) tick(tick int) error {
-	for _, e := range d.engines {
+// tick advances the first k engines by one sampling interval.
+func (d *batchDriver) tick(tick, k int) error {
+	engines := d.engines[:k]
+	for _, e := range engines {
 		if err := e.tickPre(tick); err != nil {
 			return err
 		}
 	}
-	if err := d.step(); err != nil {
+	if err := d.step(k); err != nil {
 		return err
 	}
-	for _, e := range d.engines {
+	for _, e := range engines {
 		if err := e.tickPost(tick); err != nil {
 			return err
 		}
@@ -76,13 +75,13 @@ func (d *batchDriver) tick(tick int) error {
 	return nil
 }
 
-// step advances every engine's thermal network by one interval under
-// the power its pre-thermal phase left in blockPower.
-func (d *batchDriver) step() error {
+// step advances the first k engines' thermal networks by one interval
+// under the power their pre-thermal phases left in blockPower.
+func (d *batchDriver) step(k int) error {
 	if d.batch != nil {
-		return d.batch.StepInto(d.dsts, d.powers)
+		return d.batch.StepInto(d.dsts[:k], d.powers[:k])
 	}
-	for _, e := range d.engines {
+	for _, e := range d.engines[:k] {
 		if err := e.tr.StepInto(e.nodeTemps, e.blockPower); err != nil {
 			return err
 		}
@@ -96,19 +95,30 @@ func (d *batchDriver) step() error {
 // parameters, and tick length share one automatically). Each run keeps
 // its own engine — policy, scheduler, power model, metrics,
 // reliability tracking, and every TickDecision stay fully independent —
-// so the results are bitwise identical to calling Run on each config
-// individually; only the number of triangular-solve traversals per tick
-// changes. Configs whose runs cannot share a factorization (mixed
-// stacks, dense or private-sparse solvers, differing durations) fall
-// back to sequential execution transparently.
+// so the results are bitwise identical to stepping each config's
+// engine alone; only the number of triangular-solve traversals per
+// tick changes. Runs may differ in duration: a run retires at its last
+// tick and the others go on without it. Configs whose runs cannot
+// share a factorization (mixed stacks, dense or private-sparse
+// solvers) step their integrators one after another in the same
+// lockstep.
 //
-// The configs' contexts are polled per tick as in Run; the first
-// error or cancellation aborts the whole batch, consistent with a
-// sweep treating its group as one unit of work.
+// The first error aborts the whole batch, consistent with a sweep
+// treating its group as one unit of work.
 func RunBatch(cfgs []Config) ([]*Result, error) {
+	return RunBatchContext(context.Background(), cfgs)
+}
+
+// RunBatchContext is RunBatch with one context governing every run in
+// the batch, polled once per simulated tick; its cancellation aborts
+// the whole batch with the context's error.
+func RunBatchContext(ctx context.Context, cfgs []Config) ([]*Result, error) {
 	engines := make([]*Engine, len(cfgs))
-	for i := range cfgs {
-		e, err := newEngine(cfgs[i])
+	for i, cfg := range cfgs {
+		if ctx != nil {
+			cfg.ctx = ctx
+		}
+		e, err := newEngine(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -117,54 +127,40 @@ func RunBatch(cfgs []Config) ([]*Result, error) {
 	return runEngineBatch(engines)
 }
 
-// RunBatchContext is RunBatch with one context governing every run in
-// the batch, polled per tick like RunContext.
-func RunBatchContext(ctx context.Context, cfgs []Config) ([]*Result, error) {
-	if ctx != nil {
-		// Copy before rewriting the context: the caller's configs stay
-		// untouched.
-		cp := make([]Config, len(cfgs))
-		copy(cp, cfgs)
-		for i := range cp {
-			cp[i].ctx = ctx
-		}
-		cfgs = cp
-	}
-	return RunBatch(cfgs)
-}
-
-// runEngineBatch drives built engines to completion, batched when
-// possible and sequentially otherwise.
-func runEngineBatch(engines []*Engine) ([]*Result, error) {
-	results := make([]*Result, len(engines))
-	if len(engines) == 0 {
-		return results, nil
-	}
-	d, err := newBatchDriver(engines)
-	if errors.Is(err, thermal.ErrNotBatchable) {
-		for i, e := range engines {
-			res, err := e.run()
-			if err != nil {
-				return nil, err
+// runEngineBatch drives built engines to completion through one
+// lockstep driver, longest run first (a stable sort, so equal runs
+// keep their order), and flushes every trace on every exit.
+func runEngineBatch(engines []*Engine) (results []*Result, err error) {
+	defer func() {
+		for _, e := range engines {
+			if e.trace == nil {
+				continue
 			}
-			results[i] = res
+			if ferr := e.trace.flush(); ferr != nil && err == nil {
+				results, err = nil, ferr
+			}
 		}
-		return results, nil
+	}()
+	if len(engines) == 0 {
+		return nil, nil
 	}
+	order := slices.Clone(engines)
+	slices.SortStableFunc(order, func(a, b *Engine) int { return cmp.Compare(b.nTicks, a.nTicks) })
+	d, err := newBatchDriver(order)
 	if err != nil {
 		return nil, err
 	}
-	for tick := 0; tick < d.nTicks; tick++ {
-		if err := d.tick(tick); err != nil {
+	k := len(order)
+	for tick := 0; tick < order[0].nTicks; tick++ {
+		for order[k-1].nTicks <= tick {
+			k--
+		}
+		if err := d.tick(tick, k); err != nil {
 			return nil, err
 		}
 	}
+	results = make([]*Result, len(engines))
 	for i, e := range engines {
-		if e.trace != nil {
-			if err := e.trace.flush(); err != nil {
-				return nil, err
-			}
-		}
 		results[i] = e.finish()
 	}
 	return results, nil

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 
@@ -51,18 +53,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 	// The lanes really must take the batched path: their engines share
 	// one factorization.
-	probe := batchLaneCfgs(t)
-	engines := make([]*Engine, len(probe))
-	for i := range probe {
-		e, err := newEngine(probe[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = e
-	}
-	if d, err := newBatchDriver(engines); err != nil || d.batch == nil {
-		t.Fatalf("lanes unexpectedly not batchable: %v", err)
-	}
+	requireOneBatch(t, batchLaneCfgs(t))
 
 	got, err := RunBatch(batchLaneCfgs(t))
 	if err != nil {
@@ -78,17 +69,91 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 }
 
+// requireOneBatch fails the test unless the configs' engines share one
+// panel batch.
+func requireOneBatch(t *testing.T, cfgs []Config) {
+	t.Helper()
+	engines := make([]*Engine, len(cfgs))
+	for i := range cfgs {
+		e, err := newEngine(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
+	if d, err := newBatchDriver(engines); err != nil || d.batch == nil {
+		t.Fatalf("lanes do not share one panel batch: %v", err)
+	}
+}
+
+// stepAlone runs cfg's engine by itself through Step and Finish, the
+// reference a lockstep lane must match.
+func stepAlone(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		err := e.Step()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRunBatchMixedDurations pins lane retirement: cached lanes of
+// three durations — one an MPC planner with lockstep rollouts of its
+// own, one tracking lifetime — share one panel batch, the shorter runs
+// retire at their last tick, and every result is deeply identical to
+// its engine stepped alone.
+func TestRunBatchMixedDurations(t *testing.T) {
+	mk := func() []Config {
+		cfgs := append(batchLaneCfgs(t), batchLaneCfgs(t)[:2]...)
+		cfgs[0].DurationS = 4
+		cfgs[1].TrackLifetime = true
+		cfgs[2].DurationS = 7
+		cfgs[3].Policy = policy.NewMPCThermal()
+		cfgs[3].DurationS = 7
+		cfgs[4].Policy = policy.NewCGate()
+		cfgs[4].DurationS = 4
+		return cfgs
+	}
+	requireOneBatch(t, mk())
+	got, err := RunBatch(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range mk() {
+		want := stepAlone(t, cfg)
+		if ticks := int(cfg.DurationS * 10); got[i].Ticks != ticks {
+			t.Errorf("lane %d ran %d ticks, want %d", i, got[i].Ticks, ticks)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("lane %d (%s, %gs): batched result differs from the engine stepped alone", i, want.PolicyName, cfg.DurationS)
+		}
+	}
+}
+
 // TestRunBatchFallsBack checks the fallbacks: lanes that cannot share
-// a factorization (mixed durations, which run one after another; a
-// dense solver lane, which steps alone in lockstep) still produce
-// exactly the per-run results.
+// a factorization (a dense solver lane, which steps alone in
+// lockstep), alone or beside a lane of another duration that retires
+// mid-batch, still produce exactly the per-run results.
 func TestRunBatchFallsBack(t *testing.T) {
 	var want []*Result
 	for _, mixedDurations := range []bool{true, false} {
 		mk := func() []Config {
 			cfgs := batchLaneCfgs(t)
 			if mixedDurations {
-				cfgs[1].DurationS = 20 // different tick count: not batchable
+				cfgs[1].DurationS = 20 // the other lanes retire at tick 100
 			}
 			cfgs[2].Solver = thermal.SolverDense
 			return cfgs
@@ -145,12 +210,12 @@ func TestBatchedTickLoopAllocationContract(t *testing.T) {
 	}
 	tick := 0
 	for ; tick < 50; tick++ { // settle into steady state
-		if err := d.tick(tick); err != nil {
+		if err := d.tick(tick, len(engines)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := d.tick(tick); err != nil {
+		if err := d.tick(tick, len(engines)); err != nil {
 			t.Fatal(err)
 		}
 		tick++

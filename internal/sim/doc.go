@@ -14,7 +14,7 @@
 //
 // sim sits at the centre of the five-layer stack:
 //
-//	sweep.Spec ─▶ sweep.Job ─▶ exp runner ─▶ sim.Run ─▶ sim.Result
+//	sweep.Spec ─▶ sweep.Job ─▶ exp runner ─▶ sim.RunBatch ─▶ sim.Result
 //	                                            │
 //	             workload / sched / policy / power / thermal / metrics / reliability
 //
@@ -40,14 +40,22 @@
 //
 // # The tick loop and its allocation contract
 //
-// Run builds an internal engine that preallocates every per-tick
-// buffer, then executes the tick pipeline: dispatch arrivals via the
-// policy, apply the policy's TickDecision, advance the scheduler,
-// compute power with temperature-dependent leakage, step the thermal
-// network, read sensors, and record metrics. In steady state the loop
+// Every run goes through one lockstep driver: Run and RunContext are
+// RunBatchContext of one config. RunBatch builds an internal engine per
+// config that preallocates every per-tick buffer, then executes the
+// tick pipeline for each: dispatch arrivals via the policy, apply the
+// policy's TickDecision, advance the scheduler, compute power with
+// temperature-dependent leakage, step the thermal network (one panel
+// solve for every run that shares a factorization), read sensors, and
+// record metrics. The driver orders its engines longest run first, so
+// runs of different durations share one batch and each retires at its
+// last tick; the first error or cancellation aborts the batch, and
+// every trace is flushed on every exit. In steady state the loop
 // performs zero heap allocations — TestTickLoopAllocationContract
 // enforces ≤ 2 allocs/tick (measured 0) for every policy family,
-// including runs with the lifetime tracker attached.
+// including runs with the lifetime tracker attached, and
+// TestBatchedTickLoopAllocationContract holds the lockstep tick to the
+// same budget per lane.
 //
 // # Hooks and buffer ownership
 //
@@ -86,8 +94,9 @@
 // host's tick state mid-decision (position, per-tick vectors,
 // integrator, scheduler, energy meter — no sensors, metrics or wear)
 // and replays each distinct candidate action on a reused lane engine.
-// The lanes advance in lockstep through the batched driver, one panel
-// solve per tick (each lane steps alone on the dense solver).
+// The lanes advance in lockstep through one driver over all of them —
+// an epoch with k distinct candidates steps its first k lanes — one
+// panel solve per tick (each lane steps alone on the dense solver).
 //
 // A single engine is strictly single-goroutine, and so are its
 // rollouts: they run on the goroutine that ticks the host. Concurrency

@@ -237,21 +237,18 @@ type Engine struct {
 // Run executes one simulation. Prefer RunContext when the run should
 // be cancelable; Run remains for context-free callers.
 func Run(cfg Config) (*Result, error) {
-	e, err := newEngine(cfg)
+	return RunContext(context.Background(), cfg)
+}
+
+// RunContext is the canonical run entry: it executes one simulation —
+// a batch of one, through RunBatchContext — polling ctx once per
+// simulated tick and aborting with its error on cancellation.
+func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	res, err := RunBatchContext(ctx, []Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	return e.run()
-}
-
-// RunContext is the canonical run entry: it executes one simulation,
-// polling ctx once per simulated tick and aborting with its error on
-// cancellation.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx != nil {
-		cfg.ctx = ctx
-	}
-	return Run(cfg)
+	return res[0], nil
 }
 
 // NewEngine validates the config and builds a stepping-ready engine:
@@ -487,31 +484,14 @@ func (e *Engine) fillCoreInputs() {
 	}
 }
 
-// run executes the tick loop and summarizes the results.
-func (e *Engine) run() (res *Result, err error) {
-	if e.trace != nil {
-		defer func() {
-			if ferr := e.trace.flush(); ferr != nil && err == nil {
-				res, err = nil, ferr
-			}
-		}()
-	}
-	for e.tickIdx < e.nTicks {
-		if err := e.tick(e.tickIdx); err != nil {
-			return nil, err
-		}
-	}
-	return e.finish(), nil
-}
-
 // tick advances the simulation by one sampling interval. In steady state
 // (no arriving or completing jobs, no trace writer) it performs no heap
-// allocations. It is the sequential composition of tickPre (scheduling
-// and power), the thermal step, and tickPost (readback, metrics,
-// hooks); the batched driver runs the same three phases with the
-// thermal steps of K co-scheduled runs fused into one panel solve, and
-// MPC rollout lanes run tickPre and that fused step with a lean
-// readback of their own.
+// allocations. It is Step's composition of tickPre (scheduling and
+// power), the thermal step, and tickPost (readback, metrics, hooks);
+// the lockstep driver behind Run and RunBatch runs the same three
+// phases with the thermal steps of its co-scheduled runs fused into
+// one panel solve, and MPC rollout lanes run tickPre and that fused
+// step with a lean readback of their own.
 func (e *Engine) tick(tick int) error {
 	if err := e.tickPre(tick); err != nil {
 		return err

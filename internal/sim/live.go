@@ -76,7 +76,7 @@ func (e *Engine) SpliceJobs(tick int, replacement []workload.Job) error {
 	e.res.JobsGenerated = len(spliced)
 	// Rollout lanes share the host's jobs slice; rebuild them lazily.
 	if e.rollout != nil {
-		e.rollout.lanes = nil
+		e.rollout.drop()
 	}
 	return nil
 }
@@ -130,7 +130,7 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 	e.view.Stack = &ns
 	// Lanes share the old stack/model/integrator; rebuild them lazily.
 	if e.rollout != nil {
-		e.rollout.lanes = nil
+		e.rollout.drop()
 	}
 	return nil
 }

@@ -60,8 +60,8 @@ func heldRollout(t *testing.T, host *Engine, a policy.Action, horizonTicks int) 
 		}
 	}
 	worst := 0.0
-	for i := range f.blockTemps {
-		if d := tracker.Damage(i); d > worst {
+	for _, b := range tracker.Report().Blocks {
+		if d := b.CycleDamage; d > worst {
 			worst = d
 		}
 	}

@@ -270,14 +270,22 @@ func (e *Engine) fork(cfg Config) (*Engine, error) {
 // goroutine, their thermal steps fused into one panel solve over the
 // host's factorization (each lane steps alone on the dense solver).
 // A candidate that repeats an earlier one takes that one's score.
-// Lanes and their drivers are built on the first Evaluate and reused.
+// Lanes and the one driver over all of them are built on the first
+// Evaluate and reused; an epoch with k distinct candidates steps the
+// driver's first k lanes.
 type rolloutSim struct {
 	host  *Engine
 	snap  Snapshot
 	lanes []*rolloutLane
+	d     *batchDriver // over every lane's engine, in lane order
 	// dup[i] is the earlier candidate actions[i] repeats, or -1.
 	dup []int
 }
+
+// drop discards the lanes and their driver together; the next Evaluate
+// builds both afresh. Live events call it when they replace an input
+// the lanes share with the host.
+func (r *rolloutSim) drop() { r.lanes, r.d = nil, nil }
 
 // rolloutLane is one reusable candidate evaluator: an engine frozen on
 // a HeldAction policy, one rainflow stream per block reset per
@@ -289,14 +297,16 @@ type rolloutLane struct {
 	eng     *Engine
 	pol     *policy.HeldAction
 	streams []reliability.Stream
-	// upTo advances this lane and every lane before it in lockstep.
-	upTo   *batchDriver
-	peak   float64
-	startJ float64
+	peak    float64
+	startJ  float64
 }
 
-// grow builds lanes until there are n.
+// grow builds lanes until there are n, and the driver over all of them
+// when it added any.
 func (r *rolloutSim) grow(n int) error {
+	if len(r.lanes) >= n {
+		return nil
+	}
 	for len(r.lanes) < n {
 		cfg := r.host.cfg
 		pol := policy.NewHeldAction()
@@ -309,16 +319,17 @@ func (r *rolloutSim) grow(n int) error {
 		// A lane records no metrics; its collector would be most of
 		// its memory.
 		eng.collector = nil
-		lane := &rolloutLane{eng: eng, pol: pol, streams: make([]reliability.Stream, r.host.model.NumBlocks())}
-		r.lanes = append(r.lanes, lane)
-		engines := make([]*Engine, len(r.lanes))
-		for i, l := range r.lanes {
-			engines[i] = l.eng
-		}
-		if lane.upTo, err = newBatchDriver(engines); err != nil {
-			return err
-		}
+		r.lanes = append(r.lanes, &rolloutLane{eng: eng, pol: pol, streams: make([]reliability.Stream, r.host.model.NumBlocks())})
 	}
+	engines := make([]*Engine, len(r.lanes))
+	for i, l := range r.lanes {
+		engines[i] = l.eng
+	}
+	d, err := newBatchDriver(engines)
+	if err != nil {
+		return err
+	}
+	r.d = d
 	return nil
 }
 
@@ -357,7 +368,7 @@ func (r *rolloutSim) Evaluate(actions []policy.Action, horizonTicks int, scores 
 			k++
 		}
 	}
-	lanes, d := r.lanes[:k], r.lanes[k-1].upTo
+	lanes := r.lanes[:k]
 	end := min(r.host.tickIdx+horizonTicks, r.host.nTicks)
 	for tick := r.host.tickIdx; tick < end; tick++ {
 		for _, l := range lanes {
@@ -365,7 +376,7 @@ func (r *rolloutSim) Evaluate(actions []policy.Action, horizonTicks int, scores 
 				return err
 			}
 		}
-		if err := d.step(); err != nil {
+		if err := r.d.step(k); err != nil {
 			return err
 		}
 		for _, l := range lanes {

@@ -118,7 +118,6 @@ func TestExecuteGroupedMatchesPerJob(t *testing.T) {
 			grouped.Add(int64(len(chunk)))
 			return fakeRunGroup(ctx, chunk)
 		},
-		MaxGroup: 6,
 	}, got)
 	if err != nil {
 		t.Fatal(err)

@@ -20,11 +20,11 @@ type RunFunc func(ctx context.Context, j Job) (Record, error)
 // batching is a throughput optimization, never a semantic change.
 type RunGroupFunc func(ctx context.Context, jobs []Job) ([]Record, error)
 
-// DefaultMaxGroup caps how many jobs a grouped dispatch fuses into one
-// batched run when Options.MaxGroup is zero. The cap keeps enough
-// independent chunks in flight to fill the worker pool while still
-// amortizing the shared per-tick work across a full panel.
-const DefaultMaxGroup = 16
+// maxGroup caps how many jobs a grouped dispatch fuses into one batched
+// run. The cap keeps enough independent chunks in flight to fill the
+// worker pool while still amortizing the shared per-tick work across a
+// full panel.
+const maxGroup = 16
 
 // Options tunes Execute.
 type Options struct {
@@ -37,7 +37,7 @@ type Options struct {
 	// ones before aggregating.
 	Skip map[string]bool
 	// Group maps a job to a batching key. Jobs sharing a non-empty key
-	// are dispatched together (in chunks of at most MaxGroup) through
+	// are dispatched together (in chunks of at most 16) through
 	// RunGroup; an empty key — or a nil Group or RunGroup — leaves the
 	// job on the per-job RunFunc path. Grouping changes only which
 	// worker a job runs on and how runs are fused; job keys, record
@@ -46,25 +46,20 @@ type Options struct {
 	// RunGroup executes one chunk of same-key jobs; required whenever
 	// Group is set (singleton chunks still use the RunFunc).
 	RunGroup RunGroupFunc
-	// MaxGroup caps the chunk size (0: DefaultMaxGroup).
-	MaxGroup int
 }
 
 // chunkJobs partitions the jobs into dispatch units. Jobs with the same
 // non-empty group key are gathered — in sweep expansion order — into
-// chunks of at most maxGroup, placed at the position of the key's first
+// chunks of at most limit, placed at the position of the key's first
 // occurrence; ungrouped jobs stay singleton chunks in place. The
 // partition is deterministic for a given job list.
-func chunkJobs(todo []Job, group func(Job) string, maxGroup int) [][]Job {
+func chunkJobs(todo []Job, group func(Job) string, limit int) [][]Job {
 	if group == nil {
 		chunks := make([][]Job, len(todo))
 		for i := range todo {
 			chunks[i] = todo[i : i+1]
 		}
 		return chunks
-	}
-	if maxGroup <= 0 {
-		maxGroup = DefaultMaxGroup
 	}
 	byKey := make(map[string][]Job)
 	order := make([]string, 0)
@@ -95,10 +90,7 @@ func chunkJobs(todo []Job, group func(Job) string, maxGroup int) [][]Job {
 		js := byKey[order[ki]]
 		ki++
 		for len(js) > 0 {
-			m := maxGroup
-			if m > len(js) {
-				m = len(js)
-			}
+			m := min(limit, len(js))
 			out = append(out, js[:m])
 			js = js[m:]
 		}
@@ -127,7 +119,7 @@ func Execute(ctx context.Context, jobs []Job, run RunFunc, opts Options, sinks .
 	if opts.RunGroup == nil {
 		group = nil // grouping requires a batched runner
 	}
-	chunks := chunkJobs(todo, group, opts.MaxGroup)
+	chunks := chunkJobs(todo, group, maxGroup)
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -174,6 +166,19 @@ func Execute(ctx context.Context, jobs []Job, run RunFunc, opts Options, sinks .
 		executed++
 	}
 
+	// runUnit runs one dispatch unit: a singleton chunk through the
+	// RunFunc, a larger one through RunGroup.
+	runUnit := func(ctx context.Context, chunk []Job) ([]Record, error) {
+		if len(chunk) > 1 {
+			return opts.RunGroup(ctx, chunk)
+		}
+		rec, err := run(ctx, chunk[0])
+		if err != nil {
+			return nil, err
+		}
+		return []Record{rec}, nil
+	}
+
 	next := make(chan []Job)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -182,33 +187,18 @@ func Execute(ctx context.Context, jobs []Job, run RunFunc, opts Options, sinks .
 			defer wg.Done()
 			for chunk := range next {
 				start := time.Now()
-				if len(chunk) == 1 {
-					j := chunk[0]
-					rec, err := run(ctx, j)
-					if err != nil {
-						if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-							// A run interrupted by cancellation is not a
-							// failure; the final ctx.Err() reports it.
-							continue
-						}
-						fail(fmt.Errorf("sweep: job %s: %w", j.Key(), err))
-						continue
-					}
-					rec.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-					emit(rec)
-					continue
-				}
-				recs, err := opts.RunGroup(ctx, chunk)
+				recs, err := runUnit(ctx, chunk)
 				if err != nil {
 					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+						// A run interrupted by cancellation is not a
+						// failure; the final ctx.Err() reports it.
 						continue
 					}
-					fail(fmt.Errorf("sweep: group of %d jobs (%s, ...): %w", len(chunk), chunk[0].Key(), err))
+					fail(fmt.Errorf("sweep: %s: %w", describe(chunk), err))
 					continue
 				}
 				if len(recs) != len(chunk) {
-					fail(fmt.Errorf("sweep: group runner returned %d records for %d jobs (%s, ...)",
-						len(recs), len(chunk), chunk[0].Key()))
+					fail(fmt.Errorf("sweep: group runner returned %d records for %s", len(recs), describe(chunk)))
 					continue
 				}
 				// Attribute the chunk's wall time evenly; the fused runs
@@ -242,4 +232,13 @@ dispatch:
 		firstErr = ctx.Err()
 	}
 	return executed, firstErr
+}
+
+// describe names a dispatch unit in an error: its job key, or its size
+// and first job key.
+func describe(chunk []Job) string {
+	if len(chunk) == 1 {
+		return "job " + chunk[0].Key()
+	}
+	return fmt.Sprintf("group of %d jobs (%s, ...)", len(chunk), chunk[0].Key())
 }

@@ -74,21 +74,23 @@ func NewTransientBatch(lanes []*Transient) (*TransientBatch, error) {
 	}, nil
 }
 
-// Lanes returns the number of integrators advancing in lockstep.
-func (b *TransientBatch) Lanes() int { return b.k }
-
-// StepInto advances every lane by one dt. blockPowers[l] is lane l's
-// per-block power input and dsts[l] the caller-owned destination for
-// its new node temperatures (°C), both with the lane integrator's usual
-// StepInto contracts. One SolvePanel call advances all lanes; no
-// allocations are performed.
+// StepInto advances the batch's first k lanes by one dt, where k =
+// len(dsts) and 1 ≤ k ≤ K; lanes k…K−1 are left untouched, so a
+// driver whose runs retire longest-first keeps stepping the runs still
+// going as a prefix. blockPowers[l] is lane l's per-block power input
+// and dsts[l] the caller-owned destination for its new node
+// temperatures (°C), both with the lane integrator's usual StepInto
+// contracts. One SolvePanel call over the first n·k entries of the
+// panel advances the k lanes, each bit for bit as Transient.StepInto
+// would; no allocations are performed.
 func (b *TransientBatch) StepInto(dsts, blockPowers [][]float64) error {
-	if len(dsts) != b.k || len(blockPowers) != b.k {
-		return fmt.Errorf("thermal: batch StepInto got %d dsts and %d power vectors for %d lanes",
+	k := len(dsts)
+	if k == 0 || k > b.k || len(blockPowers) != k {
+		return fmt.Errorf("thermal: batch StepInto got %d dsts and %d power vectors for a batch of %d lanes",
 			len(dsts), len(blockPowers), b.k)
 	}
 	n := b.n
-	for l, tr := range b.lanes {
+	for l, tr := range b.lanes[:k] {
 		if len(dsts[l]) != n {
 			return fmt.Errorf("thermal: batch StepInto lane %d destination has %d entries, want %d", l, len(dsts[l]), n)
 		}
@@ -100,11 +102,12 @@ func (b *TransientBatch) StepInto(dsts, blockPowers [][]float64) error {
 			col[i] = tr.cdt[i]*tr.rise[i] + tr.pn[i]
 		}
 	}
-	if err := b.chol.SolvePanel(b.panel, b.panel, b.k, b.scratch); err != nil {
+	panel := b.panel[:n*k]
+	if err := b.chol.SolvePanel(panel, panel, k, b.scratch[:n*k]); err != nil {
 		return fmt.Errorf("thermal: batched transient step failed: %w", err)
 	}
-	for l, tr := range b.lanes {
-		col := b.panel[l*n : (l+1)*n]
+	for l, tr := range b.lanes[:k] {
+		col := panel[l*n : (l+1)*n]
 		copy(tr.rise, col)
 		ambient := tr.m.Params.AmbientC
 		dst := dsts[l]

@@ -158,8 +158,8 @@ func TestTransientBatchMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if batch.Lanes() != k {
-						t.Fatalf("Lanes() = %d, want %d", batch.Lanes(), k)
+					if batch.k != k {
+						t.Fatalf("batch has %d lanes, want %d", batch.k, k)
 					}
 					dsts := make([][]float64, k)
 					for l := range dsts {
@@ -180,6 +180,90 @@ func TestTransientBatchMatchesSequential(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestTransientBatchPrefixStep pins prefix stepping, which lets runs
+// of different lengths share one batch: StepInto with k < K
+// destinations advances lanes 0…k−1 bit for bit as each integrator
+// stepped alone would, and leaves lanes k…K−1 — integrator state and
+// destination — untouched. The lanes retire longest run first, as the
+// simulator's driver orders them, so k falls through the panel
+// kernel's 8-lane blocks, 4-lane blocks and single-lane tails.
+func TestTransientBatchPrefixStep(t *testing.T) {
+	s := floorplan.MustBuild(floorplan.EXP4)
+	block, err := NewBlockModel(s, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := NewGridModel(s, DefaultParams(), 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []int{14, 14, 12, 12, 11, 9, 9, 9, 8, 6, 6, 3, 1}
+	for _, m := range []*Model{block, grid} {
+		K := len(steps)
+		lanes := make([]*Transient, K)
+		alone := make([]*Transient, K)
+		dsts := make([][]float64, K)
+		want := make([][]float64, K)
+		powers := make([][]float64, K)
+		for l := range lanes {
+			var err error
+			if lanes[l], err = m.NewTransient(0.1, nil); err != nil {
+				t.Fatal(err)
+			}
+			if alone[l], err = m.NewTransient(0.1, nil); err != nil {
+				t.Fatal(err)
+			}
+			dsts[l] = make([]float64, m.NumNodes)
+			want[l] = make([]float64, m.NumNodes)
+			powers[l] = uniformCorePower(s, 0.6+0.3*float64(l))
+		}
+		batch, err := NewTransientBatch(lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < steps[0]; step++ {
+			k := 0
+			for k < K && steps[k] > step {
+				k++
+			}
+			var frozenRise, frozenDst [][]float64
+			for l := k; l < K; l++ {
+				frozenRise = append(frozenRise, append([]float64(nil), lanes[l].rise...))
+				frozenDst = append(frozenDst, append([]float64(nil), dsts[l]...))
+			}
+			if err := batch.StepInto(dsts[:k], powers[:k]); err != nil {
+				t.Fatal(err)
+			}
+			for l := 0; l < k; l++ {
+				if err := alone[l].StepInto(want[l], powers[l]); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want[l] {
+					if math.Float64bits(dsts[l][i]) != math.Float64bits(want[l][i]) {
+						t.Fatalf("%d nodes, step %d (k=%d) lane %d node %d: batch %g, alone %g",
+							m.NumNodes, step, k, l, i, dsts[l][i], want[l][i])
+					}
+				}
+			}
+			for l := k; l < K; l++ {
+				for i := range dsts[l] {
+					if math.Float64bits(lanes[l].rise[i]) != math.Float64bits(frozenRise[l-k][i]) ||
+						math.Float64bits(dsts[l][i]) != math.Float64bits(frozenDst[l-k][i]) {
+						t.Fatalf("%d nodes, step %d (k=%d): retired lane %d node %d moved", m.NumNodes, step, k, l, i)
+					}
+				}
+			}
+		}
+		if err := batch.StepInto(nil, nil); err == nil {
+			t.Fatal("k = 0 accepted")
+		}
+		over := append(append([][]float64(nil), dsts...), make([]float64, m.NumNodes))
+		if err := batch.StepInto(over, append(append([][]float64(nil), powers...), powers[0])); err == nil {
+			t.Fatalf("k = %d > K = %d accepted", K+1, K)
+		}
 	}
 }
 

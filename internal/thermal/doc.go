@@ -38,11 +38,15 @@
 // (linalg.Cholesky.SolvePanel) per tick instead of K independent
 // sparse sweeps. Per lane the arithmetic is exactly
 // Transient.StepInto's, so batched trajectories are bitwise identical
-// to sequential ones. NewTransientBatch returns ErrNotBatchable when
-// lanes don't share a factorization; callers fall back to stepping
-// each integrator alone. The batch owns its panel and scratch
-// (allocated once), the lanes keep owning their integrator state, and
-// a batch belongs to one goroutine like the Transients it drives.
+// to sequential ones. StepInto may advance only a prefix: given k ≤ K
+// destinations it steps lanes 0…k−1 over the panel's first n·k
+// entries and leaves the rest untouched, so runs of different lengths
+// share one batch by retiring from its tail. NewTransientBatch returns
+// ErrNotBatchable when lanes don't share a factorization; callers fall
+// back to stepping each integrator alone. The batch owns its panel and
+// scratch (allocated once), the lanes keep owning their integrator
+// state, and a batch belongs to one goroutine like the Transients it
+// drives.
 //
 // Internally everything is SI: metres, watts, kelvins (temperatures are
 // expressed in °C above an absolute ambient, which is equivalent for a

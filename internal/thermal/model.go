@@ -507,12 +507,3 @@ func (m *Model) AmbientHeatFlow(nodeTemps []float64) float64 {
 	}
 	return q
 }
-
-// UniformInit returns a node temperature vector at the given °C.
-func (m *Model) UniformInit(tempC float64) []float64 {
-	t := make([]float64, m.NumNodes)
-	for i := range t {
-		t[i] = tempC
-	}
-	return t
-}

@@ -154,7 +154,7 @@ func TestStepRK4Validation(t *testing.T) {
 	if _, err := m.StepRK4([]float64{1}, make([]float64, s.NumBlocks()), 0.1); err == nil {
 		t.Error("short temperature vector accepted")
 	}
-	if _, err := m.StepRK4(m.UniformInit(45), []float64{1}, 0.1); err == nil {
+	if _, err := m.StepRK4(uniformTemps(m, 45), []float64{1}, 0.1); err == nil {
 		t.Error("short power vector accepted")
 	}
 }

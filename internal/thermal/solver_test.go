@@ -84,7 +84,7 @@ func TestTransientSparseMatchesDense(t *testing.T) {
 	for name, m := range solverModels(t) {
 		t.Run(name, func(t *testing.T) {
 			p := randomPower(m, 42)
-			init := m.UniformInit(m.Params.AmbientC + 5)
+			init := uniformTemps(m, m.Params.AmbientC+5)
 			trS, err := m.NewTransientWith(0.1, init, SolverCached)
 			if err != nil {
 				t.Fatal(err)

@@ -7,6 +7,15 @@ import (
 	"repro/internal/floorplan"
 )
 
+// uniformTemps returns a node temperature vector of m at tempC.
+func uniformTemps(m *Model, tempC float64) []float64 {
+	t := make([]float64, m.NumNodes)
+	for i := range t {
+		t[i] = tempC
+	}
+	return t
+}
+
 // uniformCorePower returns a block power vector giving each core pw watts
 // and everything else 0.
 func uniformCorePower(s *floorplan.Stack, pw float64) []float64 {
@@ -206,7 +215,7 @@ func TestTransientMatchesRK4(t *testing.T) {
 
 	dt := 0.1
 	tr, _ := m.NewTransient(dt, nil)
-	rk := m.UniformInit(m.Params.AmbientC)
+	rk := uniformTemps(m, m.Params.AmbientC)
 	var be []float64
 	var err error
 	for i := 0; i < 20; i++ {
@@ -363,14 +372,15 @@ func TestTSVDensityEdgeCases(t *testing.T) {
 	if m.Density(-5) != 0 || m.AreaOverhead(-5) != 0 {
 		t.Error("negative via count should give zero density")
 	}
-	if _, err := m.JointResistivityFromDensity(-0.1); err == nil {
-		t.Error("negative density accepted")
+	if rho := m.JointResistivity(-5); rho != m.BaseResistivity {
+		t.Errorf("negative via count: rho=%g, want the base %g", rho, m.BaseResistivity)
 	}
-	if rho, err := m.JointResistivityFromDensity(0); err != nil || rho != m.BaseResistivity {
-		t.Errorf("zero density: rho=%g err=%v", rho, err)
+	full := int(math.Ceil(m.LayerAreaM2 / ViaAreaM2()))
+	if m.Density(full) < 1 {
+		t.Fatalf("%d vias cover density %g, want >= 1", full, m.Density(full))
 	}
-	if rho, err := m.JointResistivityFromDensity(1); err != nil || math.Abs(rho-m.ViaResistivity) > 1e-12 {
-		t.Errorf("full density: rho=%g err=%v", rho, err)
+	if rho := m.JointResistivity(full); rho != m.ViaResistivity {
+		t.Errorf("full density: rho=%g, want the via %g", rho, m.ViaResistivity)
 	}
 }
 

@@ -1,9 +1,6 @@
 package thermal
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // TSV geometry assumed throughout the paper (Section IV-C): 10 µm via
 // diameter with 10 µm keep-out spacing around each via.
@@ -85,18 +82,6 @@ func (m TSVModel) JointResistivity(viaCount int) float64 {
 		return m.ViaResistivity
 	}
 	return 1 / ((1-d)/m.BaseResistivity + d/m.ViaResistivity)
-}
-
-// JointResistivityFromDensity is JointResistivity parameterized directly
-// by area density (for sweeps past the via-count granularity).
-func (m TSVModel) JointResistivityFromDensity(d float64) (float64, error) {
-	if d < 0 || d > 1 {
-		return 0, fmt.Errorf("thermal: TSV density %g out of [0,1]", d)
-	}
-	if d == 0 {
-		return m.BaseResistivity, nil
-	}
-	return 1 / ((1-d)/m.BaseResistivity + d/m.ViaResistivity), nil
 }
 
 // Fig2Point is one sample of the Figure 2 curve.

@@ -76,16 +76,6 @@ func ByName(name string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
 
-// ByID returns the Table I benchmark with the given 1-based ID.
-func ByID(id int) (Benchmark, error) {
-	for _, b := range TableI() {
-		if b.ID == id {
-			return b, nil
-		}
-	}
-	return Benchmark{}, fmt.Errorf("workload: unknown benchmark id %d", id)
-}
-
 // AvgUtil returns the average utilization as a fraction in [0,1].
 func (b Benchmark) AvgUtil() float64 { return b.AvgUtilPct / 100 }
 

@@ -35,18 +35,15 @@ func TestTableIPublishedValues(t *testing.T) {
 	if gzip.AvgUtilPct != 9 || gzip.FPPer100K != 0.2 {
 		t.Errorf("gzip row mismatch: %+v", gzip)
 	}
-	mp, err := ByID(7)
-	if err != nil || mp.Name != "MPlayer" {
-		t.Errorf("ByID(7) = %+v, %v", mp, err)
+	mp, err := ByName("MPlayer")
+	if err != nil || mp.ID != 7 {
+		t.Errorf("MPlayer = %+v, %v, want Table I ID 7", mp, err)
 	}
 }
 
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("no-such"); err == nil {
 		t.Error("unknown benchmark accepted")
-	}
-	if _, err := ByID(99); err == nil {
-		t.Error("unknown id accepted")
 	}
 }
 

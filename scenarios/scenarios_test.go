@@ -111,7 +111,8 @@ func TestLibraryFullPolicyRoster(t *testing.T) {
 		t.Fatalf("expanded %d jobs, want %d", len(jobs), want)
 	}
 	sink := &collectSink{}
-	n, err := sweep.Execute(context.Background(), jobs, exp.NewRunner(), sweep.Options{}, sink)
+	run, _ := exp.NewRunners(exp.RunnerHooks{})
+	n, err := sweep.Execute(context.Background(), jobs, run, sweep.Options{}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
