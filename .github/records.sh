@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
 # Record-identity gate: runs five canonical dtmsweep sweeps and checks
 # that each streams exactly the pinned number of records with the
-# pinned sha256. Together they cover block and grid models, the
-# cached and dense solvers, the degraded-TSV stress scenario, DPM,
-# lifetime tracking, replicates, the MPC policies, and lockstep groups
-# that mix run durations. A refactor that claims to keep records
+# pinned sha256. Together they cover block and grid models, two solver
+# labels (every label solves on the one shared factorization, so a
+# dense-labelled record is its cached twin relabelled), the
+# degraded-TSV stress scenario, DPM, lifetime tracking, replicates, the
+# MPC policies, and lockstep groups that mix run durations and solver
+# labels. A refactor that claims to keep records
 # byte-identical must pass this unchanged; a deliberate physics or
 # policy change updates the pins in the same commit and says why.
 #
@@ -46,7 +48,7 @@ check() {
 	echo "ok: $n records $sum"
 }
 
-check 280 39e9512bbdaee90a08beefca9154183fde139be9cf7d24a321ef9d4cb47583f6 \
+check 280 b42c974f1e98d53aef1e00443d2ab4575b539516db5f6edb48232e03b8e674d6 \
 	-exps 1,3 -grid 4x4 -stress -reliability -dpm -solver cached,dense \
 	-benchmarks 'Web-med,Web&DB' -duration 10 -workers 2
 check 588 e225b1ad25c03b0e064ead323a23eb96d1f301de2e35821e84524f2106eb143c \

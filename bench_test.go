@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/floorplan"
+	"repro/internal/linalg"
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -207,18 +208,12 @@ func corePower(s *floorplan.Stack) []float64 {
 }
 
 // benchSteadyState measures one steady-state solve of the EXP-4 block
-// network on the given solver path. For the dense and uncached sparse
-// kinds each iteration pays the full factorization, exactly like the
-// seed's per-run cost; the cached kind factors once and back-solves.
+// network on the given solver path. The uncached sparse kind pays the
+// full factorization in each iteration, exactly like the seed's per-run
+// cost; the cached kind factors once and back-solves.
 func benchSteadyState(b *testing.B, kind thermal.SolverKind) {
 	b.Helper()
-	thermal.ResetFactorCache()
-	s := floorplan.MustBuild(floorplan.EXP4)
-	m, err := thermal.NewBlockModel(s, thermal.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := corePower(s)
+	m, p := exp4BlockModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.SteadyStateWith(p, kind); err != nil {
@@ -227,7 +222,45 @@ func benchSteadyState(b *testing.B, kind thermal.SolverKind) {
 	}
 }
 
-func BenchmarkThermalSteadyStateDense(b *testing.B)  { benchSteadyState(b, thermal.SolverDense) }
+// exp4BlockModel returns the EXP-4 block network, after emptying the
+// shared model cache, and its 3 W-per-core power vector: the system
+// every solver benchmark solves.
+func exp4BlockModel(b *testing.B) (*thermal.Model, []float64) {
+	b.Helper()
+	thermal.ResetFactorCache()
+	s := floorplan.MustBuild(floorplan.EXP4)
+	m, err := thermal.NewBlockModel(s, thermal.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, corePower(s)
+}
+
+// denseTransientMatrix densifies the implicit-Euler matrix C/dt + G.
+func denseTransientMatrix(m *thermal.Model, dt float64) *linalg.Matrix {
+	a := m.G.ToDense()
+	for i, c := range m.C {
+		a.Add(i, i, c/dt)
+	}
+	return a
+}
+
+// BenchmarkThermalSteadyStateDense is the dense LU reference on the
+// same system: each iteration densifies G and LU-factors it.
+func BenchmarkThermalSteadyStateDense(b *testing.B) {
+	m, p := exp4BlockModel(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pn, err := m.ExpandPower(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := linalg.SolveDense(m.G.ToDense(), pn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkThermalSteadyStateSparse(b *testing.B) { benchSteadyState(b, thermal.SolverSparse) }
 func BenchmarkThermalSteadyStateCached(b *testing.B) { benchSteadyState(b, thermal.SolverCached) }
 
@@ -254,20 +287,43 @@ func BenchmarkThermalSteadyStateGridCached(b *testing.B) {
 	}
 }
 
-// benchTransientStep measures one implicit-Euler step of the EXP-4 block
-// network (the per-tick cost of the simulator); the factorization is
-// built once outside the loop for every kind, so this isolates the pure
-// per-step solve cost of dense LU vs sparse LDLᵀ back-substitution.
-func benchTransientStep(b *testing.B, kind thermal.SolverKind) {
-	b.Helper()
-	thermal.ResetFactorCache()
-	s := floorplan.MustBuild(floorplan.EXP4)
-	m, _ := thermal.NewBlockModel(s, thermal.DefaultParams())
-	tr, err := m.NewTransientWith(0.1, nil, kind)
+// BenchmarkThermalTransientStepDense measures one implicit-Euler step
+// of the EXP-4 block network (the per-tick cost of the simulator) on a
+// dense LU factorization built outside the loop; against
+// BenchmarkThermalTransientStepSparse it isolates the per-step solve
+// cost of dense LU vs sparse LDLᵀ back-substitution.
+func BenchmarkThermalTransientStepDense(b *testing.B) {
+	const dt = 0.1
+	m, p := exp4BlockModel(b)
+	lu, err := linalg.Factor(denseTransientMatrix(m, dt))
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := corePower(s)
+	n := m.NumNodes
+	cdt, pn, rise, rhs := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, c := range m.C {
+		cdt[i] = c / dt
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.ExpandPowerInto(pn, p); err != nil {
+			b.Fatal(err)
+		}
+		for j := range rhs {
+			rhs[j] = cdt[j]*rise[j] + pn[j]
+		}
+		if err := lu.Solve(rise, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkThermalTransientStepSparse(b *testing.B) {
+	m, p := exp4BlockModel(b)
+	tr, err := m.NewTransientWith(0.1, nil, thermal.SolverSparse)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.Step(p); err != nil {
@@ -276,17 +332,12 @@ func benchTransientStep(b *testing.B, kind thermal.SolverKind) {
 	}
 }
 
-func BenchmarkThermalTransientStepDense(b *testing.B)  { benchTransientStep(b, thermal.SolverDense) }
-func BenchmarkThermalTransientStepSparse(b *testing.B) { benchTransientStep(b, thermal.SolverSparse) }
-
-// BenchmarkThermalTransientSetup measures integrator construction (the
-// per-run factorization cost the cache amortizes across a sweep): dense
+// benchTransientSetup measures integrator construction (the per-run
+// factorization cost the cache amortizes across a sweep): sparse
 // refactors per call, cached hits the shared factorization.
 func benchTransientSetup(b *testing.B, kind thermal.SolverKind) {
 	b.Helper()
-	thermal.ResetFactorCache()
-	s := floorplan.MustBuild(floorplan.EXP4)
-	m, _ := thermal.NewBlockModel(s, thermal.DefaultParams())
+	m, _ := exp4BlockModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.NewTransientWith(0.1, nil, kind); err != nil {
@@ -295,17 +346,26 @@ func benchTransientSetup(b *testing.B, kind thermal.SolverKind) {
 	}
 }
 
-func BenchmarkThermalTransientSetupDense(b *testing.B)  { benchTransientSetup(b, thermal.SolverDense) }
+// BenchmarkThermalTransientSetupDense is the dense reference's setup:
+// densify C/dt + G and LU-factor it.
+func BenchmarkThermalTransientSetupDense(b *testing.B) {
+	m, _ := exp4BlockModel(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := linalg.Factor(denseTransientMatrix(m, 0.1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkThermalTransientSetupSparse(b *testing.B) { benchTransientSetup(b, thermal.SolverSparse) }
 func BenchmarkThermalTransientSetupCached(b *testing.B) { benchTransientSetup(b, thermal.SolverCached) }
 
-// benchSweep runs a reduced policy x benchmark sweep on EXP-3 and EXP-4
-// per iteration — the structure of the paper's figure sweeps — on the
-// given solver path. The cache is reset once before the loop, so the
-// cached kind reflects sweep-scale reuse while the others pay their
-// factorizations inside every run.
-func benchSweep(b *testing.B, kind thermal.SolverKind) {
-	b.Helper()
+// BenchmarkSweepCached runs a reduced policy x benchmark sweep on EXP-3
+// and EXP-4 per iteration — the structure of the paper's figure sweeps.
+// The cache is reset once before the loop, so it reflects sweep-scale
+// reuse of the shared factorizations.
+func BenchmarkSweepCached(b *testing.B) {
 	thermal.ResetFactorCache()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -315,16 +375,11 @@ func benchSweep(b *testing.B, kind thermal.SolverKind) {
 			Policies:   []string{"Default", "Adapt3D"},
 			DurationS:  10,
 			Seed:       1,
-			Solver:     kind,
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkSweepDense(b *testing.B)  { benchSweep(b, thermal.SolverDense) }
-func BenchmarkSweepSparse(b *testing.B) { benchSweep(b, thermal.SolverSparse) }
-func BenchmarkSweepCached(b *testing.B) { benchSweep(b, thermal.SolverCached) }
 
 // benchSweepPath runs the Fig3-class job list (full policy roster, two
 // stacks, two benchmarks) through sweep.Execute on the given path:
@@ -380,7 +435,7 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pol, err := exp.BuildPolicy("Adapt3D", stack, 1, thermal.SolverCached)
+	pol, err := exp.BuildPolicy("Adapt3D", stack, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -410,7 +465,7 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 // paper argues it is negligible).
 func BenchmarkAdapt3DTick(b *testing.B) {
 	stack := floorplan.MustBuild(floorplan.EXP4)
-	pol, err := exp.BuildPolicy("Adapt3D", stack, 1, thermal.SolverCached)
+	pol, err := exp.BuildPolicy("Adapt3D", stack, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

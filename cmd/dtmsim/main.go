@@ -73,7 +73,7 @@ func main() {
 		cfg.Exp = e
 		stackLabel = e.String()
 	}
-	pol, err := exp.BuildPolicy(*policyFlag, stack, *seedFlag, thermal.SolverCached)
+	pol, err := exp.BuildPolicy(*policyFlag, stack, *seedFlag)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func main() {
 	seedFlag := flag.Int64("seed", 1, "random seed")
 	csvFlag := flag.Bool("csv", false, "emit CSV instead of aligned tables (figure mode)")
 	benchFlag := flag.String("benchmarks", "", "comma-separated Table I benchmark names (default: representative mix)")
-	solverFlag := flag.String("solver", "cached", "thermal solver path(s): cached (sparse direct, shared factorizations), sparse, or dense; sweep mode accepts a comma-separated list")
+	solverFlag := flag.String("solver", "cached", "solver label(s) for job keys and records: cached, sparse, or dense; every run solves on the shared sparse factorization; sweep mode accepts a comma-separated list")
 	statsFlag := flag.Bool("solverstats", false, "print shared thermal model cache statistics after the sweep")
 	repFlag := flag.Int("replicates", 1, "independent seeds per cell; >1 reports mean±stddev")
 
@@ -179,11 +179,11 @@ func main() {
 		return
 	}
 
-	solver, err := thermal.ParseSolverKind(*solverFlag)
-	if err != nil {
+	// Figure mode records no solver label, but still rejects a bad one.
+	if _, err := thermal.ParseSolverKind(*solverFlag); err != nil {
 		fatal(err)
 	}
-	f := exp.FigureConfig{DurationS: *durFlag, Seed: *seedFlag, Solver: solver, Replicates: *repFlag}
+	f := exp.FigureConfig{DurationS: *durFlag, Seed: *seedFlag, Replicates: *repFlag}
 	if *benchFlag != "" {
 		f.Benchmarks = strings.Split(*benchFlag, ",")
 	}

@@ -132,7 +132,7 @@ func PolicySet(s *Stack, seed int64) ([]Policy, error) {
 
 // PolicyByName builds one policy from the roster by its Figure 3 name.
 func PolicyByName(name string, s *Stack, seed int64) (Policy, error) {
-	return exp.BuildPolicy(name, s, seed, thermal.SolverCached)
+	return exp.BuildPolicy(name, s, seed)
 }
 
 // PolicyNames lists the roster in the paper's Figure 3 order.

@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	alpha, err := policy.SteadyStateIndices(stack, model, thermal.SolverCached)
+	alpha, err := policy.SteadyStateIndices(stack, model)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
-	"repro/internal/thermal"
 )
 
 // TestBuildPolicySetMatchesPaperRoster builds the whole roster in
@@ -15,7 +14,7 @@ func TestBuildPolicySetMatchesPaperRoster(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
 	var set []string
 	for _, name := range PolicyOrder {
-		p, err := BuildPolicy(name, s, 1, thermal.SolverCached)
+		p, err := BuildPolicy(name, s, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -50,7 +49,7 @@ func TestBuildPolicyByName(t *testing.T) {
 			t.Errorf("duplicate policy name %q", name)
 		}
 		seen[name] = true
-		p, err := BuildPolicy(name, s, 1, thermal.SolverCached)
+		p, err := BuildPolicy(name, s, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -58,7 +57,7 @@ func TestBuildPolicyByName(t *testing.T) {
 			t.Errorf("built %q when asking for %q", p.Name(), name)
 		}
 	}
-	if _, err := BuildPolicy("NoSuch", s, 1, thermal.SolverCached); err == nil {
+	if _, err := BuildPolicy("NoSuch", s, 1); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

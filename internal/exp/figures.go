@@ -21,9 +21,6 @@ type FigureConfig struct {
 	// Exps overrides the default (all four for Figs 3-5; EXP-1/EXP-3 for
 	// Fig 6, as in the paper).
 	Exps []floorplan.Experiment
-	// Solver selects the thermal linear-solve path (default: shared-cache
-	// sparse direct).
-	Solver thermal.SolverKind
 	// Replicates averages every cell over that many independent seeds
 	// and renders mean±stddev entries (0 or 1: single-seed, as in the
 	// paper figures).
@@ -85,7 +82,6 @@ func (f FigureConfig) matrix(useDPM bool) (*Matrix, error) {
 		UseDPM:     useDPM,
 		DurationS:  f.DurationS,
 		Seed:       f.Seed,
-		Solver:     f.Solver,
 		Replicates: f.Replicates,
 	})
 }
@@ -171,7 +167,6 @@ func ReliabilityReport(f FigureConfig) (damage, mttf *report.Table, m *Matrix, e
 		Benchmarks:  f.Benchmarks,
 		DurationS:   f.DurationS,
 		Seed:        f.Seed,
-		Solver:      f.Solver,
 		Replicates:  f.Replicates,
 		Reliability: true,
 	})

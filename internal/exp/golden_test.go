@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
-	"repro/internal/thermal"
 )
 
 // goldenCell pins every numeric field of a matrix cell.
@@ -121,20 +120,15 @@ func TestRunGoldenRoster(t *testing.T) {
 	checkGolden(t, m, goldenRoster, 1e-9)
 }
 
-// TestRunGoldenEXP1Dense re-runs the golden sweep on the dense reference
-// solver. The wider tolerance absorbs the 1e-8-level per-solve
-// differences between factorizations accumulated over 300 ticks; the
-// paper-table numbers themselves are identical to far more digits than
-// the tables print.
+// TestRunGoldenEXP1Dense pins the solver labels as aliases of one
+// solver: the golden sweep under the cached, sparse and dense labels,
+// batched together, streams records that differ only in the label and
+// the key, and the cached cells still match goldenEXP1.
 func TestRunGoldenEXP1Dense(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dense reference sweep is slow")
-	}
 	cfg := goldenConfig()
-	cfg.Solver = thermal.SolverDense
-	m, err := Run(cfg)
+	m, err := cfg.Aggregate(requireSolverLabelsAlias(t, cfg.Spec()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, m, goldenEXP1, 1e-6)
+	checkGolden(t, m, goldenEXP1, 1e-9)
 }

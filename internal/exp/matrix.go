@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/sweep"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -25,9 +24,6 @@ type MatrixConfig struct {
 	DurationS float64
 	// Seed drives trace generation and stochastic policies.
 	Seed int64
-	// Solver selects the thermal linear-solve path for every run; the
-	// zero value is the shared-cache sparse path (thermal.SolverCached).
-	Solver thermal.SolverKind
 	// Replicates runs every (policy, experiment, benchmark) combination
 	// under that many independent seeds (sweep.DefaultSeedStride apart)
 	// and reports mean cells with a stddev Spread. 0 or 1 runs the

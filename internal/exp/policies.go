@@ -49,9 +49,8 @@ func KnownPolicy(name string) bool {
 // derived from seed: AdaptRand seed, Adapt3D seed+1, and the
 // Adapt3D&DVFS_TT/_Util/_FLP hybrids seed+2/+3/+4. Only the four
 // Adapt3D-based policies build a thermal model: their thermal indices
-// come from a steady-state solve of the stack's private block model on
-// solver's path, so a dense-reference sweep never factors sparse.
-func BuildPolicy(name string, stack *floorplan.Stack, seed int64, solver thermal.SolverKind) (policy.Policy, error) {
+// come from a steady-state solve of the stack's private block model.
+func BuildPolicy(name string, stack *floorplan.Stack, seed int64) (policy.Policy, error) {
 	var dvfs policy.Policy // the hybrid's DVFS half; nil for Adapt3D alone
 	offset := int64(1)
 	switch name {
@@ -95,7 +94,6 @@ func BuildPolicy(name string, stack *floorplan.Stack, seed int64, solver thermal
 	}
 	cfg := policy.DefaultAdapt3DConfig()
 	cfg.Seed = seed + offset
-	cfg.Solver = solver
 	a3d, err := policy.NewAdapt3D(stack, model, cfg)
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -16,7 +15,7 @@ import (
 // the streaming lifetime tracker enabled.
 func lifetimeRun(t *testing.T, policy string, jobs []workload.Job, stack *floorplan.Stack) *sim.Result {
 	t.Helper()
-	pol, err := BuildPolicy(policy, stack, 11, thermal.SolverCached)
+	pol, err := BuildPolicy(policy, stack, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/sim"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -19,7 +18,7 @@ func TestPaperShapeClaims(t *testing.T) {
 	run := func(policyName string, e floorplan.Experiment, jobs []workload.Job, dpm bool) *sim.Result {
 		t.Helper()
 		stack := floorplan.MustBuild(e)
-		pol, err := BuildPolicy(policyName, stack, 5, thermal.SolverCached)
+		pol, err := BuildPolicy(policyName, stack, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

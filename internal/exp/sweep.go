@@ -24,7 +24,6 @@ func (c MatrixConfig) Spec() sweep.Spec {
 		Benchmarks:  c.Benchmarks,
 		Replicates:  c.Replicates,
 		Seed:        c.Seed,
-		Solvers:     []thermal.SolverKind{c.Solver},
 		DurationsS:  []float64{c.DurationS},
 		UseDPM:      c.UseDPM,
 		Reliability: c.Reliability,
@@ -90,13 +89,12 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	if cfg.Policy, err = BuildPolicy(j.Policy, stack, j.Seed, j.Solver); err != nil {
+	if cfg.Policy, err = BuildPolicy(j.Policy, stack, j.Seed); err != nil {
 		return sim.Config{}, err
 	}
 	cfg.UseDPM = j.UseDPM
 	cfg.DurationS = j.DurationS
 	cfg.Seed = j.Seed
-	cfg.Solver = j.Solver
 	cfg.TrackLifetime = j.Reliability
 	return cfg, nil
 }
@@ -146,14 +144,13 @@ func NewRunners(hooks RunnerHooks) (sweep.RunFunc, sweep.RunGroupFunc) {
 
 // GroupKey is the exp-standard sweep grouping key: jobs mapping to the
 // same non-empty key build the identical thermal system — same stack
-// geometry and interlayer physics, on the shared-cache solver path — so
-// their transient factorizations are one *Cholesky and sim.RunBatch can
-// advance them through a single panel solve per tick. Policy,
-// benchmark, seed, replicate, DPM, reliability tracking and duration
-// are deliberately absent: they vary freely across the lanes of a
-// batch without affecting the factorization, a shorter run retiring at
-// its last tick. Non-cached solver jobs return "" and stay on the
-// per-job path.
+// geometry and interlayer physics — so their transient factorizations
+// are one *Cholesky and sim.RunBatch can advance them through a single
+// panel solve per tick. Policy, benchmark, seed, replicate, DPM,
+// reliability tracking, duration and the solver label are deliberately
+// absent: they vary freely across the lanes of a batch without
+// affecting the factorization, a shorter run retiring at its last
+// tick.
 //
 // The model identity comes from sim.ModelKey — the same helper Prewarm
 // validates against — so grouping can never diverge from the
@@ -161,16 +158,12 @@ func NewRunners(hooks RunnerHooks) (sweep.RunFunc, sweep.RunGroupFunc) {
 // participate: two differently-named scenarios with identical physics
 // build one thermal system and batch together.
 func GroupKey(j sweep.Job) string {
-	if j.Solver != thermal.SolverCached {
-		return ""
-	}
 	mc, err := modelConfig(j.Scenario)
 	if err != nil {
 		// Unresolvable scenario: stay on the per-job path, where the
 		// runner reports the error itself.
 		return ""
 	}
-	mc.Solver = j.Solver
 	key, err := sim.ModelKey(mc)
 	if err != nil {
 		// No canonical identity (partial grid spec): stay on the
@@ -193,31 +186,34 @@ func modelConfig(sc sweep.Scenario) (sim.Config, error) {
 	return sim.Config{StackSpec: &spec, GridRows: sc.GridRows, GridCols: sc.GridCols}, nil
 }
 
-// Prewarm builds every cached-solver scenario's shared thermal model
-// and factors its systems before a worker pool starts, so the workers
-// don't all block on the first run per stack.
+// Prewarm builds every scenario's shared thermal model and factors its
+// systems before a worker pool starts, so the workers don't all block
+// on the first run per stack. It warms each sim.ModelKey once: neither
+// the solver label nor the duration reaches the model.
 func Prewarm(spec sweep.Spec) error {
+	warmed := make(map[string]bool, len(spec.Scenarios))
 	for _, sc := range spec.Scenarios {
 		mc, err := modelConfig(sc)
 		if err != nil {
 			return fmt.Errorf("exp: prewarm %s: %w", sc.ID(), err)
 		}
-		for _, solver := range spec.Solvers {
-			for _, dur := range spec.DurationsS {
-				cfg := mc
-				cfg.DurationS = dur
-				cfg.Solver = solver
-				if err := sim.Prewarm(cfg); err != nil {
-					return fmt.Errorf("exp: prewarm %s: %w", sc.ID(), err)
-				}
-			}
+		key, err := sim.ModelKey(mc)
+		if err != nil {
+			return fmt.Errorf("exp: prewarm %s: %w", sc.ID(), err)
+		}
+		if warmed[key] {
+			continue
+		}
+		warmed[key] = true
+		if err := sim.Prewarm(mc); err != nil {
+			return fmt.Errorf("exp: prewarm %s: %w", sc.ID(), err)
 		}
 	}
 	return nil
 }
 
 // recKey identifies the record of one logical run within a
-// single-solver, single-duration matrix sweep.
+// single-duration matrix sweep under the cached solver label.
 type recKey struct {
 	policy, scenario, bench string
 	replicate               int
@@ -240,16 +236,16 @@ func (c MatrixConfig) Aggregate(recs []sweep.Record) (*Matrix, error) {
 	if reps <= 0 {
 		reps = 1
 	}
-	// A matrix is a single-solver, single-duration slice of the record
-	// space: drop records from other sweep dimensions (a shared
-	// checkpoint may hold, say, both cached and dense runs) so they can
-	// never silently mix into the cells. If filtering leaves a hole,
-	// the completeness check below reports it.
+	// A matrix is a single-duration slice of the record space under the
+	// cached solver label: drop records from other sweep dimensions (a
+	// shared checkpoint may hold, say, both cached- and dense-labelled
+	// runs) so they can never silently mix into the cells. If filtering
+	// leaves a hole, the completeness check below reports it.
 	// Reliability participates in the filter the same way: a shared
 	// checkpoint may hold both reliability-enabled and plain records of
 	// one logical run (their keys differ by the |rel suffix), and only
 	// the configuration's flavour may reach the cells.
-	solver := cfg.Solver.String()
+	solver := thermal.SolverCached.String()
 	byKey := make(map[recKey]sweep.Record, len(recs))
 	for _, r := range sweep.Dedup(recs) {
 		if r.Solver != solver || r.DurationS != cfg.DurationS || r.Reliability != cfg.Reliability {

@@ -312,16 +312,20 @@ func TestGroupedSweepRecordsByteIdentical(t *testing.T) {
 
 // TestGroupKey pins the batching key's scope: jobs over one thermal
 // system batch together across policies, benchmarks, seeds,
-// reliability and durations, under the system's ModelKey; different
-// scenarios do not; non-cached solvers opt out entirely.
+// reliability, durations and solver labels, under the system's
+// ModelKey; different scenarios do not.
 func TestGroupKey(t *testing.T) {
 	spec := resumeConfig().Spec()
 	spec.Scenarios = append(spec.Scenarios, sweep.ScenariosFor([]floorplan.Experiment{floorplan.EXP2})...)
 	spec.DurationsS = []float64{10, 20}
+	spec.Solvers = solverLabels
 	jobs := spec.Expand()
 	base := jobs[0]
+	if base.Solver != thermal.SolverCached {
+		t.Fatalf("first job %s is not cached-labelled", base.Key())
+	}
 	for _, j := range jobs[1:] {
-		same := j.Scenario.ID() == base.Scenario.ID() && j.Solver == base.Solver
+		same := j.Scenario.ID() == base.Scenario.ID()
 		if got := GroupKey(j) == GroupKey(base); got != same {
 			t.Errorf("GroupKey(%s) vs GroupKey(%s): equal=%v, want %v", j.Key(), base.Key(), got, same)
 		}
@@ -333,10 +337,90 @@ func TestGroupKey(t *testing.T) {
 	if key, err := sim.ModelKey(cfg); err != nil || GroupKey(base) != key {
 		t.Errorf("GroupKey(%s) = %q, want its ModelKey %q (%v)", base.Key(), GroupKey(base), key, err)
 	}
-	dense := base
-	dense.Solver = thermal.SolverDense
-	if GroupKey(dense) != "" {
-		t.Errorf("dense-solver job got grouping key %q, want none", GroupKey(dense))
+}
+
+// solverLabels is every solver label a sweep spec accepts.
+var solverLabels = []thermal.SolverKind{thermal.SolverCached, thermal.SolverSparse, thermal.SolverDense}
+
+// requireSolverLabelsAlias runs spec under every solver label as one
+// grouped sweep, so that the labels share lockstep groups, and checks
+// that each sparse- and dense-labelled record equals its cached twin
+// apart from the solver label and the key. It returns the records.
+func requireSolverLabelsAlias(t *testing.T, spec sweep.Spec) []sweep.Record {
+	t.Helper()
+	spec.Solvers = solverLabels
+	jobs := spec.Expand()
+	run, runGroup := NewRunners(RunnerHooks{})
+	col := &sweep.Collector{}
+	opts := sweep.Options{Workers: 2, Group: GroupKey, RunGroup: runGroup}
+	if _, err := sweep.Execute(context.Background(), jobs, run, opts, col); err != nil {
+		t.Fatal(err)
+	}
+	byKey := make(map[string]sweep.Record, len(col.Records))
+	for _, r := range col.Records {
+		r.ElapsedMS = 0
+		byKey[r.Key] = r
+	}
+	if len(byKey) != len(jobs) {
+		t.Fatalf("sweep streamed %d distinct records for %d jobs", len(byKey), len(jobs))
+	}
+	for _, j := range jobs {
+		if j.Solver == thermal.SolverCached {
+			continue
+		}
+		twin := j
+		twin.Solver = thermal.SolverCached
+		want, got := byKey[twin.Key()], byKey[j.Key()]
+		if got.Solver != j.Solver.String() {
+			t.Fatalf("record %s carries solver %q", got.Key, got.Solver)
+		}
+		got.Solver, got.Key = want.Solver, want.Key
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("record %s differs from its cached twin beyond solver and key\n got %+v\nwant %+v", j.Key(), got, want)
+		}
+	}
+	return col.Records
+}
+
+// TestSolverLabelsAlias is the Go mirror of the first records.sh pin: a
+// grid-mode sweep of the policies with the most solve-dependent state
+// (MPC_Rel's rollouts, Adapt3D's offline indices, DVFS_Rel's
+// thresholds on accumulated wear), with DPM and lifetime tracking,
+// streams the same record under every solver label.
+func TestSolverLabelsAlias(t *testing.T) {
+	requireSolverLabelsAlias(t, sweep.Spec{
+		Scenarios:   []sweep.Scenario{{Exp: floorplan.EXP3, GridRows: 4, GridCols: 4}},
+		Policies:    []string{"MPC_Rel", "Adapt3D", "DVFS_Rel"},
+		Benchmarks:  []string{"Web-med", "Web&DB"},
+		Seed:        1,
+		DurationsS:  []float64{10},
+		UseDPM:      true,
+		Reliability: true,
+	})
+}
+
+// TestPrewarmOncePerModel pins that Prewarm builds and warms each
+// thermal model once, whatever the spec's durations and solver labels,
+// and once for two scenarios of one ModelKey (a shorthand and the spec
+// it resolves to).
+func TestPrewarmOncePerModel(t *testing.T) {
+	thermal.ResetFactorCache()
+	t.Cleanup(thermal.ResetFactorCache)
+	spec := sweep.Spec{
+		Scenarios:  sweep.ScenariosFor([]floorplan.Experiment{floorplan.EXP1, floorplan.EXP2}),
+		Solvers:    solverLabels,
+		DurationsS: []float64{5, 12, 20, 30},
+	}
+	resolved, err := spec.Scenarios[0].StackSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scenarios = append(spec.Scenarios, sweep.Scenario{Stack: &sweep.StackRef{Spec: &resolved}})
+	if err := Prewarm(spec); err != nil {
+		t.Fatal(err)
+	}
+	if e, h, b := thermal.FactorCacheStats(); e != 2 || h != 0 || b != 2 {
+		t.Errorf("Prewarm left %d models after %d hits and %d builds, want 2/0/2", e, h, b)
 	}
 }
 

@@ -4,18 +4,6 @@ import (
 	"fmt"
 )
 
-// Solver is a factored linear system that can be solved repeatedly
-// against different right-hand sides. Both the dense LU and the sparse
-// Cholesky factorizations implement it, so callers (e.g. the thermal
-// transient integrator) can swap paths without branching per step.
-type Solver interface {
-	// Solve solves A*x = b, writing the solution into x. x and b must
-	// both have length N(); they may alias each other.
-	Solve(x, b []float64) error
-	// N returns the dimension of the factored system.
-	N() int
-}
-
 // Cholesky is a sparse LDLᵀ factorization of a symmetric positive-
 // definite matrix: P·A·Pᵀ = L·D·Lᵀ, with L unit lower triangular stored
 // in compressed-sparse-column form, D a positive diagonal, and P a
@@ -173,9 +161,6 @@ func factorCholesky(s *Sparse, perm []int) (*Cholesky, error) {
 	return f, nil
 }
 
-// N returns the dimension of the factored matrix.
-func (f *Cholesky) N() int { return f.n }
-
 // NNZ returns the number of stored nonzeros in L (fill-in included,
 // unit diagonal excluded).
 func (f *Cholesky) NNZ() int { return len(f.val) }
@@ -188,7 +173,7 @@ func (f *Cholesky) Solve(x, b []float64) error {
 	return f.SolveBuffered(x, b, make([]float64, f.n))
 }
 
-// SolveBuffered is Solve with caller-provided scratch of length N(),
+// SolveBuffered is Solve with caller-provided scratch of length n,
 // making repeated solves allocation-free. The scratch must not alias x
 // or b. A factorization is immutable after construction, so concurrent
 // SolveBuffered calls are safe as long as each goroutine owns its

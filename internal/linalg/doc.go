@@ -3,7 +3,7 @@
 // nothing about floorplans or temperatures, only CSR/dense matrices —
 // internal/thermal is its sole in-repo consumer.
 //
-// Two solve paths are available, both behind the Solver interface:
+// Two factorizations are available:
 //
 //   - Sparse direct (Cholesky): an LDLᵀ factorization of the CSR
 //     conductance matrix with a fill-reducing ordering — reverse
@@ -13,10 +13,10 @@
 //     factorization is bitwise reproducible across processes. RC
 //     conductance systems are symmetric positive definite, and
 //     factoring once then back-solving per step turns the dense O(n³)
-//     solve into O(nnz(L)) per step.
-//   - Dense LU with partial pivoting (Factor/SolveDense): the
-//     reference path, kept for cross-validation tests, benchmark
-//     baselines, and matrices with no exploitable sparsity.
+//     solve into O(nnz(L)) per step. Every thermal solve runs on it.
+//   - Dense LU with partial pivoting (Factor/SolveDense, with
+//     Sparse.ToDense): the reference that cross-validation tests and
+//     benchmark baselines compare the sparse path against.
 //
 // # Panel (multi-RHS) solves
 //

@@ -77,11 +77,9 @@ func Factor(a *Matrix) (*LU, error) {
 	return f, nil
 }
 
-// N returns the dimension of the factored matrix.
-func (f *LU) N() int { return f.n }
-
 // Solve solves A*x = b, writing the solution into x. b is not modified.
-// x and b must both have length N(); they may alias each other.
+// x and b must both have the matrix's dimension; they may alias each
+// other.
 func (f *LU) Solve(x, b []float64) error {
 	n := f.n
 	if len(x) != n || len(b) != n {

@@ -33,10 +33,6 @@ type Adapt3DConfig struct {
 	// must be long (minutes) because short intervals are misleading; it
 	// found offline and runtime indices to behave equivalently.
 	OnlineWindow int
-	// Solver selects the thermal solve path for the offline index
-	// derivation in NewAdapt3D (zero value: the model's memoized sparse
-	// factorization, thermal.SolverCached).
-	Solver thermal.SolverKind
 }
 
 // DefaultAdapt3DConfig returns the paper's constants.
@@ -58,11 +54,10 @@ type Adapt3D struct {
 
 // NewAdapt3D builds Adapt3D for the given stack. When cfg.Alpha is nil
 // the thermal indices are derived offline: from a steady-state solve
-// of model on cfg.Solver's path under a uniform reference power map
-// (the paper's preferred option; it found offline and runtime-derived
-// indices to behave equivalently), or, when model is nil, from the
-// stack's geometry alone (distance from the heat sink and lateral
-// centrality).
+// of model under a uniform reference power map (the paper's preferred
+// option; it found offline and runtime-derived indices to behave
+// equivalently), or, when model is nil, from the stack's geometry
+// alone (distance from the heat sink and lateral centrality).
 func NewAdapt3D(stack *floorplan.Stack, model *thermal.Model, cfg Adapt3DConfig) (*Adapt3D, error) {
 	if stack == nil {
 		return nil, fmt.Errorf("policy: Adapt3D needs a stack")
@@ -76,7 +71,7 @@ func NewAdapt3D(stack *floorplan.Stack, model *thermal.Model, cfg Adapt3DConfig)
 	alpha := cfg.Alpha
 	if alpha == nil && model != nil {
 		var err error
-		if alpha, err = SteadyStateIndices(stack, model, cfg.Solver); err != nil {
+		if alpha, err = SteadyStateIndices(stack, model); err != nil {
 			return nil, err
 		}
 	}
@@ -203,18 +198,16 @@ func GeometricIndices(stack *floorplan.Stack) []float64 {
 
 // SteadyStateIndices derives thermal indices from the steady-state core
 // temperatures under a uniform reference power map (every core at its
-// nominal active power), solved on kind's path so dense-reference
-// sweeps stay purely dense: hotter steady-state locations get higher
-// α. Cores are ranked by steady-state temperature and mapped evenly
-// into (0.1, 0.9); rank mapping keeps the full lateral ordering even
-// when the interlayer temperature difference dominates the absolute
-// spread.
-func SteadyStateIndices(stack *floorplan.Stack, model *thermal.Model, kind thermal.SolverKind) ([]float64, error) {
+// nominal active power): hotter steady-state locations get higher α.
+// Cores are ranked by steady-state temperature and mapped evenly into
+// (0.1, 0.9); rank mapping keeps the full lateral ordering even when
+// the interlayer temperature difference dominates the absolute spread.
+func SteadyStateIndices(stack *floorplan.Stack, model *thermal.Model) ([]float64, error) {
 	ref := make([]float64, stack.NumBlocks())
 	for _, c := range stack.Cores() {
 		ref[stack.BlockIndex(c)] = 3.0 // nominal active power, Section IV-B
 	}
-	temps, err := model.SteadyStateWith(ref, kind)
+	temps, err := model.SteadyState(ref)
 	if err != nil {
 		return nil, fmt.Errorf("policy: Adapt3D offline index solve failed: %w", err)
 	}

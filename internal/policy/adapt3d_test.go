@@ -153,7 +153,7 @@ func TestSteadyStateIndicesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alpha, err := SteadyStateIndices(s, m, thermal.SolverCached)
+	alpha, err := SteadyStateIndices(s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestNewAdapt3DWithModel(t *testing.T) {
 	if len(p.Alpha()) != 8 {
 		t.Errorf("alpha length %d", len(p.Alpha()))
 	}
-	steady, err := SteadyStateIndices(s, m, thermal.SolverCached)
+	steady, err := SteadyStateIndices(s, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func (ev *Event) Normalize() error {
 func applyEvent(eng *sim.Engine, job sweep.Job, tick int, ev Event) error {
 	switch ev.Type {
 	case EventSetPolicy:
-		pol, err := exp.BuildPolicy(ev.Policy, eng.Stack(), job.Seed, job.Solver)
+		pol, err := exp.BuildPolicy(ev.Policy, eng.Stack(), job.Seed)
 		if err != nil {
 			return err
 		}

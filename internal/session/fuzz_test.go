@@ -10,12 +10,12 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/thermal"
 )
 
 // fuzzRig holds one live engine fuzz inputs are applied to, rebuilt
-// when a run completes. On the sparse solver each fuzzed fail_tsv
-// factor is factored privately, so nothing is retained per factor.
+// when a run completes. Each fuzzed fail_tsv factor builds a private
+// degraded model that replaces the last one and never enters the
+// shared model cache, so nothing is retained per factor.
 var fuzzRig struct {
 	sync.Mutex
 	eng *sim.Engine
@@ -33,7 +33,6 @@ func fuzzEngine(t *testing.T) *sim.Engine {
 		Bench:     "gzip",
 		Seed:      1,
 		DurationS: 0.5,
-		Solver:    thermal.SolverSparse,
 	}
 	m := NewManager(Config{IdleTimeout: -1})
 	t.Cleanup(m.Close)

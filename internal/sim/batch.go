@@ -16,9 +16,9 @@ import (
 // Callers order the engines longest run first, so the runs still going
 // at any tick are always a prefix and a retired run is never stepped
 // again. Engines that cannot share a panel solve (a single engine, or
-// a non-sparse solver path) step their integrators one after another
-// instead, which is always equivalent. All per-tick state (the
-// destination and power slice headers included) is wired at
+// engines of different thermal systems) step their integrators one
+// after another instead, which is always equivalent. All per-tick
+// state (the destination and power slice headers included) is wired at
 // construction, so the lockstep tick performs no heap allocations —
 // the same contract the sequential engine tick keeps.
 type batchDriver struct {
@@ -91,17 +91,16 @@ func (d *batchDriver) step(k int) error {
 
 // RunBatch executes K co-scheduled simulations in lockstep, fusing
 // their per-tick thermal solves into one blocked panel solve over the
-// shared factorization (SolverCached runs over the same stack geometry,
-// parameters, and tick length share one automatically). Each run keeps
+// shared factorization (runs over the same stack geometry, parameters,
+// and tick length share one automatically). Each run keeps
 // its own engine — policy, scheduler, power model, metrics,
 // reliability tracking, and every TickDecision stay fully independent —
 // so the results are bitwise identical to stepping each config's
 // engine alone; only the number of triangular-solve traversals per
 // tick changes. Runs may differ in duration: a run retires at its last
 // tick and the others go on without it. Configs whose runs cannot
-// share a factorization (mixed stacks, dense or private-sparse
-// solvers) step their integrators one after another in the same
-// lockstep.
+// share a factorization (mixed stacks or tick lengths) step their
+// integrators one after another in the same lockstep.
 //
 // The first error aborts the whole batch, consistent with a sweep
 // treating its group as one unit of work.

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/policy"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -144,9 +143,9 @@ func TestRunBatchMixedDurations(t *testing.T) {
 }
 
 // TestRunBatchFallsBack checks the fallbacks: lanes that cannot share
-// a factorization (a dense solver lane, which steps alone in
-// lockstep), alone or beside a lane of another duration that retires
-// mid-batch, still produce exactly the per-run results.
+// a factorization (an EXP-1 lane among EXP-2 lanes, so every lane
+// steps alone in lockstep), alone or beside a lane of another duration
+// that retires mid-batch, still produce exactly the per-run results.
 func TestRunBatchFallsBack(t *testing.T) {
 	var want []*Result
 	for _, mixedDurations := range []bool{true, false} {
@@ -155,8 +154,23 @@ func TestRunBatchFallsBack(t *testing.T) {
 			if mixedDurations {
 				cfgs[1].DurationS = 20 // the other lanes retire at tick 100
 			}
-			cfgs[2].Solver = thermal.SolverDense
+			cfgs[2].Exp = floorplan.EXP1
 			return cfgs
+		}
+		engines := make([]*Engine, 0, 3)
+		for _, cfg := range mk() {
+			e, err := newEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines = append(engines, e)
+		}
+		d, err := newBatchDriver(engines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.batch != nil {
+			t.Fatal("mixed stacks share a panel batch; want the per-lane fallback")
 		}
 		seq := mk()
 		want = make([]*Result, len(seq))

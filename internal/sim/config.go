@@ -66,14 +66,6 @@ type Config struct {
 	// wrong factorization (see ModelKey).
 	GridRows, GridCols int
 
-	// Solver selects the thermal linear-solve path. The zero value is
-	// thermal.SolverCached: every run with the same ModelKey shares one
-	// thermal model (thermal.SharedModel) and its memoized sparse
-	// factorizations, which is what makes large policy x floorplan
-	// sweeps cheap. SolverSparse builds a private model and factors
-	// privately; SolverDense is the O(n³) reference path.
-	Solver thermal.SolverKind
-
 	// MigrationCostS is the per-migration penalty (default 1 ms).
 	MigrationCostS float64
 

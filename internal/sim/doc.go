@@ -25,18 +25,17 @@
 // # Stack identity and the shared model
 //
 // Config.StackSpec is the one stack input: ModelKey and Prewarm key the
-// thermal system on its content hash ("stack:<hash>|tick…|solver…",
-// plus "|grid…" in grid mode). Config.Exp and Config.JointResistivityMKW
+// thermal system on its content hash ("stack:<hash>|tick…", plus
+// "|grid…" in grid mode). Config.Exp and Config.JointResistivityMKW
 // are shorthand that withDefaults resolves once, through
 // floorplan.SpecWithResistivity, when StackSpec is nil — so a run
 // configured by experiment and one configured by the equivalent spec
-// share a key. On the cached solver path the key is also the identity
-// of the run's thermal model: the engine gets it from
-// thermal.SharedModel, which builds the stack and the model once per
-// key, so every run, batch lane, fork and Prewarm of one key reads the
-// same immutable model, its stack and its memoized factorizations.
-// Each engine settles its own idle fixed point. The other solver
-// paths, and a session's DegradeInterfaces, build private models.
+// share a key. The key is also the identity of the run's thermal
+// model: the engine gets it from thermal.SharedModel, which builds the
+// stack and the model once per key, so every run, batch lane, fork and
+// Prewarm of one key reads the same immutable model, its stack and its
+// memoized factorizations. Each engine settles its own idle fixed
+// point. Only a session's DegradeInterfaces builds a private model.
 //
 // # The tick loop and its allocation contract
 //
@@ -96,7 +95,7 @@
 // and replays each distinct candidate action on a reused lane engine.
 // The lanes advance in lockstep through one driver over all of them —
 // an epoch with k distinct candidates steps its first k lanes — one
-// panel solve per tick (each lane steps alone on the dense solver).
+// panel solve per tick.
 //
 // A single engine is strictly single-goroutine, and so are its
 // rollouts: they run on the goroutine that ticks the host. Concurrency

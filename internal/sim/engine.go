@@ -50,27 +50,22 @@ type Result struct {
 var paperPower = power.DefaultModel()
 
 // buildThermal returns the thermal model, and through Model.Stack the
-// floorplan stack, for an already-defaulted config. On the cached
-// solver path the model is shared process-wide under ModelKey(cfg), so
-// every engine, batch lane, fork and Prewarm of one key reads one model
-// and its memoized factorizations; the other solver paths build a
-// private model.
+// floorplan stack, for an already-defaulted config. The model is shared
+// process-wide under ModelKey(cfg), so every engine, batch lane, fork
+// and Prewarm of one key reads one model and its memoized
+// factorizations.
 func buildThermal(cfg Config) (*thermal.Model, error) {
-	build := func() (*thermal.Model, error) {
+	key, err := ModelKey(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return thermal.SharedModel(key, func() (*thermal.Model, error) {
 		stack, err := cfg.StackSpec.Build()
 		if err != nil {
 			return nil, fmt.Errorf("sim: stack spec invalid: %w", err)
 		}
 		return newModel(stack, &cfg)
-	}
-	if cfg.Solver != thermal.SolverCached {
-		return build()
-	}
-	key, err := ModelKey(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return thermal.SharedModel(key, build)
+	})
 }
 
 // newModel builds the thermal model of stack in the mode cfg selects:
@@ -97,9 +92,6 @@ func Prewarm(cfg Config) error {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return err
-	}
-	if cfg.Solver != thermal.SolverCached {
-		return nil // nothing shareable to warm
 	}
 	model, err := buildThermal(cfg)
 	if err != nil {
@@ -341,7 +333,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	if err := paperPower.ComputeInto(e.blockPower, stack, idleIn); err != nil {
 		return nil, err
 	}
-	nodeTemps, err := model.SteadyStateWith(e.blockPower, cfg.Solver)
+	nodeTemps, err := model.SteadyState(e.blockPower)
 	if err != nil {
 		return nil, err
 	}
@@ -352,12 +344,12 @@ func newEngine(cfg Config) (*Engine, error) {
 	if err := paperPower.ComputeInto(e.blockPower, stack, idleIn); err != nil {
 		return nil, err
 	}
-	if nodeTemps, err = model.SteadyStateWith(e.blockPower, cfg.Solver); err != nil {
+	if nodeTemps, err = model.SteadyState(e.blockPower); err != nil {
 		return nil, err
 	}
 	copy(e.nodeTemps, nodeTemps)
 
-	if e.tr, err = model.NewTransientWith(cfg.TickS, e.nodeTemps, cfg.Solver); err != nil {
+	if e.tr, err = model.NewTransient(cfg.TickS, e.nodeTemps); err != nil {
 		return nil, err
 	}
 	if err := model.BlockTempsInto(e.blockTemps, e.nodeTemps); err != nil {

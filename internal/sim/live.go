@@ -88,8 +88,7 @@ func (e *Engine) SpliceJobs(tick int, replacement []workload.Job) error {
 // continuous across the event. Geometry is unchanged — only interface
 // physics — so every other subsystem keeps its buffers. The degraded
 // model is private to this engine (and its forks): it is never entered
-// in the shared model cache, and on the cached solver path it memoizes
-// its own factorization.
+// in the shared model cache, and it memoizes its own factorization.
 func (e *Engine) DegradeInterfaces(factor float64) error {
 	if factor <= 0 {
 		return fmt.Errorf("sim: interface degradation factor %g must be positive", factor)
@@ -114,7 +113,7 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 		return fmt.Errorf("sim: degraded model shape changed (%d nodes, %d blocks vs %d, %d)",
 			model.NumNodes, model.NumBlocks(), len(e.nodeTemps), len(e.blockTemps))
 	}
-	tr, err := model.NewTransientWith(e.cfg.TickS, nil, e.cfg.Solver)
+	tr, err := model.NewTransient(e.cfg.TickS, nil)
 	if err != nil {
 		return err
 	}

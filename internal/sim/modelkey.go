@@ -8,15 +8,14 @@ import (
 // config builds: two configs produce equal keys exactly when Run would
 // hand them the same shared thermal model and factorizations — same
 // stack (any spec field that changes the built system changes the
-// spec's content hash), grid discretization, solver path, and tick
-// length (the transient factorization bakes in C/dt). On the cached
-// solver path it is the key of thermal.SharedModel itself, and sweep
-// grouping (exp.GroupKey) and Prewarm derive from it, so batched jobs
-// can never be grouped across — or warm — a model the run would not
-// use.
+// spec's content hash), grid discretization, and tick length (the
+// transient factorization bakes in C/dt). It is the key of
+// thermal.SharedModel itself, and sweep grouping (exp.GroupKey) and
+// Prewarm derive from it, so batched jobs can never be grouped across
+// — or warm — a model the run would not use.
 //
-// The key has one form for every stack,
-// "stack:<hash>|tick<s>s|solver<n>" plus "|grid<r>x<c>" in grid mode:
+// The key has one form for every stack, "stack:<hash>|tick<s>s" plus
+// "|grid<r>x<c>" in grid mode:
 // the Exp shorthand and zero-valued fields resolve exactly as Run
 // resolves them, so an experiment and its resolved StackSpec share a
 // key. It errors on configs Run would reject before building the model:
@@ -28,7 +27,7 @@ func ModelKey(cfg Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	key := fmt.Sprintf("stack:%s|tick%gs|solver%d", cfg.StackSpec.Hash(), cfg.TickS, int(cfg.Solver))
+	key := fmt.Sprintf("stack:%s|tick%gs", cfg.StackSpec.Hash(), cfg.TickS)
 	if cfg.GridRows > 0 {
 		key = fmt.Sprintf("%s|grid%dx%d", key, cfg.GridRows, cfg.GridCols)
 	}

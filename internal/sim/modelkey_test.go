@@ -39,16 +39,13 @@ func TestModelKey(t *testing.T) {
 	if key(Config{Exp: floorplan.EXP3}) == key(Config{Exp: floorplan.EXP4}) {
 		t.Error("different experiments share a key")
 	}
-	if key(Config{}) == key(Config{Solver: thermal.SolverDense}) {
-		t.Error("solver path not part of the key")
-	}
 	if key(Config{}) == key(Config{GridRows: 8, GridCols: 8}) {
 		t.Error("grid discretization not part of the key")
 	}
 
 	spec := &floorplan.StackSpec{Name: "mk", Layers: []floorplan.LayerSpec{{Template: "memory"}, {Template: "cores"}}}
 	specKey := key(Config{StackSpec: spec})
-	if want := fmt.Sprintf("stack:%s|tick0.1s|solver0", spec.Hash()); specKey != want {
+	if want := fmt.Sprintf("stack:%s|tick0.1s", spec.Hash()); specKey != want {
 		t.Errorf("spec key %q, want %q", specKey, want)
 	}
 	changed := *spec
@@ -112,11 +109,10 @@ func TestRunStackSpec(t *testing.T) {
 	}
 }
 
-// TestEnginesShareModel pins how cached-solver engines share one
-// thermal model per ModelKey: the Exp shorthand and its resolved spec
-// reach the same model and factorization, as do a RunBatch group's
-// lanes and a Fork; a SolverSparse engine builds privately and never
-// touches the cache; and Prewarm after ResetFactorCache rebuilds.
+// TestEnginesShareModel pins how engines share one thermal model per
+// ModelKey: the Exp shorthand and its resolved spec reach the same
+// model and factorization, as do a RunBatch group's lanes and a Fork;
+// and Prewarm after ResetFactorCache rebuilds.
 func TestEnginesShareModel(t *testing.T) {
 	thermal.ResetFactorCache()
 	t.Cleanup(thermal.ResetFactorCache)
@@ -163,13 +159,6 @@ func TestEnginesShareModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStats("batch lanes", 2, 1+int64(len(lanes)-1), 2)
-
-	sparseCfg := shortCfg(t, policy.NewDefault())
-	sparseCfg.Solver = thermal.SolverSparse
-	if engine(sparseCfg).model == short.model {
-		t.Fatal("a SolverSparse engine used the shared model")
-	}
-	wantStats("SolverSparse engine", 2, 1+int64(len(lanes)-1), 2)
 
 	thermal.ResetFactorCache()
 	if err := Prewarm(shortCfg(t, nil)); err != nil {

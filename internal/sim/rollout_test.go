@@ -100,23 +100,23 @@ func rolloutCandidates(n int) ([]policy.Action, int) {
 // per-candidate full-fork reference (heldRollout): on an MPC host stopped
 // mid-run, near its end (horizon clipped to two ticks) and at its end
 // (clipped to none), Evaluate's scores equal heldRollout's bit for bit
-// for every candidate, duplicates included, across the three solver
-// paths, with lifetime tracking on and off, DPM and sensor noise. Only
-// the distinct candidates get lanes that advance, and evaluation leaves
-// the host's state untouched.
+// for every candidate, duplicates included, with lifetime tracking on
+// and off, DPM and sensor noise. Only the distinct candidates get lanes
+// that advance, and evaluation leaves the host's state untouched. The
+// subtest names keep the solver labels they were first written for;
+// every label solves on the one shared factorization.
 func TestRolloutScoresMatchFullForks(t *testing.T) {
 	noise := thermal.SensorConfig{NoiseStdDevC: 0.5, Seed: 9}
 	for _, tc := range []struct {
 		name     string
-		solver   thermal.SolverKind
 		lifetime bool
 		dpm      bool
 		sensors  thermal.SensorConfig
 	}{
-		{"cached", thermal.SolverCached, false, false, thermal.SensorConfig{}},
-		{"cached+lifetime+noise", thermal.SolverCached, true, false, noise},
-		{"sparse+lifetime+DPM", thermal.SolverSparse, true, true, thermal.SensorConfig{}},
-		{"dense+noise", thermal.SolverDense, false, false, noise},
+		{"cached", false, false, thermal.SensorConfig{}},
+		{"cached+lifetime+noise", true, false, noise},
+		{"sparse+lifetime+DPM", true, true, thermal.SensorConfig{}},
+		{"dense+noise", false, false, noise},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := workload.ByName("Web-high")
@@ -129,7 +129,6 @@ func TestRolloutScoresMatchFullForks(t *testing.T) {
 				Bench:         b,
 				DurationS:     4,
 				Seed:          3,
-				Solver:        tc.solver,
 				TrackLifetime: tc.lifetime,
 				UseDPM:        tc.dpm,
 				Sensors:       tc.sensors,

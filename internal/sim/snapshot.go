@@ -268,7 +268,7 @@ func (e *Engine) fork(cfg Config) (*Engine, error) {
 // epoch it captures the host's tick state, gives every distinct
 // candidate a lane, and advances the lanes in lockstep on the calling
 // goroutine, their thermal steps fused into one panel solve over the
-// host's factorization (each lane steps alone on the dense solver).
+// host's factorization.
 // A candidate that repeats an earlier one takes that one's score.
 // Lanes and the one driver over all of them are built on the first
 // Evaluate and reused; an epoch with k distinct candidates steps the

@@ -1,6 +1,6 @@
 // Package sweep is the experiment orchestration layer: it expands a
 // declarative Spec (the cross product of scenarios x policies x
-// benchmarks x replicate seeds x solver kinds x durations, optionally
+// benchmarks x replicate seeds x solver labels x durations, optionally
 // with the lifetime tracker attached) into a deterministic job list,
 // executes it on a bounded worker pool, and streams per-run Records to
 // pluggable sinks as runs complete.
@@ -18,10 +18,11 @@
 // Expand is a pure function of the Spec: two processes expanding the
 // same Spec enumerate identical job lists, and Job.Key is a stable
 // identity covering every field that changes the simulated system
-// (scenario physics, policy, benchmark, replicate+seed, solver,
-// duration, DPM, reliability). Everything downstream leans on that
-// contract: Shard partitions by stable key hash so N machines cover a
-// sweep disjointly, checkpoints resume by key (LoadCheckpoint +
+// (scenario physics, policy, benchmark, replicate+seed, duration, DPM,
+// reliability) plus the solver label, which every run ignores but
+// records keep. Everything downstream leans on that contract: Shard
+// partitions by stable key hash so N machines cover a sweep
+// disjointly, checkpoints resume by key (LoadCheckpoint +
 // Options.Skip), dtmserved's result cache and in-flight dedup are
 // keyed by it, and OrderedSink re-emits completion-ordered records in
 // canonical expansion order so equal specs yield byte-identical

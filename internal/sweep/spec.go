@@ -197,7 +197,9 @@ type Spec struct {
 	// DefaultSeedStride). Replicate 0 always runs at exactly Seed, so a
 	// single-replicate sweep reproduces the pre-orchestrator results.
 	SeedStride int64 `json:"seed_stride,omitempty"`
-	// Solvers are the thermal solve paths to sweep (empty: cached).
+	// Solvers are the solver labels to sweep (empty: cached). Every
+	// label solves on the shared sparse factorization; the label only
+	// names the job's key and record.
 	Solvers []thermal.SolverKind `json:"solvers,omitempty"`
 	// DurationsS are the simulated durations to sweep (empty: 300 s).
 	DurationsS []float64 `json:"durations_s,omitempty"`

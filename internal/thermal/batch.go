@@ -10,7 +10,7 @@ import (
 // ErrNotBatchable reports that a set of transient integrators cannot
 // advance in lockstep through one panel solve: they do not share a
 // sparse factorization (different systems, different time steps, or a
-// non-sparse solver path). Callers fall back to per-integrator
+// private factorization). Callers fall back to per-integrator
 // stepping, which is always valid.
 var ErrNotBatchable = errors.New("thermal: transients do not share a factorization")
 
@@ -41,7 +41,7 @@ type TransientBatch struct {
 
 // NewTransientBatch wraps the given integrators into a lockstep batch.
 // All lanes must share one sparse factorization — the same *Cholesky,
-// which SolverCached guarantees for integrators built from one Model
+// which NewTransient guarantees for integrators built from one Model
 // with one time step — and therefore the same node
 // count and dt; otherwise ErrNotBatchable is returned and the caller
 // should step the integrators individually. The integrators remain
@@ -52,11 +52,8 @@ func NewTransientBatch(lanes []*Transient) (*TransientBatch, error) {
 		return nil, fmt.Errorf("thermal: transient batch needs at least one lane")
 	}
 	base := lanes[0]
-	if base.chol == nil {
-		return nil, fmt.Errorf("%w: lane 0 uses a non-sparse solver", ErrNotBatchable)
-	}
 	for i, tr := range lanes[1:] {
-		if tr.chol == nil || tr.chol != base.chol {
+		if tr.chol != base.chol {
 			return nil, fmt.Errorf("%w: lane %d does not share lane 0's factorization", ErrNotBatchable, i+1)
 		}
 		if tr.dt != base.dt {

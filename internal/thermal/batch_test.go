@@ -282,16 +282,6 @@ func TestNewTransientBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := m.NewTransientWith(0.1, nil, SolverDense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewTransientBatch([]*Transient{dense}); !errors.Is(err, ErrNotBatchable) {
-		t.Fatalf("dense lane 0: got %v, want ErrNotBatchable", err)
-	}
-	if _, err := NewTransientBatch([]*Transient{cached, dense}); !errors.Is(err, ErrNotBatchable) {
-		t.Fatalf("mixed solver: got %v, want ErrNotBatchable", err)
-	}
 	private, err := m.NewTransientWith(0.1, nil, SolverSparse)
 	if err != nil {
 		t.Fatal(err)

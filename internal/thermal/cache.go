@@ -9,8 +9,10 @@ import (
 	"repro/internal/linalg"
 )
 
-// SolverKind selects the linear-solve path for steady-state and
-// transient temperature computations.
+// SolverKind labels a thermal solve path in sweep specs, job keys and
+// records. Every simulation solves on the model's memoized sparse
+// factorization whatever the label; SteadyStateWith and
+// NewTransientWith factor privately under SolverSparse.
 type SolverKind int
 
 const (
@@ -23,11 +25,12 @@ const (
 	// each system once.
 	SolverCached SolverKind = iota
 	// SolverSparse factors the sparse system privately on every call,
-	// keeping nothing on the model (isolated runs, one-shot solves).
+	// keeping nothing on the model (one-shot solves of systems that
+	// are never solved again, and factorization timing).
 	SolverSparse
-	// SolverDense densifies the conductance matrix and LU-factors it —
-	// the seed's original O(n³) path, kept as the cross-validation
-	// reference and benchmark baseline.
+	// SolverDense selects the memoized sparse factorization, as
+	// SolverCached does; the label keeps existing sweep specs and
+	// records valid. linalg's dense LU serves tests and benchmarks.
 	SolverDense
 )
 
@@ -97,8 +100,8 @@ func (f *lazyFactor) get(build func() (*linalg.Cholesky, error)) (*linalg.Choles
 	return f.chol, f.err
 }
 
-// steadyFactor returns the sparse factorization of G: the model's
-// memoized one under SolverCached, a private one under SolverSparse.
+// steadyFactor returns the sparse factorization of G: a private one
+// under SolverSparse, the model's memoized one under every other kind.
 func (m *Model) steadyFactor(kind SolverKind) (*linalg.Cholesky, error) {
 	if kind == SolverSparse {
 		return linalg.FactorCholesky(m.G)
@@ -109,8 +112,8 @@ func (m *Model) steadyFactor(kind SolverKind) (*linalg.Cholesky, error) {
 }
 
 // transientFactor returns the sparse factorization of C/dt + G for the
-// given step: the model's memoized one for dt under SolverCached, a
-// private one under SolverSparse.
+// given step: a private one under SolverSparse, the model's memoized
+// one for dt under every other kind.
 func (m *Model) transientFactor(dt float64, kind SolverKind) (*linalg.Cholesky, error) {
 	build := func() (*linalg.Cholesky, error) {
 		cdt := make([]float64, m.NumNodes)
@@ -160,8 +163,8 @@ var sharedModels modelCache
 // calling build to construct it on the first lookup only; concurrent
 // first lookups build once and all receive the result, error included.
 // The key must identify everything build depends on. A shared Model is
-// read-only, and its SolverCached factorizations are memoized on first
-// use, so every holder solves against the same *linalg.Cholesky.
+// read-only, and its factorizations are memoized on first use, so
+// every holder solves against the same *linalg.Cholesky.
 func SharedModel(key string, build func() (*Model, error)) (*Model, error) {
 	e, loaded := sharedModels.entries.LoadOrStore(key, &modelEntry{})
 	entry := e.(*modelEntry)

@@ -9,28 +9,28 @@
 //
 // Steady-state and transient temperatures come from linear solves
 // against the sparse conductance system, which is symmetric positive
-// definite. Three paths exist, selected by SolverKind:
+// definite. Every solve runs on a sparse LDLᵀ factorization memoized on
+// the Model — G once, and C/dt + G once per time step — each built on
+// first use, exactly once even under concurrent first access.
+// SharedModel hands every caller of one key (the simulator uses its
+// ModelKey) the same Model, so sweeps running many simulations over the
+// same stacks build and factor each system once and reuse it from
+// every worker. A model built outside that cache memoizes its own
+// factorizations the same way.
 //
-//   - SolverCached (default): sparse LDLᵀ factorizations memoized on
-//     the Model — G once, and C/dt + G once per time step — each built
-//     on first use, exactly once even under concurrent first access.
-//     SharedModel hands every caller of one key (the simulator uses its
-//     ModelKey) the same Model, so sweeps running many simulations over
-//     the same stacks build and factor each system once and reuse it
-//     from every worker. A model built outside that cache memoizes its
-//     own factorizations the same way.
-//   - SolverSparse: the same sparse factorization, computed privately
-//     on every call and never kept on the model.
-//   - SolverDense: the dense LU reference path (O(n³)), retained for
-//     cross-validation tests and benchmark baselines.
-//
-// No path densifies the conductance matrix except SolverDense itself.
-// See FactorCacheStats and ResetFactorCache for cache introspection.
+// SolverKind is a label that sweeps carry in job keys and records.
+// SteadyStateWith and NewTransientWith take it, and only SolverSparse
+// changes what they do: it factors privately on every call and keeps
+// nothing on the model, for systems solved once. SolverCached and
+// SolverDense both select the memoized factorization. Nothing
+// densifies the conductance matrix; the dense LU reference in linalg
+// is for tests and benchmarks. See FactorCacheStats and
+// ResetFactorCache for cache introspection.
 //
 // # Batched transient stepping
 //
 // Transients that share one factorization — every integrator built
-// with SolverCached from one Model and time step holds the same
+// by NewTransient from one Model and time step holds the same
 // *linalg.Cholesky, and SharedModel gives one Model to every run of a
 // system — can advance in lockstep:
 // TransientBatch gathers every lane's implicit-Euler right-hand side
@@ -55,12 +55,11 @@
 //
 // # Place in the dataflow
 //
-// The simulation engine gets one Model per system from SharedModel (or
-// builds a private one off the cached path), initializes each run's
-// temperatures with a leakage-consistent steady-state solve, then
-// advances the run's own Transient once per 100 ms tick
-// with the power model's per-block output; sensors add the paper's
-// noise model on the way back to the policy layer.
+// The simulation engine gets one Model per system from SharedModel,
+// initializes each run's temperatures with a leakage-consistent
+// steady-state solve, then advances the run's own Transient once per
+// 100 ms tick with the power model's per-block output; sensors add the
+// paper's noise model on the way back to the policy layer.
 //
 // # Buffer ownership and concurrency
 //

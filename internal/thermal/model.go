@@ -60,8 +60,8 @@ type Model struct {
 
 	numBlocks int
 
-	// steady and transient memoize the SolverCached factorizations of
-	// G and, per time step, of C/dt + G (float64 dt -> *lazyFactor).
+	// steady and transient memoize the sparse factorizations of G and,
+	// per time step, of C/dt + G (float64 dt -> *lazyFactor).
 	// They are the only state a Model gains after construction, and
 	// both are safe for concurrent use.
 	steady    lazyFactor
@@ -464,35 +464,30 @@ func (m *Model) CoreTempsInto(dst, nodeTemps []float64) error {
 
 // SteadyState solves for the equilibrium temperature (°C per node) under
 // the given per-block power (W), using the model's memoized sparse
-// factorization of G (SolverCached).
+// factorization of G.
 func (m *Model) SteadyState(blockPower []float64) ([]float64, error) {
 	return m.SteadyStateWith(blockPower, SolverCached)
 }
 
-// SteadyStateWith is SteadyState with an explicit solver path, used by
-// cross-validation tests and benchmarks.
+// SteadyStateWith is SteadyState on kind's factorization of G: a
+// private one under SolverSparse, the memoized one under every other
+// kind.
 func (m *Model) SteadyStateWith(blockPower []float64, kind SolverKind) ([]float64, error) {
-	pn, err := m.ExpandPower(blockPower)
+	temps, err := m.ExpandPower(blockPower)
 	if err != nil {
 		return nil, err
 	}
-	var dt []float64
-	if kind == SolverDense {
-		dt, err = linalg.SolveDense(m.G.ToDense(), pn)
-	} else {
-		var f *linalg.Cholesky
-		if f, err = m.steadyFactor(kind); err == nil {
-			dt = pn
-			err = f.Solve(dt, pn)
-		}
+	f, err := m.steadyFactor(kind)
+	if err == nil {
+		err = f.Solve(temps, temps)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("thermal: steady-state solve failed: %w", err)
 	}
-	for i := range dt {
-		dt[i] += m.Params.AmbientC
+	for i := range temps {
+		temps[i] += m.Params.AmbientC
 	}
-	return dt, nil
+	return temps, nil
 }
 
 // AmbientHeatFlow returns the total heat flowing into the ambient (W) for

@@ -158,3 +158,57 @@ func TestStepRK4Validation(t *testing.T) {
 		t.Error("short power vector accepted")
 	}
 }
+
+// TestTransientEnergyBalance is a physics oracle for the implicit-Euler
+// integrator. Summing (C/dt)(T₍ₖ₊₁₎ − Tₖ) = P − G·T₍ₖ₊₁₎ over the nodes
+// cancels every internal conductance, which carries as much heat out
+// of one node as into its neighbour, and leaves the grounding terms:
+// the heat stored in one step equals dt times the injected power less
+// the heat flowing to ambient at the step's end. Implicit Euler makes
+// that balance exact up to round-off, so the bound holds it to 1e-10 of
+// the step's injected energy. From ambient, 200 steps of 0.1 s with a
+// power step at step 100, on every solverModels model and a 16×16 EXP-4
+// grid.
+func TestTransientEnergyBalance(t *testing.T) {
+	const dt = 0.1
+	models := solverModels(t)
+	grid, err := NewGridModel(floorplan.MustBuild(floorplan.EXP4), DefaultParams(), 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models["grid16x16/EXP-4"] = grid
+	for name, m := range models {
+		t.Run(name, func(t *testing.T) {
+			tr, err := m.NewTransient(dt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := randomPower(m, 7)
+			prev := tr.Temps()
+			next := make([]float64, m.NumNodes)
+			for step := 0; step < 200; step++ {
+				if step == 100 {
+					for i := range p {
+						p[i] *= 0.3
+					}
+				}
+				if err := tr.StepInto(next, p); err != nil {
+					t.Fatal(err)
+				}
+				injected := 0.0
+				for _, w := range p {
+					injected += w
+				}
+				stored := 0.0
+				for i, c := range m.C {
+					stored += c * (next[i] - prev[i])
+				}
+				want := dt * (injected - m.AmbientHeatFlow(next))
+				if d := math.Abs(stored - want); d > 1e-10*dt*injected {
+					t.Fatalf("step %d: stored %.15g J, dt·(P − Q_amb) %.15g J (|Δ|=%.3e)", step, stored, want, d)
+				}
+				prev, next = next, prev
+			}
+		})
+	}
+}

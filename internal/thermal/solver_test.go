@@ -49,18 +49,34 @@ func randomPower(m *Model, seed int64) []float64 {
 	return p
 }
 
+// denseSteadyState is the dense LU reference of SteadyState: G
+// densified and solved by linalg.SolveDense.
+func denseSteadyState(t *testing.T, m *Model, blockPower []float64) []float64 {
+	t.Helper()
+	pn, err := m.ExpandPower(blockPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := linalg.SolveDense(m.G.ToDense(), pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		x[i] += m.Params.AmbientC
+	}
+	return x
+}
+
 // TestSteadyStateSparseMatchesDense cross-validates the production
-// sparse+cached steady-state path against the dense LU reference on
-// every experiment's block model and on grid models, within 1e-8.
+// sparse steady-state path, memoized and private, against the dense LU
+// reference on every experiment's block model and on grid models,
+// within 1e-8.
 func TestSteadyStateSparseMatchesDense(t *testing.T) {
 	for name, m := range solverModels(t) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				p := randomPower(m, seed)
-				dense, err := m.SteadyStateWith(p, SolverDense)
-				if err != nil {
-					t.Fatal(err)
-				}
+				dense := denseSteadyState(t, m, p)
 				for _, kind := range []SolverKind{SolverCached, SolverSparse} {
 					got, err := m.SteadyStateWith(p, kind)
 					if err != nil {
@@ -78,21 +94,35 @@ func TestSteadyStateSparseMatchesDense(t *testing.T) {
 }
 
 // TestTransientSparseMatchesDense steps the implicit-Euler integrator
-// with both factorizations from the same initial condition and demands
-// node-for-node agreement within 1e-8 over a power step response.
+// from the same initial condition on its sparse factorization and on a
+// dense LU factorization of C/dt + G, and demands node-for-node
+// agreement within 1e-8 over a power step response.
 func TestTransientSparseMatchesDense(t *testing.T) {
+	const dt = 0.1
 	for name, m := range solverModels(t) {
 		t.Run(name, func(t *testing.T) {
 			p := randomPower(m, 42)
 			init := uniformTemps(m, m.Params.AmbientC+5)
-			trS, err := m.NewTransientWith(0.1, init, SolverCached)
+			trS, err := m.NewTransient(dt, init)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trD, err := m.NewTransientWith(0.1, init, SolverDense)
+			a := m.G.ToDense()
+			for i, c := range m.C {
+				a.Add(i, i, c/dt)
+			}
+			lu, err := linalg.Factor(a)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The dense reference integrates the rise above ambient,
+			// as Transient does.
+			rise := make([]float64, m.NumNodes)
+			for i := range rise {
+				rise[i] = init[i] - m.Params.AmbientC
+			}
+			rhs := make([]float64, m.NumNodes)
+			td := make([]float64, m.NumNodes)
 			for step := 0; step < 50; step++ {
 				if step == 25 { // power step halfway through
 					for i := range p {
@@ -103,9 +133,18 @@ func TestTransientSparseMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				td, err := trD.Step(p)
+				pn, err := m.ExpandPower(p)
 				if err != nil {
 					t.Fatal(err)
+				}
+				for i := range rhs {
+					rhs[i] = m.C[i]/dt*rise[i] + pn[i]
+				}
+				if err := lu.Solve(rise, rhs); err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range rise {
+					td[i] = r + m.Params.AmbientC
 				}
 				for i := range ts {
 					if d := math.Abs(ts[i] - td[i]); d > 1e-8 {

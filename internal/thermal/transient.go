@@ -19,13 +19,11 @@ import (
 // how the paper's framework advances HotSpot once per 100 ms sampling
 // interval.
 type Transient struct {
-	m      *Model
-	dt     float64
-	solver linalg.Solver
-	// chol aliases solver when it is a sparse factorization; Step then
-	// uses SolveBuffered with the integrator-owned scratch so the
-	// per-tick solve stays allocation-free even though the factorization
-	// itself may be shared across goroutines.
+	m  *Model
+	dt float64
+	// chol may be shared across goroutines; Step solves with
+	// SolveBuffered and the integrator-owned scratch, so the per-tick
+	// solve stays allocation-free.
 	chol    *linalg.Cholesky
 	scratch []float64
 	cdt     []float64 // C/dt per node
@@ -40,14 +38,14 @@ type Transient struct {
 
 // NewTransient prepares an integrator with time step dt seconds, starting
 // from the node temperatures init (°C); pass nil to start at ambient.
-// The left-hand factorization is the model's memoized one for dt
-// (SolverCached).
+// The left-hand factorization is the model's memoized one for dt.
 func (m *Model) NewTransient(dt float64, init []float64) (*Transient, error) {
 	return m.NewTransientWith(dt, init, SolverCached)
 }
 
-// NewTransientWith is NewTransient with an explicit solver path, used by
-// cross-validation tests and benchmarks.
+// NewTransientWith is NewTransient on kind's factorization of C/dt + G:
+// a private one under SolverSparse, the memoized one under every other
+// kind.
 func (m *Model) NewTransientWith(dt float64, init []float64, kind SolverKind) (*Transient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: transient step must be positive, got %g", dt)
@@ -60,34 +58,19 @@ func (m *Model) NewTransientWith(dt float64, init []float64, kind SolverKind) (*
 	for i := 0; i < n; i++ {
 		cdt[i] = m.C[i] / dt
 	}
-	var (
-		solver linalg.Solver
-		err    error
-	)
-	if kind == SolverDense {
-		a := m.G.ToDense()
-		for i := 0; i < n; i++ {
-			a.Add(i, i, cdt[i])
-		}
-		solver, err = linalg.Factor(a)
-	} else {
-		solver, err = m.transientFactor(dt, kind)
-	}
+	chol, err := m.transientFactor(dt, kind)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: transient factorization failed: %w", err)
 	}
 	tr := &Transient{
-		m:      m,
-		dt:     dt,
-		solver: solver,
-		cdt:    cdt,
-		rise:   make([]float64, n),
-		rhs:    make([]float64, n),
-		pn:     make([]float64, n),
-	}
-	if chol, ok := solver.(*linalg.Cholesky); ok {
-		tr.chol = chol
-		tr.scratch = make([]float64, n)
+		m:       m,
+		dt:      dt,
+		chol:    chol,
+		scratch: make([]float64, n),
+		cdt:     cdt,
+		rise:    make([]float64, n),
+		rhs:     make([]float64, n),
+		pn:      make([]float64, n),
 	}
 	if init != nil {
 		for i := range tr.rise {
@@ -125,13 +108,7 @@ func (t *Transient) StepInto(dst, blockPower []float64) error {
 	for i := range t.rhs {
 		t.rhs[i] = t.cdt[i]*t.rise[i] + t.pn[i]
 	}
-	var err error
-	if t.chol != nil {
-		err = t.chol.SolveBuffered(t.rise, t.rhs, t.scratch)
-	} else {
-		err = t.solver.Solve(t.rise, t.rhs)
-	}
-	if err != nil {
+	if err := t.chol.SolveBuffered(t.rise, t.rhs, t.scratch); err != nil {
 		return fmt.Errorf("thermal: transient step failed: %w", err)
 	}
 	ambient := t.m.Params.AmbientC
@@ -177,20 +154,16 @@ func substepCount(dt, sub float64) int {
 // rollout lanes cost K state vectors, not K factorizations.
 func (t *Transient) Fork() *Transient {
 	n := len(t.rise)
-	f := &Transient{
-		m:      t.m,
-		dt:     t.dt,
-		solver: t.solver,
-		chol:   t.chol,
-		cdt:    t.cdt,
-		rise:   append([]float64(nil), t.rise...),
-		rhs:    make([]float64, n),
-		pn:     make([]float64, n),
+	return &Transient{
+		m:       t.m,
+		dt:      t.dt,
+		chol:    t.chol,
+		scratch: make([]float64, n),
+		cdt:     t.cdt,
+		rise:    append([]float64(nil), t.rise...),
+		rhs:     make([]float64, n),
+		pn:      make([]float64, n),
 	}
-	if t.chol != nil {
-		f.scratch = make([]float64, n)
-	}
-	return f
 }
 
 // StateInto copies the integrator's raw state — the temperature rise
