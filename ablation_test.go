@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for five design choices of the reproduction: the
 // thermal-index source, the TSV density, the DPM timeout, the Adapt3D
 // history window, and the thermal-model mode. Each runs a small
 // controlled comparison per iteration and prints the conclusion once.

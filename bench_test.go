@@ -103,8 +103,8 @@ func BenchmarkFig1_Floorplans(b *testing.B) {
 // BenchmarkFig2_TSVResistivity regenerates Figure 2: the joint interface
 // resistivity sweep over TSV density.
 func BenchmarkFig2_TSVResistivity(b *testing.B) {
-	m := thermal.NewTSVModel()
-	counts := thermal.DefaultFig2ViaCounts()
+	m := floorplan.NewTSVModel()
+	counts := floorplan.DefaultFig2ViaCounts()
 	for i := 0; i < b.N; i++ {
 		_ = m.Fig2Curve(counts)
 	}

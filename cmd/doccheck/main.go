@@ -1,9 +1,11 @@
 // Command doccheck is the repository's documentation gate: a small
 // go vet-style checker that fails when a package under the given
-// directories exports an identifier without a doc comment, or lacks a
-// package comment entirely. CI's lint job runs it over internal/ so
-// the package documentation contract (every package self-describing,
-// every exported name explained) is enforced rather than aspirational.
+// directories exports an identifier without a doc comment, lacks a
+// package comment entirely, or cites a Markdown file that does not
+// exist. CI's lint job runs it over the repository so the package
+// documentation contract (every package self-describing, every
+// exported name explained, every cited document present) is enforced
+// rather than aspirational.
 //
 // Usage:
 //
@@ -22,7 +24,11 @@
 //     must have a doc comment, except that one comment on a grouped
 //     const/var declaration covers the whole group;
 //   - methods of unexported types are exempt (their type is not part
-//     of the API), as are generated files (a "Code generated" header).
+//     of the API), as are generated files (a "Code generated" header);
+//   - a comment in any Go file, test files included, that names a *.md
+//     file must name one that exists relative to the working directory
+//     (the repo root, where CI runs the gate) or to the citing file's
+//     directory. Names inside URLs are not checked.
 package main
 
 import (
@@ -34,6 +40,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -54,6 +61,11 @@ func main() {
 		}
 		for _, dir := range dirs {
 			viols, err := checkDir(dir, *tests)
+			if err == nil {
+				var cites []string
+				cites, err = checkCitations(dir, ".")
+				viols = append(viols, cites...)
+			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 				os.Exit(2)
@@ -65,7 +77,7 @@ func main() {
 		}
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported identifier(s)\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d violation(s)\n", bad)
 		os.Exit(1)
 	}
 }
@@ -262,4 +274,47 @@ func generated(f *ast.File) bool {
 func violation(fset *token.FileSet, pos token.Pos, kind, name string) string {
 	p := fset.Position(pos)
 	return fmt.Sprintf("%s:%d: exported %s %s has no doc comment", p.Filename, p.Line, kind, name)
+}
+
+// mdCitation matches a *.md file name in comment text. The name must
+// not follow a word character, '.', '/', ':' or '-', so a name inside
+// a URL or a longer path is not read as a citation of its own.
+var mdCitation = regexp.MustCompile(`(?:^|[^\w./:-])([\w-][\w./-]*\.md)\b`)
+
+// checkCitations reports every comment in dir's Go files, test files
+// included, that names a *.md file existing neither under root nor in
+// dir.
+func checkCitations(dir, root string) ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var viols []string
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, m := range mdCitation.FindAllStringSubmatchIndex(c.Text, -1) {
+					name := c.Text[m[2]:m[3]]
+					if exists(filepath.Join(root, name)) || exists(filepath.Join(dir, name)) {
+						continue
+					}
+					line := fset.Position(c.Pos()).Line + strings.Count(c.Text[:m[2]], "\n")
+					viols = append(viols, fmt.Sprintf("%s:%d: comment cites %s, which exists neither at the repo root nor beside the file",
+						path, line, name))
+				}
+			}
+		}
+	}
+	return viols, nil
+}
+
+// exists reports whether path names an existing file or directory.
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

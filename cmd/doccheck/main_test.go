@@ -163,3 +163,57 @@ func TestPackageDirs(t *testing.T) {
 		t.Fatalf("found %d package dirs, want 2: %v", len(dirs), dirs)
 	}
 }
+
+// TestCheckCitationsFindsMissingDocs plants citations that resolve at
+// the root, beside the file, inside a URL and as a glob, and three that
+// resolve nowhere — one in a test file and one in an external test
+// package — and checks that exactly the three are reported.
+func TestCheckCitationsFindsMissingDocs(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "pkg")
+	for _, d := range []string{filepath.Join(root, "docs"), dir} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []string{filepath.Join(root, "docs", "wire.md"), filepath.Join(dir, "NOTES.md")} {
+		if err := os.WriteFile(f, []byte("# doc\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(t, dir, "a.go", `// Package p follows docs/wire.md and NOTES.md, not
+// https://example.com/blob/main/REMOTE.md or any *.md glob.
+package p
+
+/* The design lives in
+DESIGN.md, which nobody wrote. */
+const x = 1
+`)
+	write(t, dir, "a_test.go", `package p
+
+// See EXPERIMENTS.md.
+func helper() {}
+`)
+	write(t, dir, "ext_test.go", `package p_test
+
+// See docs/GONE.md (it moved).
+func helper() {}
+`)
+	viols, err := checkCitations(dir, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		filepath.Join(dir, "a.go") + ":6: comment cites DESIGN.md",
+		filepath.Join(dir, "a_test.go") + ":3: comment cites EXPERIMENTS.md",
+		filepath.Join(dir, "ext_test.go") + ":3: comment cites docs/GONE.md",
+	}
+	if len(viols) != len(want) {
+		t.Fatalf("got %d violations, want %d:\n%s", len(viols), len(want), strings.Join(viols, "\n"))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(viols[i], w) {
+			t.Errorf("violation %d = %q, want prefix %q", i, viols[i], w)
+		}
+	}
+}

@@ -10,8 +10,8 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/floorplan"
 	"repro/internal/report"
-	"repro/internal/thermal"
 )
 
 func main() {
@@ -30,7 +30,7 @@ func main() {
 	for i := 0; i < *stepsFlag; i++ {
 		counts = append(counts, i**maxFlag/(*stepsFlag-1))
 	}
-	m := thermal.NewTSVModel()
+	m := floorplan.NewTSVModel()
 	pts := m.Fig2Curve(counts)
 
 	t := report.NewTable("Fig. 2: Effect of Vias on the Resistivity of the Interface Material",

@@ -55,7 +55,7 @@ func threeTier() floorplan.StackSpec {
 	)
 	return floorplan.StackSpec{
 		Name:                     "custom-3tier",
-		InterlayerResistivityMKW: thermal.NewTSVModel().JointResistivity(2048),
+		InterlayerResistivityMKW: floorplan.NewTSVModel().JointResistivity(2048),
 		Layers: []floorplan.LayerSpec{
 			{Template: "mixed"},
 			{Blocks: []floorplan.BlockSpec{

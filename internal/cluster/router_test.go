@@ -40,11 +40,13 @@ func fakeRecord(j sweep.Job) sweep.Record {
 // fakeBackend speaks the dtmserved wire protocol (JSONL + completion
 // trailer) without simulating anything, and can be told to die
 // mid-stream: the request in flight aborts without a trailer after
-// dieAfter records, and every later request answers 503.
+// dieAfter records, and every later request answers 503. A rejecting
+// backend answers every sweep with a permanent 400.
 type fakeBackend struct {
 	ts       *httptest.Server
 	dieAfter atomic.Int32 // records to stream before dying; -1: healthy forever
 	died     atomic.Bool
+	reject   atomic.Bool
 
 	mu     sync.Mutex
 	served map[string]int // key -> times streamed by this backend
@@ -61,6 +63,10 @@ func newFakeBackend(t *testing.T, dieAfter int32) *fakeBackend {
 		}
 	})
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
+		if b.reject.Load() {
+			http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+			return
+		}
 		if b.died.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
@@ -250,19 +256,23 @@ func TestRouterFailoverMidSweep(t *testing.T) {
 // backend rejecting the request (4xx) is not a death to route around —
 // every backend would reject the same request — so the stream fails.
 func TestRouterAbortsOnPermanentError(t *testing.T) {
-	reject := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
-	}))
-	t.Cleanup(reject.Close)
-	ok := newFakeBackend(t, -1)
-
-	r, err := New(Config{Backends: []string{reject.URL, ok.ts.URL}, NewClient: tightClient, ProbeInterval: time.Minute})
-	if err != nil {
-		t.Fatal(err)
+	// Ownership follows the servers' random ports, so pick the rejecter
+	// after the URLs are known: the backend owning the most of the
+	// spec's keys, which owns at least one, so the router must ask it.
+	backends := []*fakeBackend{newFakeBackend(t, -1), newFakeBackend(t, -1)}
+	nodes := []string{backends[0].ts.URL, backends[1].ts.URL}
+	owned := make([]int, len(backends))
+	for _, j := range testSpec().Expand() {
+		owned[Owner(nodes, j.Key())]++
 	}
-	t.Cleanup(r.Close)
+	rejecter := 0
+	if owned[1] > owned[0] {
+		rejecter = 1
+	}
+	backends[rejecter].reject.Store(true)
 
-	_, err = r.Stream(context.Background(), client.Request{Spec: testSpec()}, func(sweep.Record) error { return nil })
+	r := newTestRouter(t, backends...)
+	_, err := r.Stream(context.Background(), client.Request{Spec: testSpec()}, func(sweep.Record) error { return nil })
 	if err == nil {
 		t.Fatal("router swallowed a permanent backend rejection")
 	}

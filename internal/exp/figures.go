@@ -57,7 +57,7 @@ func TableIIReport() *report.Table {
 	t.AddRow("Convection Resistance", fmt.Sprintf("%.1f K/W", p.ConvectionR))
 	t.AddRow("Interlayer Material Thickness (3D)", fmt.Sprintf("%.2f mm", floorplan.InterlayerThicknessMM))
 	t.AddRow("Interlayer Material Resistivity", fmt.Sprintf("%.2f mK/W", floorplan.InterlayerResistivity))
-	t.AddRow("Joint Interlayer Resistivity (1024 TSVs)", fmt.Sprintf("%.3g mK/W", thermal.NewTSVModel().JointResistivity(1024)))
+	t.AddRow("Joint Interlayer Resistivity (1024 TSVs)", fmt.Sprintf("%.3g mK/W", floorplan.NewTSVModel().JointResistivity(1024)))
 	t.AddRow("Ambient", fmt.Sprintf("%.0f °C", p.AmbientC))
 	return t
 }
@@ -65,10 +65,10 @@ func TableIIReport() *report.Table {
 // Fig2Report regenerates Figure 2: the joint interface-material
 // resistivity as a function of TSV count/density.
 func Fig2Report() *report.Table {
-	m := thermal.NewTSVModel()
+	m := floorplan.NewTSVModel()
 	t := report.NewTable("Fig. 2: Effect of Vias on the Resistivity of the Interface Material",
 		"TSVs", "Density %", "Area Overhead %", "Joint Resistivity mK/W")
-	for _, p := range m.Fig2Curve(thermal.DefaultFig2ViaCounts()) {
+	for _, p := range m.Fig2Curve(floorplan.DefaultFig2ViaCounts()) {
 		t.AddRow(p.ViaCount, fmt.Sprintf("%.4f", p.DensityPct), fmt.Sprintf("%.3f", p.AreaOverheadPct),
 			fmt.Sprintf("%.4f", p.JointResistivity))
 	}

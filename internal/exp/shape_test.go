@@ -8,7 +8,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPaperShapeClaims makes the qualitative claims of EXPERIMENTS.md
+// TestPaperShapeClaims makes the paper's qualitative claims (Section V)
 // executable: the orderings the paper reports must hold in the
 // reproduction. It runs a compact sweep (skipped with -short).
 func TestPaperShapeClaims(t *testing.T) {
@@ -91,7 +91,8 @@ func TestPaperShapeClaims(t *testing.T) {
 
 	// Claim (Section V-C): vertical gradients between adjacent layers
 	// remain moderate. Ours run slightly above the paper's "few degrees"
-	// because of the resistive die-level TIM (see EXPERIMENTS.md), but
+	// because of the resistive die-level TIM (see the TIM1 comment in
+	// thermal.DefaultParams), but
 	// they must stay an order of magnitude below in-plane peaks.
 	if def3.Metrics.MeanVerticalC > 10 {
 		t.Errorf("mean vertical gradient %.2f °C too large", def3.Metrics.MeanVerticalC)

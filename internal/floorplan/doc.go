@@ -35,6 +35,13 @@
 // simulator configs becomes a spec, so the shorthand and the spec it
 // names always hash alike.
 //
+// # TSV model
+//
+// TSVModel is the paper's Figure 2: the joint resistivity of the
+// interface material with copper vias in parallel. A spec's
+// TSVsPerInterface and an interface's TSVs derive their resistivity
+// through it, and cmd/tsvmodel and the Figure 2 report print its curve.
+//
 // # Concurrency
 //
 // A Stack is immutable after Finalize; every consumer — worker pools

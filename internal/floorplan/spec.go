@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -332,28 +331,6 @@ func (s StackSpec) Hash() string {
 	return hex.EncodeToString(sum[:6])
 }
 
-// jointResistivityFromTSVs combines the base interface material with
-// viaCount copper TSVs in parallel, using the same Figure 2 model as
-// thermal.TSVModel (the constants are duplicated here because thermal
-// imports floorplan; a cross-check test pins them together). 1024 vias
-// yield the paper's 0.23 m·K/W.
-func jointResistivityFromTSVs(viaCount int) float64 {
-	const (
-		baseResistivity = 0.25   // m·K/W, Table II interface material
-		viaResistivity  = 0.0025 // m·K/W, copper
-		viaDiameterM    = 10e-6
-	)
-	if viaCount <= 0 {
-		return baseResistivity
-	}
-	viaArea := math.Pi * (viaDiameterM / 2) * (viaDiameterM / 2)
-	d := float64(viaCount) * viaArea / (LayerAreaMM2 * 1e-6)
-	if d >= 1 {
-		return viaResistivity
-	}
-	return 1 / ((1-d)/baseResistivity + d/viaResistivity)
-}
-
 func parseBlockKind(s string) (BlockKind, error) {
 	switch s {
 	case "core":
@@ -378,7 +355,7 @@ func (s *StackSpec) Build() (*Stack, error) {
 	}
 	jr := s.InterlayerResistivityMKW
 	if jr == 0 {
-		jr = jointResistivityFromTSVs(s.TSVsPerInterface)
+		jr = NewTSVModel().JointResistivity(s.TSVsPerInterface)
 		if s.TSVsPerInterface == 0 {
 			jr = paperJointResistivityMKW
 		}
@@ -450,7 +427,7 @@ func (s *StackSpec) Build() (*Stack, error) {
 				ThicknessMM:    ifc.ThicknessMM,
 			}
 			if p.ResistivityMKW == 0 && ifc.TSVs > 0 {
-				p.ResistivityMKW = jointResistivityFromTSVs(ifc.TSVs)
+				p.ResistivityMKW = NewTSVModel().JointResistivity(ifc.TSVs)
 			}
 			if ifc.Coolant != nil {
 				p.CoolantHTCWm2K = ifc.Coolant.effectiveHTC()

@@ -199,22 +199,23 @@ func TestExplicitBlockLayer(t *testing.T) {
 	}
 }
 
-// TestJointResistivityFromTSVs pins the Figure 2 model boundaries: no
-// vias → base material, the paper's 1024 vias ≈ 0.23, saturation at
-// full copper coverage, and monotonic decrease in between.
+// TestJointResistivityFromTSVs pins the Figure 2 model boundaries that
+// TSV-derived spec resistivities rest on: no vias → base material, the
+// paper's 1024 vias ≈ 0.23, saturation at full copper coverage, and
+// monotonic decrease in between.
 func TestJointResistivityFromTSVs(t *testing.T) {
-	if got := jointResistivityFromTSVs(0); got != 0.25 {
+	if got := NewTSVModel().JointResistivity(0); got != 0.25 {
 		t.Errorf("0 vias: %g, want 0.25", got)
 	}
-	if got := jointResistivityFromTSVs(1024); math.Abs(got-0.23) > 0.005 {
+	if got := NewTSVModel().JointResistivity(1024); math.Abs(got-0.23) > 0.005 {
 		t.Errorf("1024 vias: %g, want ≈0.23 (paper Section IV-C)", got)
 	}
-	if got := jointResistivityFromTSVs(1 << 30); got != 0.0025 {
+	if got := NewTSVModel().JointResistivity(1 << 30); got != 0.0025 {
 		t.Errorf("saturated vias: %g, want copper 0.0025", got)
 	}
-	prev := jointResistivityFromTSVs(1)
+	prev := NewTSVModel().JointResistivity(1)
 	for _, n := range []int{64, 512, 4096, 1 << 15, 1 << 20} {
-		cur := jointResistivityFromTSVs(n)
+		cur := NewTSVModel().JointResistivity(n)
 		if cur >= prev {
 			t.Errorf("resistivity not strictly decreasing at %d vias: %g >= %g", n, cur, prev)
 		}
@@ -323,7 +324,7 @@ func TestInterfaceOverrides(t *testing.T) {
 		t.Errorf("interface 0 should inherit stack defaults, got %+v", i0)
 	}
 	i1 := st.Interface(1)
-	if want := jointResistivityFromTSVs(2048); i1.ResistivityMKW != want {
+	if want := NewTSVModel().JointResistivity(2048); i1.ResistivityMKW != want {
 		t.Errorf("interface 1 resistivity %g, want TSV-derived %g", i1.ResistivityMKW, want)
 	}
 	if i1.ThicknessMM != 0.05 || i1.CoolantHTCWm2K != 9000 {
@@ -350,7 +351,7 @@ func TestSpecTSVDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := jointResistivityFromTSVs(4096); st.InterlayerResistivityMKW != want {
+	if want := NewTSVModel().JointResistivity(4096); st.InterlayerResistivityMKW != want {
 		t.Errorf("TSV-derived resistivity %g, want %g", st.InterlayerResistivityMKW, want)
 	}
 

@@ -4,31 +4,45 @@
 package floorplan_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/thermal"
 )
 
-// TestSpecTSVModelCrossCheck pins the TSV constants duplicated in
-// floorplan (base 0.25 m·K/W, copper 0.0025, 10 µm vias over 115 mm²)
-// against thermal.TSVModel, the Figure 2 reference implementation: a
-// spec deriving its resistivity from a via count must land exactly on
-// the thermal model's value for every count.
+// TestSpecTSVModelCrossCheck pins the resistivity a spec derives from
+// its TSV count to exact bits, taken from the spec path before it
+// shared TSVModel's formula: the Figure 2 model must not move a
+// TSV-based stack by a single ulp.
 func TestSpecTSVModelCrossCheck(t *testing.T) {
-	ref := thermal.NewTSVModel()
-	for _, n := range []int{1, 64, 512, 1024, 4096, 1 << 15, 1 << 22, 1 << 30} {
+	for _, c := range []struct {
+		vias int
+		bits uint64
+	}{
+		{1, 0x3fcfff72373fda10},
+		{64, 0x3fcfdcb44c52b91e},
+		{512, 0x3fceede6af6b5209},
+		{1024, 0x3fcded8cfb505faa},
+		{4096, 0x3fc90f54f597407c},
+		{1 << 15, 0x3fb3e7469868ca9f},
+		{1 << 22, 0x3f647ae147ae147b},
+		{1 << 30, 0x3f647ae147ae147b},
+	} {
 		spec := floorplan.StackSpec{
-			TSVsPerInterface: n,
+			TSVsPerInterface: c.vias,
 			Layers:           []floorplan.LayerSpec{{Template: "memory"}, {Template: "cores"}},
 		}
 		st, err := spec.Build()
 		if err != nil {
-			t.Fatalf("%d vias: %v", n, err)
+			t.Fatalf("%d vias: %v", c.vias, err)
 		}
-		if want := ref.JointResistivity(n); st.InterlayerResistivityMKW != want {
-			t.Errorf("%d vias: spec derives %g m·K/W, thermal.TSVModel says %g — duplicated constants diverged",
-				n, st.InterlayerResistivityMKW, want)
+		if got := math.Float64bits(st.InterlayerResistivityMKW); got != c.bits {
+			t.Errorf("%d vias: spec derives %v m·K/W (bits %#016x), want %v (bits %#016x)",
+				c.vias, st.InterlayerResistivityMKW, got, math.Float64frombits(c.bits), c.bits)
+		}
+		if want := floorplan.NewTSVModel().JointResistivity(c.vias); st.InterlayerResistivityMKW != want {
+			t.Errorf("%d vias: spec derives %v m·K/W, TSVModel says %v", c.vias, st.InterlayerResistivityMKW, want)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package thermal
+package floorplan
 
 import "math"
 
@@ -13,7 +13,9 @@ const (
 // material between stacked dies as a function of through-silicon-via
 // density, reproducing Figure 2 of the paper. Copper vias conduct heat
 // far better than the surrounding epoxy-class interface material, so the
-// two paths combine in parallel, weighted by area fraction.
+// two paths combine in parallel, weighted by area fraction. It is the
+// one TSV formula: StackSpec.Build derives a spec's TSV-based
+// resistivity through it too.
 type TSVModel struct {
 	// BaseResistivity is the raw interface material resistivity in m·K/W
 	// (Table II: 0.25).
@@ -26,19 +28,20 @@ type TSVModel struct {
 }
 
 // NewTSVModel returns the model with the paper's parameters: 0.25 m·K/W
-// base material, copper vias, 115 mm² layers.
+// base material (InterlayerResistivity), copper vias, 115 mm² layers.
 func NewTSVModel() TSVModel {
 	return TSVModel{
-		BaseResistivity: 0.25,
+		BaseResistivity: InterlayerResistivity,
 		ViaResistivity:  0.0025,
-		LayerAreaM2:     115e-6,
+		LayerAreaM2:     LayerAreaMM2 * 1e-6,
 	}
 }
 
-// ViaAreaM2 returns the conductive cross-section of a single via.
+// ViaAreaM2 returns the conductive cross-section of a single via. It is
+// a constant expression, rounded once: squaring a rounded radius at run
+// time lands one ulp away and moves spec-derived resistivities.
 func ViaAreaM2() float64 {
-	r := ViaDiameterM / 2
-	return math.Pi * r * r
+	return math.Pi * (ViaDiameterM / 2) * (ViaDiameterM / 2)
 }
 
 // ViaFootprintM2 returns the layout area consumed by one via including

@@ -38,6 +38,14 @@
 // roughly every 17 µs per worker). Handlers run on net/http's goroutines; simulation
 // runs only on the worker pool.
 //
+// # Route table
+//
+// Handler's route table holds the per-request plumbing: every /v1
+// route counts in requests_total and requests_active, and the four that
+// start new work (sweep, job, session open, session replay) answer 503
+// while the server drains. Every SSE response, sweep and session alike,
+// goes through one writer (sseStream).
+//
 // # Cluster peer-fill
 //
 // With Config.Peers set, N servers compose into one cluster whose

@@ -217,19 +217,39 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// Handler returns the service's routing table.
+// Handler returns the service's routing table. Every /v1 route counts
+// in requests_total and requests_active; the four that start new work
+// (sweep, job, session open, session replay) answer 503 while the
+// server drains. The index, /healthz and /metrics are not counted.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	api := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			s.met.requestsTotal.Add(1)
+			s.met.requestsActive.Add(1)
+			defer s.met.requestsActive.Add(-1)
+			h(w, r)
+		})
+	}
+	work := func(pattern string, h http.HandlerFunc) {
+		api(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if s.draining.Load() || s.baseCtx.Err() != nil {
+				httpError(w, http.StatusServiceUnavailable, "server is draining")
+				return
+			}
+			h(w, r)
+		})
+	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/job", s.handleJob)
-	mux.HandleFunc("POST /v1/session", s.handleSessionOpen)
-	mux.HandleFunc("POST /v1/session/replay", s.handleSessionReplay)
-	mux.HandleFunc("GET /v1/session/{id}/stream", s.handleSessionStream)
-	mux.HandleFunc("POST /v1/session/{id}/event", s.handleSessionEvent)
-	mux.HandleFunc("GET /v1/session/{id}/log", s.handleSessionLog)
-	mux.HandleFunc("GET /v1/session/{id}/replay", s.handleSessionSeek)
+	work("POST /v1/sweep", s.handleSweep)
+	work("POST /v1/job", s.handleJob)
+	work("POST /v1/session", s.handleSessionOpen)
+	work("POST /v1/session/replay", s.handleSessionReplay)
+	api("GET /v1/session/{id}/stream", s.handleSessionStream)
+	api("POST /v1/session/{id}/event", s.handleSessionEvent)
+	api("GET /v1/session/{id}/log", s.handleSessionLog)
+	api("GET /v1/session/{id}/replay", s.handleSessionSeek)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
 	return mux
 }
@@ -543,14 +563,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.met.requestsTotal.Add(1)
-	s.met.requestsActive.Add(1)
-	defer s.met.requestsActive.Add(-1)
-
-	if s.draining.Load() || s.baseCtx.Err() != nil {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	// The body cap must fit a resume request for the largest sweep the
 	// server expands: maxExpandJobs skip keys at ~80 bytes each is
 	// ~5 MB, so 8 MB leaves headroom without being an open door.
@@ -665,14 +677,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // from a streamed one. Requests carrying client.PeerFillHeader are
 // answered with local work only (the one-hop loop guard).
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.met.requestsTotal.Add(1)
-	s.met.requestsActive.Add(1)
-	defer s.met.requestsActive.Add(-1)
-
-	if s.draining.Load() || s.baseCtx.Err() != nil {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	var j sweep.Job

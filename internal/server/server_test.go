@@ -689,6 +689,57 @@ func TestEndpointsAndStop(t *testing.T) {
 	}
 }
 
+// TestRequestsTotalCountsAPIOnly pins the route table's accounting:
+// every /v1 request counts once in requests_total, whatever its status,
+// while the index, /healthz and /metrics never count, and no request is
+// left active.
+func TestRequestsTotalCountsAPIOnly(t *testing.T) {
+	s := New(Config{Workers: 1, Runner: newFakeRunner().run, ValidateJob: allowAll})
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get := func(path string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	job := `{"scenario":{"exp":1},"policy":"Default","bench":"gzip","seed":9,"duration_s":1}`
+	get("/healthz")
+	post("/v1/job", job)
+	get("/metrics")
+	resp := postSweep(t, ts, SweepRequest{Spec: smallSpec()}, "")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	get("/")
+	post("/v1/job", "not json")       // 400, still an API request
+	get("/v1/session/no-such-id/log") // 404, still an API request
+	post("/v1/session/no-such-id/event", `{"type":"fail_tsv"}`)
+	get("/healthz")
+	const apiCalls = 5
+
+	m := getMetrics(t, ts)
+	if m.RequestsTotal != apiCalls {
+		t.Errorf("requests_total = %d after %d API calls and 4 uncounted ones, want %d", m.RequestsTotal, apiCalls, apiCalls)
+	}
+	if m.RequestsActive != 0 {
+		t.Errorf("requests_active = %d with no request in flight, want 0", m.RequestsActive)
+	}
+}
+
 // TestStackScenarioValidation walks the stack admission paths: valid
 // inline, registered-name, and builtin scenarios are accepted, while
 // selector conflicts, unknown names, pre-expansion size-gate breaches,

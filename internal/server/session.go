@@ -27,14 +27,6 @@ type sessionInfo struct {
 // handleSessionOpen admits one interactive session (POST /v1/session,
 // body: a session.OpenRequest) and answers its info document.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	s.met.requestsTotal.Add(1)
-	s.met.requestsActive.Add(1)
-	defer s.met.requestsActive.Add(-1)
-
-	if s.draining.Load() || s.baseCtx.Err() != nil {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	var req session.OpenRequest
@@ -76,36 +68,16 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request) *session.Ses
 	return sess
 }
 
-// sseEmit adapts an sseStream to the session Emit contract, tracking
-// whether anything was written so error mapping knows if an HTTP status
-// can still be sent.
-type sseEmit struct {
-	st    *sseStream
-	wrote bool
-}
-
-// emit forwards one stream event.
-func (e *sseEmit) emit(event string, data []byte) error {
-	e.wrote = true
-	return e.st.event(event, data)
-}
-
 // handleSessionStream serves the session's live SSE stream
 // (GET /v1/session/{id}/stream). One stream at a time per session.
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
-	s.met.requestsTotal.Add(1)
-	s.met.requestsActive.Add(1)
-	defer s.met.requestsActive.Add(-1)
-
 	sess := s.getSession(w, r)
 	if sess == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	e := &sseEmit{st: &sseStream{w: w}}
-	err := sess.Stream(r.Context(), e.emit)
-	if err != nil && !e.wrote {
+	st := newSSE(w)
+	err := sess.Stream(r.Context(), st.event)
+	if err != nil && !st.wrote {
 		if errors.Is(err, session.ErrStreaming) {
 			httpError(w, http.StatusConflict, "%v", err)
 			return
@@ -117,10 +89,6 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 // handleSessionEvent injects one event (POST /v1/session/{id}/event,
 // body: a session.Event) and answers the applied-event log record.
 func (s *Server) handleSessionEvent(w http.ResponseWriter, r *http.Request) {
-	s.met.requestsTotal.Add(1)
-	s.met.requestsActive.Add(1)
-	defer s.met.requestsActive.Add(-1)
-
 	sess := s.getSession(w, r)
 	if sess == nil {
 		return
@@ -153,10 +121,6 @@ func (s *Server) handleSessionEvent(w http.ResponseWriter, r *http.Request) {
 // (GET /v1/session/{id}/log) as JSONL — the exact document
 // POST /v1/session/replay accepts.
 func (s *Server) handleSessionLog(w http.ResponseWriter, r *http.Request) {
-	s.met.requestsTotal.Add(1)
-	s.met.requestsActive.Add(1)
-	defer s.met.requestsActive.Add(-1)
-
 	sess := s.getSession(w, r)
 	if sess == nil {
 		return
@@ -169,10 +133,6 @@ func (s *Server) handleSessionLog(w http.ResponseWriter, r *http.Request) {
 // (GET /v1/session/{id}/replay?from_tick=T), seeded by the newest
 // checkpoint before the boundary.
 func (s *Server) handleSessionSeek(w http.ResponseWriter, r *http.Request) {
-	s.met.requestsTotal.Add(1)
-	s.met.requestsActive.Add(1)
-	defer s.met.requestsActive.Add(-1)
-
 	sess := s.getSession(w, r)
 	if sess == nil {
 		return
@@ -185,11 +145,9 @@ func (s *Server) handleSessionSeek(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	e := &sseEmit{st: &sseStream{w: w}}
-	err := sess.ReplayFrom(fromTick, e.emit)
-	if err != nil && !e.wrote {
+	st := newSSE(w)
+	err := sess.ReplayFrom(fromTick, st.event)
+	if err != nil && !st.wrote {
 		switch {
 		case errors.Is(err, session.ErrNotComplete) || errors.Is(err, session.ErrClosed):
 			httpError(w, http.StatusConflict, "%v", err)
@@ -203,24 +161,14 @@ func (s *Server) handleSessionSeek(w http.ResponseWriter, r *http.Request) {
 // engine (POST /v1/session/replay, body: the JSONL log), streaming the
 // reconstructed session byte-identically to the original live stream.
 func (s *Server) handleSessionReplay(w http.ResponseWriter, r *http.Request) {
-	s.met.requestsTotal.Add(1)
-	s.met.requestsActive.Add(1)
-	defer s.met.requestsActive.Add(-1)
-
-	if s.draining.Load() || s.baseCtx.Err() != nil {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	lg, err := session.ParseLog(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	e := &sseEmit{st: &sseStream{w: w}}
-	err = s.sessions.Replay(lg, e.emit)
-	if err != nil && !e.wrote {
+	st := newSSE(w)
+	err = s.sessions.Replay(lg, st.event)
+	if err != nil && !st.wrote {
 		switch {
 		case errors.Is(err, session.ErrDraining):
 			httpError(w, http.StatusServiceUnavailable, "server is draining")

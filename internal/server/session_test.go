@@ -313,6 +313,17 @@ func TestSessionDrainRefusal(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("open while draining: %d, want 503", resp.StatusCode)
 	}
+	// A replay builds an engine too, so a well-formed log is refused.
+	replayLog := `{"type":"session","job":{"scenario":{"exp":1},"policy":"Default","bench":"gzip","seed":9,"duration_s":1},"cadence_ticks":2}` + "\n"
+	resp, err = http.Post(ts.URL+"/v1/session/replay", "application/x-ndjson", strings.NewReader(replayLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("replay while draining: %d, want 503", resp.StatusCode)
+	}
 	// The resident session was closed; its stream answers the closed
 	// terminal (404 is also acceptable once evicted, but drain keeps
 	// nothing resident).

@@ -28,9 +28,7 @@ type stream interface {
 // newStream picks the framing from the request's Accept header.
 func newStream(w http.ResponseWriter, r *http.Request) stream {
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		return &sseStream{w: w}
+		return newSSE(w)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	return &jsonlStream{w: w, enc: json.NewEncoder(w)}
@@ -70,11 +68,25 @@ func (s *jsonlStream) fail(err error) {
 	s.w.Header().Set(sweepErrorTrailer, err.Error())
 }
 
+// sseStream writes Server-Sent Events: the sweep's SSE framing and
+// every session stream, seek and replay go through it.
 type sseStream struct {
 	w http.ResponseWriter
+	// wrote records whether any event was written, so error mapping
+	// knows whether an HTTP status can still be sent.
+	wrote bool
 }
 
+// newSSE sets the event-stream headers and returns the writer.
+func newSSE(w http.ResponseWriter) *sseStream {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	return &sseStream{w: w}
+}
+
+// event writes and flushes one event; it is a session.Emit.
 func (s *sseStream) event(name string, data []byte) error {
+	s.wrote = true
 	if _, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data); err != nil {
 		return err
 	}

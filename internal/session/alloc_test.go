@@ -9,33 +9,35 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestSessionTickAllocationContract pins the engine-plus-frame-observer
-// tick path to the repo's zero-alloc tick budget (<= 2 allocs/tick,
-// matching the hot-path contract the sweep runner holds): attaching the
-// session's temperature observer must not add steady-state allocations.
+// TestSessionTickAllocationContract pins the run core's tick path to
+// the repo's zero-alloc tick budget (<= 2 allocs/tick, matching the
+// hot-path contract the sweep runner holds): a step plus the tick-state
+// capture a frame reads must not add steady-state allocations.
 func TestSessionTickAllocationContract(t *testing.T) {
 	job := sweep.Job{Scenario: sweep.Scenario{Exp: floorplan.EXP1}, Policy: "DVFS_TT", Bench: "Web-med", Seed: 1, DurationS: 60}
 	m := newTestManager(t, Config{})
-	var fo frameObserver
-	eng, err := m.buildEngine(job, &fo)
+	r, err := m.newRun(job, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ { // warm up buffers, queues, observer slices
-		if err := eng.Step(); err != nil {
+	ts := &r.frame.TickState
+	for i := 0; i < 100; i++ { // warm up buffers, queues, tick-state slices
+		if _, err := r.step(); err != nil {
 			t.Fatal(err)
 		}
+		r.eng.TickStateInto(ts)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := eng.Step(); err != nil {
+		if _, err := r.step(); err != nil {
 			t.Fatal(err)
 		}
+		r.eng.TickStateInto(ts)
 	})
 	if avg > 2 {
-		t.Fatalf("observed %.2f allocs/tick through the session frame observer, budget is 2", avg)
+		t.Fatalf("observed %.2f allocs/tick through the run core's step and tick-state capture, budget is 2", avg)
 	}
-	if len(fo.coreTemps) == 0 {
-		t.Fatal("frame observer captured no temperatures")
+	if len(ts.CoreTempsC) == 0 {
+		t.Fatal("tick state captured no temperatures")
 	}
 }
 

@@ -25,8 +25,12 @@
 // trace cache, so concurrent sessions of one job replay one generated
 // workload.
 //
-// The tick hot path stays allocation-free: the frame observer copies
-// temperatures into reused buffers, and between frames a streaming
-// session performs no heap allocations beyond the engine's own per-tick
-// budget (pinned by TestSessionTickAllocationContract).
+// One run core drives every stream: the live Session.Stream, the full
+// replay and the checkpoint seek step, frame and finish through it, so
+// their byte-identity is structural. A frame reads the engine's tick
+// state (sim.TickState) into reused buffers at the boundary; no
+// per-tick observer is attached. The tick hot path stays
+// allocation-free: between frames a streaming session performs no heap
+// allocations beyond the engine's own per-tick budget (pinned by
+// TestSessionTickAllocationContract).
 package session

@@ -36,12 +36,12 @@ func fuzzEngine(t *testing.T) *sim.Engine {
 	}
 	m := NewManager(Config{IdleTimeout: -1})
 	t.Cleanup(m.Close)
-	eng, err := m.buildEngine(fuzzRig.job, &frameObserver{})
+	r, err := m.newRun(fuzzRig.job, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fuzzRig.eng = eng
-	return eng
+	fuzzRig.eng = r.eng
+	return r.eng
 }
 
 // FuzzSessionEvent fuzzes the event codec and the application path: any

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -54,10 +53,10 @@ type Config struct {
 	// CheckpointTicks is the default checkpoint cadence for open
 	// requests that leave theirs zero (0: DefaultCheckpointTicks).
 	CheckpointTicks int
-	// Observer, when non-nil, is attached to every session engine in
-	// addition to the session's own frame observer (the serving layer
-	// feeds its tick-throughput metric here). Must be safe for
-	// concurrent calls across sessions.
+	// Observer, when non-nil, is attached to every session and replay
+	// engine (the serving layer feeds its tick-throughput metric here).
+	// Frames do not need it: they read the engine's tick state. Must be
+	// safe for concurrent calls across sessions.
 	Observer sim.Observer
 	// Validate vets the job of every open and replay request before an
 	// engine is built (nil: no extra validation; the server injects its
@@ -173,13 +172,13 @@ func (m *Manager) Open(req OpenRequest) (*Session, error) {
 	if req.TicksPerSec > 0 {
 		s.pace = time.Duration(float64(time.Second) / req.TicksPerSec)
 	}
-	eng, err := m.buildEngine(req.Job, &s.frames)
+	r, err := m.newRun(req.Job, req.CadenceTicks)
 	if err != nil {
 		return nil, err
 	}
-	s.eng = eng
-	s.totalTicks = eng.TotalTicks()
-	s.tickS = eng.TickS()
+	s.run = r
+	s.totalTicks = r.totalTicks
+	s.tickS = r.eng.TickS()
 	s.touchLocked() // construction counts as a touch; no lock needed yet
 	if ckptEvery > 0 {
 		// The boundary-0 checkpoint, so seeks before the first cadence
@@ -211,18 +210,6 @@ func (m *Manager) Open(req OpenRequest) (*Session, error) {
 	m.sessions[id] = s
 	m.mu.Unlock()
 	return s, nil
-}
-
-// buildEngine constructs a live engine for one job through the same
-// job-to-config mapping the sweep runners use, with the session's frame
-// observer (and the manager-wide one) attached.
-func (m *Manager) buildEngine(j sweep.Job, frames *frameObserver) (*sim.Engine, error) {
-	cfg, err := exp.JobConfig(m.traces, j)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Observer = sim.Observers(m.cfg.Observer, frames)
-	return sim.NewEngine(cfg)
 }
 
 // Get returns a resident session by ID.

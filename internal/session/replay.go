@@ -2,12 +2,76 @@ package session
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
+
+// run is the run core every session stream advances through: the live
+// Session.Stream, the full log replay and the checkpoint seek step,
+// frame and finish here, so their byte-identity is structural, not
+// coincidental.
+type run struct {
+	eng        *sim.Engine
+	job        sweep.Job
+	cadence    int
+	totalTicks int
+	frame      Frame
+}
+
+// newRun builds the engine of one job through the same job-to-config
+// mapping the sweep runners use, with the manager-wide observer
+// attached.
+func (m *Manager) newRun(j sweep.Job, cadence int) (*run, error) {
+	cfg, err := exp.JobConfig(m.traces, j)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Observer = m.cfg.Observer
+	eng, err := sim.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &run{eng: eng, job: j, cadence: cadence, totalTicks: eng.TotalTicks()}, nil
+}
+
+// step advances one tick and returns the number of completed ticks.
+func (r *run) step() (int, error) {
+	if err := r.eng.Step(); err != nil {
+		if err == io.EOF {
+			err = errors.New("session: engine stepped past its run")
+		}
+		return 0, err
+	}
+	return r.eng.TickIndex(), nil
+}
+
+// framed reports whether the boundary after done completed ticks
+// carries a frame: every cadence-th tick, and the final one.
+func (r *run) framed(done int) bool {
+	return done%r.cadence == 0 || done == r.totalTicks
+}
+
+// marshalFrame marshals the frame of the just-completed tick, read
+// straight from the engine's tick state.
+func (r *run) marshalFrame(done int) ([]byte, error) {
+	r.frame.Tick = done
+	r.eng.TickStateInto(&r.frame.TickState)
+	return json.Marshal(&r.frame)
+}
+
+// finish summarizes the completed run into its record.
+func (r *run) finish() (sweep.Record, error) {
+	res, err := r.eng.Finish()
+	if err != nil {
+		return sweep.Record{}, err
+	}
+	return sweep.NewRecord(r.job, res, 0), nil
+}
 
 // Replay runs a recorded session log against a fresh engine and emits
 // the reconstructed stream: header, applied events and frames in
@@ -30,38 +94,16 @@ func (m *Manager) Replay(lg *Log, emit Emit) error {
 			return err
 		}
 	}
-	r := &replayer{job: lg.Header.Job, cadence: lg.Header.CadenceTicks}
-	eng, err := m.buildEngine(lg.Header.Job, &r.frames)
-	if err != nil {
-		return err
-	}
-	r.eng, r.totalTicks = eng, eng.TotalTicks()
-	for i := range lg.Events {
-		if lg.Events[i].Tick >= r.totalTicks {
-			return fmt.Errorf("session: log event seq %d at tick %d beyond the run's %d ticks",
-				lg.Events[i].Seq, lg.Events[i].Tick, r.totalTicks)
-		}
-	}
-	m.replays.Add(1)
-	b, err := json.Marshal(&lg.Header)
-	if err != nil {
-		return err
-	}
-	if err := emit(StreamSession, b); err != nil {
-		return err
-	}
-	return r.run(lg.Events, emit, 0)
+	return m.replay(lg, 0, checkpoint{}, emit)
 }
 
 // ReplayFrom re-emits the finished run's stream from a tick boundary:
 // the header, then every event and frame with tick at or after fromTick,
 // then the done terminal — exactly the full replay stream filtered to
 // tick >= fromTick. The newest checkpoint strictly before fromTick seeds
-// the engine so the prefix is restored, not re-simulated; structural
-// events before the checkpoint are re-applied silently first, so the
-// snapshot lands on an engine whose trace and thermal model match the
-// ones it was captured from. Only a completed run seeks (ErrNotComplete
-// otherwise; ErrClosed after eviction or drain).
+// the engine so the prefix is restored, not re-simulated. Only a
+// completed run seeks (ErrNotComplete otherwise; ErrClosed after
+// eviction or drain).
 func (s *Session) ReplayFrom(fromTick int, emit Emit) error {
 	s.mu.Lock()
 	s.touchLocked()
@@ -77,8 +119,7 @@ func (s *Session) ReplayFrom(fromTick int, emit Emit) error {
 		s.mu.Unlock()
 		return fmt.Errorf("session: from_tick %d out of range [0, %d]", fromTick, s.totalTicks)
 	}
-	hdr := s.hdr
-	events := append([]AppliedEvent(nil), s.events...)
+	lg := &Log{Header: s.hdr, Events: append([]AppliedEvent(nil), s.events...)}
 	var ck checkpoint
 	for i := range s.ckpts {
 		// Strictly before fromTick: the frame at fromTick itself is
@@ -89,63 +130,54 @@ func (s *Session) ReplayFrom(fromTick int, emit Emit) error {
 		}
 	}
 	s.mu.Unlock()
+	return s.mgr.replay(lg, fromTick, ck, emit)
+}
 
-	r := &replayer{job: hdr.Job, cadence: hdr.CadenceTicks}
-	eng, err := s.mgr.buildEngine(hdr.Job, &r.frames)
+// replay drives a fresh run through the log's events, applying each at
+// its recorded boundary, and emits the header, then the events and
+// frames whose tick is at least from, then the terminal. Events before
+// from are applied silently: they shape the simulation either way;
+// only the emission is filtered. A checkpoint (snap non-nil) seeds the
+// run: structural events before it rebuilt the trace or the thermal
+// model outside the snapshot's reach, so they are re-applied (silently)
+// before the restore, while policy swaps and migrations live entirely
+// in snapshot-captured state and must not rerun.
+func (m *Manager) replay(lg *Log, from int, ck checkpoint, emit Emit) error {
+	r, err := m.newRun(lg.Header.Job, lg.Header.CadenceTicks)
 	if err != nil {
 		return err
 	}
-	r.eng, r.totalTicks = eng, eng.TotalTicks()
-
-	next := 0
+	events := lg.Events
+	for i := range events {
+		if events[i].Tick >= r.totalTicks {
+			return fmt.Errorf("session: log event seq %d at tick %d beyond the run's %d ticks",
+				events[i].Seq, events[i].Tick, r.totalTicks)
+		}
+	}
 	if ck.snap != nil {
-		// Structural events preceding the checkpoint rebuilt the trace
-		// or the thermal model outside the snapshot's reach; re-apply
-		// them (silently) before restoring. Policy swaps and migrations
-		// live entirely in snapshot-captured state and must not rerun.
+		next := 0
 		for ; next < len(events) && events[next].Tick < ck.tick; next++ {
 			ae := &events[next]
 			if !ae.Event.structural() {
 				continue
 			}
-			if err := applyEvent(eng, hdr.Job, ae.Tick, ae.Event); err != nil {
+			if err := applyEvent(r.eng, r.job, ae.Tick, ae.Event); err != nil {
 				return fmt.Errorf("session: re-applying event seq %d before checkpoint: %w", ae.Seq, err)
 			}
 		}
-		if err := eng.Restore(ck.snap); err != nil {
+		if err := r.eng.Restore(ck.snap); err != nil {
 			return fmt.Errorf("session: restoring checkpoint at tick %d: %w", ck.tick, err)
 		}
+		events = events[next:]
 	}
-
-	b, err := json.Marshal(&hdr)
+	m.replays.Add(1)
+	b, err := json.Marshal(&lg.Header)
 	if err != nil {
 		return err
 	}
 	if err := emit(StreamSession, b); err != nil {
 		return err
 	}
-	s.mgr.replays.Add(1)
-	return r.run(events[next:], emit, fromTick)
-}
-
-// replayer drives one fresh engine through a recorded event sequence,
-// emitting the same stream the live session emitted.
-type replayer struct {
-	eng        *sim.Engine
-	job        sweep.Job
-	cadence    int
-	totalTicks int
-	frames     frameObserver
-	tick       sim.TickState
-	frame      Frame
-}
-
-// run steps the engine to completion, applying each event at its
-// recorded boundary and emitting events and frames whose tick is at
-// least emitFrom, then the terminal event. Events before emitFrom are
-// applied silently — they shape the simulation either way; only the
-// emission is filtered.
-func (r *replayer) run(events []AppliedEvent, emit Emit, emitFrom int) error {
 	next := 0
 	for {
 		b := r.eng.TickIndex()
@@ -154,7 +186,7 @@ func (r *replayer) run(events []AppliedEvent, emit Emit, emitFrom int) error {
 			if err := applyEvent(r.eng, r.job, b, ae.Event); err != nil {
 				return fmt.Errorf("session: replaying event seq %d at tick %d: %w", ae.Seq, b, err)
 			}
-			if b >= emitFrom {
+			if b >= from {
 				buf, err := json.Marshal(ae)
 				if err != nil {
 					return err
@@ -165,17 +197,14 @@ func (r *replayer) run(events []AppliedEvent, emit Emit, emitFrom int) error {
 			}
 			next++
 		}
-		if err := r.eng.Step(); err != nil {
+		done, err := r.step()
+		if err != nil {
 			// The live session turned this step failure into its error
 			// terminal; reproduce it, message and all.
-			if err == io.EOF {
-				err = fmt.Errorf("session: engine stepped past its run")
-			}
 			return emitTerminal(emit, sweep.Record{}, err)
 		}
-		done := r.eng.TickIndex()
-		if (done%r.cadence == 0 || done == r.totalTicks) && done >= emitFrom {
-			buf, err := marshalFrame(r.eng, &r.tick, &r.frame, &r.frames, done)
+		if r.framed(done) && done >= from {
+			buf, err := r.marshalFrame(done)
 			if err != nil {
 				return err
 			}
@@ -184,11 +213,8 @@ func (r *replayer) run(events []AppliedEvent, emit Emit, emitFrom int) error {
 			}
 		}
 		if done == r.totalTicks {
-			res, err := r.eng.Finish()
-			if err != nil {
-				return emitTerminal(emit, sweep.Record{}, err)
-			}
-			return emitTerminal(emit, sweep.NewRecord(r.job, res, 0), nil)
+			rec, err := r.finish()
+			return emitTerminal(emit, rec, err)
 		}
 	}
 }

@@ -4,13 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"math"
 	"sync"
 	"time"
 
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -55,28 +51,13 @@ var (
 // resumes where the write failed).
 type Emit func(event string, data []byte) error
 
-// Frame is the per-cadence observation document of a session stream.
+// Frame is the per-cadence observation document of a session stream:
+// the completed-tick count, then the engine's tick state inlined
+// (encoding/json flattens the embedded struct, in its field order).
 type Frame struct {
 	// Tick is the number of completed ticks this frame observes.
 	Tick int `json:"tick"`
-	// TimeS is the simulated time at the frame, seconds.
-	TimeS float64 `json:"time_s"`
-	// PowerW is the last interval's total chip power, watts.
-	PowerW float64 `json:"power_w"`
-	// MaxBlockC is the hottest block temperature, °C.
-	MaxBlockC float64 `json:"max_block_c"`
-	// CoreTempsC holds the per-core true temperatures, °C.
-	CoreTempsC []float64 `json:"core_temps_c"`
-	// Levels holds the per-core DVFS levels in force.
-	Levels []power.VfLevel `json:"levels"`
-	// Gated marks clock-gated cores.
-	Gated []bool `json:"gated"`
-	// Sleeping marks DPM-sleeping cores.
-	Sleeping []bool `json:"sleeping"`
-	// QueueLens holds per-core run-queue lengths.
-	QueueLens []int `json:"queue_lens"`
-	// Utils holds per-core utilization of the last interval.
-	Utils []float64 `json:"utils"`
+	sim.TickState
 }
 
 // Closed is the terminal document of a stream whose session was closed
@@ -86,29 +67,6 @@ type Closed struct {
 	Reason string `json:"reason"`
 	// Tick is the boundary the run stopped at.
 	Tick int `json:"tick"`
-}
-
-// frameObserver folds the engine's per-tick temperature observation
-// into the next frame's fields, reusing its buffers (allocation-free
-// after the first tick).
-type frameObserver struct {
-	coreTemps []float64
-	maxBlockC float64
-}
-
-// ObserveTick implements sim.Observer.
-func (f *frameObserver) ObserveTick(int) {}
-
-// ObserveTemps implements sim.Observer.
-func (f *frameObserver) ObserveTemps(blockTempsC, coreTempsC []float64) {
-	f.coreTemps = append(f.coreTemps[:0], coreTempsC...)
-	max := math.Inf(-1)
-	for _, v := range blockTempsC {
-		if v > max {
-			max = v
-		}
-	}
-	f.maxBlockC = max
 }
 
 // checkpoint is one seekable snapshot: the engine state at a tick
@@ -131,11 +89,10 @@ type Session struct {
 	ckptEvery  int
 	mgr        *Manager
 
-	mu       sync.Mutex
-	eng      *sim.Engine
-	frames   frameObserver
-	tick     sim.TickState
-	frame    Frame
+	mu sync.Mutex
+	// run is the live run core; nil once the run finished, failed or
+	// was closed (the engine is the dominant memory of a session).
+	run      *run
 	events   []AppliedEvent
 	nextEmit int
 	// pendingFrame is a marshaled frame whose emit failed mid-write; the
@@ -173,8 +130,8 @@ func (s *Session) touchLocked() { s.lastTouch = time.Now() }
 // freeEngineLocked drops the engine (the dominant memory of a session)
 // and moves the manager's live-engine gauge; callers hold mu.
 func (s *Session) freeEngineLocked() {
-	if s.eng != nil {
-		s.eng = nil
+	if s.run != nil {
+		s.run = nil
 		s.mgr.enginesLive.Add(-1)
 	}
 }
@@ -187,8 +144,8 @@ func (s *Session) closeLocked(reason string) {
 		return
 	}
 	s.closeMsg = reason
-	if s.eng != nil {
-		s.closedTick = s.eng.TickIndex()
+	if s.run != nil {
+		s.closedTick = s.run.eng.TickIndex()
 	}
 	close(s.closed)
 	s.freeEngineLocked()
@@ -210,11 +167,11 @@ func (s *Session) ApplyEvent(ev Event) (AppliedEvent, error) {
 	if s.closeMsg != "" {
 		return AppliedEvent{}, ErrClosed
 	}
-	if s.finished || s.eng == nil {
+	if s.finished || s.run == nil {
 		return AppliedEvent{}, ErrComplete
 	}
-	tick := s.eng.TickIndex()
-	if err := applyEvent(s.eng, s.hdr.Job, tick, ev); err != nil {
+	tick := s.run.eng.TickIndex()
+	if err := applyEvent(s.run.eng, s.hdr.Job, tick, ev); err != nil {
 		return AppliedEvent{}, err
 	}
 	ae := AppliedEvent{Type: RecordEvent, Tick: tick, Seq: len(s.events), Event: ev}
@@ -250,6 +207,8 @@ func (s *Session) Stream(ctx context.Context, emit Emit) error {
 	}
 	s.streaming = true
 	s.touchLocked()
+	sendHeader := !s.headerSent
+	s.headerSent = true
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
@@ -258,29 +217,21 @@ func (s *Session) Stream(ctx context.Context, emit Emit) error {
 		s.mu.Unlock()
 	}()
 
+	if sendHeader {
+		b, err := json.Marshal(&s.hdr)
+		if err == nil {
+			err = emit(StreamSession, b)
+		}
+		if err != nil {
+			s.mu.Lock()
+			s.headerSent = false
+			s.mu.Unlock()
+			return err
+		}
+	}
 	var evBufs [][]byte
-	first := true
 	for {
 		s.mu.Lock()
-		if first {
-			first = false
-			if !s.headerSent {
-				s.headerSent = true
-				b, err := json.Marshal(&s.hdr)
-				if err != nil {
-					s.mu.Unlock()
-					return err
-				}
-				s.mu.Unlock()
-				if err := emit(StreamSession, b); err != nil {
-					s.mu.Lock()
-					s.headerSent = false
-					s.mu.Unlock()
-					return err
-				}
-				s.mu.Lock()
-			}
-		}
 		if s.pendingFrame != nil {
 			// A frame a previous stream failed to deliver precedes
 			// everything, including events applied since the drop (they
@@ -323,24 +274,32 @@ func (s *Session) Stream(ctx context.Context, emit Emit) error {
 			evBufs = append(evBufs, b)
 			s.nextEmit++
 		}
+		// The final step, the record and the engine's release share
+		// this critical section too, so no event can ever be admitted
+		// at the total-ticks boundary.
 		var frameBuf []byte
-		if err := s.eng.Step(); err != nil {
-			s.failLocked(err)
-		} else {
-			done := s.eng.TickIndex()
+		r := s.run
+		done, err := r.step()
+		if err == nil {
 			if s.ckptEvery > 0 && done%s.ckptEvery == 0 && done < s.totalTicks {
 				s.captureLocked(done)
 			}
-			if done%s.hdr.CadenceTicks == 0 || done == s.totalTicks {
-				var err error
-				if frameBuf, err = s.frameLocked(done); err != nil {
+			if r.framed(done) {
+				if frameBuf, err = r.marshalFrame(done); err != nil {
 					s.mu.Unlock()
 					return err
 				}
 			}
 			if done == s.totalTicks {
-				s.finishLocked()
+				s.rec, err = r.finish()
 			}
+		}
+		switch {
+		case err != nil:
+			s.failLocked(err)
+		case done == s.totalTicks:
+			s.finished = true
+			s.freeEngineLocked()
 		}
 		finishedNow := s.finished
 		s.mu.Unlock()
@@ -386,8 +345,8 @@ func (s *Session) Stream(ctx context.Context, emit Emit) error {
 // mu. After the engine is freed the run was either finished (all ticks)
 // or closed at the boundary the log's last state describes.
 func (s *Session) completedLocked() int {
-	if s.eng != nil {
-		return s.eng.TickIndex()
+	if s.run != nil {
+		return s.run.eng.TickIndex()
 	}
 	if s.finished && s.runErr == nil {
 		return s.totalTicks
@@ -398,29 +357,11 @@ func (s *Session) completedLocked() int {
 // failLocked records a run failure and frees the engine; callers hold
 // mu.
 func (s *Session) failLocked(err error) {
-	if err == io.EOF {
-		err = fmt.Errorf("session: engine stepped past its run")
-	}
 	s.runErr = err
 	s.finished = true
-	if s.eng != nil {
-		s.closedTick = s.eng.TickIndex()
+	if s.run != nil {
+		s.closedTick = s.run.eng.TickIndex()
 	}
-	s.freeEngineLocked()
-}
-
-// finishLocked summarizes the completed run into its record and frees
-// the engine; callers hold mu. It runs in the same critical section as
-// the final Step, so no event can ever be admitted at the total-ticks
-// boundary.
-func (s *Session) finishLocked() {
-	res, err := s.eng.Finish()
-	if err != nil {
-		s.failLocked(err)
-		return
-	}
-	s.rec = sweep.NewRecord(s.hdr.Job, res, 0)
-	s.finished = true
 	s.freeEngineLocked()
 }
 
@@ -429,38 +370,10 @@ func (s *Session) finishLocked() {
 // seeks, and ReplayFrom falls back to replaying from the start.
 func (s *Session) captureLocked(tick int) {
 	snap := &sim.Snapshot{}
-	if err := s.eng.Snapshot(snap); err != nil {
+	if err := s.run.eng.Snapshot(snap); err != nil {
 		return
 	}
 	s.ckpts = append(s.ckpts, checkpoint{tick: tick, snap: snap})
-}
-
-// frameLocked marshals the frame of the just-completed tick; callers
-// hold mu.
-func (s *Session) frameLocked(done int) ([]byte, error) {
-	return marshalFrame(s.eng, &s.tick, &s.frame, &s.frames, done)
-}
-
-// marshalFrame builds and marshals the frame of the just-completed tick
-// from the engine's tick state and the frame observer's temperature
-// capture. The live stream and both replay flavors serialize frames
-// through this one function, so byte-identity is structural, not
-// coincidental.
-func marshalFrame(eng *sim.Engine, ts *sim.TickState, fr *Frame, obs *frameObserver, done int) ([]byte, error) {
-	eng.TickStateInto(ts)
-	*fr = Frame{
-		Tick:       done,
-		TimeS:      ts.TimeS,
-		PowerW:     ts.PowerW,
-		MaxBlockC:  obs.maxBlockC,
-		CoreTempsC: obs.coreTemps,
-		Levels:     ts.Levels,
-		Gated:      ts.Gated,
-		Sleeping:   ts.Sleeping,
-		QueueLens:  ts.QueueLens,
-		Utils:      ts.Utils,
-	}
-	return json.Marshal(fr)
 }
 
 // emitTerminal emits the done-or-error terminal of a finished run.

@@ -10,8 +10,8 @@ import (
 
 // TestCalibrationProbe prints the thermal operating envelope of the
 // Default policy on the heaviest workload across the four stacks. Run
-// with -v to inspect; it asserts only the weak physical orderings used
-// for calibration (EXPERIMENTS.md documents the absolute values).
+// with -v to inspect the absolute values; it asserts only the weak
+// physical orderings used for calibration.
 func TestCalibrationProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probe is slow")

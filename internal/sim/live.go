@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/floorplan"
 	"repro/internal/policy"
@@ -155,33 +156,48 @@ func (e *Engine) ForceMigration(m policy.Migration) error {
 	return nil
 }
 
-// TickState is a point-in-time view of the engine's actuation state at
-// a tick boundary, for session frame streaming. All slices are owned by
-// the TickState and reused across TickStateInto calls, so a steady
-// cadence performs no allocations after the first capture.
+// TickState is a point-in-time view of the engine at a tick boundary:
+// the temperatures of the last completed tick and the actuation state
+// in force. It is the body of a session frame, so its fields carry the
+// frame's JSON names and their order is the frame's wire order. All
+// slices are owned by the TickState and reused across TickStateInto
+// calls, so a steady cadence performs no allocations after the first
+// capture.
 type TickState struct {
 	// TimeS is the simulated time at the boundary (completed ticks x
 	// the sampling interval).
-	TimeS float64
+	TimeS float64 `json:"time_s"`
 	// PowerW is the last interval's total chip power.
-	PowerW float64
+	PowerW float64 `json:"power_w"`
+	// MaxBlockC is the hottest block temperature, °C.
+	MaxBlockC float64 `json:"max_block_c"`
+	// CoreTempsC holds the per-core true temperatures, °C.
+	CoreTempsC []float64 `json:"core_temps_c"`
 	// Levels holds the per-core DVFS levels in force.
-	Levels []power.VfLevel
+	Levels []power.VfLevel `json:"levels"`
 	// Gated marks cores the policy clock-gated last interval.
-	Gated []bool
+	Gated []bool `json:"gated"`
 	// Sleeping marks cores in the DPM sleep state.
-	Sleeping []bool
+	Sleeping []bool `json:"sleeping"`
 	// QueueLens holds the per-core run-queue lengths.
-	QueueLens []int
+	QueueLens []int `json:"queue_lens"`
 	// Utils holds the per-core utilization of the last interval.
-	Utils []float64
+	Utils []float64 `json:"utils"`
 }
 
-// TickStateInto captures the engine's current actuation state into s,
-// reusing s's buffers.
+// TickStateInto captures the engine's current state into s, reusing
+// s's buffers.
 func (e *Engine) TickStateInto(s *TickState) {
 	s.TimeS = float64(e.tickIdx) * e.cfg.TickS
 	s.PowerW = power.Total(e.blockPower)
+	hottest := math.Inf(-1)
+	for _, v := range e.blockTemps {
+		if v > hottest {
+			hottest = v
+		}
+	}
+	s.MaxBlockC = hottest
+	s.CoreTempsC = append(s.CoreTempsC[:0], e.coreTemps...)
 	s.Levels = append(s.Levels[:0], e.levels...)
 	s.Gated = append(s.Gated[:0], e.gated...)
 	s.Sleeping = append(s.Sleeping[:0], e.sleeping...)

@@ -2,8 +2,9 @@
 // stacked chips: an RC network built from a floorplan stack (block mode or
 // grid mode), a package model (thermal interface material, copper
 // spreader, finned heat sink, convection to ambient), steady-state and
-// transient solvers, the TSV joint-resistivity model of the paper's
-// Figure 2, and noisy temperature sensors.
+// transient solvers, and noisy temperature sensors. The TSV
+// joint-resistivity model of the paper's Figure 2 lives in floorplan,
+// beside the stack specs that derive resistivities from it.
 //
 // # Solvers
 //

@@ -53,7 +53,9 @@ type Params struct {
 // DefaultParams returns the paper's Table II values combined with
 // HotSpot-4.2-like package defaults. The package dimensions are sized for
 // the compact 3D prototype package discussed in the paper rather than a
-// large server sink; EXPERIMENTS.md documents the calibration.
+// large server sink. The TIM1 comment below gives the calibration's
+// rationale, and TestCalibrationProbe (internal/sim, run with -v) prints
+// the operating envelope it yields.
 func DefaultParams() Params {
 	return Params{
 		AmbientC: 45,
@@ -70,8 +72,8 @@ func DefaultParams() Params {
 		// under one 10 mm² core. This local column resistance is what
 		// lets an overloaded core spike past the threshold while the
 		// chip average stays moderate. Unlike the die-to-die interface,
-		// the package TIMs are not specified in Table II; see DESIGN.md
-		// for the calibration rationale.
+		// the package TIMs are not specified in Table II, so both are
+		// calibration choices.
 		TIMResistivity: 1.0,
 		TIMThicknessM:  0.03e-3,
 		// Spreader-to-sink TIM2: indium solder joint (k = 80 W/mK,

@@ -43,7 +43,8 @@ func TestLocalColumnDominatesSpike(t *testing.T) {
 
 // TestTIMDominatesLocalResistance checks that removing the die-level TIM
 // (making it nearly perfect) collapses the per-core spike — i.e. the TIM
-// column is the local resistance DESIGN.md §6 claims it is.
+// column is the local resistance the TIM1 comment in DefaultParams
+// says it is.
 func TestTIMDominatesLocalResistance(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP2)
 	base := DefaultParams()
