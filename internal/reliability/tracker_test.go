@@ -3,6 +3,7 @@ package reliability
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -55,6 +56,64 @@ func TestStreamKnownCensus(t *testing.T) {
 	// Residue 60->80 is one half cycle at reference amplitude: +0.5.
 	if d := s.Damage(); math.Abs(d-1.5) > 1e-12 {
 		t.Fatalf("total damage %.12g, want 1.5", d)
+	}
+}
+
+// TestRainflowASTME1049Example checks both rainflow counters against
+// ground truth: the worked rainflow example of ASTM E1049-85 (load
+// peaks and valleys -2, 1, -3, 5, -1, 3, -4, 4, -2), whose census is
+// range 3 x 1/2, 4 x 1 1/2, 6 x 1/2, 8 x 1 and 9 x 1/2. The counters
+// close one full cycle of range 4 and leave the half cycles 3, 4, 8,
+// 9, 8, 6 as residue; with a linear damage model (exponent 1, unit
+// reference) the Miner's sum is 4 + 38/2 = 23. Sampling the same
+// history densely, with linear steps between the turning points, must
+// not change the census.
+func TestRainflowASTME1049Example(t *testing.T) {
+	peaks := []float64{-2, 1, -3, 5, -1, 3, -4, 4, -2}
+	dense := []float64{peaks[0]}
+	for i := 1; i < len(peaks); i++ {
+		step := 0.25
+		if peaks[i] < peaks[i-1] {
+			step = -step
+		}
+		for v := peaks[i-1] + step; v != peaks[i]; v += step {
+			dense = append(dense, v)
+		}
+		dense = append(dense, peaks[i])
+	}
+	astm := map[float64]float64{3: 0.5, 4: 1.5, 6: 0.5, 8: 1, 9: 0.5}
+	model := CyclingModel{Exponent: 1, RefDeltaC: 1}
+	for name, samples := range map[string][]float64{"peaks": peaks, "dense": dense} {
+		rf := metrics.NewRainflow()
+		var s Stream
+		s.Init(model)
+		for _, v := range samples {
+			rf.Push(v)
+			s.Push(v)
+		}
+		full, half := rf.FullCycles(), rf.ResidualHalfCycles()
+		if !reflect.DeepEqual(full, []float64{4}) || !reflect.DeepEqual(half, []float64{3, 4, 8, 9, 8, 6}) {
+			t.Fatalf("%s: rainflow counted full %v and residue %v, want [4] and [3 4 8 9 8 6]", name, full, half)
+		}
+		census := map[float64]float64{}
+		for _, r := range full {
+			census[r]++
+		}
+		for _, r := range half {
+			census[r] += 0.5
+		}
+		if !reflect.DeepEqual(census, astm) {
+			t.Fatalf("%s: census %v, want ASTM's %v", name, census, astm)
+		}
+		if s.Cycles() != 1 {
+			t.Fatalf("%s: stream closed %d cycles, want 1", name, s.Cycles())
+		}
+		if d := s.Damage(); d != 23 {
+			t.Fatalf("%s: stream damage %v, want 23", name, d)
+		}
+		if d := model.Damage(full, half); d != 23 {
+			t.Fatalf("%s: batch damage %v, want 23", name, d)
+		}
 	}
 }
 

@@ -357,6 +357,49 @@ func TestSSEFraming(t *testing.T) {
 	}
 }
 
+// flushCounter is an http.ResponseWriter and http.Flusher that counts
+// writes and flushes and keeps a copy of the last write, allocating
+// nothing once that copy has grown.
+type flushCounter struct {
+	header          http.Header
+	writes, flushes int
+	last            []byte
+}
+
+func (w *flushCounter) Header() http.Header { return w.header }
+func (w *flushCounter) WriteHeader(int)     {}
+func (w *flushCounter) Flush()              { w.flushes++ }
+func (w *flushCounter) Write(b []byte) (int, error) {
+	w.writes++
+	w.last = append(w.last[:0], b...)
+	return len(b), nil
+}
+
+// TestSSEEventAllocationFree pins the SSE writer's steady state: each
+// event is one Write of the "event: …\ndata: …\n\n" envelope and one
+// flush (live viewers see every frame as it is made), and allocates
+// nothing once the writer's buffer has grown.
+func TestSSEEventAllocationFree(t *testing.T) {
+	w := &flushCounter{header: http.Header{}}
+	st := newSSE(w)
+	data := []byte(`{"tick":3,"time_s":0.30000000000000004,"levels":null}`)
+	avg := testing.AllocsPerRun(100, func() {
+		if err := st.event("frame", data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("sseStream.event made %.2f allocs/event, want 0", avg)
+	}
+	// AllocsPerRun makes one warm-up call before its 100.
+	if w.writes != 101 || w.flushes != 101 {
+		t.Fatalf("101 events made %d writes and %d flushes, want one each per event", w.writes, w.flushes)
+	}
+	if want := fmt.Sprintf("event: %s\ndata: %s\n\n", "frame", data); string(w.last) != want {
+		t.Fatalf("event framed as %q, want %q", w.last, want)
+	}
+}
+
 // TestCachedRecordRestampsBaselineFlag pins the baseline restamp:
 // Baseline is the one job field outside the key, so a record cached
 // under one spec's classification must be re-labeled per request —

@@ -294,6 +294,35 @@ func TestSessionReplayEndpoints(t *testing.T) {
 	}
 }
 
+// TestSessionReplayEventFailureEndsInError pins the one-terminal
+// promise for an external log the engine rejects mid-run: once the
+// header is out the replay answers 200, and its stream ends in an error
+// event carrying the failure instead of just stopping.
+func TestSessionReplayEventFailureEndsInError(t *testing.T) {
+	srv := New(Config{Workers: 1, SessionIdleTimeout: -1})
+	t.Cleanup(srv.Stop)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	lg := `{"type":"session","job":{"scenario":{"exp":1},"policy":"Default","bench":"gzip","seed":1,"duration_s":0.5},"cadence_ticks":1}
+{"type":"event","tick":2,"seq":0,"event":{"type":"migrate","from":0,"to":99}}
+`
+	resp, err := http.Post(ts.URL+"/v1/session/replay", "application/x-ndjson", strings.NewReader(lg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("replay: %d %s, want 200", resp.StatusCode, body)
+	}
+	events := strings.Split(strings.TrimSuffix(string(body), "\n\n"), "\n\n")
+	const want = "event: error\n" + `data: {"error":"session: replaying event seq 0 at tick 2: sched: migrate 0-\u003e99 out of range"}`
+	if last := events[len(events)-1]; last != want {
+		t.Fatalf("replay stream ends with\n%s\nwant\n%s", last, want)
+	}
+}
+
 // TestSessionDrainRefusal pins that a draining server refuses session
 // opens and replays with 503 and closes resident sessions.
 func TestSessionDrainRefusal(t *testing.T) {

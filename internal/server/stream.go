@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -75,6 +74,8 @@ type sseStream struct {
 	// wrote records whether any event was written, so error mapping
 	// knows whether an HTTP status can still be sent.
 	wrote bool
+	// buf holds the last event's framed bytes; event reuses it.
+	buf []byte
 }
 
 // newSSE sets the event-stream headers and returns the writer.
@@ -84,10 +85,13 @@ func newSSE(w http.ResponseWriter) *sseStream {
 	return &sseStream{w: w}
 }
 
-// event writes and flushes one event; it is a session.Emit.
+// event writes one event in a single Write and flushes it, so a live
+// viewer sees each frame as it is made; it is a session.Emit.
 func (s *sseStream) event(name string, data []byte) error {
 	s.wrote = true
-	if _, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data); err != nil {
+	s.buf = append(append(append(append(append(s.buf[:0],
+		"event: "...), name...), "\ndata: "...), data...), "\n\n"...)
+	if _, err := s.w.Write(s.buf); err != nil {
 		return err
 	}
 	if f, ok := s.w.(http.Flusher); ok {

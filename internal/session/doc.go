@@ -29,8 +29,12 @@
 // replay and the checkpoint seek step, frame and finish through it, so
 // their byte-identity is structural. A frame reads the engine's tick
 // state (sim.TickState) into reused buffers at the boundary; no
-// per-tick observer is attached. The tick hot path stays
-// allocation-free: between frames a streaming session performs no heap
-// allocations beyond the engine's own per-tick budget (pinned by
-// TestSessionTickAllocationContract).
+// per-tick observer is attached. The frame is then append-encoded by
+// hand into the run core's reused buffer, byte for byte what
+// encoding/json produces (FuzzFrameJSON holds the two equal). The tick
+// hot path stays allocation-free, frames included: a streaming session
+// performs no heap allocations beyond the engine's own per-tick budget
+// (pinned by TestSessionTickAllocationContract,
+// TestRunMarshalFrameAllocationFree and, for a whole stream at a frame
+// per tick, TestSessionStreamAmortizedAllocs).
 package session

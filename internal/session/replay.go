@@ -21,6 +21,9 @@ type run struct {
 	cadence    int
 	totalTicks int
 	frame      Frame
+	// buf holds the last marshaled frame; marshalFrame reuses it, so
+	// the bytes it returns are valid until its next call.
+	buf []byte
 }
 
 // newRun builds the engine of one job through the same job-to-config
@@ -57,11 +60,14 @@ func (r *run) framed(done int) bool {
 }
 
 // marshalFrame marshals the frame of the just-completed tick, read
-// straight from the engine's tick state.
+// straight from the engine's tick state, into the run's reused buffer:
+// the bytes are valid until the next call.
 func (r *run) marshalFrame(done int) ([]byte, error) {
 	r.frame.Tick = done
 	r.eng.TickStateInto(&r.frame.TickState)
-	return json.Marshal(&r.frame)
+	var err error
+	r.buf, err = appendFrame(r.buf[:0], &r.frame)
+	return r.buf, err
 }
 
 // finish summarizes the completed run into its record.
@@ -184,7 +190,10 @@ func (m *Manager) replay(lg *Log, from int, ck checkpoint, emit Emit) error {
 		for next < len(events) && events[next].Tick == b {
 			ae := &events[next]
 			if err := applyEvent(r.eng, r.job, b, ae.Event); err != nil {
-				return fmt.Errorf("session: replaying event seq %d at tick %d: %w", ae.Seq, b, err)
+				// The header is out, so the failure travels as the
+				// stream's one terminal, like a step failure's.
+				return emitTerminal(emit, sweep.Record{},
+					fmt.Errorf("session: replaying event seq %d at tick %d: %w", ae.Seq, b, err))
 			}
 			if b >= from {
 				buf, err := json.Marshal(ae)

@@ -48,12 +48,16 @@ var (
 // Emit delivers one stream event to the transport. Implementations are
 // called from the streaming goroutine only; returning an error stops
 // the stream (the engine keeps its position, so a reconnecting client
-// resumes where the write failed).
+// resumes where the write failed). data is valid only during the call:
+// a frame's bytes live in the run's reused buffer, so an
+// implementation that keeps them must copy them.
 type Emit func(event string, data []byte) error
 
 // Frame is the per-cadence observation document of a session stream:
 // the completed-tick count, then the engine's tick state inlined
 // (encoding/json flattens the embedded struct, in its field order).
+// The run core append-encodes it by hand into a reused buffer, byte
+// for byte what json.Marshal produces.
 type Frame struct {
 	// Tick is the number of completed ticks this frame observes.
 	Tick int `json:"tick"`
@@ -316,8 +320,9 @@ func (s *Session) Stream(ctx context.Context, emit Emit) error {
 		}
 		if frameBuf != nil {
 			if err := emit(StreamFrame, frameBuf); err != nil {
+				// frameBuf is the run core's reused buffer: keep a copy.
 				s.mu.Lock()
-				s.pendingFrame = frameBuf
+				s.pendingFrame = append([]byte(nil), frameBuf...)
 				s.mu.Unlock()
 				return err
 			}

@@ -378,3 +378,31 @@ func TestEngineRejectedEventNotLogged(t *testing.T) {
 		t.Fatalf("rejected event moved the events counter to %d", st.Events)
 	}
 }
+
+// TestReplayEventFailureEndsInErrorTerminal pins the one-terminal
+// promise for an external log whose event the engine rejects mid-run:
+// the header is already out, so the failure ends the stream as its one
+// error terminal, and Replay itself returns nil.
+func TestReplayEventFailureEndsInErrorTerminal(t *testing.T) {
+	m := newTestManager(t, Config{})
+	lg := &Log{
+		Header: Header{Type: RecordSession, Job: testJob(1), CadenceTicks: 1},
+		Events: []AppliedEvent{{Type: RecordEvent, Tick: 2, Seq: 0, Event: Event{Type: EventMigrate, From: 0, To: 99}}},
+	}
+	c := &capture{}
+	if err := m.Replay(lg, c.emit); err != nil {
+		t.Fatalf("replay returned %v, want the failure as the stream's terminal", err)
+	}
+	if want := []string{StreamSession, StreamFrame, StreamFrame, StreamError}; !reflect.DeepEqual(c.names, want) {
+		t.Fatalf("replay emitted %v, want %v", c.names, want)
+	}
+	var doc struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(c.datas[len(c.datas)-1], &doc); err != nil {
+		t.Fatal(err)
+	}
+	if want := "session: replaying event seq 0 at tick 2: sched: migrate 0->99 out of range"; doc.Error != want {
+		t.Fatalf("error terminal says %q, want %q", doc.Error, want)
+	}
+}
