@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Record-identity gate: runs five canonical dtmsweep sweeps and checks
 # that each streams exactly the pinned number of records with the
-# pinned sha256, then pins three served session streams (a log replay,
-# a live stream and a checkpoint seek) the same way. Together they cover block and grid models, two solver
+# pinned sha256, then pins four served session streams (a log replay,
+# a live stream and two checkpoint seeks) the same way. Together they cover block and grid models, two solver
 # labels (every label solves on the one shared factorization, so a
 # dense-labelled record is its cached twin relabelled), the
 # degraded-TSV stress scenario, DPM, lifetime tracking, replicates, the
@@ -82,7 +82,11 @@ check 32 3228d52cf9a0271f876aa633c6c1149b2aee1a7e7f347f6eb89039e8ef7bba33 \
 # events before streaming, so each lands at tick 0 and the stream does
 # not depend on timing. The seek pin re-streams that session from tick
 # 11: it restores the tick-8 checkpoint after silently re-applying the
-# structural events (fail_tsv, set_workload) from tick 0.
+# structural events (fail_tsv, set_workload) from tick 0. The seek0 pin
+# re-streams it from tick 3 through the boundary-0 checkpoint, which
+# Open took before those events: the restored engine then applies
+# fail_tsv, set_workload, set_policy and both migrations itself, so the
+# degraded model takes over restored integrator state.
 "$WORKDIR/dtmserved" -addr 127.0.0.1:0 -addr-file "$WORKDIR/addr.txt" -workers 2 \
 	>"$WORKDIR/server.log" 2>&1 &
 SERVER_PID=$!
@@ -141,6 +145,9 @@ pin live 1da4c35a7d154e96ae330f0acb7a5ca027da058887784127a35997e9f27a716d "$WORK
 curl -sf "$URL/v1/session/$SID/replay?from_tick=11" >"$WORKDIR/seek.sse" ||
 	{ echo "FAIL: session seek request" >&2; fail=1; }
 pin seek 9556cb7204aa972841e2ce896ee2985db4acb990b79e34ecfa19b879dd512aee "$WORKDIR/seek.sse"
+curl -sf "$URL/v1/session/$SID/replay?from_tick=3" >"$WORKDIR/seek0.sse" ||
+	{ echo "FAIL: session seek0 request" >&2; fail=1; }
+pin seek0 b458d0c4d408b0089d1f1fb050c6843ed640fa358b7a0e92e5633f31719206eb "$WORKDIR/seek0.sse"
 
 if [ "$fail" != 0 ]; then
 	echo "record identity: FAIL" >&2

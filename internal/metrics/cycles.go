@@ -81,6 +81,14 @@ func (w *wedge) push(s, window int, t float64, keepMax bool) {
 // front returns the current window extremum.
 func (w *wedge) front() float64 { return w.val[w.head] }
 
+// copyFrom copies src's entries, front position and length into the
+// receiver's buffers, which have src's capacity.
+func (w *wedge) copyFrom(src *wedge) {
+	copy(w.val, src.val)
+	copy(w.idx, src.idx)
+	w.head, w.size = src.head, src.size
+}
+
 // NewCycleMeter builds a meter with the given sliding window length in
 // sampling ticks.
 func NewCycleMeter(numCores, windowTicks int, deltaThresholdC float64) (*CycleMeter, error) {

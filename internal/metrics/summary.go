@@ -56,6 +56,36 @@ func NewCollector(stack *floorplan.Stack, cfg CollectorConfig) (*Collector, erro
 	}, nil
 }
 
+// CopyFrom copies src's accumulated metric state into the receiver's
+// buffers: every meter's counters and each cycle window's deques. Both
+// collectors must have one shape (core count and cycle window); the
+// receiver keeps its thresholds and stack. src is only read.
+func (c *Collector) CopyFrom(src *Collector) error {
+	h, sh := c.HotSpot, src.HotSpot
+	y, sy := c.Cycle, src.Cycle
+	if len(h.perCoreHot) != len(sh.perCoreHot) || y.cores != sy.cores || y.WindowTicks != sy.WindowTicks {
+		return fmt.Errorf("metrics: copy of a %d-core collector with a %d-tick cycle window into a %d-core one with %d",
+			sy.cores, sy.WindowTicks, y.cores, y.WindowTicks)
+	}
+	h.samples, h.hot, h.maxTempC = sh.samples, sh.hot, sh.maxTempC
+	copy(h.perCoreHot, sh.perCoreHot)
+
+	g, sg := c.Gradient, src.Gradient
+	g.samples, g.above, g.sumMax, g.maxSeen = sg.samples, sg.above, sg.sumMax, sg.maxSeen
+
+	v, sv := c.Vertical, src.Vertical
+	v.samples, v.sumMax, v.maxSeen = sv.samples, sv.sumMax, sv.maxSeen
+
+	y.tick, y.samples, y.above, y.sumAvg = sy.tick, sy.samples, sy.above, sy.sumAvg
+	for i := range y.maxT {
+		y.maxT[i].copyFrom(&sy.maxT[i])
+		y.minT[i].copyFrom(&sy.minT[i])
+	}
+
+	c.sumCore, c.nCore = src.sumCore, src.nCore
+	return nil
+}
+
 // Record feeds one sampling interval.
 func (c *Collector) Record(blockTempsC, coreTempsC []float64) error {
 	if len(coreTempsC) != c.stack.NumCores() {

@@ -10,7 +10,7 @@
 // the model-predictive MPC_Thermal/MPC_Rel pair, which score candidate
 // DVFS/migration actions by rolling the actual simulation forward over
 // a short horizon (the Rollout interface, implemented by the engine's
-// snapshot/fork machinery in internal/sim).
+// fork machinery in internal/sim).
 //
 // # Adapt3D
 //
@@ -63,7 +63,7 @@
 //
 // Every roster policy implements Forker: Fork returns an
 // independent clone owning fresh copies of all mutable state (level
-// slices, damage accumulators, RNG position), so snapshot/restore and
+// slices, damage accumulators, RNG position), so checkpoint restores and
 // rollout lanes can branch a simulation without the clone and the
 // original ever sharing a buffer. Stochastic policies fork by
 // replaying their seeded RNG to the captured draw count, preserving

@@ -3,10 +3,11 @@ package policy
 import "repro/internal/power"
 
 // Forker is a policy that can clone its mutable decision state. The
-// simulation engine's Snapshot/Fork machinery requires it: a
-// checkpoint must capture the policy's scratch (wear streams,
-// probability state, locality tables) by value, or a restored run
-// would diverge from an uninterrupted one.
+// simulation engine's Fork and Restore require it: a fork, and so a
+// checkpoint, must copy the policy's scratch (wear streams, probability
+// state, locality tables) by value, or a restored run would diverge
+// from an uninterrupted one. Fork must only read the receiver:
+// concurrent session seeks clone one checkpoint's policy at once.
 //
 // Fork contract: the clone continues the decision sequence the parent
 // would have produced — same observations in, same decisions out —

@@ -254,6 +254,20 @@ func NewTracker(n int, tickS float64) (*Tracker, error) {
 	return t, nil
 }
 
+// CopyFrom copies src's accumulated wear into the receiver's buffers.
+// Both trackers must track one number of signals; metadata and models
+// stay as configured. src is only read.
+func (t *Tracker) CopyFrom(src *Tracker) error {
+	if len(src.streams) != len(t.streams) {
+		return fmt.Errorf("reliability: copy of a %d-signal tracker into a %d-signal one", len(src.streams), len(t.streams))
+	}
+	copy(t.streams, src.streams)
+	copy(t.emSum, src.emSum)
+	copy(t.maxC, src.maxC)
+	t.samples = src.samples
+	return nil
+}
+
 // SetMeta labels the tracked signals with block names and die layers
 // (both length n); reports then carry them and aggregate per-layer
 // damage. Pass nil for either to leave it unset.

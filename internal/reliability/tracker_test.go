@@ -142,16 +142,19 @@ func refDamage(s *Stream) float64 {
 // bit for bit against refDamage, polled at irregular intervals (often
 // twice with no Push between) on three signals: a random walk, a
 // quantized one full of plateaus, and widening swings that overflow
-// streamCap before a narrower stretch collapses them. Tracker Save and
-// Load, and a re-Init of every stream (how rollout lanes reset), land
-// between pushes.
+// streamCap before a narrower stretch collapses them. Tracker copies
+// out and back (how a checkpoint is taken and restored), and a re-Init
+// of every stream (how rollout lanes reset), land between pushes.
 func TestStreamDamageMatchesUncachedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	tr, err := NewTracker(3, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var saved TrackerState
+	saved, err := NewTracker(3, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	haveSaved := false
 	check := func(step int) {
 		t.Helper()
@@ -191,12 +194,17 @@ func TestStreamDamageMatchesUncachedLoop(t *testing.T) {
 		}
 		switch rng.Intn(300) {
 		case 0:
-			tr.Save(&saved)
+			if err := saved.CopyFrom(tr); err != nil {
+				t.Fatal(err)
+			}
 			haveSaved = true
 		case 1:
 			if haveSaved {
-				if err := tr.Load(&saved); err != nil {
+				if err := tr.CopyFrom(saved); err != nil {
 					t.Fatal(err)
+				}
+				if got, want := tr.Report(), saved.Report(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: copied tracker reports %+v, its source %+v", step, got, want)
 				}
 				check(step)
 			}

@@ -41,7 +41,7 @@ type Machine struct {
 	totalMigrations int
 
 	// pool recycles QueuedJob objects: a finished job returns to it,
-	// and Enqueue and Load draw from it, so the machine allocates only
+	// and Enqueue and CopyFrom draw from it, so the machine allocates only
 	// when more jobs are queued at once than ever before.
 	pool []*QueuedJob
 }
@@ -54,68 +54,29 @@ type completion struct {
 	resp, serv, slow float64
 }
 
-// MachineState is a value snapshot of a Machine's mutable state: the
-// per-core queues flattened into one job vector, the completion sums,
-// and the clock/idle bookkeeping. Save reuses the state's slices, and
-// Load reuses the machine's existing job allocations, so a Save/Load
-// cycle costs O(queued jobs), however many jobs have finished. A state
-// saved from one machine may only be loaded into a machine with the
-// same core count.
-type MachineState struct {
-	NowS            float64
-	TotalMigrations int
-	IdleSinceS      []float64
-	// QueueLens[c] is core c's queue length; Queued holds the queue
-	// contents concatenated in core order, head first.
-	QueueLens []int
-	Queued    []QueuedJob
-	done      completion
-}
-
-// Save captures the machine's mutable state into s, reusing s's
-// buffers when they are large enough.
-func (m *Machine) Save(s *MachineState) {
-	s.NowS = m.nowS
-	s.TotalMigrations = m.totalMigrations
-	s.IdleSinceS = append(s.IdleSinceS[:0], m.idleSinceS...)
-	s.QueueLens = s.QueueLens[:0]
-	s.Queued = s.Queued[:0]
-	for _, q := range m.queues {
-		s.QueueLens = append(s.QueueLens, len(q))
-		for _, j := range q {
-			s.Queued = append(s.Queued, *j)
-		}
+// CopyFrom copies src's mutable state into the receiver: the clock,
+// the idle bookkeeping, the completion sums, and the queued jobs by
+// value through the receiver's pool, so a copy costs O(queued jobs)
+// however many jobs have finished. Both machines must have one core
+// count; the receiver keeps its migration cost. src is only read.
+func (m *Machine) CopyFrom(src *Machine) error {
+	if src.numCores != m.numCores {
+		return fmt.Errorf("sched: copy of a %d-core machine into a %d-core one", src.numCores, m.numCores)
 	}
-	s.done = m.done
-}
-
-// Load restores the machine's mutable state from s. Existing QueuedJob
-// objects are reused where possible; the core count must match the
-// saved state.
-func (m *Machine) Load(s *MachineState) error {
-	if len(s.QueueLens) != m.numCores || len(s.IdleSinceS) != m.numCores {
-		return fmt.Errorf("sched: state for %d cores loaded into %d-core machine", len(s.QueueLens), m.numCores)
-	}
-	// Recycle every queued job object through the pool, then repopulate.
 	for _, q := range m.queues {
 		m.pool = append(m.pool, q...)
 	}
-	m.nowS = s.NowS
-	m.totalMigrations = s.TotalMigrations
-	copy(m.idleSinceS, s.IdleSinceS)
-	pos := 0
-	for c := 0; c < m.numCores; c++ {
-		q := m.queues[c][:0]
-		for i := 0; i < s.QueueLens[c]; i++ {
-			q = append(q, m.newJob(s.Queued[pos]))
-			pos++
+	for c, q := range src.queues {
+		dst := m.queues[c][:0]
+		for _, j := range q {
+			dst = append(dst, m.newJob(*j))
 		}
-		m.queues[c] = q
+		m.queues[c] = dst
 	}
-	if pos != len(s.Queued) {
-		return fmt.Errorf("sched: state queue lengths sum to %d but %d jobs saved", pos, len(s.Queued))
-	}
-	m.done = s.done
+	m.nowS = src.nowS
+	m.totalMigrations = src.totalMigrations
+	copy(m.idleSinceS, src.idleSinceS)
+	m.done = src.done
 	return nil
 }
 
@@ -198,7 +159,7 @@ func (m *Machine) QueueLensInto(dst []int) {
 
 // Running returns the job at the head of the core's queue, or nil. The
 // object stays the machine's: once the job finishes, a later Enqueue or
-// Load reuses it, so callers must not keep it across Advance.
+// CopyFrom reuses it, so callers must not keep it across Advance.
 func (m *Machine) Running(core int) *QueuedJob {
 	if len(m.queues[core]) == 0 {
 		return nil

@@ -323,8 +323,8 @@ func TestWorkConservation(t *testing.T) {
 }
 
 // TestSaveLoadAcrossCompletions pins the completion sums through a
-// snapshot: a state saved after jobs have finished carries their sums,
-// not the jobs, and a machine loaded from it — a fresh one, or the
+// copy: a machine copied after jobs have finished carries their sums,
+// not the jobs, and a machine copied from it — a fresh one, or the
 // original rewound — ends with ComputeStats equal (==) to the
 // uninterrupted machine's.
 func TestSaveLoadAcrossCompletions(t *testing.T) {
@@ -379,26 +379,32 @@ func TestSaveLoadAcrossCompletions(t *testing.T) {
 	m := newM()
 	apply(m, 0, mid)
 	atSave := m.ComputeStats().Completed
-	var s MachineState
-	m.Save(&s)
-	if atSave == 0 || len(s.Queued) == 0 || want.Completed <= atSave {
-		t.Fatalf("want completions before and after the save and queued jobs at it: %d before, %d in all, %d queued",
-			atSave, want.Completed, len(s.Queued))
+	saved := newM()
+	if err := saved.CopyFrom(m); err != nil {
+		t.Fatal(err)
+	}
+	queued := 0
+	for c := 0; c < n; c++ {
+		queued += saved.QueueLen(c)
+	}
+	if atSave == 0 || queued == 0 || want.Completed <= atSave {
+		t.Fatalf("want completions before and after the copy and queued jobs at it: %d before, %d in all, %d queued",
+			atSave, want.Completed, queued)
 	}
 	apply(m, mid, steps)
 	if got := m.ComputeStats(); got != want {
-		t.Fatalf("machine with a mid-run save: %+v, want %+v", got, want)
+		t.Fatalf("machine with a mid-run copy: %+v, want %+v", got, want)
 	}
 
 	fresh := newM()
-	if err := fresh.Load(&s); err != nil {
+	if err := fresh.CopyFrom(saved); err != nil {
 		t.Fatal(err)
 	}
 	apply(fresh, mid, steps)
 	if got := fresh.ComputeStats(); got != want {
-		t.Errorf("fresh machine loaded mid-run: %+v, want %+v", got, want)
+		t.Errorf("fresh machine copied mid-run: %+v, want %+v", got, want)
 	}
-	if err := m.Load(&s); err != nil {
+	if err := m.CopyFrom(saved); err != nil {
 		t.Fatal(err)
 	}
 	apply(m, mid, steps)

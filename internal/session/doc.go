@@ -9,12 +9,14 @@
 // stream is a pure function of (job, cadence, event log). Replaying a
 // recorded log against a fresh engine — Manager.Replay — reproduces the
 // original live stream byte-identically (elapsed stripped, like every
-// served record). Checkpoint snapshots captured at a configurable
-// cadence (Engine.Snapshot) let Session.ReplayFrom seek into a finished
-// run without re-simulating the prefix; structural events before the
-// checkpoint (workload splices, interface degradation) are re-applied
-// silently so the restored snapshot lands on an engine whose immutable
-// inputs match the ones it was captured from.
+// served record). Checkpoints taken at a configurable cadence, each an
+// unstepped Engine.Fork, let Session.ReplayFrom seek into a finished
+// run without re-simulating the prefix: a fresh engine re-applies the
+// structural events before the checkpoint (workload splices, interface
+// degradation) silently, so its job trace and thermal model match the
+// ones the checkpoint ran on, and then copies the checkpoint's state
+// with Engine.Restore. Restore only reads the checkpoint, so concurrent
+// seeks share one.
 //
 // Concurrency: a Session's engine advances only inside Stream (one
 // active stream per session); ApplyEvent and the read accessors

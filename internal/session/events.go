@@ -170,11 +170,11 @@ func applyEvent(eng *sim.Engine, job sweep.Job, tick int, ev Event) error {
 	}
 }
 
-// structural reports whether the event mutates the engine's immutable-
-// under-snapshot inputs (job trace, stack/thermal model). Checkpoint
-// seeking must re-apply structural events preceding the checkpoint
-// before restoring it; policy swaps and migrations live entirely in
-// snapshot-captured state and must not be re-applied.
+// structural reports whether the event replaces one of the engine's
+// inputs that a restore does not copy (job trace, stack/thermal model).
+// Checkpoint seeking must re-apply structural events preceding the
+// checkpoint before restoring it; policy swaps and migrations live
+// entirely in copied state and must not be re-applied.
 func (ev *Event) structural() bool {
 	return ev.Type == EventSetWorkload || ev.Type == EventFailTSV
 }

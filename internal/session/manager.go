@@ -129,7 +129,7 @@ type OpenRequest struct {
 	// CadenceTicks emits a frame after every CadenceTicks-th completed
 	// tick (0: every tick; the final tick always gets a frame).
 	CadenceTicks int `json:"cadence_ticks,omitempty"`
-	// CheckpointTicks captures a seekable snapshot every this many
+	// CheckpointTicks captures a seekable checkpoint every this many
 	// ticks (0: the manager default; negative: no checkpoints).
 	CheckpointTicks int `json:"checkpoint_ticks,omitempty"`
 	// TicksPerSec paces the stream to roughly this many simulated

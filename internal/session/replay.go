@@ -143,11 +143,11 @@ func (s *Session) ReplayFrom(fromTick int, emit Emit) error {
 // its recorded boundary, and emits the header, then the events and
 // frames whose tick is at least from, then the terminal. Events before
 // from are applied silently: they shape the simulation either way;
-// only the emission is filtered. A checkpoint (snap non-nil) seeds the
+// only the emission is filtered. A checkpoint (eng non-nil) seeds the
 // run: structural events before it rebuilt the trace or the thermal
-// model outside the snapshot's reach, so they are re-applied (silently)
-// before the restore, while policy swaps and migrations live entirely
-// in snapshot-captured state and must not rerun.
+// model, inputs a restore does not copy, so they are re-applied
+// (silently) before the restore, while policy swaps and migrations
+// live entirely in copied state and must not rerun.
 func (m *Manager) replay(lg *Log, from int, ck checkpoint, emit Emit) error {
 	r, err := m.newRun(lg.Header.Job, lg.Header.CadenceTicks)
 	if err != nil {
@@ -160,7 +160,7 @@ func (m *Manager) replay(lg *Log, from int, ck checkpoint, emit Emit) error {
 				events[i].Seq, events[i].Tick, r.totalTicks)
 		}
 	}
-	if ck.snap != nil {
+	if ck.eng != nil {
 		next := 0
 		for ; next < len(events) && events[next].Tick < ck.tick; next++ {
 			ae := &events[next]
@@ -171,7 +171,7 @@ func (m *Manager) replay(lg *Log, from int, ck checkpoint, emit Emit) error {
 				return fmt.Errorf("session: re-applying event seq %d before checkpoint: %w", ae.Seq, err)
 			}
 		}
-		if err := r.eng.Restore(ck.snap); err != nil {
+		if err := r.eng.Restore(ck.eng); err != nil {
 			return fmt.Errorf("session: restoring checkpoint at tick %d: %w", ck.tick, err)
 		}
 		events = events[next:]

@@ -73,11 +73,12 @@ type Closed struct {
 	Tick int `json:"tick"`
 }
 
-// checkpoint is one seekable snapshot: the engine state at a tick
-// boundary, captured before any event applied at that boundary.
+// checkpoint is one seek target: an unstepped fork of the engine at a
+// tick boundary, taken before any event applied at that boundary.
+// Seeks only read it, so concurrent seeks may restore from one.
 type checkpoint struct {
 	tick int
-	snap *sim.Snapshot
+	eng  *sim.Engine
 }
 
 // Session is one live interactive run. The engine advances only inside
@@ -370,15 +371,15 @@ func (s *Session) failLocked(err error) {
 	s.freeEngineLocked()
 }
 
-// captureLocked snapshots the engine at a checkpoint boundary; callers
+// captureLocked forks the engine at a checkpoint boundary; callers
 // hold mu. Capture failures are non-fatal: checkpoints only accelerate
 // seeks, and ReplayFrom falls back to replaying from the start.
 func (s *Session) captureLocked(tick int) {
-	snap := &sim.Snapshot{}
-	if err := s.run.eng.Snapshot(snap); err != nil {
+	f, err := s.run.eng.Fork()
+	if err != nil {
 		return
 	}
-	s.ckpts = append(s.ckpts, checkpoint{tick: tick, snap: snap})
+	s.ckpts = append(s.ckpts, checkpoint{tick: tick, eng: f})
 }
 
 // emitTerminal emits the done-or-error terminal of a finished run.

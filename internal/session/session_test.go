@@ -142,8 +142,8 @@ func runLive(t *testing.T, s *Session, events []scheduled) *capture {
 // planner, reliability tracking off and on, with all four event types
 // injected mid-run: replaying the
 // recorded event log against a fresh engine reproduces the live SSE
-// stream byte-identically, and checkpoint seeks reproduce the stream's
-// tick-filtered suffix byte-identically.
+// stream byte-identically, and checkpoint seeks, serial and concurrent,
+// reproduce the stream's tick-filtered suffix byte-identically.
 func TestReplayDeterminismMatrix(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -256,6 +256,28 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 						t.Fatalf("seek from %d: %v", from, err)
 					}
 					diffStreams(t, fmt.Sprintf("seek from %d", from), sk.buf.Bytes(), live.renderFrom(from))
+				}
+
+				// Seeks restore from their checkpoint concurrently and
+				// only read it: 6 to 9 share the tick-5 checkpoint, while
+				// 1 and 13 restore the tick-0 and tick-10 ones.
+				froms := []int{6, 7, 8, 9, 1, 13}
+				seeks := make([]capture, len(froms))
+				errs := make([]error, len(froms))
+				var wg sync.WaitGroup
+				for i, from := range froms {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[i] = s.ReplayFrom(from, seeks[i].emit)
+					}()
+				}
+				wg.Wait()
+				for i, from := range froms {
+					if errs[i] != nil {
+						t.Fatalf("concurrent seek from %d: %v", from, errs[i])
+					}
+					diffStreams(t, fmt.Sprintf("concurrent seek from %d", from), seeks[i].buf.Bytes(), live.renderFrom(from))
 				}
 			})
 		}

@@ -67,21 +67,26 @@
 // policy-owned and copied by the engine immediately (see
 // policy.TickDecision for the full ownership rules).
 //
-// # Stepping, snapshots, and forks
+// # Stepping, checkpoints, and forks
 //
 // Run drives a whole simulation; callers that need the loop
 // themselves build an Engine (NewEngine) and Step it, then Finish.
-// Engine.Snapshot captures every piece of mutable tick state — raw
-// integrator state, scheduler queues, sensor stream position, meter
-// and wear accumulators, a clone of the policy — into a reusable
-// Snapshot value; Restore rewinds, and the resumed run is bitwise
-// identical to never having stopped (TestSnapshotRestoreResumesBitwise
-// pins this across every stack, the grid discretization, and runs with
-// and without lifetime tracking). Engine.Fork branches an independent
-// engine that shares the immutable inputs (thermal model with its stack
-// and factorizations, job trace) and copies all mutable state. A new
-// engine and a fork build their mutable half through one constructor,
-// so the two cannot drift apart in what state they own.
+// Engine.Fork branches an independent engine that shares the immutable
+// inputs (thermal model with its stack and factorizations, job trace)
+// and copies every piece of mutable tick state — raw integrator state,
+// scheduler queues, sensor stream position, meter and wear
+// accumulators, a clone of the policy. An unstepped fork is a
+// checkpoint: Restore(src) copies src's state into an engine of the
+// same shape, and the resumed run is bitwise identical to never having
+// stopped (TestSnapshotRestoreResumesBitwise pins this across every
+// stack, the grid discretization, and runs with and without lifetime
+// tracking). Restore only reads src, so concurrent restores may share
+// one checkpoint. Engine state is copied one way: copyTick takes the
+// tick state (position, result counters, per-tick vectors, integrator,
+// scheduler, energy), copyState adds sensors, meters and wear, and
+// each component copies itself with one CopyFrom. A new engine and a
+// fork build their mutable half through one constructor, so the two
+// cannot drift apart in what state they own.
 //
 // Ownership rules for forked engines: the fork owns its buffers
 // outright — nothing mutable is shared with the parent, so parent and
@@ -89,13 +94,12 @@
 // factorization is read-only under the buffered solves). The fork
 // drops the parent's trace writer, observer, and context. The
 // model-predictive policies run on a lean form of this machinery: the
-// engine hands a policy.Planner a rollout evaluator that captures the
-// host's tick state mid-decision (position, per-tick vectors,
-// integrator, scheduler, energy meter — no sensors, metrics or wear)
-// and replays each distinct candidate action on a reused lane engine.
-// The lanes advance in lockstep through one driver over all of them —
-// an epoch with k distinct candidates steps its first k lanes — one
-// panel solve per tick.
+// engine hands a policy.Planner a rollout evaluator that copies the
+// host's tick state (copyTick: no sensors, metrics or wear) into a
+// reused lane engine per distinct candidate action. The lanes advance
+// in lockstep through one driver over all of them — an epoch with k
+// distinct candidates steps its first k lanes — one panel solve per
+// tick.
 //
 // A single engine is strictly single-goroutine, and so are its
 // rollouts: they run on the goroutine that ticks the host. Concurrency

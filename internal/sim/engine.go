@@ -172,11 +172,10 @@ func (t *traceWriter) flush() error { return t.bw.Flush() }
 //
 // The zero value is not usable; construct with NewEngine. Beyond the
 // one-shot Run entry points, an Engine supports stepping (Step/Finish)
-// and checkpointing (Snapshot/Restore/Fork, in snapshot.go): all
-// mutable tick state can be captured into a Snapshot and later
-// restored — or transplanted into a forked engine sharing the
-// immutable thermal model and its factorizations — resuming
-// bitwise-identically to an uninterrupted run.
+// and branching (Fork/Restore, in fork.go): a fork shares the immutable
+// thermal model, its factorizations and the job trace, copies all
+// mutable state, and resumes bitwise-identically to an uninterrupted
+// run. An unstepped fork is a checkpoint that Restore rewinds to.
 type Engine struct {
 	cfg Config
 	// model is the run's thermal model; model.Stack is the floorplan
@@ -205,8 +204,7 @@ type Engine struct {
 
 	// freqScale caches each core's floorplan FreqScale (1 for
 	// homogeneous stacks, <1 for "LITTLE" tiers of heterogeneous
-	// spec-built stacks); immutable per run, so snapshots need not
-	// capture it.
+	// spec-built stacks); immutable per run, so forks share it.
 	freqScale []float64
 
 	// Per-tick scratch, reused across every tick.
@@ -247,7 +245,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // models constructed, thermal state initialized to the idle fixed
 // point, all per-tick scratch preallocated, trace header written. Use
 // it instead of Run when the caller drives the loop itself — stepping
-// (Step, then Finish), checkpointing (Snapshot/Restore), or rollouts
+// (Step, then Finish), checkpointing (Fork, then Restore), or rollouts
 // (Fork).
 func NewEngine(cfg Config) (*Engine, error) { return newEngine(cfg) }
 
@@ -294,11 +292,6 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	stack := model.Stack
-	sensors, err := thermal.NewSensors(cfg.Sensors)
-	if err != nil {
-		return nil, err
-	}
-
 	jobs := cfg.Jobs
 	if jobs == nil {
 		jobs, err = workload.Generate(workload.GenConfig{
@@ -316,7 +309,6 @@ func newEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.sensors = sensors
 	e.freqScale = make([]float64, e.n)
 	for c, b := range stack.Cores() {
 		e.freqScale[c] = b.FreqScale
@@ -358,7 +350,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	if err := model.CoreTempsInto(e.coreTemps, e.nodeTemps); err != nil {
 		return nil, err
 	}
-	sensors.ReadInto(e.readings, e.coreTemps)
+	e.sensors.ReadInto(e.readings, e.coreTemps)
 
 	if cfg.TraceWriter != nil {
 		e.trace = newTraceWriter(cfg.TraceWriter)
@@ -382,10 +374,11 @@ func newEngine(cfg Config) (*Engine, error) {
 
 // newEngineState builds the mutable half of an engine around its
 // immutable run inputs (config, thermal model with its stack, job
-// trace): every per-tick scratch buffer, the scheduler machine, the
-// metrics collector, the energy meter, the Result, the policy View, and
-// the wear tracker when cfg.TrackLifetime is set. newEngine then settles
-// it at the idle fixed point; fork transplants a snapshot into it.
+// trace): every per-tick scratch buffer, the sensor bank, the scheduler
+// machine, the metrics collector, the energy meter, the Result, the
+// policy View, and the wear tracker when cfg.TrackLifetime is set.
+// newEngine then settles it at the idle fixed point; a fork copies
+// another engine's state into it.
 func newEngineState(cfg Config, model *thermal.Model, jobs []workload.Job) (*Engine, error) {
 	stack := model.Stack
 	n, nb := stack.NumCores(), stack.NumBlocks()
@@ -426,6 +419,9 @@ func newEngineState(cfg Config, model *thermal.Model, jobs []workload.Job) (*Eng
 		},
 	}
 	var err error
+	if e.sensors, err = thermal.NewSensors(cfg.Sensors); err != nil {
+		return nil, err
+	}
 	if e.machine, err = sched.NewMachine(n, cfg.MigrationCostS); err != nil {
 		return nil, err
 	}
@@ -452,11 +448,13 @@ func newEngineState(cfg Config, model *thermal.Model, jobs []workload.Job) (*Eng
 	return e, nil
 }
 
-// attachRollout wires the engine's self-rollout adapter into a
-// planning policy (MPC_Thermal/MPC_Rel): the policy's candidate
-// actions are then scored by forked copies of this very engine. Other
-// policies are unaffected.
+// attachRollout gives the engine a fresh self-rollout adapter and
+// wires it into a planning policy (MPC_Thermal/MPC_Rel): the policy's
+// candidate actions are then scored by forked copies of this very
+// engine. Any earlier adapter belonged to the previous policy and is
+// dropped; other policies get none.
 func (e *Engine) attachRollout() {
+	e.rollout = nil
 	if pl, ok := e.cfg.Policy.(policy.Planner); ok {
 		e.rollout = &rolloutSim{host: e}
 		pl.AttachRollout(e.rollout)

@@ -35,9 +35,7 @@ func (e *Engine) SetPolicy(p policy.Policy) error {
 	}
 	e.cfg.Policy = p
 	e.res.PolicyName = p.Name()
-	// Any rollout lanes belong to the previous policy's planner; a new
-	// planner gets fresh lanes lazily on its first Evaluate.
-	e.rollout = nil
+	// A new planner gets fresh lanes lazily on its first Evaluate.
 	e.attachRollout()
 	return nil
 }
@@ -118,11 +116,7 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 	if err != nil {
 		return err
 	}
-	rise := make([]float64, len(e.nodeTemps))
-	if err := e.tr.StateInto(rise); err != nil {
-		return err
-	}
-	if err := tr.SetState(rise); err != nil {
+	if err := tr.CopyStateFrom(e.tr); err != nil {
 		return err
 	}
 	e.model = model

@@ -27,9 +27,7 @@ func heldRollout(t *testing.T, host *Engine, a policy.Action, horizonTicks int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s Snapshot
-	host.snapshotInto(&s)
-	if err := f.restoreFrom(&s); err != nil {
+	if err := f.copyState(host); err != nil {
 		t.Fatal(err)
 	}
 	pol.Set(a)
@@ -144,14 +142,12 @@ func TestRolloutScoresMatchFullForks(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				var before, after Snapshot
-				e.snapshotInto(&before)
+				before := stateOf(t, e)
 				scores := make([]policy.RolloutScore, len(actions))
 				if err := r.Evaluate(actions, 5, scores); err != nil {
 					t.Fatal(err)
 				}
-				e.snapshotInto(&after)
-				if !reflect.DeepEqual(&before, &after) {
+				if !reflect.DeepEqual(before, stateOf(t, e)) {
 					t.Fatalf("tick %d: Evaluate changed the host's state", at)
 				}
 				for i, a := range actions {

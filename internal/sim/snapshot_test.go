@@ -12,10 +12,11 @@ import (
 	"repro/internal/workload"
 )
 
-// snapCase is one snapshot/restore scenario: a config factory (fresh
+// snapCase is one checkpoint/restore scenario: a config factory (fresh
 // policy per engine — policies are stateful) spanning the paper's
 // stacks, the grid discretization, sensor noise, DPM, and runs with
-// and without lifetime tracking.
+// and without lifetime tracking. Runs are longer than the 100-tick
+// cycle window, so a mid-run checkpoint holds rotated cycle deques.
 type snapCase struct {
 	name string
 	cfg  func(t *testing.T) Config
@@ -32,7 +33,7 @@ func snapCases() []snapCase {
 			Exp:       exp,
 			Policy:    pol,
 			Bench:     b,
-			DurationS: 8,
+			DurationS: 24,
 			Seed:      1,
 		}
 	}
@@ -43,6 +44,9 @@ func snapCases() []snapCase {
 		{"EXP2/DVFS_TT+noise", func(t *testing.T) Config {
 			c := base(t, floorplan.EXP2, policy.NewDVFSTT())
 			c.Sensors = thermal.SensorConfig{NoiseStdDevC: 0.5, Seed: 7}
+			// A threshold among the cores' temperatures, so DVFS_TT's
+			// levels follow the noisy readings.
+			c.ThresholdC, c.TprefC = 54, 50
 			return c
 		}},
 		{"EXP3/AdaptRand", func(t *testing.T) Config {
@@ -83,6 +87,19 @@ func snapCases() []snapCase {
 	}
 }
 
+// stateOf returns an unstepped fork of e with its policy and rollout
+// cleared: all of e's mutable state but the policy, in a value that
+// reflect.DeepEqual can compare with another engine's.
+func stateOf(t *testing.T, e *Engine) *Engine {
+	t.Helper()
+	f, err := e.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.cfg.Policy, f.rollout = nil, nil
+	return f
+}
+
 // stepAll drives an engine to the end of its run.
 func stepAll(t *testing.T, e *Engine) {
 	t.Helper()
@@ -95,8 +112,8 @@ func stepAll(t *testing.T, e *Engine) {
 	}
 }
 
-// TestSnapshotRestoreResumesBitwise is the tentpole contract: capture a
-// snapshot mid-run, finish the run, rewind to the snapshot, finish
+// TestSnapshotRestoreResumesBitwise is the checkpoint contract: fork a
+// checkpoint mid-run, finish the run, rewind to the checkpoint, finish
 // again — both completions must produce bitwise-identical Results (all
 // metric aggregates, final temperature fields, reliability reports),
 // and both must match an uninterrupted reference run exactly.
@@ -118,12 +135,12 @@ func TestSnapshotRestoreResumesBitwise(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var snap Snapshot
-			if err := e.Snapshot(&snap); err != nil {
+			ck, err := e.Fork()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if snap.Ticks() != mid {
-				t.Fatalf("snapshot at %d completed ticks, want %d", snap.Ticks(), mid)
+			if ck.TickIndex() != mid {
+				t.Fatalf("checkpoint at %d completed ticks, want %d", ck.TickIndex(), mid)
 			}
 
 			stepAll(t, e)
@@ -132,10 +149,10 @@ func TestSnapshotRestoreResumesBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(first, want) {
-				t.Fatalf("run with a mid-run snapshot diverged from the plain run\n got %+v\nwant %+v", first, want)
+				t.Fatalf("run with a mid-run checkpoint diverged from the plain run\n got %+v\nwant %+v", first, want)
 			}
 
-			if err := e.Restore(&snap); err != nil {
+			if err := e.Restore(ck); err != nil {
 				t.Fatal(err)
 			}
 			if e.TickIndex() != mid {
@@ -153,9 +170,9 @@ func TestSnapshotRestoreResumesBitwise(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreRepeats pins that one snapshot supports any number
-// of restores: each resumed completion must be identical, i.e. neither
-// restoring nor resuming consumes or mutates the snapshot.
+// TestSnapshotRestoreRepeats pins that one checkpoint supports any
+// number of restores: each resumed completion must be identical, i.e.
+// neither restoring nor resuming consumes or mutates the checkpoint.
 func TestSnapshotRestoreRepeats(t *testing.T) {
 	tc := snapCases()[3] // DVFS_Rel+lifetime: the most stateful policy
 	want, err := Run(tc.cfg(t))
@@ -172,12 +189,12 @@ func TestSnapshotRestoreRepeats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var snap Snapshot
-	if err := e.Snapshot(&snap); err != nil {
+	ck, err := e.Fork()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		if err := e.Restore(&snap); err != nil {
+		if err := e.Restore(ck); err != nil {
 			t.Fatal(err)
 		}
 		stepAll(t, e)
@@ -191,10 +208,87 @@ func TestSnapshotRestoreRepeats(t *testing.T) {
 	}
 }
 
+// TestRestoreAfterLiveEvents restores a checkpoint taken after live
+// events the way a session seek does: a fresh engine re-applies the
+// structural events (interface degradation, a job splice) at tick 0,
+// then restores from a checkpoint taken after a policy swap. Its
+// completion must equal the live engine's, the policy name included.
+func TestRestoreAfterLiveEvents(t *testing.T) {
+	med, err := workload.ByName("Web-med")
+	if err != nil {
+		t.Fatal(err)
+	}
+	high, err := workload.ByName("Web-high")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() *Engine {
+		e, err := NewEngine(Config{
+			Exp: floorplan.EXP2, Policy: policy.NewDefault(), Bench: med,
+			DurationS: 4, Seed: 1, TrackLifetime: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	live := mk()
+	splice, err := workload.Generate(workload.GenConfig{Bench: high, NumCores: live.n, DurationS: 4, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := map[int]func(e *Engine) error{
+		5: func(e *Engine) error { return e.SetPolicy(policy.NewDVFSTT()) },
+		7: func(e *Engine) error { return e.DegradeInterfaces(1.5) },
+		9: func(e *Engine) error { return e.SpliceJobs(9, splice) },
+	}
+	var ck *Engine
+	for {
+		if ev := events[live.TickIndex()]; ev != nil {
+			if err := ev(live); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if live.TickIndex() == 12 {
+			if ck, err = live.Fork(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := live.Step(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := live.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seek := mk()
+	if err := events[7](seek); err != nil {
+		t.Fatal(err)
+	}
+	if err := events[9](seek); err != nil {
+		t.Fatal(err)
+	}
+	if err := seek.Restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	stepAll(t, seek)
+	got, err := seek.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored run diverged from the live run\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestForkIsolation pins the fork ownership contract: a fork advancing
 // through its own ticks must leave every piece of the parent's mutable
-// state untouched (compared snapshot-to-snapshot, which covers the
-// integrator state, queues, meters, wear, and scratch), and the parent
+// state untouched (compared fork to fork, which covers the integrator
+// state, queues, meters, wear, and scratch), and the parent
 // must then complete bitwise-identically to an unforked run. The fork,
 // holding a clone of the same policy state, must converge to the same
 // result as the run it branched from.
@@ -216,16 +310,13 @@ func TestForkIsolation(t *testing.T) {
 				}
 			}
 
-			var before Snapshot
-			e.snapshotInto(&before)
+			before := stateOf(t, e)
 			f, err := e.Fork()
 			if err != nil {
 				t.Fatal(err)
 			}
 			stepAll(t, f)
-			var after Snapshot
-			e.snapshotInto(&after)
-			if !reflect.DeepEqual(&before, &after) {
+			if !reflect.DeepEqual(before, stateOf(t, e)) {
 				t.Fatal("advancing a fork mutated the parent engine's state")
 			}
 
@@ -250,9 +341,9 @@ func TestForkIsolation(t *testing.T) {
 }
 
 // TestSnapshotRestoreShapeMismatch pins the validation edges: restoring
-// an empty snapshot, a snapshot from a different stack, or one with
-// mismatched reliability tracking must error rather than corrupt the
-// engine.
+// from an engine whose policy cannot fork, from one on a different
+// stack, or from one with mismatched reliability tracking must error
+// rather than corrupt the engine.
 func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 	mk := func(t *testing.T, exp floorplan.Experiment, lifetime bool) *Engine {
 		b, err := workload.ByName("Web-med")
@@ -269,31 +360,25 @@ func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 		return e
 	}
 	e := mk(t, floorplan.EXP1, false)
-	var empty Snapshot
-	if err := e.Restore(&empty); err == nil {
-		t.Error("restore from an empty snapshot succeeded")
+	unforkable := mk(t, floorplan.EXP1, false)
+	// Embedding the interface hides Default's Fork.
+	unforkable.cfg.Policy = struct{ policy.Policy }{policy.NewDefault()}
+	if err := e.Restore(unforkable); err == nil {
+		t.Error("restore from an engine whose policy cannot fork succeeded")
 	}
-	var snap Snapshot
-	if err := mk(t, floorplan.EXP4, false).Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Restore(&snap); err == nil {
+	if err := e.Restore(mk(t, floorplan.EXP4, false)); err == nil {
 		t.Error("restore across stacks succeeded")
 	}
-	var rel Snapshot
-	if err := mk(t, floorplan.EXP1, true).Snapshot(&rel); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Restore(&rel); err == nil {
+	if err := e.Restore(mk(t, floorplan.EXP1, true)); err == nil {
 		t.Error("restore across reliability-tracking modes succeeded")
 	}
 }
 
 // TestSnapshotAllocationContract extends the hot-path allocation
-// contract to checkpointing: once a Snapshot's buffers are warm,
-// steady capture interleaved with ticking stays allocation-bounded — a
-// few allocations for the policy clone, none proportional to model
-// size or tick count.
+// contract to checkpointing: once a checkpoint exists, steady capture
+// into it (ck.Restore(e)) interleaved with ticking stays
+// allocation-bounded — a few allocations for the policy clone, none
+// proportional to model size or tick count.
 func TestSnapshotAllocationContract(t *testing.T) {
 	e := steadyEngineCfg(t, Config{
 		Policy:        policy.NewDefault(),
@@ -307,8 +392,8 @@ func TestSnapshotAllocationContract(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var snap Snapshot
-	if err := e.Snapshot(&snap); err != nil { // warm the buffers
+	ck, err := e.Fork()
+	if err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(100, func() {
@@ -316,12 +401,12 @@ func TestSnapshotAllocationContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		tick++
-		if err := e.Snapshot(&snap); err != nil {
+		if err := ck.Restore(e); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > 8 {
-		t.Errorf("steady tick+snapshot averages %.2f allocs, want <= 8", avg)
+		t.Errorf("steady tick+checkpoint averages %.2f allocs, want <= 8", avg)
 	}
 }
 
@@ -441,9 +526,9 @@ func TestMPCDeterministicActions(t *testing.T) {
 }
 
 // BenchmarkSnapshotFork measures the checkpoint primitives on a warm
-// engine: one capture+restore round trip per iteration, buffers
-// reused, so ns/op reflects the state-vector copies rather than any
-// model work.
+// engine: one capture+restore round trip through a checkpoint fork per
+// iteration, buffers reused, so ns/op reflects the state-vector copies
+// rather than any model work.
 func BenchmarkSnapshotFork(b *testing.B) {
 	e := steadyEngine(b, policy.NewDefault())
 	for tick := 0; tick < 50; tick++ {
@@ -451,17 +536,17 @@ func BenchmarkSnapshotFork(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var snap Snapshot
-	if err := e.Snapshot(&snap); err != nil {
+	ck, err := e.Fork()
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Snapshot(&snap); err != nil {
+		if err := ck.Restore(e); err != nil {
 			b.Fatal(err)
 		}
-		if err := e.Restore(&snap); err != nil {
+		if err := e.Restore(ck); err != nil {
 			b.Fatal(err)
 		}
 	}

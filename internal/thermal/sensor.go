@@ -20,15 +20,17 @@ type SensorConfig struct {
 	Seed int64
 }
 
-// Sensors models the per-core temperature sensor bank.
+// Sensors models the per-core temperature sensor bank. Only a noisy
+// bank holds a generator: ideal and quantizing banks never draw, so
+// they allocate and seed none.
 type Sensors struct {
 	cfg SensorConfig
-	rng *rand.Rand
+	rng *rand.Rand // nil unless NoiseStdDevC > 0
 	// draws counts NormFloat64 calls consumed from the noise stream.
 	// math/rand exposes no way to capture generator state directly, so
-	// the engine snapshot machinery records the draw count and restores
-	// by reseeding and replaying (see Reseed) — exact for any count, and
-	// free for the default noise-free configuration, which never draws.
+	// CopyFrom positions a bank by reseeding and replaying to a draw
+	// count: exact for any count, and free without noise, which never
+	// draws.
 	draws uint64
 }
 
@@ -40,7 +42,11 @@ func NewSensors(cfg SensorConfig) (*Sensors, error) {
 	if cfg.QuantizationC < 0 {
 		return nil, fmt.Errorf("thermal: sensor quantization must be >= 0, got %g", cfg.QuantizationC)
 	}
-	return &Sensors{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	s := &Sensors{cfg: cfg}
+	if cfg.NoiseStdDevC > 0 {
+		s.rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	return s, nil
 }
 
 // Read maps true core temperatures to sensor readings, applying noise and
@@ -72,32 +78,20 @@ func (s *Sensors) ReadInto(dst, trueTempsC []float64) {
 	}
 }
 
-// Draws returns how many noise samples have been consumed so far; it
-// identifies the noise stream position for snapshot/restore.
-func (s *Sensors) Draws() uint64 { return s.draws }
-
-// Reseed rewinds the sensor bank to exactly `draws` noise samples into
-// its seeded stream: the generator is rebuilt from the configured seed
-// and the stream replayed. Restoring to the current position is a
-// no-op for ideal (noise-free) sensors, where the stream is never
-// consumed; with noise enabled the replay cost is linear in the draw
-// count, which snapshot-heavy users (MPC rollouts) should weigh.
-func (s *Sensors) Reseed(draws uint64) {
+// CopyFrom moves the receiver's noise stream to src's position: when
+// their draw counts differ it reseeds the receiver's generator and
+// replays the stream to src's count, a cost linear in that count. The
+// receiver keeps its own configuration, so both banks should share
+// one. src is only read.
+func (s *Sensors) CopyFrom(src *Sensors) {
+	if s.draws == src.draws {
+		return
+	}
 	s.rng = rand.New(rand.NewSource(s.cfg.Seed))
-	for i := uint64(0); i < draws; i++ {
+	for i := uint64(0); i < src.draws; i++ {
 		s.rng.NormFloat64()
 	}
-	s.draws = draws
-}
-
-// Fork returns an independent sensor bank with the same configuration,
-// positioned at the same point of the noise stream, so a forked
-// engine's sensor readings continue deterministically without sharing
-// generator state with the parent.
-func (s *Sensors) Fork() *Sensors {
-	f := &Sensors{cfg: s.cfg, rng: rand.New(rand.NewSource(s.cfg.Seed))}
-	f.Reseed(s.draws)
-	return f
+	s.draws = src.draws
 }
 
 func quantize(v, q float64) float64 {
