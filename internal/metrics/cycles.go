@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // CycleMeter measures temporal thermal cycles per Section V-D: per-core
@@ -12,12 +11,31 @@ import (
 // threshold (20 °C in Figure 6 — the JEDEC data in [13] shows failures
 // become 16x more frequent when ΔT grows from 10 to 20 °C).
 //
-// The window extrema come from per-core monotonic deques, so Record
-// costs amortized O(1) per core per tick instead of rescanning the
-// whole window — this meter runs inside the simulator's per-tick hot
-// loop, where the O(cores × window) scan used to dominate sweep cost.
-// The reported extrema are the exact window min/max, so every derived
-// metric is bit-identical to the scanning implementation's.
+// The window extrema come from van Herk/Gil–Werman blocks (M. van
+// Herk, Pattern Recognition Letters 13(7), 1992; J. Gil and M. Werman,
+// IEEE TPAMI 15(5), 1993). Samples are cut into blocks of W =
+// WindowTicks; sample s (1-based) sits at position j = (s−1) mod W of
+// its block, and its window holds positions j+1…W−1 of the previous
+// block and 0…j of the current one. So the window max is the max of
+// the previous block's suffix max from j+1 and the current block's
+// running prefix max, and the min likewise. Record does the same few
+// builtin min/max operations for every core and tick, with no
+// data-dependent branch, over one contiguous run of state per array;
+// every W-th sample one backward pass turns the finished block into
+// the suffix extrema. This meter runs inside the simulator's per-tick
+// hot loop.
+//
+// Memory: 2(W+1)+2 float64s per core, about 13 KB for 8 cores at W =
+// 100.
+//
+// For inputs without a NaN, each window extremum is the max or min of
+// the same set of values a rescan of the window takes (a tie between
+// −0 and +0 cannot change a ΔT), so Pct and MeanDeltaC are
+// bit-identical to a rescan's and to the monotonic-deque meter kept in
+// oracle_test.go. A NaN core temperature is carried, as builtin min
+// and max carry it, through every judged window that holds it: that
+// window's ΔT is NaN, which counts as a sample but never as above the
+// threshold, and MeanDeltaC is NaN from then on, as AvgCoreTempC is.
 type CycleMeter struct {
 	DeltaThresholdC float64
 	WindowTicks     int
@@ -25,68 +43,19 @@ type CycleMeter struct {
 	cores int
 	tick  int // samples recorded so far
 
-	maxT []wedge // per-core window maxima candidates
-	minT []wedge // per-core window minima candidates
+	// State is position-major: entry (j, c) sits at j*cores + c, and
+	// row W is a constant sentinel (−Inf in hi, +Inf in lo), the empty
+	// suffix. Row j < W of hi holds the current block's raw sample
+	// while j is at or before the latest position, and the previous
+	// block's suffix max beyond it; lo holds the previous block's
+	// suffix min. preHi and preLo are the current block's running
+	// extrema per core, reset to the sentinels when a block closes.
+	hi, lo       []float64
+	preHi, preLo []float64
 
 	samples int
 	above   int
 	sumAvg  float64
-}
-
-// wedge is a fixed-capacity monotonic deque over (sample index, value)
-// pairs: values decay monotonically from front to back, the front is
-// the window extremum, and entries expire from the front once they
-// leave the window. Capacity equals the window length, which bounds the
-// live entries, so pushes never allocate.
-type wedge struct {
-	val  []float64
-	idx  []int
-	head int // ring position of the front entry
-	size int
-}
-
-// push expires entries outside the window ending at sample s, drops
-// dominated entries from the back, and appends (s, t). keepMax selects
-// the max-deque order (back values <= t are dominated); otherwise the
-// min-deque order.
-func (w *wedge) push(s, window int, t float64, keepMax bool) {
-	cap := len(w.val)
-	for w.size > 0 && w.idx[w.head] <= s-window {
-		w.head++
-		if w.head == cap {
-			w.head = 0
-		}
-		w.size--
-	}
-	for w.size > 0 {
-		back := w.head + w.size - 1
-		if back >= cap {
-			back -= cap
-		}
-		if v := w.val[back]; (keepMax && v <= t) || (!keepMax && v >= t) {
-			w.size--
-		} else {
-			break
-		}
-	}
-	pos := w.head + w.size
-	if pos >= cap {
-		pos -= cap
-	}
-	w.val[pos] = t
-	w.idx[pos] = s
-	w.size++
-}
-
-// front returns the current window extremum.
-func (w *wedge) front() float64 { return w.val[w.head] }
-
-// copyFrom copies src's entries, front position and length into the
-// receiver's buffers, which have src's capacity.
-func (w *wedge) copyFrom(src *wedge) {
-	copy(w.val, src.val)
-	copy(w.idx, src.idx)
-	w.head, w.size = src.head, src.size
 }
 
 // NewCycleMeter builds a meter with the given sliding window length in
@@ -99,41 +68,75 @@ func NewCycleMeter(numCores, windowTicks int, deltaThresholdC float64) (*CycleMe
 		DeltaThresholdC: deltaThresholdC,
 		WindowTicks:     windowTicks,
 		cores:           numCores,
-		maxT:            make([]wedge, numCores),
-		minT:            make([]wedge, numCores),
+		hi:              make([]float64, (windowTicks+1)*numCores),
+		lo:              make([]float64, (windowTicks+1)*numCores),
+		preHi:           make([]float64, numCores),
+		preLo:           make([]float64, numCores),
 	}
-	for c := 0; c < numCores; c++ {
-		m.maxT[c] = wedge{val: make([]float64, windowTicks), idx: make([]int, windowTicks)}
-		m.minT[c] = wedge{val: make([]float64, windowTicks), idx: make([]int, windowTicks)}
-	}
+	fillSentinels(m.hi, m.lo)
+	fillSentinels(m.preHi, m.preLo)
 	return m, nil
+}
+
+// fillSentinels sets every entry of hi to −Inf and of lo to +Inf, the
+// identities of max and min.
+func fillSentinels(hi, lo []float64) {
+	lo = lo[:len(hi)]
+	for i := range hi {
+		hi[i] = math.Inf(-1)
+		lo[i] = math.Inf(1)
+	}
 }
 
 // Record adds one sample of per-core temperatures.
 func (m *CycleMeter) Record(coreTempsC []float64) error {
-	if len(coreTempsC) != m.cores {
-		return fmt.Errorf("metrics: cycle meter got %d temps for %d cores", len(coreTempsC), m.cores)
+	n := m.cores
+	if len(coreTempsC) != n {
+		return fmt.Errorf("metrics: cycle meter got %d temps for %d cores", len(coreTempsC), n)
 	}
-	m.tick++
 	w := m.WindowTicks
+	j := m.tick % w
+	m.tick++
+	row := j * n
+	raw := m.hi[row:][:n]
+	sufHi, sufLo := m.hi[row+n:][:n], m.lo[row+n:][:n]
+	preHi, preLo := m.preHi[:n], m.preLo[:n]
+	avg := 0.0
 	for c, t := range coreTempsC {
-		m.maxT[c].push(m.tick, w, t, true)
-		m.minT[c].push(m.tick, w, t, false)
+		raw[c] = t
+		hi, lo := max(preHi[c], t), min(preLo[c], t)
+		preHi[c], preLo[c] = hi, lo
+		avg += max(sufHi[c], hi) - min(sufLo[c], lo)
+	}
+	if j == w-1 {
+		m.closeBlock()
 	}
 	if m.tick <= w {
 		return nil // wait for a full window before judging cycles
 	}
-	avg := 0.0
-	for c := 0; c < m.cores; c++ {
-		avg += m.maxT[c].front() - m.minT[c].front()
-	}
-	avg /= float64(m.cores)
+	avg /= float64(n)
 	m.samples++
 	m.sumAvg += avg
 	if avg > m.DeltaThresholdC {
 		m.above++
 	}
 	return nil
+}
+
+// closeBlock turns the finished block's raw samples in hi into its
+// suffix maxima (in place) and minima (into lo), walking back from the
+// sentinel row, and restarts the running prefix extrema.
+func (m *CycleMeter) closeBlock() {
+	n := m.cores
+	for row := (m.WindowTicks - 1) * n; row >= 0; row -= n {
+		hi, nextHi := m.hi[row:][:n], m.hi[row+n:][:n]
+		lo, nextLo := m.lo[row:][:n], m.lo[row+n:][:n]
+		for c, t := range hi {
+			hi[c] = max(t, nextHi[c])
+			lo[c] = min(t, nextLo[c])
+		}
+	}
+	fillSentinels(m.preHi, m.preLo)
 }
 
 // Pct returns the percentage of full-window samples whose core-averaged
@@ -151,108 +154,4 @@ func (m *CycleMeter) MeanDeltaC() float64 {
 		return 0
 	}
 	return m.sumAvg / float64(m.samples)
-}
-
-// Rainflow implements the standard 4-point rainflow counting algorithm
-// over a temperature history, producing full/half cycle amplitudes. It
-// extends the paper's sliding-window metric with the cycle census that
-// Coffin-Manson-style reliability models consume.
-type Rainflow struct {
-	turning []float64
-	last    float64
-	dir     int // -1 falling, +1 rising, 0 unknown
-	full    []float64
-	started bool
-}
-
-// NewRainflow returns an empty counter.
-func NewRainflow() *Rainflow { return &Rainflow{} }
-
-// Push adds one temperature sample.
-func (r *Rainflow) Push(t float64) {
-	if !r.started {
-		r.turning = append(r.turning, t)
-		r.last = t
-		r.started = true
-		return
-	}
-	switch {
-	case t > r.last:
-		if r.dir < 0 {
-			r.turning = append(r.turning, r.last)
-		}
-		r.dir = 1
-	case t < r.last:
-		if r.dir > 0 {
-			r.turning = append(r.turning, r.last)
-		}
-		r.dir = -1
-	}
-	r.last = t
-	r.collapse()
-}
-
-// collapse applies the 4-point rule over the committed turning points
-// plus the in-progress extremum: whenever the inner range of the last
-// four points is contained by both neighbours, a full cycle of the inner
-// amplitude is extracted and its two points removed.
-func (r *Rainflow) collapse() {
-	for len(r.turning) >= 3 {
-		n := len(r.turning)
-		x1, x2, x3 := r.turning[n-3], r.turning[n-2], r.turning[n-1]
-		x4 := r.last
-		inner := math.Abs(x3 - x2)
-		if inner <= math.Abs(x2-x1) && inner <= math.Abs(x4-x3) {
-			r.full = append(r.full, inner)
-			r.turning = r.turning[:n-2]
-		} else {
-			return
-		}
-	}
-}
-
-// FullCycles returns the amplitudes of closed cycles counted so far.
-func (r *Rainflow) FullCycles() []float64 { return append([]float64(nil), r.full...) }
-
-// ResidualHalfCycles returns the amplitudes of the unclosed residue
-// (treated as half cycles by convention).
-func (r *Rainflow) ResidualHalfCycles() []float64 {
-	pts := append([]float64(nil), r.turning...)
-	if r.started {
-		pts = append(pts, r.last)
-	}
-	var out []float64
-	for i := 1; i < len(pts); i++ {
-		if d := math.Abs(pts[i] - pts[i-1]); d > 0 {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// CountAbove returns the number of full cycles with amplitude above the
-// threshold.
-func (r *Rainflow) CountAbove(thresholdC float64) int {
-	n := 0
-	for _, a := range r.full {
-		if a > thresholdC {
-			n++
-		}
-	}
-	return n
-}
-
-// Histogram bins the full-cycle amplitudes using the given bin edges
-// (ascending); result[i] counts amplitudes in [edges[i], edges[i+1]), and
-// the last bucket is open-ended.
-func (r *Rainflow) Histogram(edges []float64) []int {
-	out := make([]int, len(edges))
-	for _, a := range r.full {
-		i := sort.SearchFloat64s(edges, a)
-		if i > 0 {
-			i--
-		}
-		out[i]++
-	}
-	return out
 }

@@ -3,8 +3,8 @@
 // spatial gradients (% of time the hottest-coolest difference on any
 // layer exceeds 15 °C), vertical gradients between adjacent layers,
 // thermal cycles (sliding-window ΔT averaged over cores, % above
-// 20 °C), plus a batch rainflow cycle counter as a finer-grained
-// reliability extension and performance normalization helpers.
+// 20 °C), plus performance normalization helpers. The rainflow cycle
+// census that reliability models consume lives in internal/reliability.
 //
 // # Place in the dataflow
 //
@@ -12,10 +12,11 @@
 // (noise-free) block and core temperatures — the paper evaluates the
 // simulator state, not the sensor stream — and Summarize folds the
 // meters into the Summary that sim.Result carries and sweep records
-// flatten. The Rainflow counter here is the batch census form; the
-// streaming, allocation-free variant that the per-run lifetime tracker
-// and the wear-aware policy use lives in internal/reliability (Stream)
-// and is cross-validated against this one.
+// flatten. Record runs inside the tick loop, so the gradient and cycle
+// meters fold contiguous state with inline builtin min and max; the
+// meters they replaced are kept in oracle_test.go, and
+// FuzzCollectorRecord holds every Summary field to them bit for bit
+// (the cycle fields on inputs without a NaN core temperature).
 //
 // # Buffer ownership and concurrency
 //

@@ -71,28 +71,41 @@ func (m *HotSpotMeter) PerCorePct() []float64 {
 // maximum over layers compared against the threshold (15 °C in Figure 5,
 // after [1]: 15-20 °C gradients start causing clock skew and delay
 // problems).
+//
+// Stack.Blocks lists blocks layer by layer, so each layer is one
+// contiguous range of the block temperatures (the constructor checks
+// this), and Record folds each range with builtin min and max, which
+// compile inline. They differ from math.Min and math.Max only where a
+// NaN meets an infinity (math.Min(NaN, −Inf) is −Inf, builtin min
+// gives NaN). Any NaN makes the layer's difference NaN, and Record
+// then refolds that layer with math.Min and math.Max, so every output
+// is what folding with them gives. The meter holds one int per layer.
 type GradientMeter struct {
 	ThresholdC float64
 	stack      *floorplan.Stack
-	// layerIdx holds each layer's block indices, precomputed because
-	// Stack.BlockIndex is a linear scan and Record runs every tick.
-	layerIdx [][]int
+	// layerEnd[li] is one past layer li's last index in Stack.Blocks;
+	// layer li starts where layer li−1 ends.
+	layerEnd []int
 	samples  int
 	above    int
 	sumMax   float64
 	maxSeen  float64
 }
 
-// NewGradientMeter builds a meter over the stack's layers.
+// NewGradientMeter builds a meter over the stack's layers. It panics
+// if Stack.Blocks does not list the layers' blocks layer by layer, as
+// a finalized stack does.
 func NewGradientMeter(stack *floorplan.Stack, thresholdC float64) *GradientMeter {
-	g := &GradientMeter{ThresholdC: thresholdC, stack: stack}
-	g.layerIdx = make([][]int, len(stack.Layers))
+	g := &GradientMeter{ThresholdC: thresholdC, stack: stack, layerEnd: make([]int, len(stack.Layers))}
+	blocks, end := stack.Blocks(), 0
 	for li, layer := range stack.Layers {
-		idx := make([]int, len(layer.Blocks))
-		for i, b := range layer.Blocks {
-			idx[i] = stack.BlockIndex(b)
+		for _, b := range layer.Blocks {
+			if end >= len(blocks) || blocks[end] != b {
+				panic(fmt.Sprintf("metrics: stack %q does not list block %q of layer %d at index %d of Blocks()", stack.Name, b.Name, li, end))
+			}
+			end++
 		}
-		g.layerIdx[li] = idx
+		g.layerEnd[li] = end
 	}
 	return g
 }
@@ -102,15 +115,25 @@ func (g *GradientMeter) Record(blockTempsC []float64) error {
 	if len(blockTempsC) != g.stack.NumBlocks() {
 		return fmt.Errorf("metrics: gradient meter got %d temps for %d blocks", len(blockTempsC), g.stack.NumBlocks())
 	}
-	worst := 0.0
-	for _, idx := range g.layerIdx {
+	worst, start := 0.0, 0
+	for _, end := range g.layerEnd {
+		layer := blockTempsC[start:end]
+		start = end
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, bi := range idx {
-			t := blockTempsC[bi]
-			lo = math.Min(lo, t)
-			hi = math.Max(hi, t)
+		for _, t := range layer {
+			lo = min(lo, t)
+			hi = max(hi, t)
 		}
-		if d := hi - lo; d > worst {
+		d := hi - lo
+		if d != d { // a NaN in the layer, or equal infinities
+			lo, hi = math.Inf(1), math.Inf(-1)
+			for _, t := range layer {
+				lo = math.Min(lo, t)
+				hi = math.Max(hi, t)
+			}
+			d = hi - lo
+		}
+		if d > worst {
 			worst = d
 		}
 	}

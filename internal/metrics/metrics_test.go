@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,55 +164,6 @@ func TestCycleMeterValidation(t *testing.T) {
 	}
 }
 
-func TestRainflowSimpleCycle(t *testing.T) {
-	r := NewRainflow()
-	// Classic sequence: a small inner cycle (80->60->80 is amplitude 20
-	// inner to the larger 50->90 ramp).
-	for _, v := range []float64{50, 90, 60, 80, 40} {
-		r.Push(v)
-	}
-	full := r.FullCycles()
-	if len(full) != 1 || math.Abs(full[0]-20) > 1e-9 {
-		t.Errorf("full cycles = %v, want one cycle of amplitude 20", full)
-	}
-	if r.CountAbove(15) != 1 || r.CountAbove(25) != 0 {
-		t.Error("CountAbove wrong")
-	}
-	if len(r.ResidualHalfCycles()) == 0 {
-		t.Error("expected residual half cycles from the outer ramp")
-	}
-}
-
-func TestRainflowMonotoneSeriesHasNoFullCycles(t *testing.T) {
-	r := NewRainflow()
-	for i := 0; i < 50; i++ {
-		r.Push(float64(i))
-	}
-	if len(r.FullCycles()) != 0 {
-		t.Error("monotone series produced full cycles")
-	}
-}
-
-func TestRainflowHistogram(t *testing.T) {
-	r := NewRainflow()
-	for i := 0; i < 10; i++ {
-		r.Push(50)
-		r.Push(75) // repeated 25-degree swings close cycles
-	}
-	edges := []float64{0, 10, 20, 30}
-	h := r.Histogram(edges)
-	total := 0
-	for _, n := range h {
-		total += n
-	}
-	if total != len(r.FullCycles()) {
-		t.Errorf("histogram total %d != full cycles %d", total, len(r.FullCycles()))
-	}
-	if h[2] != total {
-		t.Errorf("all 25-degree cycles should land in bin [20,30), got %v", h)
-	}
-}
-
 func TestCollectorEndToEnd(t *testing.T) {
 	s := floorplan.MustBuild(floorplan.EXP1)
 	c, err := NewCollector(s, CollectorConfig{CycleWindow: 5})
@@ -272,62 +224,198 @@ func TestNormalizedPerformance(t *testing.T) {
 	}
 }
 
-// TestCycleMeterMatchesNaiveScan cross-validates the monotonic-deque
-// window extrema against a brute-force rescan of the trailing window on
-// randomized multi-core traces. The deque rewrite is a hot-loop
-// optimization; its Pct and MeanDeltaC must stay bit-identical to the
-// scanning implementation's.
+// TestCycleMeterMatchesNaiveScan cross-validates the block-form window
+// extrema against a brute-force rescan of the trailing window on
+// randomized traces, after every sample: one and several cores,
+// windows from the shortest (2) to the paper's 100 ticks, and run
+// lengths on and off block boundaries. Half the samples are whole
+// degrees, so windows hold ties. Pct and MeanDeltaC must stay
+// bit-identical to the scanning implementation's.
 func TestCycleMeterMatchesNaiveScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const cores, window, ticks = 4, 50, 400
-	m, err := NewCycleMeter(cores, window, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := make([][]float64, 0, ticks)
-	var samples, above int
-	var sumAvg float64
-	for s := 0; s < ticks; s++ {
-		temps := make([]float64, cores)
-		for c := range temps {
-			temps[c] = 60 + 25*rng.Float64()
-		}
-		hist = append(hist, temps)
-		if err := m.Record(temps); err != nil {
-			t.Fatal(err)
-		}
-		if s+1 <= window {
-			continue
-		}
-		// Naive reference: rescan the trailing window per core, summing
-		// in core order exactly as Record does.
-		avg := 0.0
-		for c := 0; c < cores; c++ {
-			mx, mn := math.Inf(-1), math.Inf(1)
-			for w := s - window + 1; w <= s; w++ {
-				v := hist[w][c]
-				if v > mx {
-					mx = v
+	for _, tc := range []struct{ cores, window, ticks int }{
+		{4, 50, 400}, {1, 2, 7}, {1, 2, 8}, {2, 3, 10}, {1, 5, 23}, {3, 7, 30}, {8, 100, 333},
+	} {
+		t.Run(fmt.Sprintf("cores%d_window%d_ticks%d", tc.cores, tc.window, tc.ticks), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			m, err := NewCycleMeter(tc.cores, tc.window, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist := make([][]float64, 0, tc.ticks)
+			var samples, above int
+			var sumAvg float64
+			for s := 0; s < tc.ticks; s++ {
+				temps := make([]float64, tc.cores)
+				for c := range temps {
+					temps[c] = 60 + 25*rng.Float64()
+					if rng.Intn(2) == 0 {
+						temps[c] = math.Floor(temps[c])
+					}
 				}
-				if v < mn {
-					mn = v
+				hist = append(hist, temps)
+				if err := m.Record(temps); err != nil {
+					t.Fatal(err)
+				}
+				if s+1 > tc.window {
+					// Naive reference: rescan the trailing window per
+					// core, summing in core order exactly as Record does.
+					avg := 0.0
+					for c := 0; c < tc.cores; c++ {
+						mx, mn := math.Inf(-1), math.Inf(1)
+						for w := s - tc.window + 1; w <= s; w++ {
+							v := hist[w][c]
+							if v > mx {
+								mx = v
+							}
+							if v < mn {
+								mn = v
+							}
+						}
+						avg += mx - mn
+					}
+					avg /= float64(tc.cores)
+					samples++
+					sumAvg += avg
+					if avg > 20 {
+						above++
+					}
+				}
+				wantPct, wantMean := 0.0, 0.0
+				if samples > 0 {
+					wantPct = 100 * float64(above) / float64(samples)
+					wantMean = sumAvg / float64(samples)
+				}
+				if m.Pct() != wantPct || m.MeanDeltaC() != wantMean {
+					t.Fatalf("after %d samples: Pct %g, MeanDeltaC %g; naive scan gives %g, %g",
+						s+1, m.Pct(), m.MeanDeltaC(), wantPct, wantMean)
 				}
 			}
-			avg += mx - mn
+		})
+	}
+}
+
+// TestCollectorCopyFromEveryPhase copies a collector with a 7-tick
+// cycle window at every tick from 0 to 2W+1 — before the first sample,
+// inside the first block, at its last position (j = W−1) and first
+// position of the next (j = 0), and through the second block — then
+// feeds source and copy the same samples: their summaries must be
+// bitwise equal.
+func TestCollectorCopyFromEveryPhase(t *testing.T) {
+	const w = 7
+	s := floorplan.MustBuild(floorplan.EXP3)
+	cfg := CollectorConfig{CycleWindow: w}
+	rng := rand.New(rand.NewSource(5))
+	const total = 5 * w
+	blocks := make([][]float64, total)
+	cores := make([][]float64, total)
+	for i := range blocks {
+		blocks[i] = make([]float64, s.NumBlocks())
+		for b := range blocks[i] {
+			blocks[i][b] = 50 + 40*rng.Float64()
 		}
-		avg /= cores
-		samples++
-		sumAvg += avg
-		if avg > 20 {
-			above++
+		cores[i] = make([]float64, s.NumCores())
+		for c := range cores[i] {
+			cores[i][c] = blocks[i][s.BlockIndex(s.Core(c))]
 		}
 	}
-	wantPct := 100 * float64(above) / float64(samples)
-	if m.Pct() != wantPct {
-		t.Errorf("Pct = %g, naive scan gives %g", m.Pct(), wantPct)
+	for at := 0; at <= 2*w+1; at++ {
+		src, err := NewCollector(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := NewCollector(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < at; i++ {
+			if err := src.Record(blocks[i], cores[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := dst.CopyFrom(src); err != nil {
+			t.Fatal(err)
+		}
+		for i := at; i < total; i++ {
+			if err := src.Record(blocks[i], cores[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Record(blocks[i], cores[i]); err != nil {
+				t.Fatal(err)
+			}
+			if d := summaryDiff(dst.Summarize(), src.Summarize(), false); d != "" {
+				t.Fatalf("copied after %d samples, at sample %d: %s", at, i+1, d)
+			}
+		}
 	}
-	wantMean := sumAvg / float64(samples)
-	if m.MeanDeltaC() != wantMean {
-		t.Errorf("MeanDeltaC = %g, naive scan gives %g", m.MeanDeltaC(), wantMean)
+}
+
+// TestGradientMeterLayerRanges checks the ordering the gradient meter
+// relies on: every builtin stack lists its blocks layer by layer, so
+// layer li is the index range ending at layerEnd[li]. A stack whose
+// layers were reordered after it was finalized must be refused.
+func TestGradientMeterLayerRanges(t *testing.T) {
+	for _, e := range floorplan.ExtendedExperiments() {
+		s := floorplan.MustBuild(e)
+		g := NewGradientMeter(s, 15)
+		start := 0
+		for li, layer := range s.Layers {
+			for i, b := range layer.Blocks {
+				if bi := s.BlockIndex(b); bi != start+i || bi >= g.layerEnd[li] {
+					t.Fatalf("%s layer %d block %d (%s) at index %d, want %d before %d", s.Name, li, i, b.Name, bi, start+i, g.layerEnd[li])
+				}
+			}
+			start = g.layerEnd[li]
+		}
+		if start != s.NumBlocks() {
+			t.Fatalf("%s: layer ranges end at %d of %d blocks", s.Name, start, s.NumBlocks())
+		}
+	}
+	s := floorplan.MustBuild(floorplan.EXP1)
+	s.Layers[0], s.Layers[1] = s.Layers[1], s.Layers[0]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a stack whose layers disagree with Blocks() was accepted")
+		}
+	}()
+	NewGradientMeter(s, 15)
+}
+
+// BenchmarkCollectorRecord times one tick of 16 EXP-3 collectors
+// recorded one after another, as a lockstep batch of 16 lanes holds
+// them, over a 300-tick trace (three cycle-window blocks). It reports
+// allocations, which stay at 0 per op.
+func BenchmarkCollectorRecord(b *testing.B) {
+	const lanes, ticks = 16, 300
+	s := floorplan.MustBuild(floorplan.EXP3)
+	rng := rand.New(rand.NewSource(3))
+	cols := make([]*Collector, lanes)
+	for l := range cols {
+		c, err := NewCollector(s, CollectorConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cols[l] = c
+	}
+	blocks := make([][]float64, ticks)
+	cores := make([][]float64, ticks)
+	for i := range blocks {
+		blocks[i] = make([]float64, s.NumBlocks())
+		for k := range blocks[i] {
+			blocks[i][k] = 50 + 40*rng.Float64()
+		}
+		cores[i] = make([]float64, s.NumCores())
+		for c := range cores[i] {
+			cores[i][c] = blocks[i][s.BlockIndex(s.Core(c))]
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % ticks
+		for _, c := range cols {
+			if err := c.Record(blocks[k], cores[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

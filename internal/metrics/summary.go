@@ -57,7 +57,8 @@ func NewCollector(stack *floorplan.Stack, cfg CollectorConfig) (*Collector, erro
 }
 
 // CopyFrom copies src's accumulated metric state into the receiver's
-// buffers: every meter's counters and each cycle window's deques. Both
+// buffers: every meter's counters and the cycle meter's four window
+// arrays (its block extrema and running extrema). Both
 // collectors must have one shape (core count and cycle window); the
 // receiver keeps its thresholds and stack. src is only read.
 func (c *Collector) CopyFrom(src *Collector) error {
@@ -77,10 +78,10 @@ func (c *Collector) CopyFrom(src *Collector) error {
 	v.samples, v.sumMax, v.maxSeen = sv.samples, sv.sumMax, sv.maxSeen
 
 	y.tick, y.samples, y.above, y.sumAvg = sy.tick, sy.samples, sy.above, sy.sumAvg
-	for i := range y.maxT {
-		y.maxT[i].copyFrom(&sy.maxT[i])
-		y.minT[i].copyFrom(&sy.minT[i])
-	}
+	copy(y.hi, sy.hi)
+	copy(y.lo, sy.lo)
+	copy(y.preHi, sy.preHi)
+	copy(y.preLo, sy.preLo)
 
 	c.sumCore, c.nCore = src.sumCore, src.nCore
 	return nil

@@ -18,10 +18,10 @@
 // DVFS_Rel policy poll per-core damage online. Per-core wear is the
 // report's core blocks.
 //
-// metrics.Rainflow, the batch cycle counter that stores the full
-// census, is kept as the test oracle: the tests check that a Stream's
-// damage and cycle count equal CyclingModel.Damage over Rainflow's
-// census of the same samples.
+// Rainflow, the batch cycle counter that stores the full census, lives
+// in this package's test files as the oracle: the tests check that a
+// Stream's damage and cycle count equal CyclingModel.Damage over
+// Rainflow's census of the same samples.
 //
 // # Place in the dataflow
 //

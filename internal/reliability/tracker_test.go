@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 // TestStreamMatchesBatchRainflow cross-validates the streaming damage
@@ -18,7 +16,7 @@ func TestStreamMatchesBatchRainflow(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		var s Stream
 		s.Init(model)
-		rf := metrics.NewRainflow()
+		rf := NewRainflow()
 		temp := 60.0
 		n := 50 + rng.Intn(2000)
 		for i := 0; i < n; i++ {
@@ -84,7 +82,7 @@ func TestRainflowASTME1049Example(t *testing.T) {
 	astm := map[float64]float64{3: 0.5, 4: 1.5, 6: 0.5, 8: 1, 9: 0.5}
 	model := CyclingModel{Exponent: 1, RefDeltaC: 1}
 	for name, samples := range map[string][]float64{"peaks": peaks, "dense": dense} {
-		rf := metrics.NewRainflow()
+		rf := NewRainflow()
 		var s Stream
 		s.Init(model)
 		for _, v := range samples {

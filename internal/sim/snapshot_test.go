@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -16,7 +17,9 @@ import (
 // policy per engine — policies are stateful) spanning the paper's
 // stacks, the grid discretization, sensor noise, DPM, and runs with
 // and without lifetime tracking. Runs are longer than the 100-tick
-// cycle window, so a mid-run checkpoint holds rotated cycle deques.
+// cycle window, so a mid-run checkpoint (tick 120) holds the cycle
+// meter part way through its second block: raw samples beside the
+// first block's suffix extrema.
 type snapCase struct {
 	name string
 	cfg  func(t *testing.T) Config
@@ -457,6 +460,79 @@ func TestForkAllocationBounded(t *testing.T) {
 			if n := e.machine.ComputeStats().Completed; tc.e == webHigh && n < 100 {
 				t.Fatalf("only %d jobs finished by tick 2500; the case needs job history", n)
 			}
+		})
+	}
+}
+
+// TestCheckpointHoldsNoSolveScratch checks what a checkpoint keeps of
+// the integrator: an unstepped fork shares its source's C/dt vector
+// (the model's per-step memo) and holds no solve scratch, which its
+// first sequential step allocates. It logs the heap 200 checkpoints
+// retain, per checkpoint, for the EXP-2 block model and the EXP-4
+// 16×16 grid (1,290 nodes), DVFS_Rel with lifetime tracking on
+// Web-med, at tick 300.
+func TestCheckpointHoldsNoSolveScratch(t *testing.T) {
+	b, err := workload.ByName("Web-med")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		exp  floorplan.Experiment
+		grid int
+	}{
+		{"EXP2", floorplan.EXP2, 0},
+		{"EXP4-grid16", floorplan.EXP4, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(Config{Exp: tc.exp, GridRows: tc.grid, GridCols: tc.grid, Policy: policy.NewDVFSRel(),
+				Bench: b, DurationS: 60, Seed: 1, TrackLifetime: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e.tickIdx < 300 {
+				if err := e.tick(e.tickIdx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ck, err := e.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, tr := reflect.ValueOf(e.tr).Elem(), reflect.ValueOf(ck.tr).Elem()
+			scratch := []string{"rhs", "pn", "scratch"}
+			for _, f := range scratch {
+				if !tr.FieldByName(f).IsNil() {
+					t.Errorf("an unstepped fork's integrator holds %s", f)
+				}
+			}
+			if tr.FieldByName("cdt").Pointer() != src.FieldByName("cdt").Pointer() {
+				t.Error("the fork's integrator does not share its source's C/dt")
+			}
+			if err := ck.Step(); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range scratch {
+				if tr.FieldByName(f).IsNil() {
+					t.Errorf("a stepped fork's integrator has no %s", f)
+				}
+			}
+
+			const n = 200
+			cks := make([]*Engine, n)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range cks {
+				if cks[i], err = e.Fork(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(cks)
+			t.Logf("%s, %d nodes: %.1f KB and %.0f objects retained per checkpoint", tc.name, len(e.nodeTemps),
+				float64(after.HeapAlloc-before.HeapAlloc)/n/1024, float64((after.Mallocs-after.Frees)-(before.Mallocs-before.Frees))/n)
 		})
 	}
 }

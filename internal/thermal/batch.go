@@ -91,12 +91,12 @@ func (b *TransientBatch) StepInto(dsts, blockPowers [][]float64) error {
 		if len(dsts[l]) != n {
 			return fmt.Errorf("thermal: batch StepInto lane %d destination has %d entries, want %d", l, len(dsts[l]), n)
 		}
-		if err := tr.m.ExpandPowerInto(tr.pn, blockPowers[l]); err != nil {
+		col := b.panel[l*n : (l+1)*n]
+		if err := tr.m.ExpandPowerInto(col, blockPowers[l]); err != nil {
 			return fmt.Errorf("thermal: batch lane %d: %w", l, err)
 		}
-		col := b.panel[l*n : (l+1)*n]
 		for i := 0; i < n; i++ {
-			col[i] = tr.cdt[i]*tr.rise[i] + tr.pn[i]
+			col[i] = tr.cdt[i]*tr.rise[i] + col[i]
 		}
 	}
 	panel := b.panel[:n*k]

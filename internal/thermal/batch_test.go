@@ -183,6 +183,65 @@ func TestTransientBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestTransientScratchIsLazy pins what an integrator holds: C/dt comes
+// with the model's memoized factorization, so integrators of one model
+// and step share it, while a private SolverSparse factorization brings
+// its own, bit for bit equal; the solve scratch (rhs, pn, scratch)
+// appears only on the first sequential StepInto, so batch lanes, which
+// expand power straight into the panel, never hold it.
+func TestTransientScratchIsLazy(t *testing.T) {
+	s := floorplan.MustBuild(floorplan.EXP2)
+	m, err := NewBlockModel(s, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dt = 0.1
+	lanes := make([]*Transient, 2)
+	for l := range lanes {
+		if lanes[l], err = m.NewTransient(dt, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	private, err := m.NewTransientWith(dt, nil, SolverSparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &lanes[0].cdt[0] != &lanes[1].cdt[0] {
+		t.Error("two integrators of one model and step hold separate C/dt vectors")
+	}
+	if &private.cdt[0] == &lanes[0].cdt[0] || private.chol == lanes[0].chol {
+		t.Error("a SolverSparse integrator shares the memoized factorization")
+	}
+	for i, v := range private.cdt {
+		if math.Float64bits(v) != math.Float64bits(lanes[0].cdt[i]) {
+			t.Fatalf("node %d: private C/dt %g, memoized %g", i, v, lanes[0].cdt[i])
+		}
+	}
+	noScratch := func(tr *Transient) bool { return tr.rhs == nil && tr.pn == nil && tr.scratch == nil }
+	batch, err := NewTransientBatch(lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := uniformCorePower(s, 1.5)
+	dsts := [][]float64{make([]float64, m.NumNodes), make([]float64, m.NumNodes)}
+	for i := 0; i < 3; i++ {
+		if err := batch.StepInto(dsts, [][]float64{p, p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for l, tr := range lanes {
+		if !noScratch(tr) {
+			t.Errorf("lane %d holds solve scratch after batch steps", l)
+		}
+	}
+	if err := lanes[0].StepInto(dsts[0], p); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.NumNodes; len(lanes[0].rhs) != n || len(lanes[0].pn) != n || len(lanes[0].scratch) != n {
+		t.Errorf("after a sequential step the scratch has %d, %d and %d entries, want %d", len(lanes[0].rhs), len(lanes[0].pn), len(lanes[0].scratch), n)
+	}
+}
+
 // TestTransientBatchPrefixStep pins prefix stepping, which lets runs
 // of different lengths share one batch: StepInto with k < K
 // destinations advances lanes 0…k−1 bit for bit as each integrator

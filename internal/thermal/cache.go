@@ -88,10 +88,13 @@ func (k *SolverKind) UnmarshalJSON(b []byte) error {
 }
 
 // lazyFactor is a sparse factorization computed at most once, on
-// first use, and safe to read from any number of goroutines after.
+// first use, and safe to read from any number of goroutines after. A
+// transient factor also keeps the C/dt vector it was built from, which
+// every integrator on it shares read-only.
 type lazyFactor struct {
 	once sync.Once
 	chol *linalg.Cholesky
+	cdt  []float64
 	err  error
 }
 
@@ -112,21 +115,28 @@ func (m *Model) steadyFactor(kind SolverKind) (*linalg.Cholesky, error) {
 }
 
 // transientFactor returns the sparse factorization of C/dt + G for the
-// given step: a private one under SolverSparse, the model's memoized
-// one for dt under every other kind.
-func (m *Model) transientFactor(dt float64, kind SolverKind) (*linalg.Cholesky, error) {
-	build := func() (*linalg.Cholesky, error) {
+// given step and the C/dt vector in it: private ones under
+// SolverSparse, the model's memoized ones for dt under every other
+// kind.
+func (m *Model) transientFactor(dt float64, kind SolverKind) (*linalg.Cholesky, []float64, error) {
+	build := func() (*linalg.Cholesky, []float64, error) {
 		cdt := make([]float64, m.NumNodes)
 		for i := range cdt {
 			cdt[i] = m.C[i] / dt
 		}
-		return linalg.FactorCholesky(m.G.AddDiag(cdt))
+		chol, err := linalg.FactorCholesky(m.G.AddDiag(cdt))
+		return chol, cdt, err
 	}
 	if kind == SolverSparse {
 		return build()
 	}
-	f, _ := m.transient.LoadOrStore(dt, new(lazyFactor))
-	return f.(*lazyFactor).get(build)
+	v, _ := m.transient.LoadOrStore(dt, new(lazyFactor))
+	f := v.(*lazyFactor)
+	chol, err := f.get(func() (chol *linalg.Cholesky, err error) {
+		chol, f.cdt, err = build()
+		return chol, err
+	})
+	return chol, f.cdt, err
 }
 
 // modelCache shares prepared models across engines and goroutines. Keys

@@ -20,19 +20,18 @@ import (
 type Transient struct {
 	m  *Model
 	dt float64
-	// chol may be shared across goroutines; Step solves with
-	// SolveBuffered and the integrator-owned scratch, so the per-tick
-	// solve stays allocation-free.
-	chol    *linalg.Cholesky
-	scratch []float64
-	cdt     []float64 // C/dt per node
+	// chol and cdt (C/dt per node) come with the factorization and may
+	// be shared across goroutines; both are only read.
+	chol *linalg.Cholesky
+	cdt  []float64
 
 	// state: temperature rise above ambient per node
 	rise []float64
-	rhs  []float64
-	// pn is the expanded per-node power scratch reused by every Step, so
-	// the steady-state tick path performs no allocations.
-	pn []float64
+	// rhs, pn (the expanded per-node power) and scratch are StepInto's
+	// buffers, allocated on its first call and reused after, so the
+	// per-tick solve stays allocation-free and an integrator that
+	// never steps alone (a checkpoint, a batch lane) holds only rise.
+	rhs, pn, scratch []float64
 }
 
 // NewTransient prepares an integrator with time step dt seconds, starting
@@ -53,23 +52,16 @@ func (m *Model) NewTransientWith(dt float64, init []float64, kind SolverKind) (*
 	if init != nil && len(init) != n {
 		return nil, fmt.Errorf("thermal: init vector has %d entries, want %d", len(init), n)
 	}
-	cdt := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cdt[i] = m.C[i] / dt
-	}
-	chol, err := m.transientFactor(dt, kind)
+	chol, cdt, err := m.transientFactor(dt, kind)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: transient factorization failed: %w", err)
 	}
 	tr := &Transient{
-		m:       m,
-		dt:      dt,
-		chol:    chol,
-		scratch: make([]float64, n),
-		cdt:     cdt,
-		rise:    make([]float64, n),
-		rhs:     make([]float64, n),
-		pn:      make([]float64, n),
+		m:    m,
+		dt:   dt,
+		chol: chol,
+		cdt:  cdt,
+		rise: make([]float64, n),
 	}
 	if init != nil {
 		for i := range tr.rise {
@@ -92,11 +84,15 @@ func (t *Transient) Step(blockPower []float64) ([]float64, error) {
 
 // StepInto advances the network by one dt under the given per-block power
 // (W) and writes the new node temperatures (°C) into the caller-owned dst
-// of length NumNodes. It performs no allocations: the power expansion and
-// triangular-solve scratch are integrator-owned buffers.
+// of length NumNodes. Only its first call allocates: the power expansion
+// and triangular-solve scratch are integrator-owned buffers.
 func (t *Transient) StepInto(dst, blockPower []float64) error {
 	if len(dst) != len(t.rise) {
 		return fmt.Errorf("thermal: StepInto destination has %d entries, want %d", len(dst), len(t.rise))
+	}
+	if t.rhs == nil {
+		n := len(t.rise)
+		t.rhs, t.pn, t.scratch = make([]float64, n), make([]float64, n), make([]float64, n)
 	}
 	if err := t.m.ExpandPowerInto(t.pn, blockPower); err != nil {
 		return err
