@@ -138,6 +138,45 @@ const (
 	mixedTemplateL2s     = 2
 )
 
+// Upper bounds on a spec's physics. Each sits far above every shipped
+// scenario and example (thicknesses up to 0.3 mm, resistivities up to
+// 0.25 m·K/W, scales up to 1, coolant HTCs up to 12,000 W/(m²·K) at
+// 60 °C), and together they keep a validated stack's temperatures
+// finite: a power_scale of 1e308 would stream +Inf °C records, and a
+// thickness of 1e300 mm would fail later as a singular solve.
+const (
+	// maxThicknessMM bounds every layer and interface thickness; a
+	// whole package is thinner.
+	maxThicknessMM = 10.0
+	// maxResistivityMKW bounds every interface resistivity; still air
+	// is about 40 m·K/W.
+	maxResistivityMKW = 1000.0
+	// maxScale bounds a layer's freq_scale and power_scale.
+	maxScale = 10.0
+	// maxHTCWm2K bounds a coolant's heat transfer coefficient, constant
+	// or tabulated; flow boiling stays below it.
+	maxHTCWm2K = 1e7
+	// maxCoolantTempC bounds a coolant's design and table temperatures.
+	maxCoolantTempC = 1000.0
+)
+
+// bound is one upper-bound check: a field's wire name, value and limit.
+type bound struct {
+	field  string
+	v, max float64
+}
+
+// checkBounds returns an error naming the first field above its limit.
+// NaN, which no JSON document carries but a Go caller can, fails too.
+func checkBounds(bs ...bound) error {
+	for _, b := range bs {
+		if !(b.v <= b.max) {
+			return fmt.Errorf("%s %g exceeds the limit %g", b.field, b.v, b.max)
+		}
+	}
+	return nil
+}
+
 // ParseStackSpec decodes a JSON stack description strictly (unknown
 // fields are rejected, so typos fail loudly instead of silently
 // building a default) and validates it. The returned spec is validated
@@ -160,7 +199,8 @@ func ParseStackSpec(data []byte) (*StackSpec, error) {
 }
 
 // Validate checks the spec's declarative invariants: known templates,
-// template-xor-blocks per layer, non-negative physics, interface list
+// template-xor-blocks per layer, physics between zero and its upper
+// bound (maxThicknessMM and the limits beside it), interface list
 // length, and well-formed coolant tables. Geometric invariants
 // (coverage, overlap, bounds) are checked by Build through
 // Stack.Validate.
@@ -177,6 +217,12 @@ func (s *StackSpec) Validate() error {
 	if s.TSVsPerInterface < 0 {
 		return fmt.Errorf("floorplan: stack spec %q: negative TSV count %d", s.Name, s.TSVsPerInterface)
 	}
+	if err := checkBounds(
+		bound{"interlayer_resistivity_mkw", s.InterlayerResistivityMKW, maxResistivityMKW},
+		bound{"interlayer_thickness_mm", s.InterlayerThicknessMM, maxThicknessMM},
+	); err != nil {
+		return fmt.Errorf("floorplan: stack spec %q: %w", s.Name, err)
+	}
 	for i, l := range s.Layers {
 		switch l.Template {
 		case "cores", "memory", "mixed":
@@ -192,6 +238,13 @@ func (s *StackSpec) Validate() error {
 		}
 		if l.ThicknessMM < 0 || l.FreqScale < 0 || l.PowerScale < 0 {
 			return fmt.Errorf("floorplan: layer %d has negative thickness or scale", i)
+		}
+		if err := checkBounds(
+			bound{"thickness_mm", l.ThicknessMM, maxThicknessMM},
+			bound{"freq_scale", l.FreqScale, maxScale},
+			bound{"power_scale", l.PowerScale, maxScale},
+		); err != nil {
+			return fmt.Errorf("floorplan: layer %d: %w", i, err)
 		}
 		for j, b := range l.Blocks {
 			if _, err := parseBlockKind(b.Kind); err != nil {
@@ -213,6 +266,12 @@ func (s *StackSpec) Validate() error {
 		if ifc.ResistivityMKW < 0 || ifc.ThicknessMM < 0 || ifc.TSVs < 0 {
 			return fmt.Errorf("floorplan: interface %d has a negative field", i)
 		}
+		if err := checkBounds(
+			bound{"resistivity_mkw", ifc.ResistivityMKW, maxResistivityMKW},
+			bound{"thickness_mm", ifc.ThicknessMM, maxThicknessMM},
+		); err != nil {
+			return fmt.Errorf("floorplan: interface %d: %w", i, err)
+		}
 		if c := ifc.Coolant; c != nil {
 			if err := c.validate(); err != nil {
 				return fmt.Errorf("floorplan: interface %d coolant: %w", i, err)
@@ -226,6 +285,12 @@ func (c *CoolantSpec) validate() error {
 	if c.HTCWm2K < 0 || c.DesignTempC < 0 {
 		return fmt.Errorf("negative htc or design temperature")
 	}
+	if err := checkBounds(
+		bound{"htc_w_m2k", c.HTCWm2K, maxHTCWm2K},
+		bound{"design_temp_c", c.DesignTempC, maxCoolantTempC},
+	); err != nil {
+		return err
+	}
 	if c.HTCWm2K > 0 && len(c.HTCTable) > 0 {
 		return fmt.Errorf("set htc_w_m2k or htc_table, not both")
 	}
@@ -235,6 +300,12 @@ func (c *CoolantSpec) validate() error {
 	for i, p := range c.HTCTable {
 		if p[1] <= 0 {
 			return fmt.Errorf("table entry %d has non-positive htc %g", i, p[1])
+		}
+		if err := checkBounds(
+			bound{"htc_table temperature", p[0], maxCoolantTempC},
+			bound{"htc_table htc", p[1], maxHTCWm2K},
+		); err != nil {
+			return fmt.Errorf("table entry %d: %w", i, err)
 		}
 		if i > 0 && p[0] <= c.HTCTable[i-1][0] {
 			return fmt.Errorf("table temperatures must be strictly increasing (entry %d)", i)

@@ -1,6 +1,7 @@
 package floorplan
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -146,6 +147,49 @@ func TestSpecValidateErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSpecUpperBounds pins the upper bound on every physics field:
+// ParseStackSpec refuses a value above it with an error naming the
+// field, and accepts a spec with every field at its limit.
+func TestSpecUpperBounds(t *testing.T) {
+	const ifc = `{"layers":[{"template":"memory"},{"template":"cores"}],"interfaces":[%s]}`
+	cases := []struct {
+		doc, field string
+	}{
+		{`{"layers":[{"template":"memory"},{"template":"cores","power_scale":1e308}]}`, "power_scale"},
+		{`{"layers":[{"template":"cores","thickness_mm":1e300}]}`, "thickness_mm"},
+		{`{"layers":[{"template":"cores","freq_scale":10.5}]}`, "freq_scale"},
+		{`{"interlayer_resistivity_mkw":1e4,"layers":[{"template":"cores"}]}`, "interlayer_resistivity_mkw"},
+		{`{"interlayer_thickness_mm":11,"layers":[{"template":"cores"}]}`, "interlayer_thickness_mm"},
+		{fmt.Sprintf(ifc, `{"resistivity_mkw":1001}`), "resistivity_mkw"},
+		{fmt.Sprintf(ifc, `{"thickness_mm":1e9}`), "thickness_mm"},
+		{fmt.Sprintf(ifc, `{"coolant":{"htc_w_m2k":2e7}}`), "htc_w_m2k"},
+		{fmt.Sprintf(ifc, `{"coolant":{"htc_w_m2k":1e4,"design_temp_c":1e6}}`), "design_temp_c"},
+		{fmt.Sprintf(ifc, `{"coolant":{"htc_table":[[40,8000],[1e5,9000]]}}`), "htc_table temperature"},
+		{fmt.Sprintf(ifc, `{"coolant":{"htc_table":[[40,8000],[80,1e300]]}}`), "htc_table htc"},
+	}
+	for _, tc := range cases {
+		_, err := ParseStackSpec([]byte(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("%s: error %v, want one naming %s", tc.doc, err, tc.field)
+		}
+	}
+
+	atLimit := `{"interlayer_resistivity_mkw":1000,"interlayer_thickness_mm":10,` +
+		`"layers":[{"template":"memory","thickness_mm":10},{"template":"cores","freq_scale":10,"power_scale":10},{"template":"cores"}],` +
+		`"interfaces":[{"resistivity_mkw":1000,"thickness_mm":10},{"coolant":{"htc_table":[[40,8000],[1000,1e7]],"design_temp_c":1000}}]}`
+	spec, err := ParseStackSpec([]byte(atLimit))
+	if err != nil {
+		t.Fatalf("spec at every limit refused: %v", err)
+	}
+	if _, err := spec.Build(); err != nil {
+		t.Fatalf("spec at every limit does not build: %v", err)
+	}
+	nan := StackSpec{Layers: []LayerSpec{{Template: "cores", PowerScale: math.NaN()}}}
+	if err := nan.Validate(); err == nil || !strings.Contains(err.Error(), "power_scale") {
+		t.Errorf("NaN power_scale: error %v, want one naming power_scale", err)
 	}
 }
 

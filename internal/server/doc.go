@@ -44,7 +44,11 @@
 // route counts in requests_total and requests_active, and the four that
 // start new work (sweep, job, session open, session replay) answer 503
 // while the server drains. Every SSE response, sweep and session alike,
-// goes through one writer (sseStream).
+// goes through one writer (sseStream). No stream flushes per record or
+// event: each flushes only when its producer is about to wait (a paced
+// session before its pacing sleep, a sweep before it blocks on a job
+// still running), so a stream that never waits leaves in net/http's
+// buffer-sized writes.
 //
 // # Cluster peer-fill
 //

@@ -641,6 +641,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if p.c != nil {
 			select {
 			case <-p.c.done:
+			default:
+				// About to wait on a job still running: send the records
+				// that are ready first.
+				st.flush()
+			}
+			select {
+			case <-p.c.done:
 				rec, err = p.c.rec, p.c.err
 				s.release(p.c)
 				if err != nil {

@@ -376,9 +376,10 @@ func (w *flushCounter) Write(b []byte) (int, error) {
 }
 
 // TestSSEEventAllocationFree pins the SSE writer's steady state: each
-// event is one Write of the "event: …\ndata: …\n\n" envelope and one
-// flush (live viewers see every frame as it is made), and allocates
-// nothing once the writer's buffer has grown.
+// event is one Write of the "event: …\ndata: …\n\n" envelope and no
+// flush (the bytes wait in net/http's buffer until the producer is
+// about to wait), and allocates nothing once the writer's buffer has
+// grown.
 func TestSSEEventAllocationFree(t *testing.T) {
 	w := &flushCounter{header: http.Header{}}
 	st := newSSE(w)
@@ -392,8 +393,8 @@ func TestSSEEventAllocationFree(t *testing.T) {
 		t.Fatalf("sseStream.event made %.2f allocs/event, want 0", avg)
 	}
 	// AllocsPerRun makes one warm-up call before its 100.
-	if w.writes != 101 || w.flushes != 101 {
-		t.Fatalf("101 events made %d writes and %d flushes, want one each per event", w.writes, w.flushes)
+	if w.writes != 101 || w.flushes != 0 {
+		t.Fatalf("101 events made %d writes and %d flushes, want one write per event and no flush", w.writes, w.flushes)
 	}
 	if want := fmt.Sprintf("event: %s\ndata: %s\n\n", "frame", data); string(w.last) != want {
 		t.Fatalf("event framed as %q, want %q", w.last, want)
@@ -786,8 +787,8 @@ func TestRequestsTotalCountsAPIOnly(t *testing.T) {
 // TestStackScenarioValidation walks the stack admission paths: valid
 // inline, registered-name, and builtin scenarios are accepted, while
 // selector conflicts, unknown names, pre-expansion size-gate breaches,
-// specs with broken geometry, and a negative joint resistivity are all
-// refused before any job runs.
+// specs with broken geometry or physics above its bounds, and a
+// negative joint resistivity are all refused before any job runs.
 func TestStackScenarioValidation(t *testing.T) {
 	s := New(Config{Workers: 1, Runner: newFakeRunner().run})
 	defer s.Stop()
@@ -830,6 +831,14 @@ func TestStackScenarioValidation(t *testing.T) {
 		Name:   "bad-geometry",
 		Layers: []floorplan.LayerSpec{{Blocks: []floorplan.BlockSpec{{Name: "b", Kind: "core", W: 1, H: 1}}}},
 	}
+	// Above a physics bound: records would read +Inf °C, or the solve
+	// would be singular.
+	hugePower := &floorplan.StackSpec{
+		Layers: []floorplan.LayerSpec{{Template: "memory"}, {Template: "cores", PowerScale: 1e308}},
+	}
+	hugeThickness := &floorplan.StackSpec{
+		Layers: []floorplan.LayerSpec{{Template: "memory", ThicknessMM: 1e300}, {Template: "cores"}},
+	}
 
 	specFor := func(sc sweep.Scenario) sweep.Spec {
 		return sweep.Spec{
@@ -853,6 +862,8 @@ func TestStackScenarioValidation(t *testing.T) {
 		{"block gate", sweep.Scenario{Stack: &sweep.StackRef{Spec: tooManyBlocks}}, http.StatusBadRequest},
 		{"layer gate", sweep.Scenario{Stack: &sweep.StackRef{Spec: tooManyLayers}}, http.StatusBadRequest},
 		{"bad geometry", sweep.Scenario{Stack: &sweep.StackRef{Spec: badGeometry}}, http.StatusBadRequest},
+		{"power_scale bound", sweep.Scenario{Stack: &sweep.StackRef{Spec: hugePower}}, http.StatusBadRequest},
+		{"thickness bound", sweep.Scenario{Stack: &sweep.StackRef{Spec: hugeThickness}}, http.StatusBadRequest},
 		{"exp jr ok", sweep.Scenario{Exp: floorplan.EXP4, JointResistivityMKW: 0.46}, http.StatusOK},
 		{"negative jr", sweep.Scenario{Exp: floorplan.EXP4, JointResistivityMKW: -0.46}, http.StatusBadRequest},
 	}

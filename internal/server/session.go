@@ -76,7 +76,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := newSSE(w)
-	err := sess.Stream(r.Context(), st.event)
+	err := sess.Stream(r.Context(), st.event, st.flush)
 	if err != nil && !st.wrote {
 		if errors.Is(err, session.ErrStreaming) {
 			httpError(w, http.StatusConflict, "%v", err)

@@ -12,9 +12,17 @@ import (
 // framings exist: JSONL (the default; byte-identical to dtmsweep's
 // canonical local output) and SSE (for browsers, selected by Accept:
 // text/event-stream).
+//
+// Delivery follows Nagle's rule (RFC 896): writes stay in net/http's
+// buffers, which go out when they fill and when the handler returns,
+// until the producer is about to wait, when it calls flush. A stream
+// that never waits makes one write syscall per buffer, not per record.
 type stream interface {
 	// record emits one result.
 	record(sweep.Record) error
+	// flush sends whatever records are still buffered; the handler
+	// calls it before it blocks on a job that is not done yet.
+	flush()
 	// done terminates a fully-streamed response.
 	done(n int)
 	// fail terminates a response that cannot be completed. It may be
@@ -30,7 +38,11 @@ func newStream(w http.ResponseWriter, r *http.Request) stream {
 		return newSSE(w)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	return &jsonlStream{w: w, enc: json.NewEncoder(w)}
+	// Declared before the first write: a body that never leaves
+	// net/http's buffer before the handler returns would otherwise go
+	// out with a Content-Length and no trailers.
+	w.Header().Set("Trailer", "X-Sweep-Status, X-Sweep-Error")
+	return &jsonlStream{idleFlusher: idleFlusher{w: w}, enc: json.NewEncoder(w)}
 }
 
 // sweepStatusTrailer is the JSONL completion trailer: "complete" only
@@ -43,19 +55,33 @@ const (
 	sweepErrorTrailer  = http.TrailerPrefix + "X-Sweep-Error"
 )
 
+// idleFlusher holds a response's writes until its producer is about to
+// wait: flush sends them, and only when some were written since the
+// last flush.
+type idleFlusher struct {
+	w http.ResponseWriter
+	// held records whether bytes were written since the last flush.
+	held bool
+}
+
+func (f *idleFlusher) flush() {
+	if !f.held {
+		return
+	}
+	f.held = false
+	if fl, ok := f.w.(http.Flusher); ok {
+		fl.Flush()
+	}
+}
+
 type jsonlStream struct {
-	w   http.ResponseWriter
+	idleFlusher
 	enc *json.Encoder
 }
 
 func (s *jsonlStream) record(r sweep.Record) error {
-	if err := s.enc.Encode(r); err != nil {
-		return err
-	}
-	if f, ok := s.w.(http.Flusher); ok {
-		f.Flush()
-	}
-	return nil
+	s.held = true
+	return s.enc.Encode(r)
 }
 
 func (s *jsonlStream) done(int) {
@@ -70,7 +96,7 @@ func (s *jsonlStream) fail(err error) {
 // sseStream writes Server-Sent Events: the sweep's SSE framing and
 // every session stream, seek and replay go through it.
 type sseStream struct {
-	w http.ResponseWriter
+	idleFlusher
 	// wrote records whether any event was written, so error mapping
 	// knows whether an HTTP status can still be sent.
 	wrote bool
@@ -82,22 +108,19 @@ type sseStream struct {
 func newSSE(w http.ResponseWriter) *sseStream {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	return &sseStream{w: w}
+	return &sseStream{idleFlusher: idleFlusher{w: w}}
 }
 
-// event writes one event in a single Write and flushes it, so a live
-// viewer sees each frame as it is made; it is a session.Emit.
+// event writes one event in a single Write, without flushing: the
+// bytes leave when net/http's buffer fills, when the producer calls
+// flush before it waits, or when the handler returns. It is a
+// session.Emit.
 func (s *sseStream) event(name string, data []byte) error {
-	s.wrote = true
+	s.wrote, s.held = true, true
 	s.buf = append(append(append(append(append(s.buf[:0],
 		"event: "...), name...), "\ndata: "...), data...), "\n\n"...)
-	if _, err := s.w.Write(s.buf); err != nil {
-		return err
-	}
-	if f, ok := s.w.(http.Flusher); ok {
-		f.Flush()
-	}
-	return nil
+	_, err := s.w.Write(s.buf)
+	return err
 }
 
 func (s *sseStream) record(r sweep.Record) error {

@@ -86,14 +86,14 @@ func TestSessionStreamAmortizedAllocs(t *testing.T) {
 		}
 		return s
 	}
-	if err := open().Stream(context.Background(), discard); err != nil {
+	if err := open().Stream(context.Background(), discard, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := open()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if err := s.Stream(context.Background(), discard); err != nil {
+	if err := s.Stream(context.Background(), discard, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

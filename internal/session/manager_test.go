@@ -61,7 +61,7 @@ func TestManagerLimitWhenAllStreaming(t *testing.T) {
 				<-gate
 			}
 			return nil
-		})
+		}, nil)
 	}()
 	<-started
 	if _, err := m.Open(OpenRequest{Job: testJob(2)}); err != ErrLimit {
@@ -90,7 +90,7 @@ func TestClosedSessionBehaviour(t *testing.T) {
 		t.Fatalf("event on evicted session: %v, want ErrClosed", err)
 	}
 	c := &capture{}
-	if err := s.Stream(context.Background(), c.emit); err != nil {
+	if err := s.Stream(context.Background(), c.emit, nil); err != nil {
 		t.Fatalf("stream of evicted session: %v", err)
 	}
 	got := c.buf.String()
@@ -119,7 +119,7 @@ func TestManagerDrainClosesActiveStream(t *testing.T) {
 				close(started)
 			}
 			return c.emit(ev, d)
-		})
+		}, nil)
 	}()
 	<-started
 	m.Drain()

@@ -203,8 +203,11 @@ func (s *Session) Log() *Log {
 // the closed terminal immediately, and a stream of a finished session
 // re-emits its terminal. Pacing (Manager.OpenRequest.TicksPerSec)
 // sleeps between boundaries without entering any frame, so paced and
-// unpaced streams are byte-identical.
-func (s *Session) Stream(ctx context.Context, emit Emit) error {
+// unpaced streams are byte-identical. flush, when non-nil, is called
+// just before each pacing sleep, so a transport that buffers what emit
+// writes delivers every frame before the stream waits; an unpaced
+// stream never waits and never calls it.
+func (s *Session) Stream(ctx context.Context, emit Emit, flush func()) error {
 	s.mu.Lock()
 	if s.streaming {
 		s.mu.Unlock()
@@ -334,6 +337,9 @@ func (s *Session) Stream(ctx context.Context, emit Emit) error {
 		default:
 		}
 		if s.pace > 0 && !finishedNow {
+			if flush != nil {
+				flush()
+			}
 			t := time.NewTimer(s.pace)
 			select {
 			case <-t.C:

@@ -127,7 +127,7 @@ func runLive(t *testing.T, s *Session, events []scheduled) *capture {
 			pending = pending[1:]
 		}
 	}
-	if err := s.Stream(context.Background(), c.emit); err != nil {
+	if err := s.Stream(context.Background(), c.emit, nil); err != nil {
 		t.Fatalf("live stream: %v", err)
 	}
 	if len(pending) != 0 {
@@ -308,7 +308,7 @@ func TestReplayAfterReconnect(t *testing.T) {
 			frames++
 		}
 		return first.emit(event, data)
-	})
+	}, nil)
 	if err != dropErr {
 		t.Fatalf("dropped stream returned %v, want the emit error", err)
 	}
@@ -354,10 +354,10 @@ func TestSessionLifecycleErrors(t *testing.T) {
 			once.Do(func() { close(started) })
 			<-gate
 			return nil
-		})
+		}, nil)
 	}()
 	<-started
-	if err := s.Stream(context.Background(), (&capture{}).emit); err != ErrStreaming {
+	if err := s.Stream(context.Background(), (&capture{}).emit, nil); err != ErrStreaming {
 		t.Fatalf("concurrent stream: %v, want ErrStreaming", err)
 	}
 	close(gate)
@@ -372,7 +372,7 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	// A finished session re-emits its terminal (and nothing else: the
 	// header went out on the first stream).
 	again := &capture{}
-	if err := s.Stream(context.Background(), again.emit); err != nil {
+	if err := s.Stream(context.Background(), again.emit, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(again.names) != 1 || again.names[0] != StreamDone {

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -205,42 +203,6 @@ func TestValidateJobsOrdering(t *testing.T) {
 	}
 	if err := ValidateJobs(dup); err == nil {
 		t.Error("duplicate ids accepted")
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	b, _ := ByName("Web&DB")
-	jobs, _ := Generate(GenConfig{Bench: b, NumCores: 8, DurationS: 60, Seed: 7})
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(jobs) {
-		t.Fatalf("round trip: %d jobs in, %d out", len(jobs), len(back))
-	}
-	for i := range jobs {
-		if jobs[i] != back[i] {
-			t.Fatalf("job %d mismatch: %+v vs %+v", i, jobs[i], back[i])
-		}
-	}
-}
-
-func TestReadTraceRejectsBadInput(t *testing.T) {
-	cases := []string{
-		"",            // no header
-		"a,b,c,d,e\n", // wrong header
-		"id,arrival_s,work_s,mem,fp\nx,0,1,0,0\n",  // bad id
-		"id,arrival_s,work_s,mem,fp\n1,z,1,0,0\n",  // bad float
-		"id,arrival_s,work_s,mem,fp\n1,0,-1,0,0\n", // invalid job
-	}
-	for i, c := range cases {
-		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted: %q", i, c)
-		}
 	}
 }
 
