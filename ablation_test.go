@@ -7,6 +7,8 @@ package repro
 import (
 	"fmt"
 	"io"
+	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/exp"
@@ -15,6 +17,48 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// benchDuration keeps per-iteration simulation cost bounded.
+const benchDuration = 60
+
+var printOnce sync.Map
+
+// printFigure renders a table once per benchmark name so `go test
+// -bench=.` output carries the regenerated rows without repeating them
+// every iteration.
+func printFigure(name string, render func(w io.Writer) error) {
+	if _, loaded := printOnce.LoadOrStore(name, true); loaded {
+		return
+	}
+	fmt.Fprintf(os.Stdout, "\n=== %s ===\n", name)
+	if err := render(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stdout, "render error: %v\n", err)
+	}
+}
+
+func renderMatrixHotspots(m *exp.Matrix, title string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		for pi, p := range m.Config.Policies {
+			fmt.Fprintf(w, "%-18s", p)
+			for ei := range m.Config.Exps {
+				fmt.Fprintf(w, "  %v=%6.2f%%", m.Config.Exps[ei], pick(title, m.Cells[pi][ei]))
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	}
+}
+
+func pick(metric string, c exp.Cell) float64 {
+	switch metric {
+	case "grad":
+		return c.GradientPct
+	case "cyc":
+		return c.CyclePct
+	default:
+		return c.HotSpotPct
+	}
+}
 
 // ablationRun executes one EXP-3 run with a prepared policy.
 func ablationRun(b *testing.B, pol policy.Policy, mutate func(*sim.Config)) *sim.Result {

@@ -40,18 +40,15 @@ type prober struct {
 	closed sync.Once
 }
 
-func newProber(backends []string, interval time.Duration, httpc *http.Client) *prober {
+func newProber(backends []string, interval time.Duration) *prober {
 	if interval <= 0 {
 		interval = DefaultProbeInterval
-	}
-	if httpc == nil {
-		httpc = &http.Client{Timeout: interval}
 	}
 	p := &prober{
 		backends: backends,
 		status:   make([]*health, len(backends)),
 		interval: interval,
-		httpc:    httpc,
+		httpc:    &http.Client{Timeout: interval},
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 		stop:     make(chan struct{}),
 	}

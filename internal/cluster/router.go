@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +23,9 @@ type Config struct {
 	// backoff here.
 	NewClient func(baseURL string) *client.Client
 	// ProbeInterval is the base /healthz polling cadence
-	// (0: DefaultProbeInterval). Each probe adds up to 20% jitter.
+	// (0: DefaultProbeInterval). Each probe adds up to 20% jitter and
+	// times out after one interval.
 	ProbeInterval time.Duration
-	// ProbeHTTP is the HTTP client probes use (nil: a default with the
-	// probe interval as its timeout).
-	ProbeHTTP *http.Client
 }
 
 // Metrics is a snapshot of a Router's failure-handling counters.
@@ -80,7 +77,7 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		backends: cfg.Backends,
 		clients:  make([]*client.Client, len(cfg.Backends)),
-		prober:   newProber(cfg.Backends, cfg.ProbeInterval, cfg.ProbeHTTP),
+		prober:   newProber(cfg.Backends, cfg.ProbeInterval),
 	}
 	for i, b := range cfg.Backends {
 		c := newClient(b)

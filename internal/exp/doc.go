@@ -15,9 +15,9 @@
 //     sweep.RunGroupFunc: each builds the job's policy (and only that
 //     one; only the Adapt3D-based policies build a thermal model, for
 //     their offline indices), replays the cached workload trace, and
-//     runs sim.RunBatch (attaching the lifetime tracker when the job
-//     asks) — the group runner over a chunk of same-system jobs that
-//     GroupKey gathers, the job runner over its one job;
+//     runs sim.RunBatchContext (attaching the lifetime tracker when the
+//     job asks) — the group runner over a chunk of same-system jobs
+//     that GroupKey gathers, the job runner over its one job;
 //   - Aggregate folds streamed records — from any mix of inline runs,
 //     shards, checkpoints, and remote servers — into deterministic
 //     mean±stddev matrix cells, normalized against the baseline

@@ -105,10 +105,11 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 // exact same pre-generated job trace per (scenario, benchmark,
 // replicate) — the fairness invariant the figure sweeps rely on — and a
 // job produces the identical record whichever path executes it. The
-// batched runner drives same-system jobs through sim.RunBatch — one
-// panel solve per tick over the shared factorization, runs of shorter
-// duration retiring mid-batch — and returns records byte-identical to
-// the per-job path's; pair it with GroupKey in sweep.Options.
+// batched runner drives same-system jobs through sim.RunBatchContext —
+// one panel solve per tick over the shared factorization, runs of
+// shorter duration retiring mid-batch — and returns records
+// byte-identical to the per-job path's; pair it with GroupKey in
+// sweep.Options.
 func NewRunners(hooks RunnerHooks) (sweep.RunFunc, sweep.RunGroupFunc) {
 	obs := hooks.Observer
 	traces := workload.NewTraceCache()
@@ -145,8 +146,8 @@ func NewRunners(hooks RunnerHooks) (sweep.RunFunc, sweep.RunGroupFunc) {
 // GroupKey is the exp-standard sweep grouping key: jobs mapping to the
 // same non-empty key build the identical thermal system — same stack
 // geometry and interlayer physics — so their transient factorizations
-// are one *Cholesky and sim.RunBatch can advance them through a single
-// panel solve per tick. Policy, benchmark, seed, replicate, DPM,
+// are one *Cholesky and sim.RunBatchContext can advance them through a
+// single panel solve per tick. Policy, benchmark, seed, replicate, DPM,
 // reliability tracking, duration and the solver label are deliberately
 // absent: they vary freely across the lanes of a batch without
 // affecting the factorization, a shorter run retiring at its last

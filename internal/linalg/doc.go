@@ -15,8 +15,8 @@
 //     factoring once then back-solving per step turns the dense O(n³)
 //     solve into O(nnz(L)) per step. Every thermal solve runs on it.
 //   - Dense LU with partial pivoting (Factor/SolveDense, with
-//     Sparse.ToDense): the reference that cross-validation tests and
-//     benchmark baselines compare the sparse path against.
+//     Sparse.ToDense): the reference that thermal's and linalg's
+//     cross-validation tests compare the sparse path against.
 //
 // # Panel (multi-RHS) solves
 //

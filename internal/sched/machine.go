@@ -270,30 +270,20 @@ func (m *Machine) MoveTail(from, to int) error {
 	return nil
 }
 
-// Advance executes dt seconds of wall-clock time. speed[c] is core c's
-// effective execution speed relative to the default frequency: 0 for a
-// gated/sleeping core, otherwise the DVFS frequency scale. It returns the
-// per-core busy fraction of the interval (the utilization the policies
-// observe).
+// AdvanceInto executes dt seconds of wall-clock time. speed[c] is core
+// c's effective execution speed relative to the default frequency: 0
+// for a gated/sleeping core, otherwise the DVFS frequency scale. It
+// writes the per-core busy fraction of the interval (the utilization
+// the policies observe) into a caller-owned utils slice of length
+// NumCores, so the per-tick loop does not allocate.
 //
 // Cores execute their queue with egalitarian processor sharing: the
 // UltraSPARC T1 core is fine-grained multithreaded and switches hardware
 // threads every cycle, so k resident threads each progress at speed/k
 // and nobody waits behind a long-running thread.
-func (m *Machine) Advance(dt float64, speed []float64) ([]float64, error) {
-	utils := make([]float64, m.numCores)
-	if err := m.AdvanceInto(utils, dt, speed); err != nil {
-		return nil, err
-	}
-	return utils, nil
-}
-
-// AdvanceInto is Advance writing the per-core busy fractions into a
-// caller-owned utils slice of length NumCores, so the per-tick loop does
-// not allocate.
 func (m *Machine) AdvanceInto(utils []float64, dt float64, speed []float64) error {
 	if dt <= 0 {
-		return fmt.Errorf("sched: Advance dt must be positive, got %g", dt)
+		return fmt.Errorf("sched: AdvanceInto dt must be positive, got %g", dt)
 	}
 	if len(speed) != m.numCores {
 		return fmt.Errorf("sched: got %d speeds for %d cores", len(speed), m.numCores)
@@ -376,9 +366,6 @@ func (m *Machine) finish(j *QueuedJob) {
 	m.done.slow += r / j.Job.WorkS
 	m.pool = append(m.pool, j)
 }
-
-// TotalMigrations returns the count of job moves performed.
-func (m *Machine) TotalMigrations() int { return m.totalMigrations }
 
 // ComputeStats summarizes the completed jobs.
 func (m *Machine) ComputeStats() Stats {

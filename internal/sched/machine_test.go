@@ -20,15 +20,15 @@ func fullSpeed(n int) []float64 {
 	return s
 }
 
-// advance runs m.Advance and returns the per-core utilizations and
+// advance runs m.AdvanceInto and returns the per-core utilizations and
 // copies of the jobs that finished during it, in completion order. A
 // finished job's object goes back to the machine's pool, where the
 // next Enqueue reuses it, so the copies are taken by value right away.
 func advance(t *testing.T, m *Machine, dt float64, speed []float64) ([]float64, []QueuedJob) {
 	t.Helper()
 	before := len(m.pool)
-	utils, err := m.Advance(dt, speed)
-	if err != nil {
+	utils := make([]float64, m.NumCores())
+	if err := m.AdvanceInto(utils, dt, speed); err != nil {
 		t.Fatal(err)
 	}
 	var done []QueuedJob
@@ -153,7 +153,7 @@ func TestMigrateToIdleCore(t *testing.T) {
 	if math.Abs(j.RemainingS-0.051) > 1e-12 {
 		t.Errorf("remaining = %g, want 0.051 (work + 1 ms migration cost)", j.RemainingS)
 	}
-	if j.Migrations != 1 || m.TotalMigrations() != 1 {
+	if j.Migrations != 1 || m.ComputeStats().TotalMigration != 1 {
 		t.Error("migration count not recorded")
 	}
 }
@@ -168,8 +168,8 @@ func TestMigrateSwapsWhenBothBusy(t *testing.T) {
 	if m.Running(0).Job.ID != 1 || m.Running(1).Job.ID != 0 {
 		t.Error("jobs were not swapped")
 	}
-	if m.TotalMigrations() != 2 {
-		t.Errorf("swap should count 2 migrations, got %d", m.TotalMigrations())
+	if m.ComputeStats().TotalMigration != 2 {
+		t.Errorf("swap should count 2 migrations, got %d", m.ComputeStats().TotalMigration)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestMigrateEdgeCases(t *testing.T) {
 	if err := m.Migrate(-1, 0); err == nil {
 		t.Error("out-of-range core accepted")
 	}
-	if m.TotalMigrations() != 0 {
+	if m.ComputeStats().TotalMigration != 0 {
 		t.Error("no-op migrations were counted")
 	}
 }
@@ -192,7 +192,7 @@ func TestMigrateEdgeCases(t *testing.T) {
 func TestIdleTracking(t *testing.T) {
 	m, _ := NewMachine(1, 0)
 	// Idle from t=0.
-	m.Advance(0.1, fullSpeed(1))
+	advance(t, m, 0.1, fullSpeed(1))
 	if got := m.IdleDurationS(0); math.Abs(got-0.1) > 1e-9 {
 		t.Errorf("idle duration = %g, want 0.1", got)
 	}
@@ -200,9 +200,9 @@ func TestIdleTracking(t *testing.T) {
 	if m.IdleDurationS(0) != 0 {
 		t.Error("busy core reports nonzero idle duration")
 	}
-	m.Advance(0.1, fullSpeed(1)) // 0.15 left
-	m.Advance(0.1, fullSpeed(1)) // 0.05 left
-	m.Advance(0.1, fullSpeed(1)) // finishes mid-tick
+	advance(t, m, 0.1, fullSpeed(1)) // 0.15 left
+	advance(t, m, 0.1, fullSpeed(1)) // 0.05 left
+	advance(t, m, 0.1, fullSpeed(1)) // finishes mid-tick
 	if m.IdleDurationS(0) <= 0 {
 		t.Error("core should be idle again after finishing")
 	}
@@ -212,7 +212,7 @@ func TestComputeStats(t *testing.T) {
 	m, _ := NewMachine(1, 0)
 	m.Enqueue(job(0, 0, 0.1), 0)
 	m.Enqueue(job(1, 0, 0.1), 0)
-	m.Advance(0.2, fullSpeed(1))
+	advance(t, m, 0.2, fullSpeed(1))
 	st := m.ComputeStats()
 	if st.Completed != 2 {
 		t.Fatalf("completed = %d, want 2", st.Completed)
@@ -239,13 +239,13 @@ func TestComputeStatsEmpty(t *testing.T) {
 
 func TestAdvanceValidation(t *testing.T) {
 	m, _ := NewMachine(2, 0)
-	if _, err := m.Advance(0, fullSpeed(2)); err == nil {
+	if err := m.AdvanceInto(make([]float64, 2), 0, fullSpeed(2)); err == nil {
 		t.Error("zero dt accepted")
 	}
-	if _, err := m.Advance(0.1, fullSpeed(1)); err == nil {
+	if err := m.AdvanceInto(make([]float64, 2), 0.1, fullSpeed(1)); err == nil {
 		t.Error("wrong speed vector length accepted")
 	}
-	if _, err := m.Advance(0.1, []float64{-1, 0}); err == nil {
+	if err := m.AdvanceInto(make([]float64, 2), 0.1, []float64{-1, 0}); err == nil {
 		t.Error("negative speed accepted")
 	}
 }
@@ -357,7 +357,7 @@ func TestSaveLoadAcrossCompletions(t *testing.T) {
 			case 2:
 				err = m.MoveTail(o.a, o.b)
 			default:
-				_, err = m.Advance(0.1, o.speeds)
+				err = m.AdvanceInto(make([]float64, n), 0.1, o.speeds)
 			}
 			if err != nil {
 				t.Fatal(err)

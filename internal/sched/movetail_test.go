@@ -25,8 +25,8 @@ func TestMoveTail(t *testing.T) {
 	if math.Abs(moved.RemainingS-0.301) > 1e-12 {
 		t.Errorf("migration cost not applied: remaining %g", moved.RemainingS)
 	}
-	if m.TotalMigrations() != 1 {
-		t.Errorf("migrations = %d", m.TotalMigrations())
+	if m.ComputeStats().TotalMigration != 1 {
+		t.Errorf("migrations = %d", m.ComputeStats().TotalMigration)
 	}
 }
 
@@ -48,8 +48,8 @@ func TestProcessorSharingSpeedChange(t *testing.T) {
 	// work the speeds allow.
 	m, _ := NewMachine(1, 0)
 	m.Enqueue(job(0, 0, 1.0), 0)
-	m.Advance(0.5, []float64{1.0})  // 0.5 done
-	m.Advance(0.5, []float64{0.85}) // 0.425 done
+	advance(t, m, 0.5, []float64{1.0})  // 0.5 done
+	advance(t, m, 0.5, []float64{0.85}) // 0.425 done
 	j := m.Running(0)
 	if j == nil {
 		t.Fatal("job finished early")

@@ -489,18 +489,18 @@ func TestReleaseRetiresInflightCall(t *testing.T) {
 	s.release(p2.c)
 }
 
-// TestRequestValidation covers the pre-stream rejection paths.
-func TestRequestValidation(t *testing.T) {
-	s := New(Config{Workers: 1, Runner: newFakeRunner().run, MaxJobsPerSweep: 4})
-	defer s.Stop()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+// sweepCase is one sweep request and the status a server answers it
+// with.
+type sweepCase struct {
+	name string
+	req  SweepRequest
+	code int
+}
 
-	cases := []struct {
-		name string
-		req  SweepRequest
-		code int
-	}{
+// badSweepRequests are the requests the pre-stream gates refuse, with
+// their statuses on a server whose MaxJobsPerSweep is 4.
+func badSweepRequests() []sweepCase {
+	return []sweepCase{
 		{"empty spec", SweepRequest{}, http.StatusBadRequest},
 		{"unknown policy", SweepRequest{Spec: sweep.Spec{
 			Scenarios:  sweep.ScenariosFor([]floorplan.Experiment{floorplan.EXP1}),
@@ -543,7 +543,20 @@ func TestRequestValidation(t *testing.T) {
 			DurationsS: []float64{1e12},
 		}}, http.StatusBadRequest},
 	}
-	for _, tc := range cases {
+}
+
+// malformedBodies are request bodies that do not decode: broken JSON
+// and an unknown field.
+var malformedBodies = []string{"{not json", `{"spec":{},"bogus_field":1}`}
+
+// TestRequestValidation covers the pre-stream rejection paths.
+func TestRequestValidation(t *testing.T) {
+	s := New(Config{Workers: 1, Runner: newFakeRunner().run, MaxJobsPerSweep: 4})
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range badSweepRequests() {
 		resp := postSweep(t, ts, tc.req, "")
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -553,7 +566,7 @@ func TestRequestValidation(t *testing.T) {
 	}
 
 	// Malformed JSON and unknown fields are rejected too.
-	for _, body := range []string{"{not json", `{"spec":{},"bogus_field":1}`} {
+	for _, body := range malformedBodies {
 		resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -784,17 +797,21 @@ func TestRequestsTotalCountsAPIOnly(t *testing.T) {
 	}
 }
 
-// TestStackScenarioValidation walks the stack admission paths: valid
-// inline, registered-name, and builtin scenarios are accepted, while
-// selector conflicts, unknown names, pre-expansion size-gate breaches,
-// specs with broken geometry or physics above its bounds, and a
-// negative joint resistivity are all refused before any job runs.
-func TestStackScenarioValidation(t *testing.T) {
-	s := New(Config{Workers: 1, Runner: newFakeRunner().run})
-	defer s.Stop()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+// scenarioCase is one stack scenario and the status a one-job sweep of
+// it is answered with.
+type scenarioCase struct {
+	name string
+	sc   sweep.Scenario
+	code int
+}
 
+// stackScenarioCases are the stack admission rows: valid inline,
+// registered-name, and builtin scenarios, and selector conflicts,
+// unknown names, size-gate breaches, broken geometry, physics above its
+// bounds and a negative joint resistivity. It registers the stack the
+// registered-name rows use.
+func stackScenarioCases(tb testing.TB) []scenarioCase {
+	tb.Helper()
 	inline := &floorplan.StackSpec{
 		Name:   "served-inline",
 		Layers: []floorplan.LayerSpec{{Template: "memory"}, {Template: "cores"}},
@@ -804,7 +821,7 @@ func TestStackScenarioValidation(t *testing.T) {
 		Layers: []floorplan.LayerSpec{{Template: "mixed"}, {Template: "mixed"}},
 	}
 	if err := floorplan.RegisterStackSpec(registered); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 
 	// An inline spec whose block count passes the per-block validation
@@ -840,19 +857,7 @@ func TestStackScenarioValidation(t *testing.T) {
 		Layers: []floorplan.LayerSpec{{Template: "memory", ThicknessMM: 1e300}, {Template: "cores"}},
 	}
 
-	specFor := func(sc sweep.Scenario) sweep.Spec {
-		return sweep.Spec{
-			Scenarios:  []sweep.Scenario{sc},
-			Policies:   []string{"Default"},
-			Benchmarks: []string{"Web-med"},
-			DurationsS: []float64{1},
-		}
-	}
-	cases := []struct {
-		name string
-		sc   sweep.Scenario
-		code int
-	}{
+	return []scenarioCase{
 		{"inline ok", sweep.Scenario{Stack: &sweep.StackRef{Spec: inline}}, http.StatusOK},
 		{"registered ok", sweep.Scenario{Stack: &sweep.StackRef{Name: "served-registered"}}, http.StatusOK},
 		{"inline grid ok", sweep.Scenario{Stack: &sweep.StackRef{Spec: inline}, GridRows: 8, GridCols: 8}, http.StatusOK},
@@ -867,8 +872,31 @@ func TestStackScenarioValidation(t *testing.T) {
 		{"exp jr ok", sweep.Scenario{Exp: floorplan.EXP4, JointResistivityMKW: 0.46}, http.StatusOK},
 		{"negative jr", sweep.Scenario{Exp: floorplan.EXP4, JointResistivityMKW: -0.46}, http.StatusBadRequest},
 	}
-	for _, tc := range cases {
-		resp := postSweep(t, ts, SweepRequest{Spec: specFor(tc.sc)}, "")
+}
+
+// oneJobSpec is the one-job sweep of a scenario.
+func oneJobSpec(sc sweep.Scenario) sweep.Spec {
+	return sweep.Spec{
+		Scenarios:  []sweep.Scenario{sc},
+		Policies:   []string{"Default"},
+		Benchmarks: []string{"Web-med"},
+		DurationsS: []float64{1},
+	}
+}
+
+// TestStackScenarioValidation walks the stack admission paths: valid
+// inline, registered-name, and builtin scenarios are accepted, while
+// selector conflicts, unknown names, pre-expansion size-gate breaches,
+// specs with broken geometry or physics above its bounds, and a
+// negative joint resistivity are all refused before any job runs.
+func TestStackScenarioValidation(t *testing.T) {
+	s := New(Config{Workers: 1, Runner: newFakeRunner().run})
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range stackScenarioCases(t) {
+		resp := postSweep(t, ts, SweepRequest{Spec: oneJobSpec(tc.sc)}, "")
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.code {

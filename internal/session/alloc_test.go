@@ -10,9 +10,9 @@ import (
 )
 
 // TestSessionTickAllocationContract pins the run core's tick path to
-// the repo's zero-alloc tick budget (<= 2 allocs/tick, matching the
-// hot-path contract the sweep runner holds): a step plus the tick-state
-// capture a frame reads must not add steady-state allocations.
+// the zero-alloc tick contract the sweep runner holds (0 allocs/tick):
+// a step plus the tick-state capture a frame reads must not allocate in
+// steady state.
 func TestSessionTickAllocationContract(t *testing.T) {
 	job := sweep.Job{Scenario: sweep.Scenario{Exp: floorplan.EXP1}, Policy: "DVFS_TT", Bench: "Web-med", Seed: 1, DurationS: 60}
 	m := newTestManager(t, Config{})
@@ -33,8 +33,8 @@ func TestSessionTickAllocationContract(t *testing.T) {
 		}
 		r.eng.TickStateInto(ts)
 	})
-	if avg > 2 {
-		t.Fatalf("observed %.2f allocs/tick through the run core's step and tick-state capture, budget is 2", avg)
+	if avg != 0 {
+		t.Fatalf("observed %.2f allocs/tick through the run core's step and tick-state capture, want 0", avg)
 	}
 	if len(ts.CoreTempsC) == 0 {
 		t.Fatal("tick state captured no temperatures")

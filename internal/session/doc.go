@@ -34,8 +34,8 @@
 // per-tick observer is attached. The frame is then append-encoded by
 // hand into the run core's reused buffer, byte for byte what
 // encoding/json produces (FuzzFrameJSON holds the two equal). The tick
-// hot path stays allocation-free, frames included: a streaming session
-// performs no heap allocations beyond the engine's own per-tick budget
+// hot path stays allocation-free, frames included: a streaming
+// session's steady tick performs no heap allocations
 // (pinned by TestSessionTickAllocationContract,
 // TestRunMarshalFrameAllocationFree and, for a whole stream at a frame
 // per tick, TestSessionStreamAmortizedAllocs).

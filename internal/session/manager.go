@@ -22,8 +22,8 @@ const (
 	// DefaultIdleTimeout evicts sessions idle this long when Config
 	// leaves IdleTimeout zero.
 	DefaultIdleTimeout = 5 * time.Minute
-	// DefaultCheckpointTicks is the checkpoint cadence when both the
-	// Config and the open request leave it unset.
+	// DefaultCheckpointTicks is the checkpoint cadence when the open
+	// request leaves it unset.
 	DefaultCheckpointTicks = 256
 	// maxTicksPerSec bounds requested stream pacing; above this the
 	// pacing sleep is shorter than its own overhead, so the stream just
@@ -50,9 +50,6 @@ type Config struct {
 	// IdleTimeout evicts sessions untouched this long (0:
 	// DefaultIdleTimeout; negative: idle eviction off).
 	IdleTimeout time.Duration
-	// CheckpointTicks is the default checkpoint cadence for open
-	// requests that leave theirs zero (0: DefaultCheckpointTicks).
-	CheckpointTicks int
 	// Observer, when non-nil, is attached to every session and replay
 	// engine (the serving layer feeds its tick-throughput metric here).
 	// Frames do not need it: they read the engine's tick state. Must be
@@ -108,9 +105,6 @@ func NewManager(cfg Config) *Manager {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
-	if cfg.CheckpointTicks <= 0 {
-		cfg.CheckpointTicks = DefaultCheckpointTicks
-	}
 	m := &Manager{
 		cfg:         cfg,
 		traces:      workload.NewTraceCache(),
@@ -130,7 +124,7 @@ type OpenRequest struct {
 	// tick (0: every tick; the final tick always gets a frame).
 	CadenceTicks int `json:"cadence_ticks,omitempty"`
 	// CheckpointTicks captures a seekable checkpoint every this many
-	// ticks (0: the manager default; negative: no checkpoints).
+	// ticks (0: DefaultCheckpointTicks; negative: no checkpoints).
 	CheckpointTicks int `json:"checkpoint_ticks,omitempty"`
 	// TicksPerSec paces the stream to roughly this many simulated
 	// ticks per wall-clock second (0: unpaced — as fast as the engine
@@ -153,7 +147,7 @@ func (m *Manager) Open(req OpenRequest) (*Session, error) {
 	ckptEvery := req.CheckpointTicks
 	switch {
 	case ckptEvery == 0:
-		ckptEvery = m.cfg.CheckpointTicks
+		ckptEvery = DefaultCheckpointTicks
 	case ckptEvery < 0:
 		ckptEvery = 0
 	}

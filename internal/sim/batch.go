@@ -89,7 +89,7 @@ func (d *batchDriver) step(k int) error {
 	return nil
 }
 
-// RunBatch executes K co-scheduled simulations in lockstep, fusing
+// RunBatchContext executes K co-scheduled simulations in lockstep, fusing
 // their per-tick thermal solves into one blocked panel solve over the
 // shared factorization (runs over the same stack geometry, parameters,
 // and tick length share one automatically). Each run keeps
@@ -102,15 +102,10 @@ func (d *batchDriver) step(k int) error {
 // share a factorization (mixed stacks or tick lengths) step their
 // integrators one after another in the same lockstep.
 //
-// The first error aborts the whole batch, consistent with a sweep
-// treating its group as one unit of work.
-func RunBatch(cfgs []Config) ([]*Result, error) {
-	return RunBatchContext(context.Background(), cfgs)
-}
-
-// RunBatchContext is RunBatch with one context governing every run in
-// the batch, polled once per simulated tick; its cancellation aborts
-// the whole batch with the context's error.
+// One context governs every run in the batch, polled once per
+// simulated tick. The first error or cancellation aborts the whole
+// batch, consistent with a sweep treating its group as one unit of
+// work.
 func RunBatchContext(ctx context.Context, cfgs []Config) ([]*Result, error) {
 	engines := make([]*Engine, len(cfgs))
 	for i, cfg := range cfgs {

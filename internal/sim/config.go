@@ -11,6 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
+// Every run uses the paper's scheduler and metrics settings: each job
+// migration adds migrationCostS seconds (1 ms) to the job's remaining
+// work, and thermal cycles are counted over a sliding window of
+// cycleWindowTicks ticks (10 s at the 100 ms tick).
+const (
+	migrationCostS   = 0.001
+	cycleWindowTicks = 100
+)
+
 // Config describes one simulation run.
 type Config struct {
 	// StackSpec is the stack under simulation, built through
@@ -66,13 +75,6 @@ type Config struct {
 	// wrong factorization (see ModelKey).
 	GridRows, GridCols int
 
-	// MigrationCostS is the per-migration penalty (default 1 ms).
-	MigrationCostS float64
-
-	// CycleWindowTicks sets the thermal-cycle sliding window (default
-	// 100 ticks = 10 s).
-	CycleWindowTicks int
-
 	// TrackLifetime attaches a streaming reliability.Tracker to the
 	// per-block temperature field: every tick feeds the tracker's
 	// allocation-free rainflow/electromigration accumulators, and the
@@ -125,15 +127,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.UseDPM && c.DPM.TimeoutS == 0 {
 		c.DPM = policy.DefaultDPM()
-	}
-	if c.MigrationCostS == 0 {
-		c.MigrationCostS = 0.001
-	}
-	if c.MigrationCostS < 0 {
-		return c, fmt.Errorf("sim: negative migration cost %g", c.MigrationCostS)
-	}
-	if c.CycleWindowTicks == 0 {
-		c.CycleWindowTicks = 100
 	}
 	if c.Bench.Name == "" && c.Jobs == nil {
 		b, err := workload.ByName("Web-med")

@@ -14,7 +14,7 @@
 //
 // sim sits at the centre of the five-layer stack:
 //
-//	sweep.Spec ─▶ sweep.Job ─▶ exp runner ─▶ sim.RunBatch ─▶ sim.Result
+//	sweep.Spec ─▶ sweep.Job ─▶ exp runner ─▶ sim.RunBatchContext ─▶ sim.Result
 //	                                            │
 //	             workload / sched / policy / power / thermal / metrics / reliability
 //
@@ -40,21 +40,22 @@
 // # The tick loop and its allocation contract
 //
 // Every run goes through one lockstep driver: Run and RunContext are
-// RunBatchContext of one config. RunBatch builds an internal engine per
-// config that preallocates every per-tick buffer, then executes the
-// tick pipeline for each: dispatch arrivals via the policy, apply the
-// policy's TickDecision, advance the scheduler, compute power with
-// temperature-dependent leakage, step the thermal network (one panel
-// solve for every run that shares a factorization), read sensors, and
-// record metrics. The driver orders its engines longest run first, so
-// runs of different durations share one batch and each retires at its
-// last tick; the first error or cancellation aborts the batch, and
-// every trace is flushed on every exit. In steady state the loop
-// performs zero heap allocations — TestTickLoopAllocationContract
-// enforces ≤ 2 allocs/tick (measured 0) for every policy family,
-// including runs with the lifetime tracker attached, and
-// TestBatchedTickLoopAllocationContract holds the lockstep tick to the
-// same budget per lane.
+// RunBatchContext of one config. RunBatchContext builds an internal
+// engine per config that preallocates every per-tick buffer, then
+// executes the tick pipeline for each: dispatch arrivals via the
+// policy, apply the policy's TickDecision, advance the scheduler,
+// compute power with temperature-dependent leakage, step the thermal
+// network (one panel solve for every run that shares a factorization),
+// read sensors, and record metrics. The driver orders its engines
+// longest run first, so runs of different durations share one batch
+// and each retires at its last tick; the first error or cancellation
+// aborts the batch, and every trace is flushed on every exit. In
+// steady state the loop performs zero heap allocations —
+// TestTickLoopAllocationContract holds every policy family to 0
+// allocs/tick, including runs with the lifetime tracker attached and
+// MPC planners deciding on every tick, and
+// TestBatchedTickLoopAllocationContract holds the lockstep tick to 0
+// per lane.
 //
 // # Hooks and buffer ownership
 //

@@ -422,12 +422,12 @@ func newEngineState(cfg Config, model *thermal.Model, jobs []workload.Job) (*Eng
 	if e.sensors, err = thermal.NewSensors(cfg.Sensors); err != nil {
 		return nil, err
 	}
-	if e.machine, err = sched.NewMachine(n, cfg.MigrationCostS); err != nil {
+	if e.machine, err = sched.NewMachine(n, migrationCostS); err != nil {
 		return nil, err
 	}
 	if e.collector, err = metrics.NewCollector(stack, metrics.CollectorConfig{
 		HotSpotC:    cfg.ThresholdC,
-		CycleWindow: cfg.CycleWindowTicks,
+		CycleWindow: cycleWindowTicks,
 	}); err != nil {
 		return nil, err
 	}
@@ -478,10 +478,10 @@ func (e *Engine) fillCoreInputs() {
 // (no arriving or completing jobs, no trace writer) it performs no heap
 // allocations. It is Step's composition of tickPre (scheduling and
 // power), the thermal step, and tickPost (readback, metrics, hooks);
-// the lockstep driver behind Run and RunBatch runs the same three
-// phases with the thermal steps of its co-scheduled runs fused into
-// one panel solve, and MPC rollout lanes run tickPre and that fused
-// step with a lean readback of their own.
+// the lockstep driver behind Run and RunBatchContext runs the same
+// three phases with the thermal steps of its co-scheduled runs fused
+// into one panel solve, and MPC rollout lanes run tickPre and that
+// fused step with a lean readback of their own.
 func (e *Engine) tick(tick int) error {
 	if err := e.tickPre(tick); err != nil {
 		return err

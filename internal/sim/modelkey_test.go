@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -111,8 +112,8 @@ func TestRunStackSpec(t *testing.T) {
 
 // TestEnginesShareModel pins how engines share one thermal model per
 // ModelKey: the Exp shorthand and its resolved spec reach the same
-// model and factorization, as do a RunBatch group's lanes and a Fork;
-// and Prewarm after ResetFactorCache rebuilds.
+// model and factorization, as do a RunBatchContext group's lanes and a
+// Fork; and Prewarm after ResetFactorCache rebuilds.
 func TestEnginesShareModel(t *testing.T) {
 	thermal.ResetFactorCache()
 	t.Cleanup(thermal.ResetFactorCache)
@@ -155,7 +156,7 @@ func TestEnginesShareModel(t *testing.T) {
 		t.Fatal("a fork rebuilt the thermal model")
 	}
 	lanes := batchLaneCfgs(t)
-	if _, err := RunBatch(lanes); err != nil {
+	if _, err := RunBatchContext(context.Background(), lanes); err != nil {
 		t.Fatal(err)
 	}
 	wantStats("batch lanes", 2, 1+int64(len(lanes)-1), 2)

@@ -40,11 +40,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("Tpref above threshold accepted")
 	}
-	cfg = shortCfg(t, policy.NewDefault())
-	cfg.MigrationCostS = -1
-	if _, err := Run(cfg); err == nil {
-		t.Error("negative migration cost accepted")
-	}
 }
 
 func TestRunBasicInvariants(t *testing.T) {

@@ -39,9 +39,9 @@
 // Options.Group maps jobs to batching keys and Options.RunGroup runs
 // a chunk of at most 16 same-key jobs as one unit — exp pairs them so
 // jobs over the same thermal system, of any durations, advance through
-// one panel solve per tick (sim.RunBatch). A singleton chunk runs
-// through the RunFunc; every dispatch unit then shares one error and
-// emit path. Grouping is pure scheduling: job keys, record contents,
+// one panel solve per tick (sim.RunBatchContext). A singleton chunk
+// runs through the RunFunc; every dispatch unit then shares one error
+// and emit path. Grouping is pure scheduling: job keys, record contents,
 // and the wire format are unchanged, records still stream in
 // completion order, skipped (checkpointed) jobs leave their chunk
 // before grouping, and a group runner must return records identical to

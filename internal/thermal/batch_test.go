@@ -50,8 +50,9 @@ func TestTransientTempsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := uniformCorePower(s, 1.5)
+	a, b := make([]float64, m.NumNodes), make([]float64, m.NumNodes)
 	for i := 0; i < 5; i++ {
-		if _, err := tr.Step(p); err != nil {
+		if err := tr.StepInto(a, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,12 +74,10 @@ func TestTransientTempsRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		a, err := tr.Step(p)
-		if err != nil {
+		if err := tr.StepInto(a, p); err != nil {
 			t.Fatal(err)
 		}
-		b, err := tr2.Step(p)
-		if err != nil {
+		if err := tr2.StepInto(b, p); err != nil {
 			t.Fatal(err)
 		}
 		for j := range a {

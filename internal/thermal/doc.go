@@ -25,7 +25,7 @@
 // nothing on the model, for systems solved once. SolverCached and
 // SolverDense both select the memoized factorization. Nothing
 // densifies the conductance matrix; the dense LU reference in linalg
-// is for tests and benchmarks. See FactorCacheStats and
+// is for tests. See FactorCacheStats and
 // ResetFactorCache for cache introspection.
 //
 // # Batched transient stepping

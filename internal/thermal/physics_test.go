@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/linalg"
 )
 
 // TestLocalColumnDominatesSpike verifies the calibration property the
@@ -211,5 +212,85 @@ func TestTransientEnergyBalance(t *testing.T) {
 				prev, next = next, prev
 			}
 		})
+	}
+}
+
+// rcModel hand-builds a one-node RC network: heat capacitance c (J/K)
+// on its node, one conductance g (W/K) from that node to ambient, and
+// one block whose power lands wholly on the node.
+func rcModel(c, g float64) *Model {
+	b := linalg.NewSparseBuilder(1)
+	b.StampGroundConductance(0, g)
+	return &Model{
+		Params:       DefaultParams(),
+		NumNodes:     1,
+		G:            b.Build(),
+		C:            []float64{c},
+		GroundG:      []float64{g},
+		powerEntries: []powerEntry{{node: 0, block: 0, frac: 1}},
+		numBlocks:    1,
+	}
+}
+
+// TestTransientRCOracle is a ground-truth oracle for the integrator. On
+// one RC node under constant power P from ambient, implicit Euler is
+// the recurrence r₍ₖ₊₁₎ = (C/dt·rₖ + P)/(C/dt + G) for the rise above
+// ambient, whose closed form is rₖ = (P/G)(1 − ρᵏ) with
+// ρ = (C/dt)/(C/dt + G). Each step's rise must match the recurrence to
+// 1e-14 relative and the closed form to 1e-12, the returned temperature
+// must be that rise plus ambient, and the rise must climb to P/G. Two
+// time steps on one model exercise the per-dt factorization memo: each
+// dt gets its own factorization, and a second integrator at a dt
+// already seen reuses it.
+func TestTransientRCOracle(t *testing.T) {
+	const c, g, p = 0.5, 0.2, 3.0 // J/K, W/K, W: τ = C/G = 2.5 s, P/G = 15 K
+	m := rcModel(c, g)
+	ambient := m.Params.AmbientC
+	power := []float64{p}
+	rel := func(got, want float64) float64 { return math.Abs(got-want) / math.Abs(want) }
+	var factors []*linalg.Cholesky
+	for _, dt := range []float64{0.1, 0.37} {
+		tr, err := m.NewTransient(dt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := m.NewTransient(dt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.chol != tr.chol {
+			t.Errorf("dt %g: a second integrator refactored instead of reusing the memoized factorization", dt)
+		}
+		factors = append(factors, tr.chol)
+		a := c / dt
+		rho := a / (a + g)
+		out := make([]float64, 1)
+		r, prev := 0.0, 0.0
+		for k := 1; k <= 1000; k++ {
+			if err := tr.StepInto(out, power); err != nil {
+				t.Fatal(err)
+			}
+			rise := tr.rise[0]
+			if out[0] != rise+ambient {
+				t.Fatalf("dt %g step %d: StepInto wrote %.17g °C, want rise %.17g + ambient", dt, k, out[0], rise)
+			}
+			if rise < prev {
+				t.Fatalf("dt %g step %d: rise fell from %.17g to %.17g K under constant power", dt, k, prev, rise)
+			}
+			prev = rise
+			r = (a*r + p) / (a + g)
+			if e := rel(rise, r); e > 1e-14 {
+				t.Fatalf("dt %g step %d: rise %.17g K, recurrence %.17g K (rel %.2e)", dt, k, rise, r, e)
+			}
+			if closed := p / g * (1 - math.Pow(rho, float64(k))); rel(rise, closed) > 1e-12 {
+				t.Fatalf("dt %g step %d: rise %.17g K, closed form %.17g K (rel %.2e)", dt, k, rise, closed, rel(rise, closed))
+			}
+		}
+		if e := rel(prev, p/g); e > 1e-12 {
+			t.Errorf("dt %g: rise after 1000 steps %.17g K, want P/G = %g K (rel %.2e)", dt, prev, p/g, e)
+		}
+	}
+	if factors[0] == factors[1] {
+		t.Error("two time steps share one factorization")
 	}
 }

@@ -123,14 +123,14 @@ func TestTransientSparseMatchesDense(t *testing.T) {
 			}
 			rhs := make([]float64, m.NumNodes)
 			td := make([]float64, m.NumNodes)
+			ts := make([]float64, m.NumNodes)
 			for step := 0; step < 50; step++ {
 				if step == 25 { // power step halfway through
 					for i := range p {
 						p[i] *= 0.3
 					}
 				}
-				ts, err := trS.Step(p)
-				if err != nil {
+				if err := trS.StepInto(ts, p); err != nil {
 					t.Fatal(err)
 				}
 				pn, err := m.ExpandPower(p)

@@ -194,10 +194,9 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []float64
+	got := make([]float64, m.NumNodes)
 	for i := 0; i < 3000; i++ { // 300 simulated seconds >> sink time constant
-		got, err = tr.Step(pw)
-		if err != nil {
+		if err := tr.StepInto(got, pw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,11 +215,10 @@ func TestTransientMatchesRK4(t *testing.T) {
 	dt := 0.1
 	tr, _ := m.NewTransient(dt, nil)
 	rk := uniformTemps(m, m.Params.AmbientC)
-	var be []float64
+	be := make([]float64, m.NumNodes)
 	var err error
 	for i := 0; i < 20; i++ {
-		be, err = tr.Step(pw)
-		if err != nil {
+		if err := tr.StepInto(be, pw); err != nil {
 			t.Fatal(err)
 		}
 		rk, err = m.StepRK4(rk, pw, dt)
@@ -245,8 +243,8 @@ func TestTransientHoldsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.Step(pw)
-	if err != nil {
+	got := make([]float64, m.NumNodes)
+	if err := tr.StepInto(got, pw); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ss {
@@ -266,8 +264,11 @@ func TestTransientValidation(t *testing.T) {
 		t.Error("short init vector accepted")
 	}
 	tr, _ := m.NewTransient(0.1, nil)
-	if _, err := tr.Step([]float64{1, 2}); err == nil {
+	if err := tr.StepInto(make([]float64, m.NumNodes), []float64{1, 2}); err == nil {
 		t.Error("wrong power vector length accepted")
+	}
+	if err := tr.StepInto(make([]float64, 1), uniformCorePower(s, 1)); err == nil {
+		t.Error("short destination accepted")
 	}
 	if err := tr.SetTemps([]float64{1}); err == nil {
 		t.Error("short SetTemps accepted")

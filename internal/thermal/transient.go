@@ -13,7 +13,7 @@ import (
 //
 // The left-hand matrix is factored once — by default with the sparse
 // Cholesky path memoized on the Model, so concurrent sweep runs sharing
-// a model (see SharedModel) reuse one factorization — and each Step
+// a model (see SharedModel) reuse one factorization — and each StepInto
 // costs one pair of sparse triangular solves. This matches
 // how the paper's framework advances HotSpot once per 100 ms sampling
 // interval.
@@ -69,17 +69,6 @@ func (m *Model) NewTransientWith(dt float64, init []float64, kind SolverKind) (*
 		}
 	}
 	return tr, nil
-}
-
-// Step advances the network by one dt under the given per-block power (W)
-// and returns the new node temperatures (°C). The returned slice is
-// freshly allocated; the hot path uses StepInto instead.
-func (t *Transient) Step(blockPower []float64) ([]float64, error) {
-	out := make([]float64, len(t.rise))
-	if err := t.StepInto(out, blockPower); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // StepInto advances the network by one dt under the given per-block power
