@@ -60,20 +60,33 @@ func pick(metric string, c exp.Cell) float64 {
 	}
 }
 
-// ablationRun executes one EXP-3 run with a prepared policy.
-func ablationRun(b *testing.B, pol policy.Policy, mutate func(*sim.Config)) *sim.Result {
+// ablationConfig is an EXP-3 run of pol on the Web&DB trace of seed 5,
+// with the joint interlayer resistivity rho (0 selects the paper's).
+func ablationConfig(b *testing.B, rho float64, pol policy.Policy) sim.Config {
 	b.Helper()
+	spec, err := floorplan.SpecWithResistivity(floorplan.EXP3, rho)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stack, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
 	bench, err := workload.ByName("Web&DB")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := sim.Config{
-		Exp:       floorplan.EXP3,
-		Policy:    pol,
-		Bench:     bench,
-		DurationS: benchDuration,
-		Seed:      5,
+	jobs, err := workload.Generate(workload.GenConfig{Bench: bench, NumCores: stack.NumCores(), DurationS: benchDuration, Seed: 5})
+	if err != nil {
+		b.Fatal(err)
 	}
+	return sim.Config{StackSpec: &spec, Policy: pol, Jobs: jobs, DurationS: benchDuration}
+}
+
+// ablationRun executes one EXP-3 run with a prepared policy.
+func ablationRun(b *testing.B, pol policy.Policy, mutate func(*sim.Config)) *sim.Result {
+	b.Helper()
+	cfg := ablationConfig(b, 0, pol)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -146,16 +159,7 @@ func BenchmarkAblationTSVDensity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts = pts[:0]
 		for _, rho := range []float64{0.25, 0.23, 0.20, 0.15} {
-			bench, _ := workload.ByName("Web&DB")
-			pol := policy.NewDefault()
-			r, err := sim.Run(sim.Config{
-				Exp:                 floorplan.EXP3,
-				JointResistivityMKW: rho,
-				Policy:              pol,
-				Bench:               bench,
-				DurationS:           benchDuration,
-				Seed:                5,
-			})
+			r, err := sim.Run(ablationConfig(b, rho, policy.NewDefault()))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -183,7 +187,6 @@ func BenchmarkAblationDPMTimeout(b *testing.B) {
 		pts = pts[:0]
 		for _, to := range []float64{0.1, 0.3, 1.0, 3.0} {
 			r := ablationRun(b, policy.NewDefault(), func(c *sim.Config) {
-				c.UseDPM = true
 				c.DPM = policy.DPM{TimeoutS: to}
 			})
 			pts = append(pts, point{timeout: to, hot: r.Metrics.HotSpotPct, powerW: r.AvgPowerW, sleeps: r.SleepEntries})

@@ -1,5 +1,8 @@
-// Command dtmsim runs one (experiment, policy, workload) simulation and
-// prints the paper's metrics for that run.
+// Command dtmsim runs one sweep job — an (experiment or stack, policy,
+// workload, replicate) simulation — and prints the paper's metrics for
+// that run. Its flags name the job as dtmsweep's do, and the job runs
+// through the same mapping (exp.JobConfig), so every number it prints
+// equals the matching field of that job's sweep record.
 //
 // Usage:
 //
@@ -17,6 +20,7 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/reliability"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 	"repro/scenarios"
@@ -27,62 +31,54 @@ func main() {
 	log.SetPrefix("dtmsim: ")
 
 	expFlag := flag.String("exp", "1", "experiment configuration (1..6; 5-6 are the extended 16/24-core stacks)")
-	stackFlag := flag.String("stack", "", "declarative stack instead of -exp: a StackSpec JSON file or a library name ("+strings.Join(scenarios.Names(), ", ")+")")
+	stackFlag := flag.String("stack", "", "declarative stack instead of -exp: a StackSpec JSON file or a library name ("+strings.Join(scenarios.Names(), ", ")+"), inlined into the job as dtmsweep -stack does")
 	policyFlag := flag.String("policy", "Default", "policy name: "+strings.Join(exp.PolicyOrder, ", "))
 	benchFlag := flag.String("bench", "Web-med", "Table I benchmark name")
 	durFlag := flag.Float64("duration", 300, "simulated seconds")
-	seedFlag := flag.Int64("seed", 1, "random seed")
-	dpmFlag := flag.Bool("dpm", false, "enable dynamic power management (fixed timeout)")
-	gridFlag := flag.Int("grid", 0, "thermal grid resolution per side (0 = block mode)")
+	seedFlag := flag.Int64("seed", 1, "replicate seed, as a sweep job's seed: the policy draws from it and the job trace from it plus the benchmark's ID, so dtmsweep -seed s records the same run")
+	dpmFlag := flag.Bool("dpm", false, "enable dynamic power management (the paper's fixed 300 ms timeout)")
+	gridFlag := flag.Int("grid", 0, "thermal grid resolution per side: N runs an N x N grid (0 = block mode)")
 	traceFlag := flag.String("trace", "", "write a per-tick CSV temperature/power trace to this file")
 	relFlag := flag.Bool("reliability", false, "track lifetime metrics with the streaming per-block wear tracker: worst core, worst block, per-layer cycling damage, EM acceleration, relative MTTF")
 	heatFlag := flag.Bool("heatmap", false, "draw per-layer ASCII heat maps of the final thermal field")
 	flag.Parse()
 
-	cfg := sim.Config{
-		UseDPM:        *dpmFlag,
-		DurationS:     *durFlag,
-		Seed:          *seedFlag,
-		GridRows:      *gridFlag,
-		GridCols:      *gridFlag,
-		TrackLifetime: *relFlag,
+	j := sweep.Job{
+		Policy:      *policyFlag,
+		Bench:       *benchFlag,
+		Seed:        *seedFlag,
+		DurationS:   *durFlag,
+		UseDPM:      *dpmFlag,
+		Reliability: *relFlag,
 	}
-	var stack *floorplan.Stack
-	var stackLabel string
 	if *stackFlag != "" {
 		spec, err := scenarios.Load(*stackFlag)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if stack, err = spec.Build(); err != nil {
-			log.Fatal(err)
-		}
-		cfg.StackSpec = &spec
-		stackLabel = stack.Name
-		if stackLabel == "" {
-			stackLabel = "stack:" + spec.Hash()
-		}
+		j.Scenario.Stack = &sweep.StackRef{Spec: &spec}
 	} else {
 		e, err := floorplan.ParseExperiment(*expFlag)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if stack, err = floorplan.Build(e); err != nil {
-			log.Fatal(err)
-		}
-		cfg.Exp = e
-		stackLabel = e.String()
+		j.Scenario.Exp = e
 	}
-	pol, err := exp.BuildPolicy(*policyFlag, stack, *seedFlag)
+	j.Scenario.GridRows, j.Scenario.GridCols = *gridFlag, *gridFlag
+
+	cfg, err := exp.JobConfig(workload.NewTraceCache(), j)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bench, err := workload.ByName(*benchFlag)
+	// The report names and draws the job's resolved stack.
+	stack, err := cfg.StackSpec.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Policy = pol
-	cfg.Bench = bench
+	stackLabel := stack.Name
+	if stackLabel == "" {
+		stackLabel = "stack:" + cfg.StackSpec.Hash()
+	}
 	if *traceFlag != "" {
 		f, err := os.Create(*traceFlag)
 		if err != nil {
@@ -97,7 +93,7 @@ func main() {
 	}
 
 	w := os.Stdout
-	fmt.Fprintf(w, "%s on %s, %s, %.0f s simulated, DPM=%v\n", res.PolicyName, stackLabel, bench.Name, *durFlag, res.UseDPM)
+	fmt.Fprintf(w, "%s on %s, %s, %.0f s simulated, DPM=%v\n", res.PolicyName, stackLabel, j.Bench, j.DurationS, res.UseDPM)
 	fmt.Fprintf(w, "  hot spots        : %6.2f %% of core-time above 85 °C\n", res.Metrics.HotSpotPct)
 	fmt.Fprintf(w, "  spatial gradients: %6.2f %% of time above 15 °C (worst layer)\n", res.Metrics.GradientPct)
 	fmt.Fprintf(w, "  thermal cycles   : %6.2f %% of windows with ΔT > 20 °C\n", res.Metrics.CyclePct)

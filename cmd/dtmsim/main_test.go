@@ -1,14 +1,19 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/floorplan"
 	"repro/internal/reliability"
+	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // TestMain re-execs the test binary as dtmsim when the marker is
@@ -82,6 +87,78 @@ func TestReliabilityOutput(t *testing.T) {
 			}
 			if out != string(want) {
 				t.Fatalf("%v output differs from testdata/%s\n got:\n%s\nwant:\n%s", tc.args, tc.golden, out, want)
+			}
+		})
+	}
+}
+
+// TestMatchesSweepRecord cross-checks the command against the sweep:
+// for each job, every number the report prints that a sweep record
+// carries equals that field of the record exp.NewRunners makes for the
+// same sweep.Job, formatted with the report's own verbs, and the job
+// count equals the job's trace length. The other numbers (DPM sleep
+// transitions, the worst core, the worst block's layer, cycle count and
+// EM factor) have no record field; TestReliabilityOutput pins them.
+func TestMatchesSweepRecord(t *testing.T) {
+	run, _ := exp.NewRunners(exp.RunnerHooks{})
+	for _, tc := range []struct {
+		name string
+		args []string
+		job  sweep.Job
+	}{
+		{
+			"exp3-default",
+			[]string{"-exp", "3", "-policy", "Default", "-bench", "Web-med", "-duration", "60", "-seed", "1"},
+			sweep.Job{Scenario: sweep.Scenario{Exp: floorplan.EXP3}, Policy: "Default", Bench: "Web-med", Seed: 1, DurationS: 60},
+		},
+		{
+			"exp3-dvfsrel-dpm-grid8",
+			[]string{"-exp", "3", "-policy", "DVFS_Rel", "-reliability", "-dpm", "-grid", "8", "-duration", "60"},
+			sweep.Job{Scenario: sweep.Scenario{Exp: floorplan.EXP3, GridRows: 8, GridCols: 8}, Policy: "DVFS_Rel", Bench: "Web-med", Seed: 1,
+				DurationS: 60, UseDPM: true, Reliability: true},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, err := run(context.Background(), tc.job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := exp.JobConfig(workload.NewTraceCache(), tc.job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, out := runMain(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("%v exited %d:\n%s", tc.args, code, out)
+			}
+			want := []string{
+				fmt.Sprintf("%s on ", rec.Policy),
+				fmt.Sprintf(", %s, %.0f s simulated, DPM=%v\n", rec.Bench, rec.DurationS, rec.UseDPM),
+				fmt.Sprintf("  hot spots        : %6.2f %% ", rec.HotSpotPct),
+				fmt.Sprintf("  spatial gradients: %6.2f %% ", rec.GradientPct),
+				fmt.Sprintf("  thermal cycles   : %6.2f %% ", rec.CyclePct),
+				fmt.Sprintf("  temperatures     : avg core %.1f °C, peak %.1f °C, worst vertical gradient %.2f °C\n",
+					rec.AvgCoreTempC, rec.MaxTempC, rec.MaxVerticalC),
+				fmt.Sprintf("  power / energy   : %.1f W average, %.1f kJ total\n", rec.AvgPowerW, rec.EnergyJ/1000),
+				fmt.Sprintf("  scheduling       : %d/%d jobs completed, mean response %.3f s, %d migrations\n",
+					rec.JobsCompleted, len(cfg.Jobs), rec.MeanResponseS, rec.Migrations),
+			}
+			if rec.Reliability {
+				want = append(want,
+					fmt.Sprintf("  lifetime         : worst block %s (layer ", rec.RelWorstBlock),
+					fmt.Sprintf(" — cycling damage %.3f over ", rec.RelWorstCycleDamage),
+					fmt.Sprintf("; chip total %.3f, rel. MTTF %.3g\n", rec.RelTotalCycleDamage, rec.RelMTTF))
+				for l, d := range rec.RelLayerDamage {
+					want = append(want, fmt.Sprintf("    layer %d damage : %.3f\n", l, d))
+				}
+				if n := strings.Count(out, " damage : "); n != len(rec.RelLayerDamage) {
+					t.Errorf("report prints %d layer damages, the record holds %d", n, len(rec.RelLayerDamage))
+				}
+			}
+			for _, w := range want {
+				if !strings.Contains(out, w) {
+					t.Errorf("report lacks the record's %q:\n%s", w, out)
+				}
 			}
 		})
 	}

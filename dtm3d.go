@@ -35,6 +35,9 @@ type (
 	Experiment = floorplan.Experiment
 	// Stack is a 3D chip floorplan.
 	Stack = floorplan.Stack
+	// StackSpec is the declarative form of a stack, and the one stack
+	// input of a SimConfig (see ExperimentSpec).
+	StackSpec = floorplan.StackSpec
 	// ThermalModel is the compact RC network of a stack plus package.
 	ThermalModel = thermal.Model
 	// ThermalParams are the physical constants of the thermal model.
@@ -43,7 +46,10 @@ type (
 	PowerModel = power.Model
 	// Policy is a dynamic thermal management policy.
 	Policy = policy.Policy
-	// SimConfig describes one simulation run.
+	// SimConfig describes one simulation run: its stack (StackSpec),
+	// policy, job trace, duration, DPM and lifetime switches. The
+	// paper's 100 ms tick, 85 °C threshold and 80 °C preferred
+	// temperature are fixed.
 	SimConfig = sim.Config
 	// SimResult is the outcome of one run.
 	SimResult = sim.Result
@@ -75,6 +81,21 @@ const (
 // BuildStack constructs the floorplan stack for an experiment with the
 // paper's joint interlayer resistivity.
 func BuildStack(e Experiment) (*Stack, error) { return floorplan.Build(e) }
+
+// ExperimentSpec returns the declarative spec of an experiment's stack
+// with the paper's joint interlayer resistivity: the SimConfig.StackSpec
+// that runs it, the spec a sweep job on the experiment simulates.
+func ExperimentSpec(e Experiment) (*StackSpec, error) {
+	spec, err := floorplan.SpecWithResistivity(e, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &spec, nil
+}
+
+// DefaultDPM returns the paper's fixed-timeout power manager (a 300 ms
+// idle timeout) for SimConfig.DPM; the zero value runs without one.
+func DefaultDPM() policy.DPM { return policy.DefaultDPM() }
 
 // NewThermalModel builds the block-mode thermal model with the default
 // (paper-calibrated) parameters.

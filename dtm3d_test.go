@@ -25,7 +25,11 @@ func TestFacadeBuildAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(SimConfig{Exp: EXP2, Policy: adapt, Jobs: jobs, DurationS: 20, Seed: 1})
+	spec, err := ExperimentSpec(EXP2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(SimConfig{StackSpec: spec, Policy: adapt, Jobs: jobs, DurationS: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,10 @@ import (
 // spots and worst-block wear. It runs under `go test`, so it can never
 // drift from the API.
 func Example() {
+	spec, err := repro.ExperimentSpec(repro.EXP1)
+	if err != nil {
+		panic(err)
+	}
 	stack, err := repro.BuildStack(repro.EXP1)
 	if err != nil {
 		panic(err)
@@ -32,11 +36,10 @@ func Example() {
 			panic(err)
 		}
 		res, err := repro.Run(repro.SimConfig{
-			Exp:           repro.EXP1,
+			StackSpec:     spec,
 			Policy:        pol,
 			Jobs:          jobs,
 			DurationS:     60,
-			Seed:          7,
 			TrackLifetime: true,
 		})
 		if err != nil {

@@ -95,6 +95,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Both policies replay one job trace.
+	jobs, err := workload.Generate(workload.GenConfig{Bench: bench, NumCores: stack.NumCores(), DurationS: 240, Seed: 9})
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := policy.DefaultAdapt3DConfig()
 	cfg.Seed = 9
 	adapt, err := policy.NewAdapt3D(stack, model, cfg)
@@ -106,9 +111,8 @@ func main() {
 		res, err := sim.Run(sim.Config{
 			StackSpec: &spec,
 			Policy:    pol,
-			Bench:     bench,
+			Jobs:      jobs,
 			DurationS: 240,
-			Seed:      9,
 		})
 		if err != nil {
 			log.Fatal(err)

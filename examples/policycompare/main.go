@@ -19,6 +19,10 @@ func main() {
 	log.SetFlags(0)
 
 	const durationS = 300
+	spec, err := repro.ExperimentSpec(repro.EXP3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	stack, err := repro.BuildStack(repro.EXP3)
 	if err != nil {
 		log.Fatal(err)
@@ -43,11 +47,10 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := repro.Run(repro.SimConfig{
-			Exp:       repro.EXP3,
+			StackSpec: spec,
 			Policy:    pol,
 			Jobs:      jobs,
 			DurationS: durationS,
-			Seed:      7,
 		})
 		if err != nil {
 			log.Fatal(err)

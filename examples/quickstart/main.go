@@ -13,6 +13,10 @@ import (
 func main() {
 	log.SetFlags(0)
 
+	spec, err := repro.ExperimentSpec(repro.EXP2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	stack, err := repro.BuildStack(repro.EXP2)
 	if err != nil {
 		log.Fatal(err)
@@ -35,11 +39,10 @@ func main() {
 	}
 	for _, pol := range []repro.Policy{repro.NewDefaultPolicy(), adapt} {
 		res, err := repro.Run(repro.SimConfig{
-			Exp:       repro.EXP2,
+			StackSpec: spec,
 			Policy:    pol,
 			Jobs:      jobs,
 			DurationS: 300,
-			Seed:      42,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -26,6 +26,10 @@ func main() {
 		"Config", "Policy", "DPM", "Hot%", "Cyc%", "Perf", "AvgW", "Sleeps")
 
 	for _, e := range []repro.Experiment{repro.EXP1, repro.EXP3} {
+		spec, err := repro.ExperimentSpec(e)
+		if err != nil {
+			log.Fatal(err)
+		}
 		stack, err := repro.BuildStack(e)
 		if err != nil {
 			log.Fatal(err)
@@ -45,14 +49,16 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				res, err := repro.Run(repro.SimConfig{
-					Exp:       e,
+				cfg := repro.SimConfig{
+					StackSpec: spec,
 					Policy:    pol,
 					Jobs:      jobs,
-					UseDPM:    dpm,
 					DurationS: durationS,
-					Seed:      11,
-				})
+				}
+				if dpm {
+					cfg.DPM = repro.DefaultDPM()
+				}
+				res, err := repro.Run(cfg)
 				if err != nil {
 					log.Fatal(err)
 				}

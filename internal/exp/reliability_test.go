@@ -19,12 +19,15 @@ func lifetimeRun(t *testing.T, policy string, jobs []workload.Job, stack *floorp
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec, err := floorplan.SpecWithResistivity(floorplan.EXP2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := sim.Run(sim.Config{
-		Exp:           floorplan.EXP2,
+		StackSpec:     &spec,
 		Policy:        pol,
 		Jobs:          jobs,
 		DurationS:     300,
-		Seed:          11,
 		TrackLifetime: true,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -22,9 +23,15 @@ func TestPaperShapeClaims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := sim.Run(sim.Config{
-			Exp: e, Policy: pol, Jobs: jobs, UseDPM: dpm, DurationS: 240, Seed: 5,
-		})
+		spec, err := floorplan.SpecWithResistivity(e, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.Config{StackSpec: &spec, Policy: pol, Jobs: jobs, DurationS: 240}
+		if dpm {
+			cfg.DPM = policy.DefaultDPM()
+		}
+		r, err := sim.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

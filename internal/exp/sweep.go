@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/thermal"
@@ -57,16 +58,18 @@ type RunnerHooks struct {
 }
 
 // JobConfig translates one sweep job into the simulator configuration
-// the runners execute: the scenario resolved to its StackSpec (see
-// modelConfig), the stack built from it (Adapt3D's offline thermal
-// indices must be derived from the chip being simulated, not the
-// nominal-bond one — the degraded-tsv stress scenario differs exactly
-// there, and declarative stacks carry arbitrary geometry), the workload
-// fetched through traces so every policy replays the identical arrival
-// sequence, the policy constructed against that stack, and lifetime
-// tracking wired from the job's reliability flag. The session subsystem
-// builds its live engines through this same mapping, so an interactive
-// run of a job is the very simulation a sweep run of it would be.
+// the runners execute, and the one such mapping: the scenario resolved
+// to its StackSpec (see modelConfig), the stack built from it (Adapt3D's
+// offline thermal indices must be derived from the chip being
+// simulated, not the nominal-bond one — the degraded-tsv stress
+// scenario differs exactly there, and declarative stacks carry
+// arbitrary geometry), the workload fetched through traces (seeded by
+// TraceSeed) so every policy replays the identical arrival sequence,
+// the policy constructed against that stack, the paper's 300 ms DPM
+// when the job asks for DPM, and lifetime tracking wired from the job's
+// reliability flag. The session subsystem and cmd/dtmsim build their
+// engines through this same mapping, so an interactive or single run
+// of a job is the very simulation a sweep run of it would be.
 func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 	b, err := workload.ByName(j.Bench)
 	if err != nil {
@@ -84,7 +87,7 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 		Bench:     b,
 		NumCores:  stack.NumCores(),
 		DurationS: j.DurationS,
-		Seed:      j.Seed + int64(b.ID),
+		Seed:      TraceSeed(j.Seed, b),
 	})
 	if err != nil {
 		return sim.Config{}, err
@@ -92,11 +95,21 @@ func JobConfig(traces *workload.TraceCache, j sweep.Job) (sim.Config, error) {
 	if cfg.Policy, err = BuildPolicy(j.Policy, stack, j.Seed); err != nil {
 		return sim.Config{}, err
 	}
-	cfg.UseDPM = j.UseDPM
+	if j.UseDPM {
+		cfg.DPM = policy.DefaultDPM()
+	}
 	cfg.DurationS = j.DurationS
-	cfg.Seed = j.Seed
 	cfg.TrackLifetime = j.Reliability
 	return cfg, nil
+}
+
+// TraceSeed is the seed of a job's arrival trace on benchmark b: the
+// replicate's base seed offset by the benchmark's ID, so the benchmarks
+// of one replicate draw distinct streams. JobConfig and a session's
+// set_workload event both seed their traces through it, so an event
+// that switches a session to its own benchmark replays the job's trace.
+func TraceSeed(replicateSeed int64, b workload.Benchmark) int64 {
+	return replicateSeed + int64(b.ID)
 }
 
 // NewRunners returns the simulator-backed job runner together with

@@ -31,9 +31,9 @@
 // below the wire. The builtin configurations are shipped specs:
 // SpecForExperiment names EXP-n's layers, and SpecWithResistivity adds
 // an explicit joint interlayer resistivity — the single place the
-// "experiment plus joint resistivity" shorthand of sweep scenarios and
-// simulator configs becomes a spec, so the shorthand and the spec it
-// names always hash alike.
+// "experiment plus joint resistivity" shorthand of sweep scenarios
+// becomes a spec, so the shorthand and the spec it names always hash
+// alike.
 //
 // # TSV model
 //

@@ -129,9 +129,9 @@ func BuildWithResistivity(e Experiment, jointResistivity float64) (*Stack, error
 // SpecWithResistivity is SpecForExperiment with the joint interlayer
 // resistivity set explicitly: jointResistivity in m·K/W, 0 selecting
 // the paper's 0.23. It is the one resolution of the "experiment plus
-// joint resistivity" shorthand (sweep.Scenario, sim.Config) into a
-// StackSpec, so that shorthand and the spec it names share one content
-// hash and therefore one model key.
+// joint resistivity" shorthand (sweep.Scenario) into a StackSpec, so
+// that shorthand and the spec it names share one content hash and
+// therefore one model key.
 func SpecWithResistivity(e Experiment, jointResistivity float64) (StackSpec, error) {
 	if jointResistivity < 0 {
 		return StackSpec{}, fmt.Errorf("floorplan: joint resistivity must be positive, got %g", jointResistivity)

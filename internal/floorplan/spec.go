@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -188,8 +189,9 @@ func ParseStackSpec(data []byte) (*StackSpec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("floorplan: bad stack spec: %w", err)
 	}
-	// A trailing second document would be silently ignored otherwise.
-	if dec.More() {
+	// Anything but whitespace after the document — a second document, a
+	// stray closing delimiter — would be silently ignored otherwise.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("floorplan: bad stack spec: trailing data after JSON document")
 	}
 	if err := s.Validate(); err != nil {

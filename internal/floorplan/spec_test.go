@@ -96,10 +96,20 @@ func TestSpecPreExpansionCounts(t *testing.T) {
 }
 
 // TestParseStackSpecStrict pins the parser's strictness: unknown fields
-// and trailing documents are rejected, valid documents round-trip.
+// and anything but whitespace after the document are rejected, valid
+// documents round-trip.
 func TestParseStackSpecStrict(t *testing.T) {
-	if _, err := ParseStackSpec([]byte(`{"layers": [{"template": "cores"}]}`)); err != nil {
+	const minimal = `{"layers": [{"template": "cores"}]}`
+	if _, err := ParseStackSpec([]byte(minimal)); err != nil {
 		t.Fatalf("minimal valid spec rejected: %v", err)
+	}
+	if _, err := ParseStackSpec([]byte(minimal + " \n\t\r\n")); err != nil {
+		t.Errorf("spec with trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{"]", "}", " garbage"} {
+		if _, err := ParseStackSpec([]byte(minimal + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("spec with trailing %q: err %v, want trailing data", tail, err)
+		}
 	}
 	if _, err := ParseStackSpec([]byte(`{"layrs": [{"template": "cores"}]}`)); err == nil {
 		t.Error("unknown top-level field accepted")

@@ -107,14 +107,6 @@ func (r Rect) SharedBoundary(s Rect) float64 {
 	return 0
 }
 
-// CenterDistance returns the Euclidean distance between the centroids of
-// r and s, in millimetres.
-func (r Rect) CenterDistance(s Rect) float64 {
-	rx, ry := r.Center()
-	sx, sy := s.Center()
-	return math.Hypot(rx-sx, ry-sy)
-}
-
 // Centrality returns a measure in [0, 1] of how close the centroid of r is
 // to the centroid of the enclosing rectangle outer: 1 at the exact centre,
 // 0 at the outer corners. It is used by floorplan-aware policies

@@ -138,14 +138,6 @@ func TestCentrality(t *testing.T) {
 	}
 }
 
-func TestCenterDistance(t *testing.T) {
-	a := MustRect(0, 0, 2, 2)
-	b := MustRect(3, 4, 2, 2)
-	if got := a.CenterDistance(b); !almostEq(got, 5) {
-		t.Errorf("CenterDistance = %g, want 5", got)
-	}
-}
-
 // Property: intersection area is symmetric, bounded by the smaller area,
 // and zero for translated-apart rectangles.
 func TestOverlapAreaProperties(t *testing.T) {

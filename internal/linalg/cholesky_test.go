@@ -158,7 +158,7 @@ func TestAddDiag(t *testing.T) {
 	}
 }
 
-// TestRowAbsSums cross-checks against the dense Gershgorin helper.
+// TestRowAbsSums cross-checks against the dense matrix's row sums.
 func TestRowAbsSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := randSPDSystem(rng, 15, 10)

@@ -99,21 +99,6 @@ func TestLUSolveAliased(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 4)
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-10) > 1e-12 {
-		t.Errorf("Det = %g, want 10", f.Det())
-	}
-}
-
 // Property: for random diagonally dominant systems, LU solve satisfies
 // A*x = b to tight tolerance.
 func TestLUSolveResidualProperty(t *testing.T) {
@@ -149,30 +134,6 @@ func TestLUSolveResidualProperty(t *testing.T) {
 		if normInf(res) > 1e-8*(1+normInf(b)) {
 			t.Fatalf("trial %d: residual %g too large", trial, normInf(res))
 		}
-	}
-}
-
-func TestGershgorin(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, -3)
-	m.Set(0, 1, 1)
-	m.Set(1, 0, 2)
-	m.Set(1, 1, -5)
-	if got := m.GershgorinMaxAbs(); got != 7 {
-		t.Errorf("GershgorinMaxAbs = %g, want 7", got)
-	}
-}
-
-func TestVectorKernels(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Errorf("Dot = %g, want 32", Dot(a, b))
-	}
-	v := []float64{1, 1}
-	AXPY(v, 2, []float64{1, 2})
-	if v[0] != 3 || v[1] != 5 {
-		t.Errorf("AXPY = %v, want [3 5]", v)
 	}
 }
 

@@ -14,10 +14,9 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 // P*A = L*U, with L unit lower triangular and U upper triangular, stored
 // compactly in lu.
 type LU struct {
-	n    int
-	lu   []float64 // n x n, row-major; L below diagonal (unit diag implied), U on/above
-	piv  []int     // row permutation: row i of PA is row piv[i] of A
-	sign int       // permutation parity (+1/-1), used for determinant sign
+	n   int
+	lu  []float64 // n x n, row-major; L below diagonal (unit diag implied), U on/above
+	piv []int     // row permutation: row i of PA is row piv[i] of A
 }
 
 // Factor computes the LU factorization of a. The input matrix is not
@@ -28,10 +27,9 @@ func Factor(a *Matrix) (*LU, error) {
 	}
 	n := a.Rows
 	f := &LU{
-		n:    n,
-		lu:   make([]float64, n*n),
-		piv:  make([]int, n),
-		sign: 1,
+		n:   n,
+		lu:  make([]float64, n*n),
+		piv: make([]int, n),
 	}
 	copy(f.lu, a.Data)
 	for i := range f.piv {
@@ -58,7 +56,6 @@ func Factor(a *Matrix) (*LU, error) {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -129,15 +126,6 @@ func (f *LU) SolveInto(b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // SolveDense solves A*x = b for a dense square A without retaining the

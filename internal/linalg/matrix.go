@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -45,45 +42,5 @@ func (m *Matrix) MulVec(dst, x []float64) {
 			s += v * x[j]
 		}
 		dst[i] = s
-	}
-}
-
-// GershgorinMaxAbs returns an upper bound on the spectral radius of m
-// (the largest Gershgorin disc extent). It is used to pick stable explicit
-// integration steps.
-func (m *Matrix) GershgorinMaxAbs() float64 {
-	maxR := 0.0
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		r := 0.0
-		for _, v := range row {
-			r += math.Abs(v)
-		}
-		if r > maxR {
-			maxR = r
-		}
-	}
-	return maxR
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// AXPY computes dst[i] += alpha * x[i].
-func AXPY(dst []float64, alpha float64, x []float64) {
-	if len(dst) != len(x) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range dst {
-		dst[i] += alpha * x[i]
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -48,13 +49,21 @@ func fuzzPost(t *testing.T, path string, body []byte) *http.Response {
 	return res
 }
 
-// decodeFirst decodes body's first JSON value into v the way the
-// handlers do: unknown fields are errors, anything after the value is
-// ignored.
-func decodeFirst(body []byte, v any) error {
+// decodeStrict decodes body as one JSON document into v, as the
+// handlers must: unknown fields are errors, and so is anything but JSON
+// whitespace (space, tab, CR, LF) after the document. It finds the tail
+// by the decoder's offset rather than by the handlers' Token rule, so
+// the two checks are independent.
+func decodeStrict(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("trailing data %q", rest)
+	}
+	return nil
 }
 
 // FuzzSweepBody fuzzes the POST /v1/sweep body. Beyond fuzzPost's
@@ -86,7 +95,7 @@ func FuzzSweepBody(f *testing.F) {
 			return
 		}
 		var req SweepRequest
-		if err := decodeFirst(body, &req); err != nil {
+		if err := decodeStrict(body, &req); err != nil {
 			t.Fatalf("answered 200 to a body that does not decode (%v): %q", err, body)
 		}
 		jobs, err := req.Jobs()
@@ -150,7 +159,7 @@ func FuzzJobBody(f *testing.F) {
 			return
 		}
 		var j sweep.Job
-		if err := decodeFirst(body, &j); err != nil {
+		if err := decodeStrict(body, &j); err != nil {
 			t.Fatalf("answered 200 to a body that does not decode (%v): %q", err, body)
 		}
 		want, err := newFakeRunner().run(context.Background(), j)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -562,14 +563,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(m)
 }
 
+// decodeBody decodes r's body, capped at limit bytes, into v as one
+// strict JSON document: unknown fields are errors, and so is anything
+// but whitespace after the document (a second document, a stray
+// closing delimiter, garbage), so a body means exactly what it decodes
+// to.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON document")
+	}
+	return nil
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The body cap must fit a resume request for the largest sweep the
 	// server expands: maxExpandJobs skip keys at ~80 bytes each is
 	// ~5 MB, so 8 MB leaves headroom without being an open door.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
 	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, 8<<20, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
 		return
 	}
@@ -684,10 +700,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // from a streamed one. Requests carrying client.PeerFillHeader are
 // answered with local work only (the one-hop loop guard).
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var j sweep.Job
-	if err := dec.Decode(&j); err != nil {
+	if err := decodeBody(w, r, 1<<20, &j); err != nil {
 		httpError(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
 	}

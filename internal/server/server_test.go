@@ -545,9 +545,75 @@ func badSweepRequests() []sweepCase {
 	}
 }
 
-// malformedBodies are request bodies that do not decode: broken JSON
-// and an unknown field.
-var malformedBodies = []string{"{not json", `{"spec":{},"bogus_field":1}`}
+// validSweepBody is a one-job sweep request.
+const validSweepBody = `{"spec":{"scenarios":[{"exp":"EXP-1"}],"policies":["Default"],"benchmarks":["Web-med"],"durations_s":[1]}}`
+
+// trailingData are the tails that make a valid body malformed: garbage,
+// a stray closing bracket or brace, and a second document. Trailing
+// whitespace alone does not (TestTrailingDataRejected).
+var trailingData = []string{" garbage", "]", "}", "\n{}"}
+
+// malformedBodies are request bodies that do not decode: broken JSON,
+// an unknown field, and a valid sweep request followed by each of
+// trailingData.
+var malformedBodies = []string{
+	"{not json", `{"spec":{},"bogus_field":1}`,
+	validSweepBody + trailingData[0], validSweepBody + trailingData[1],
+	validSweepBody + trailingData[2], validSweepBody + trailingData[3],
+}
+
+// TestTrailingDataRejected pins the one-document rule of the three
+// routes that start work: a valid body followed by anything but
+// whitespace gets a 400 before any job runs or any session opens, and
+// the same body followed by whitespace and newlines is accepted.
+func TestTrailingDataRejected(t *testing.T) {
+	runner := newFakeRunner()
+	s := New(Config{Workers: 1, Runner: runner.run, MaxJobsPerSweep: 64})
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	work := func() int {
+		runner.mu.Lock()
+		defer runner.mu.Unlock()
+		n := int(s.sessions.Stats().Opened)
+		for _, c := range runner.runs {
+			n += c
+		}
+		return n
+	}
+	job, err := json.Marshal(smallSpec().Expand()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []struct{ path, body string }{
+		{"/v1/sweep", validSweepBody},
+		{"/v1/job", string(job)},
+		{"/v1/session", sessionOpenBody},
+	} {
+		before := work()
+		for _, tail := range trailingData {
+			if code := post(route.path, route.body+tail); code != http.StatusBadRequest {
+				t.Errorf("%s with trailing %q: status %d, want 400", route.path, tail, code)
+			}
+		}
+		if n := work() - before; n != 0 {
+			t.Errorf("%s: bodies with trailing data started %d runs or sessions", route.path, n)
+		}
+		if code := post(route.path, route.body+" \n\t\r\n"); code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d, want 200", route.path, code)
+		}
+	}
+}
 
 // TestRequestValidation covers the pre-stream rejection paths.
 func TestRequestValidation(t *testing.T) {

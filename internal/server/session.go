@@ -27,10 +27,8 @@ type sessionInfo struct {
 // handleSessionOpen admits one interactive session (POST /v1/session,
 // body: a session.OpenRequest) and answers its info document.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req session.OpenRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, 1<<20, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad session request: %v", err)
 		return
 	}

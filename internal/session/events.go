@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/exp"
 	"repro/internal/policy"
@@ -71,7 +72,7 @@ func ParseEvent(b []byte) (Event, error) {
 	if err := dec.Decode(&ev); err != nil {
 		return Event{}, fmt.Errorf("session: bad event: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Event{}, fmt.Errorf("session: trailing data after event")
 	}
 	if err := ev.Normalize(); err != nil {
@@ -147,9 +148,9 @@ func applyEvent(eng *sim.Engine, job sweep.Job, tick int, ev Event) error {
 		}
 		seed := ev.Seed
 		if seed == 0 {
-			// The sweep runner's trace-seed convention, so an event
-			// switching to the job's own benchmark replays its trace.
-			seed = job.Seed + int64(b.ID)
+			// The sweep runner's trace-seed rule, so an event switching
+			// to the job's own benchmark replays its trace.
+			seed = exp.TraceSeed(job.Seed, b)
 		}
 		jobs, err := workload.Generate(workload.GenConfig{
 			Bench:     b,

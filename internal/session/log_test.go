@@ -50,6 +50,9 @@ func TestParseEventRejects(t *testing.T) {
 		{"unknown type", `{"type":"explode"}`, "unknown event type"},
 		{"no type", `{}`, "unknown event type"},
 		{"trailing data", `{"type":"fail_tsv"} {"type":"fail_tsv"}`, "trailing data"},
+		{"trailing bracket", `{"type":"fail_tsv"}]`, "trailing data"},
+		{"trailing brace", `{"type":"fail_tsv"}}`, "trailing data"},
+		{"trailing garbage", `{"type":"fail_tsv"} garbage`, "trailing data"},
 		{"unknown field", `{"type":"fail_tsv","boost":2}`, "unknown field"},
 		{"set_policy unknown roster", `{"type":"set_policy","policy":"Nope"}`, "unknown policy"},
 		{"set_policy foreign field", `{"type":"set_policy","policy":"CGate","factor":2}`, "foreign fields"},
@@ -71,8 +74,10 @@ func TestParseEventRejects(t *testing.T) {
 	}
 }
 
+// TestParseEventDefaultsTSVFactor also pins that whitespace after the
+// event is accepted.
 func TestParseEventDefaultsTSVFactor(t *testing.T) {
-	ev, err := ParseEvent([]byte(`{"type":"fail_tsv"}`))
+	ev, err := ParseEvent([]byte("{\"type\":\"fail_tsv\"}\n \t"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/policy"
-	"repro/internal/workload"
 )
 
 // batchLaneCfgs builds K co-schedulable configs over one stack: same
@@ -19,20 +18,10 @@ import (
 // the same lane set can be run twice independently.
 func batchLaneCfgs(t *testing.T) []Config {
 	t.Helper()
-	b, err := workload.ByName("Web-med")
-	if err != nil {
-		t.Fatal(err)
-	}
 	pols := []policy.Policy{policy.NewDefault(), policy.NewDVFSTT(), policy.NewMigr()}
 	cfgs := make([]Config, len(pols))
 	for i, p := range pols {
-		cfgs[i] = Config{
-			Exp:       floorplan.EXP2,
-			Policy:    p,
-			Bench:     b,
-			DurationS: 10,
-			Seed:      int64(i + 1),
-		}
+		cfgs[i] = testConfig(t, floorplan.EXP2, p, "Web-med", 10, int64(i+1))
 	}
 	return cfgs
 }
@@ -118,13 +107,18 @@ func stepAlone(t *testing.T, cfg Config) *Result {
 func TestRunBatchMixedDurations(t *testing.T) {
 	mk := func() []Config {
 		cfgs := append(batchLaneCfgs(t), batchLaneCfgs(t)[:2]...)
-		cfgs[0].DurationS = 4
+		// shorten runs lane i for d seconds on the trace of its seed.
+		shorten := func(i int, d float64, seed int64) {
+			cfgs[i].DurationS = d
+			cfgs[i] = withTrace(t, cfgs[i], "Web-med", seed)
+		}
+		shorten(0, 4, 1)
 		cfgs[1].TrackLifetime = true
-		cfgs[2].DurationS = 7
+		shorten(2, 7, 3)
 		cfgs[3].Policy = policy.NewMPCThermal()
-		cfgs[3].DurationS = 7
+		shorten(3, 7, 1)
 		cfgs[4].Policy = policy.NewCGate()
-		cfgs[4].DurationS = 4
+		shorten(4, 4, 2)
 		return cfgs
 	}
 	requireOneBatch(t, mk())
@@ -154,8 +148,10 @@ func TestRunBatchFallsBack(t *testing.T) {
 			cfgs := batchLaneCfgs(t)
 			if mixedDurations {
 				cfgs[1].DurationS = 20 // the other lanes retire at tick 100
+				cfgs[1] = withTrace(t, cfgs[1], "Web-med", 2)
 			}
-			cfgs[2].Exp = floorplan.EXP1
+			cfgs[2].StackSpec = expSpec(t, floorplan.EXP1)
+			cfgs[2] = withTrace(t, cfgs[2], "Web-med", 3)
 			return cfgs
 		}
 		engines := make([]*Engine, 0, 3)
@@ -213,11 +209,7 @@ func TestBatchedTickLoopAllocationContract(t *testing.T) {
 	pols := []policy.Policy{policy.NewDefault(), policy.NewDVFSTT(), policy.NewCGate()}
 	engines := make([]*Engine, len(pols))
 	for i, p := range pols {
-		engines[i] = steadyEngineCfg(t, Config{
-			Policy:    p,
-			DurationS: 1800,
-			Seed:      int64(i + 1),
-		})
+		engines[i] = steadyEngineCfg(t, Config{Policy: p, DurationS: 1800})
 	}
 	d, err := newBatchDriver(engines)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/policy"
-	"repro/internal/workload"
 )
 
 // TestCalibrationProbe prints the thermal operating envelope of the
@@ -18,18 +17,8 @@ func TestCalibrationProbe(t *testing.T) {
 	}
 	var hot []float64
 	for _, name := range []string{"Web-high", "Web&DB", "Web-med"} {
-		bench, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, e := range floorplan.AllExperiments() {
-			r, err := Run(Config{
-				Exp:       e,
-				Policy:    policy.NewDefault(),
-				Bench:     bench,
-				DurationS: 300,
-				Seed:      1,
-			})
+			r, err := Run(testConfig(t, e, policy.NewDefault(), name, 300, 1))
 			if err != nil {
 				t.Fatal(err)
 			}

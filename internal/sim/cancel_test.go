@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/floorplan"
 	"repro/internal/policy"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestRunCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, Config{Policy: policy.NewDefault(), DurationS: 30})
+	_, err := RunContext(ctx, shortCfg(t, policy.NewDefault()))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext with canceled ctx: err = %v, want context.Canceled", err)
 	}
@@ -25,7 +26,7 @@ func TestRunCanceledContext(t *testing.T) {
 // TestRunLiveContext verifies an uncanceled context does not perturb a
 // run: the result matches a context-free run of the same config.
 func TestRunLiveContext(t *testing.T) {
-	base := Config{Policy: policy.NewDefault(), DurationS: 10, Seed: 3}
+	base := testConfig(t, floorplan.EXP1, policy.NewDefault(), "Web-med", 10, 3)
 	want, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -47,21 +48,23 @@ func TestRunLiveContext(t *testing.T) {
 // lines an uncanceled run of the same config starts with.
 func TestRunCanceledTraceFlushed(t *testing.T) {
 	var full bytes.Buffer
-	if _, err := Run(Config{Policy: policy.NewDefault(), DurationS: 3, Seed: 3, TraceWriter: &full}); err != nil {
+	cfg := testConfig(t, floorplan.EXP1, policy.NewDefault(), "Web-med", 3, 3)
+	cfg.TraceWriter = &full
+	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	const completed = 5
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var part bytes.Buffer
-	_, err := RunContext(ctx, Config{
-		Policy: policy.NewDefault(), DurationS: 3, Seed: 3, TraceWriter: &part,
-		Observer: FuncObserver{Tick: func(n int) {
-			if n == completed {
-				cancel()
-			}
-		}},
-	})
+	cfg.Policy = policy.NewDefault()
+	cfg.TraceWriter = &part
+	cfg.Observer = FuncObserver{Tick: func(n int) {
+		if n == completed {
+			cancel()
+		}
+	}}
+	_, err := RunContext(ctx, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext canceled after tick %d: err = %v, want context.Canceled", completed, err)
 	}

@@ -11,62 +11,54 @@ import (
 	"repro/internal/workload"
 )
 
-// Every run uses the paper's scheduler and metrics settings: each job
-// migration adds migrationCostS seconds (1 ms) to the job's remaining
-// work, and thermal cycles are counted over a sliding window of
-// cycleWindowTicks ticks (10 s at the 100 ms tick).
+// Every run uses the paper's settings: a 100 ms sampling and scheduling
+// interval (tickS), an 85 °C thermal emergency threshold (thresholdC),
+// which is also the hot-spot threshold of the metrics, and an 80 °C
+// preferred operating temperature (tprefC). Each job migration adds
+// migrationCostS seconds (1 ms) to the job's remaining work, and
+// thermal cycles are counted over a sliding window of cycleWindowTicks
+// ticks (10 s).
 const (
+	tickS            = 0.1
+	thresholdC       = 85
+	tprefC           = 80
 	migrationCostS   = 0.001
 	cycleWindowTicks = 100
 )
 
-// Config describes one simulation run.
+// Config describes one simulation run: the inputs of a prepared run.
+// exp.JobConfig is the one mapping from a sweep job to a Config.
 type Config struct {
-	// StackSpec is the stack under simulation, built through
+	// StackSpec is the stack under simulation (required), built through
 	// floorplan.StackSpec.Build. It is the one stack input the engine,
 	// ModelKey, and Prewarm read: its content hash is the thermal
 	// model's identity, so sweep batching and the shared model cache
-	// work for every stack alike. Nil selects Exp below.
+	// work for every stack alike. floorplan.SpecWithResistivity gives a
+	// builtin experiment's spec.
 	StackSpec *floorplan.StackSpec
-	// Exp and JointResistivityMKW are shorthand for a builtin stack,
-	// used when StackSpec is nil: the experiment's shipped spec
-	// (EXP-1..EXP-6; 0 selects EXP-1) with the TSV-adjusted interlayer
-	// resistivity set explicitly (0 selects the paper's 0.23 m·K/W).
-	// They resolve to StackSpec once, through
-	// floorplan.SpecWithResistivity.
-	Exp                 floorplan.Experiment
-	JointResistivityMKW float64
 
 	// Policy is the management policy under test (required).
 	Policy policy.Policy
-	// UseDPM composes the fixed-timeout sleep-state power manager with
-	// the policy (the "with DPM" configurations of Figures 4-6).
-	UseDPM bool
-	// DPM overrides the default 300 ms timeout when UseDPM is set.
+	// DPM is the fixed-timeout sleep-state power manager composed with
+	// the policy (the "with DPM" configurations of Figures 4-6;
+	// policy.DefaultDPM is the paper's 300 ms setting). The zero value
+	// runs without a power manager.
 	DPM policy.DPM
 
-	// Bench selects the workload; ignored when Jobs is provided.
-	Bench workload.Benchmark
-	// Jobs optionally replays a pre-generated trace so that different
-	// policies see the identical arrival sequence.
+	// Jobs is the job trace the run replays, so that different policies
+	// see the identical arrival sequence (workload.Generate makes one).
+	// A nil or empty trace is an idle run.
 	Jobs []workload.Job
 
-	// DurationS is the simulated time (paper traces: 1800 s).
+	// DurationS is the simulated time (paper traces: 1800 s, the
+	// default).
 	DurationS float64
-	// TickS is the sampling/scheduling interval (paper: 100 ms).
-	TickS float64
-	// Seed drives workload generation (when Jobs is nil).
-	Seed int64
 
 	// Sensors configures the core temperature sensors; the zero value
-	// selects the paper's noise model. The thermal and power models are
-	// always the paper's (thermal.DefaultParams, power.DefaultModel).
+	// gives ideal sensors (no noise, no quantization). The thermal and
+	// power models are always the paper's (thermal.DefaultParams,
+	// power.DefaultModel).
 	Sensors thermal.SensorConfig
-
-	// ThresholdC is the thermal emergency threshold (default 85 °C);
-	// TprefC the preferred operating temperature (default 80 °C).
-	ThresholdC float64
-	TprefC     float64
 
 	// GridRows/GridCols switch the thermal model to grid mode when both
 	// are positive; block mode otherwise. Setting exactly one of them is
@@ -90,8 +82,8 @@ type Config struct {
 
 	// Observer, when non-nil, receives the per-tick observations (see
 	// the Observer interface for the delivery order and the
-	// cheap/non-blocking/no-retention contract). Compose several with
-	// Observers; adapt bare functions with FuncObserver.
+	// cheap/non-blocking/no-retention contract). Adapt bare functions
+	// with FuncObserver.
 	Observer Observer
 
 	// ctx, when non-nil, is polled once per simulated tick; canceling
@@ -101,13 +93,12 @@ type Config struct {
 	ctx context.Context
 }
 
-// withDefaults fills in the paper's settings and validates.
+// withDefaults fills in the default duration and validates.
 func (c Config) withDefaults() (Config, error) {
 	if c.Policy == nil {
 		return c, fmt.Errorf("sim: config needs a policy")
 	}
-	c, err := c.withModelDefaults()
-	if err != nil {
+	if err := c.checkModel(); err != nil {
 		return c, err
 	}
 	if c.DurationS == 0 {
@@ -116,52 +107,21 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DurationS < 0 {
 		return c, fmt.Errorf("sim: negative duration %g", c.DurationS)
 	}
-	if c.ThresholdC == 0 {
-		c.ThresholdC = 85
-	}
-	if c.TprefC == 0 {
-		c.TprefC = 80
-	}
-	if c.TprefC >= c.ThresholdC {
-		return c, fmt.Errorf("sim: Tpref %g must be below threshold %g", c.TprefC, c.ThresholdC)
-	}
-	if c.UseDPM && c.DPM.TimeoutS == 0 {
-		c.DPM = policy.DefaultDPM()
-	}
-	if c.Bench.Name == "" && c.Jobs == nil {
-		b, err := workload.ByName("Web-med")
-		if err != nil {
-			return c, err
-		}
-		c.Bench = b
+	if c.DPM.TimeoutS < 0 {
+		return c, fmt.Errorf("sim: negative DPM timeout %g", c.DPM.TimeoutS)
 	}
 	return c, nil
 }
 
-// withModelDefaults resolves and validates the fields that fix the
-// thermal system (everything ModelKey reads): the Exp shorthand becomes
-// StackSpec, the tick length defaults to the paper's 100 ms, and a
+// checkModel validates the fields that fix the thermal system
+// (everything ModelKey reads): a stack spec is required, and a
 // partially specified grid is rejected.
-func (c Config) withModelDefaults() (Config, error) {
-	if (c.GridRows > 0) != (c.GridCols > 0) {
-		return c, fmt.Errorf("sim: partial grid spec %dx%d: set both GridRows and GridCols (grid mode) or neither (block mode)", c.GridRows, c.GridCols)
-	}
+func (c Config) checkModel() error {
 	if c.StackSpec == nil {
-		e := c.Exp
-		if e == 0 {
-			e = floorplan.EXP1
-		}
-		spec, err := floorplan.SpecWithResistivity(e, c.JointResistivityMKW)
-		if err != nil {
-			return c, err
-		}
-		c.StackSpec = &spec
+		return fmt.Errorf("sim: config needs a stack spec")
 	}
-	if c.TickS == 0 {
-		c.TickS = 0.1
+	if (c.GridRows > 0) != (c.GridCols > 0) {
+		return fmt.Errorf("sim: partial grid spec %dx%d: set both GridRows and GridCols (grid mode) or neither (block mode)", c.GridRows, c.GridCols)
 	}
-	if c.TickS <= 0 {
-		return c, fmt.Errorf("sim: non-positive tick %g", c.TickS)
-	}
-	return c, nil
+	return nil
 }

@@ -25,16 +25,18 @@
 // # Stack identity and the shared model
 //
 // Config.StackSpec is the one stack input: ModelKey and Prewarm key the
-// thermal system on its content hash ("stack:<hash>|tick…", plus
-// "|grid…" in grid mode). Config.Exp and Config.JointResistivityMKW
-// are shorthand that withDefaults resolves once, through
-// floorplan.SpecWithResistivity, when StackSpec is nil — so a run
-// configured by experiment and one configured by the equivalent spec
-// share a key. The key is also the identity of the run's thermal
-// model: the engine gets it from thermal.SharedModel, which builds the
-// stack and the model once per key, so every run, batch lane, fork and
-// Prewarm of one key reads the same immutable model, its stack and its
-// memoized factorizations. Each engine settles its own idle fixed
+// thermal system on its content hash ("stack:<hash>", plus "|grid…" in
+// grid mode). A builtin experiment names its stack through
+// floorplan.SpecWithResistivity, as sweep.Scenario.StackSpec resolves
+// it, so a run of an experiment and a sweep job on it share a key.
+// Config holds only what a run varies; the paper's 100 ms tick, 85 °C
+// threshold and 80 °C preferred temperature are constants of the
+// package, and exp.JobConfig is the one mapping from a sweep job to a
+// Config. The key is also the identity of the run's thermal model: the
+// engine gets it from thermal.SharedModel, which builds the stack and
+// the model once per key, so every run, batch lane, fork and Prewarm of
+// one key reads the same immutable model, its stack and its memoized
+// factorizations. Each engine settles its own idle fixed
 // point. Only a session's DegradeInterfaces builds a private model.
 //
 // # The tick loop and its allocation contract
@@ -60,12 +62,12 @@
 // # Hooks and buffer ownership
 //
 // Per-tick observation goes through the Observer interface
-// (Config.Observer); compose several with Observers, adapt bare
-// functions with FuncObserver. Observer methods run on the simulation
-// goroutine and must be cheap, non-blocking, and allocation-free. The slices passed to ObserveTemps are engine-owned
-// scratch, valid only for the duration of the call — fold them into
-// caller state, never retain them. Policy TickDecision slices are
-// policy-owned and copied by the engine immediately (see
+// (Config.Observer); adapt bare functions with FuncObserver. Observer
+// methods run on the simulation goroutine and must be cheap,
+// non-blocking, and allocation-free. The slices passed to ObserveTemps
+// are engine-owned scratch, valid only for the duration of the call —
+// fold them into caller state, never retain them. Policy TickDecision
+// slices are policy-owned and copied by the engine immediately (see
 // policy.TickDecision for the full ownership rules).
 //
 // # Stepping, checkpoints, and forks

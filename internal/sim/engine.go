@@ -21,7 +21,9 @@ import (
 // Result is the outcome of one simulation run.
 type Result struct {
 	PolicyName string
-	UseDPM     bool
+	// UseDPM reports whether the run composed a power manager (a
+	// non-zero Config.DPM).
+	UseDPM bool
 
 	Metrics metrics.Summary
 	Sched   sched.Stats
@@ -50,7 +52,7 @@ type Result struct {
 var paperPower = power.DefaultModel()
 
 // buildThermal returns the thermal model, and through Model.Stack the
-// floorplan stack, for an already-defaulted config. The model is shared
+// floorplan stack, for a validated config. The model is shared
 // process-wide under ModelKey(cfg), so every engine, batch lane, fork
 // and Prewarm of one key reads one model and its memoized
 // factorizations.
@@ -80,19 +82,11 @@ func newModel(stack *floorplan.Stack, cfg *Config) (*thermal.Model, error) {
 // Prewarm builds cfg's shared thermal model and factors its
 // steady-state and transient systems, so a worker pool about to execute
 // many Run calls over the same stack starts from a warm model instead
-// of racing to build the first one.
-// cfg.Policy may be nil; only the thermal-model-relevant fields matter.
+// of racing to build the first one. It reads only the fields ModelKey
+// reads (StackSpec, GridRows, GridCols), and rejects what ModelKey
+// rejects, so a config with no canonical identity never warms a
+// factorization a corrected run would not use.
 func Prewarm(cfg Config) error {
-	if cfg.Policy == nil {
-		cfg.Policy = policy.NewDefault()
-	}
-	// withDefaults rejects what ModelKey rejects (notably a partial grid
-	// spec), so a config with no canonical identity never warms a
-	// factorization a corrected run would not use.
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return err
-	}
 	model, err := buildThermal(cfg)
 	if err != nil {
 		return err
@@ -101,7 +95,7 @@ func Prewarm(cfg Config) error {
 	if _, err := model.SteadyState(idle); err != nil {
 		return err
 	}
-	_, err = model.NewTransient(cfg.TickS, nil)
+	_, err = model.NewTransient(tickS, nil)
 	return err
 }
 
@@ -292,20 +286,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	stack := model.Stack
-	jobs := cfg.Jobs
-	if jobs == nil {
-		jobs, err = workload.Generate(workload.GenConfig{
-			Bench:     cfg.Bench,
-			NumCores:  stack.NumCores(),
-			DurationS: cfg.DurationS,
-			Seed:      cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	e, err := newEngineState(cfg, model, jobs)
+	e, err := newEngineState(cfg, model, cfg.Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +322,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	copy(e.nodeTemps, nodeTemps)
 
-	if e.tr, err = model.NewTransient(cfg.TickS, e.nodeTemps); err != nil {
+	if e.tr, err = model.NewTransient(tickS, e.nodeTemps); err != nil {
 		return nil, err
 	}
 	if err := model.BlockTempsInto(e.blockTemps, e.nodeTemps); err != nil {
@@ -386,7 +367,7 @@ func newEngineState(cfg Config, model *thermal.Model, jobs []workload.Job) (*Eng
 		cfg:    cfg,
 		model:  model,
 		jobs:   jobs,
-		nTicks: tickCount(cfg.DurationS, cfg.TickS),
+		nTicks: tickCount(cfg.DurationS, tickS),
 		n:      n,
 
 		states:     make([]power.CoreState, n),
@@ -407,15 +388,15 @@ func newEngineState(cfg Config, model *thermal.Model, jobs []workload.Job) (*Eng
 		energy: power.NewEnergyMeter(),
 		res: &Result{
 			PolicyName:    cfg.Policy.Name(),
-			UseDPM:        cfg.UseDPM,
+			UseDPM:        cfg.DPM.TimeoutS > 0,
 			JobsGenerated: len(jobs),
 		},
 		view: policy.View{
-			TickS:      cfg.TickS,
+			TickS:      tickS,
 			Stack:      stack,
 			DVFS:       paperPower.DVFS,
-			ThresholdC: cfg.ThresholdC,
-			TprefC:     cfg.TprefC,
+			ThresholdC: thresholdC,
+			TprefC:     tprefC,
 		},
 	}
 	var err error
@@ -426,13 +407,13 @@ func newEngineState(cfg Config, model *thermal.Model, jobs []workload.Job) (*Eng
 		return nil, err
 	}
 	if e.collector, err = metrics.NewCollector(stack, metrics.CollectorConfig{
-		HotSpotC:    cfg.ThresholdC,
+		HotSpotC:    thresholdC,
 		CycleWindow: cycleWindowTicks,
 	}); err != nil {
 		return nil, err
 	}
 	if cfg.TrackLifetime {
-		if e.lifetime, err = reliability.NewTracker(nb, cfg.TickS); err != nil {
+		if e.lifetime, err = reliability.NewTracker(nb, tickS); err != nil {
 			return nil, err
 		}
 		names := make([]string, nb)
@@ -504,7 +485,7 @@ func (e *Engine) tickPre(tick int) error {
 		return cfg.ctx.Err()
 	default:
 	}
-	now := float64(tick) * cfg.TickS
+	now := float64(tick) * tickS
 	e.machine.QueueLensInto(e.queueLens)
 	e.view.NowS = now
 	e.view.TempsC = e.readings
@@ -514,7 +495,7 @@ func (e *Engine) tickPre(tick int) error {
 	e.view.Levels = e.levels
 
 	// 1. Dispatch arrivals for this interval via the policy.
-	for e.jobIdx < len(e.jobs) && e.jobs[e.jobIdx].ArrivalS < now+cfg.TickS {
+	for e.jobIdx < len(e.jobs) && e.jobs[e.jobIdx].ArrivalS < now+tickS {
 		c := cfg.Policy.AssignCore(&e.view, e.jobs[e.jobIdx])
 		if c < 0 || c >= e.n {
 			return fmt.Errorf("sim: policy %s assigned job to invalid core %d", cfg.Policy.Name(), c)
@@ -563,7 +544,7 @@ func (e *Engine) tickPre(tick int) error {
 	}
 
 	// 3. DPM: fixed timeout to sleep; waking happened at dispatch.
-	if cfg.UseDPM {
+	if cfg.DPM.TimeoutS > 0 {
 		for c := 0; c < e.n; c++ {
 			if !e.sleeping[c] && e.machine.QueueLen(c) == 0 && cfg.DPM.ShouldSleep(e.machine.IdleDurationS(c)) {
 				e.sleeping[c] = true
@@ -586,7 +567,7 @@ func (e *Engine) tickPre(tick int) error {
 			e.res.GatedTicks++
 		}
 	}
-	if err := e.machine.AdvanceInto(e.utils, cfg.TickS, e.speeds); err != nil {
+	if err := e.machine.AdvanceInto(e.utils, tickS, e.speeds); err != nil {
 		return err
 	}
 
@@ -614,7 +595,7 @@ func (e *Engine) tickPre(tick int) error {
 	if err := paperPower.ComputeInto(e.blockPower, e.model.Stack, in); err != nil {
 		return err
 	}
-	if err := e.energy.Accumulate(e.model.Stack, e.blockPower, cfg.TickS); err != nil {
+	if err := e.energy.Accumulate(e.model.Stack, e.blockPower, tickS); err != nil {
 		return err
 	}
 	return nil
@@ -626,8 +607,7 @@ func (e *Engine) tickPre(tick int) error {
 // thermal network into e.nodeTemps (Transient.StepInto on the
 // sequential path, TransientBatch.StepInto on the batched one).
 func (e *Engine) tickPost(tick int) error {
-	cfg := &e.cfg
-	now := float64(tick) * cfg.TickS
+	now := float64(tick) * tickS
 
 	// 6. Read back the advanced thermal state and the sensors.
 	if err := e.readback(); err != nil {
@@ -649,7 +629,7 @@ func (e *Engine) tickPost(tick int) error {
 		e.obs.ObserveTemps(e.blockTemps, e.coreTemps)
 	}
 	if e.trace != nil {
-		if err := e.trace.row(now+cfg.TickS, power.Total(e.blockPower), e.coreTemps); err != nil {
+		if err := e.trace.row(now+tickS, power.Total(e.blockPower), e.coreTemps); err != nil {
 			return err
 		}
 	}

@@ -16,7 +16,7 @@ func TestRunReliabilityAssessment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := floorplan.MustBuild(cfg.Exp)
+	stack := floorplan.MustBuild(floorplan.EXP1)
 	lt := r.Lifetime
 	if lt == nil || len(lt.Blocks) != stack.NumBlocks() {
 		t.Fatalf("lifetime report missing or not one entry per block (%d blocks)", stack.NumBlocks())
@@ -39,8 +39,7 @@ func TestRunReliabilityAssessment(t *testing.T) {
 
 func TestRunTraceWriter(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := shortCfg(t, policy.NewDefault())
-	cfg.DurationS = 5
+	cfg := testConfig(t, floorplan.EXP1, policy.NewDefault(), "Web-med", 5, 1)
 	cfg.TraceWriter = &buf
 	r, err := Run(cfg)
 	if err != nil {
@@ -55,7 +54,7 @@ func TestRunTraceWriter(t *testing.T) {
 	if head[0] != "time_s" || head[1] != "power_w" {
 		t.Errorf("trace header %v", head[:2])
 	}
-	stack := floorplan.MustBuild(cfg.Exp)
+	stack := floorplan.MustBuild(floorplan.EXP1)
 	if len(head) != 2+stack.NumCores() {
 		t.Errorf("trace header has %d columns, want %d", len(head), 2+stack.NumCores())
 	}
@@ -85,10 +84,7 @@ func TestRunOnlineIndicesConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCfg := shortCfg(t, pol)
-	simCfg.Exp = floorplan.EXP3
-	simCfg.DurationS = 60
-	if _, err := Run(simCfg); err != nil {
+	if _, err := Run(testConfig(t, floorplan.EXP3, pol, "Web-med", 60, 1)); err != nil {
 		t.Fatal(err)
 	}
 	alpha := pol.Alpha()
@@ -109,20 +105,18 @@ func TestReliabilityComparesPolicies(t *testing.T) {
 	// The DPM configuration must show more cycling stress than the same
 	// policy without DPM (the paper's Section V-D rationale for only
 	// reporting cycles with DPM).
-	cfg := shortCfg(t, policy.NewDefault())
-	cfg.Exp = floorplan.EXP3
-	cfg.DurationS = 120
+	cfg := testConfig(t, floorplan.EXP3, policy.NewDefault(), "Web-med", 120, 1)
 	cfg.TrackLifetime = true
 	rNo, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.UseDPM = true
+	cfg.DPM = policy.DefaultDPM()
 	rDpm, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack := floorplan.MustBuild(cfg.Exp)
+	stack := floorplan.MustBuild(floorplan.EXP3)
 	var cycNo, cycDpm float64
 	for _, b := range stack.Cores() {
 		i := stack.BlockIndex(b)

@@ -126,7 +126,7 @@ func (e *Engine) fork(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.tr, err = e.model.NewTransient(cfg.TickS, nil); err != nil {
+	if f.tr, err = e.model.NewTransient(tickS, nil); err != nil {
 		return nil, err
 	}
 	f.freqScale = e.freqScale // immutable per run, safe to share

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/floorplan"
 	"repro/internal/policy"
 	"repro/internal/thermal"
 	"repro/internal/workload"
@@ -52,9 +53,7 @@ func TestTickCountLostTickRegression(t *testing.T) {
 // and its CSV trace must begin with the t=0 initial-state row.
 func TestRunExecutesAllTicks(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := shortCfg(t, policy.NewDefault())
-	cfg.DurationS = 0.3
-	cfg.TickS = 0.1
+	cfg := testConfig(t, floorplan.EXP1, policy.NewDefault(), "Web-med", 0.3, 1)
 	cfg.TraceWriter = &buf
 	r, err := Run(cfg)
 	if err != nil {
@@ -81,15 +80,12 @@ func TestRunExecutesAllTicks(t *testing.T) {
 // busy cores, leakage loop, thermal step, sensing, metrics) with no
 // job-lifecycle churn.
 func steadyEngine(tb testing.TB, pol policy.Policy) *Engine {
-	return steadyEngineCfg(tb, Config{
-		Policy:    pol,
-		DurationS: 1800,
-		Seed:      1,
-	})
+	return steadyEngineCfg(tb, Config{Policy: pol, DurationS: 1800})
 }
 
 // steadyEngineCfg is steadyEngine with a caller-supplied config (the
-// lifetime-tracker contract variant flips TrackLifetime on).
+// lifetime-tracker contract variant flips TrackLifetime on); it sets the
+// config's stack (EXP-1) and its steady trace.
 func steadyEngineCfg(tb testing.TB, cfg Config) *Engine {
 	tb.Helper()
 	n := 8 // EXP-1 cores
@@ -97,6 +93,7 @@ func steadyEngineCfg(tb testing.TB, cfg Config) *Engine {
 	for i := range jobs {
 		jobs[i] = workload.Job{ID: i, ArrivalS: 0, WorkS: 1e9, MemActivity: 0.3}
 	}
+	cfg.StackSpec = expSpec(tb, floorplan.EXP1)
 	cfg.Jobs = jobs
 	e, err := newEngine(cfg)
 	if err != nil {
@@ -173,7 +170,6 @@ func TestTickLoopAllocationContract(t *testing.T) {
 			e := steadyEngineCfg(t, Config{
 				Policy:        pc.pol,
 				DurationS:     1800,
-				Seed:          1,
 				TrackLifetime: pc.lifetime,
 				Sensors:       pc.sensors,
 				Observer: FuncObserver{Temps: func(blockTempsC, coreTempsC []float64) {

@@ -23,7 +23,7 @@ import (
 func (e *Engine) Stack() *floorplan.Stack { return e.model.Stack }
 
 // TickS returns the sampling interval in seconds.
-func (e *Engine) TickS() float64 { return e.cfg.TickS }
+func (e *Engine) TickS() float64 { return tickS }
 
 // SetPolicy swaps the management policy at the current tick boundary.
 // The new policy starts from its freshly-constructed state (it has
@@ -50,7 +50,7 @@ func (e *Engine) SpliceJobs(tick int, replacement []workload.Job) error {
 	if tick < e.tickIdx {
 		return fmt.Errorf("sim: SpliceJobs at tick %d behind the engine's boundary %d", tick, e.tickIdx)
 	}
-	cut := float64(tick) * e.cfg.TickS
+	cut := float64(tick) * tickS
 	spliced := make([]workload.Job, 0, len(e.jobs)+len(replacement))
 	maxID := -1
 	for _, j := range e.jobs {
@@ -112,7 +112,7 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 		return fmt.Errorf("sim: degraded model shape changed (%d nodes, %d blocks vs %d, %d)",
 			model.NumNodes, model.NumBlocks(), len(e.nodeTemps), len(e.blockTemps))
 	}
-	tr, err := model.NewTransient(e.cfg.TickS, nil)
+	tr, err := model.NewTransient(tickS, nil)
 	if err != nil {
 		return err
 	}
@@ -182,7 +182,7 @@ type TickState struct {
 // TickStateInto captures the engine's current state into s, reusing
 // s's buffers.
 func (e *Engine) TickStateInto(s *TickState) {
-	s.TimeS = float64(e.tickIdx) * e.cfg.TickS
+	s.TimeS = float64(e.tickIdx) * tickS
 	s.PowerW = power.Total(e.blockPower)
 	hottest := math.Inf(-1)
 	for _, v := range e.blockTemps {

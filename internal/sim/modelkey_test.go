@@ -13,8 +13,8 @@ import (
 
 // TestModelKey pins the canonical thermal-identity keys that sweep
 // grouping and prewarming batch on: every stack keys on its spec's
-// content hash in one namespace, and the Exp shorthand keys exactly
-// like the spec it resolves to.
+// content hash in one namespace, grid mode adds its discretization, and
+// nothing but the model fields reaches the key.
 func TestModelKey(t *testing.T) {
 	key := func(cfg Config) string {
 		t.Helper()
@@ -24,29 +24,28 @@ func TestModelKey(t *testing.T) {
 		}
 		return k
 	}
-	resolved := func(e floorplan.Experiment, jr float64) *floorplan.StackSpec {
-		t.Helper()
-		spec, err := floorplan.SpecWithResistivity(e, jr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &spec
-	}
 
-	// Zero-valued fields resolve to the run defaults.
-	if got, want := key(Config{}), key(Config{Exp: floorplan.EXP1, JointResistivityMKW: 0.23, TickS: 0.1}); got != want {
-		t.Errorf("zero config key %q != defaulted key %q", got, want)
-	}
-	if key(Config{Exp: floorplan.EXP3}) == key(Config{Exp: floorplan.EXP4}) {
+	exp1 := Config{StackSpec: expSpec(t, floorplan.EXP1)}
+	if key(Config{StackSpec: expSpec(t, floorplan.EXP3)}) == key(Config{StackSpec: expSpec(t, floorplan.EXP4)}) {
 		t.Error("different experiments share a key")
 	}
-	if key(Config{}) == key(Config{GridRows: 8, GridCols: 8}) {
+	if key(exp1) == key(Config{StackSpec: exp1.StackSpec, GridRows: 8, GridCols: 8}) {
 		t.Error("grid discretization not part of the key")
+	}
+	// A run's own inputs never reach the key: runs that differ only in
+	// them share one model.
+	run := shortCfg(t, policy.NewDVFSTT())
+	run.DPM = policy.DefaultDPM()
+	run.DurationS = 7
+	run.Sensors = thermal.SensorConfig{NoiseStdDevC: 0.5, Seed: 3}
+	run.TrackLifetime = true
+	if got, want := key(run), key(exp1); got != want {
+		t.Errorf("a run's key %q differs from its stack's key %q", got, want)
 	}
 
 	spec := &floorplan.StackSpec{Name: "mk", Layers: []floorplan.LayerSpec{{Template: "memory"}, {Template: "cores"}}}
 	specKey := key(Config{StackSpec: spec})
-	if want := fmt.Sprintf("stack:%s|tick0.1s", spec.Hash()); specKey != want {
+	if want := "stack:" + spec.Hash(); specKey != want {
 		t.Errorf("spec key %q, want %q", specKey, want)
 	}
 	changed := *spec
@@ -54,46 +53,41 @@ func TestModelKey(t *testing.T) {
 	if key(Config{StackSpec: &changed}) == specKey {
 		t.Error("spec content change did not change the key")
 	}
-	if !strings.HasSuffix(key(Config{StackSpec: spec, GridRows: 4, GridCols: 4}), "|grid4x4") {
-		t.Error("grid suffix missing from spec keys")
+	if got, want := key(Config{StackSpec: spec, GridRows: 4, GridCols: 8}), fmt.Sprintf("%s|grid4x8", specKey); got != want {
+		t.Errorf("grid spec key %q, want %q", got, want)
 	}
-	for _, e := range floorplan.ExtendedExperiments() {
-		if got, want := key(Config{Exp: e, GridRows: 4, GridCols: 4}), key(Config{StackSpec: resolved(e, 0), GridRows: 4, GridCols: 4}); got != want {
-			t.Errorf("%v keys %q, its resolved spec %q", e, got, want)
-		}
+	degraded, err := floorplan.SpecWithResistivity(floorplan.EXP4, 0.46)
+	if err != nil {
+		t.Fatal(err)
 	}
-	degraded := key(Config{Exp: floorplan.EXP4, JointResistivityMKW: 0.46})
-	if degraded != key(Config{StackSpec: resolved(floorplan.EXP4, 0.46)}) || degraded == key(Config{Exp: floorplan.EXP4}) {
-		t.Error("joint-resistivity override does not key like its resolved spec")
+	if key(Config{StackSpec: &degraded}) == key(Config{StackSpec: expSpec(t, floorplan.EXP4)}) {
+		t.Error("joint-resistivity override does not change the key")
 	}
 
 	// Configs with no canonical identity must error, not silently alias.
-	if _, err := ModelKey(Config{GridRows: 8}); err == nil {
+	if _, err := ModelKey(Config{StackSpec: exp1.StackSpec, GridRows: 8}); err == nil {
 		t.Error("partial grid spec produced a model key")
 	}
-	if _, err := ModelKey(Config{Exp: floorplan.Experiment(9)}); err == nil {
-		t.Error("unknown experiment produced a model key")
+	if _, err := ModelKey(Config{}); err == nil {
+		t.Error("config without a stack spec produced a model key")
 	}
 }
 
 // TestRunStackSpec runs the engine end to end from a declarative spec
-// and checks the spec path and the equivalent builtin path agree
-// exactly (the byte-identity contract, observed through the engine).
+// and checks that a spec leaving the joint resistivity at its default
+// and the explicitly resolved spec of the same experiment agree exactly
+// (the byte-identity contract, observed through the engine).
 func TestRunStackSpec(t *testing.T) {
 	spec, err := floorplan.SpecForExperiment(floorplan.EXP2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := shortCfg(t, policy.NewDefault())
-	cfg.Exp = 0
-	cfg.StackSpec = &spec
+	cfg := withTrace(t, Config{StackSpec: &spec, Policy: policy.NewDefault(), DurationS: 30}, "Web-med", 1)
 	got, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := shortCfg(t, policy.NewDefault())
-	ref.Exp = floorplan.EXP2
-	want, err := Run(ref)
+	want, err := Run(testConfig(t, floorplan.EXP2, policy.NewDefault(), "Web-med", 30, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +105,9 @@ func TestRunStackSpec(t *testing.T) {
 }
 
 // TestEnginesShareModel pins how engines share one thermal model per
-// ModelKey: the Exp shorthand and its resolved spec reach the same
-// model and factorization, as do a RunBatchContext group's lanes and a
-// Fork; and Prewarm after ResetFactorCache rebuilds.
+// ModelKey: two equal specs built apart reach the same model and
+// factorization, as do a RunBatchContext group's lanes and a Fork; and
+// Prewarm after ResetFactorCache rebuilds.
 func TestEnginesShareModel(t *testing.T) {
 	thermal.ResetFactorCache()
 	t.Cleanup(thermal.ResetFactorCache)
@@ -138,15 +132,15 @@ func TestEnginesShareModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	inlineCfg := shortCfg(t, policy.NewDefault())
-	inlineCfg.Exp, inlineCfg.StackSpec = 0, &spec
+	inlineCfg.StackSpec = &spec
 	inline := engine(inlineCfg)
 	if inline.model != short.model {
-		t.Fatal("the EXP-1 shorthand and its resolved spec built two models")
+		t.Fatal("two equal EXP-1 specs built two models")
 	}
 	if _, err := thermal.NewTransientBatch([]*thermal.Transient{short.tr, inline.tr}); err != nil {
 		t.Fatalf("engines of one model do not share a factorization: %v", err)
 	}
-	wantStats("shorthand and inline spec", 1, 1, 1)
+	wantStats("two equal specs", 1, 1, 1)
 
 	fork, err := short.Fork()
 	if err != nil {
@@ -162,7 +156,7 @@ func TestEnginesShareModel(t *testing.T) {
 	wantStats("batch lanes", 2, 1+int64(len(lanes)-1), 2)
 
 	thermal.ResetFactorCache()
-	if err := Prewarm(shortCfg(t, nil)); err != nil {
+	if err := Prewarm(Config{StackSpec: expSpec(t, floorplan.EXP1)}); err != nil {
 		t.Fatal(err)
 	}
 	wantStats("Prewarm after reset", 1, 0, 1)

@@ -44,38 +44,3 @@ func (o FuncObserver) ObserveTemps(blockTempsC, coreTempsC []float64) {
 		o.Temps(blockTempsC, coreTempsC)
 	}
 }
-
-// multiObserver fans each observation out to several observers in
-// order.
-type multiObserver []Observer
-
-func (m multiObserver) ObserveTick(n int) {
-	for _, o := range m {
-		o.ObserveTick(n)
-	}
-}
-
-func (m multiObserver) ObserveTemps(b, c []float64) {
-	for _, o := range m {
-		o.ObserveTemps(b, c)
-	}
-}
-
-// Observers combines observers into one, skipping nils; it returns
-// nil when none remain, so the result can go straight into
-// Config.Observer.
-func Observers(obs ...Observer) Observer {
-	var list []Observer
-	for _, o := range obs {
-		if o != nil {
-			list = append(list, o)
-		}
-	}
-	switch len(list) {
-	case 0:
-		return nil
-	case 1:
-		return list[0]
-	}
-	return multiObserver(list)
-}

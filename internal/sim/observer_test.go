@@ -7,62 +7,37 @@ import (
 )
 
 // TestObserverDelivery pins the Observer contract end to end: both
-// methods fire once per completed tick, ObserveTemps carries non-empty
-// engine temperature fields, and composed observers (Observers) each
-// receive every observation.
+// methods fire once per completed tick, in order (ObserveTemps of a
+// tick before its ObserveTick), and ObserveTemps carries non-empty
+// engine temperature fields.
 func TestObserverDelivery(t *testing.T) {
 	cfg := shortCfg(t, policy.NewDefault())
-	var tickCalls, tempCalls, secondTickCalls int
-	primary := FuncObserver{
+	var tickCalls, tempCalls int
+	cfg.Observer = FuncObserver{
 		Tick: func(n int) {
 			tickCalls++
 			if n != tickCalls {
 				t.Errorf("ObserveTick reported %d completed ticks, want %d", n, tickCalls)
 			}
+			if tempCalls != tickCalls {
+				t.Errorf("tick %d: ObserveTick after %d ObserveTemps calls, want ObserveTemps first", n, tempCalls)
+			}
 		},
 		Temps: func(blockTempsC, coreTempsC []float64) {
 			tempCalls++
+			if tempCalls != tickCalls+1 {
+				t.Errorf("ObserveTemps call %d after %d ObserveTick calls, want one per tick before the tick's ObserveTick", tempCalls, tickCalls)
+			}
 			if len(blockTempsC) == 0 || len(coreTempsC) == 0 {
 				t.Error("ObserveTemps delivered empty temperature vectors")
 			}
 		},
 	}
-	cfg.Observer = Observers(primary, FuncObserver{Tick: func(int) { secondTickCalls++ }})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tickCalls != res.Ticks || tempCalls != res.Ticks {
 		t.Errorf("observer fired tick=%d temps=%d times over %d ticks", tickCalls, tempCalls, res.Ticks)
-	}
-	if secondTickCalls != res.Ticks {
-		t.Errorf("second composed observer fired %d times over %d ticks", secondTickCalls, res.Ticks)
-	}
-}
-
-// TestObserversComposition pins the Observers combinator's edge cases:
-// no (or all-nil) observers fold to nil so the result can go straight
-// into Config.Observer, a single observer passes through, and a fan-out
-// delivers both signals to every member.
-func TestObserversComposition(t *testing.T) {
-	if Observers() != nil {
-		t.Error("Observers() should be nil")
-	}
-	if Observers(nil, nil) != nil {
-		t.Error("Observers(nil, nil) should be nil")
-	}
-	single := FuncObserver{Tick: func(int) {}}
-	if got := Observers(nil, single); got == nil {
-		t.Error("single observer folded to nil")
-	}
-	ticks, temps := 0, 0
-	o := Observers(
-		FuncObserver{Tick: func(int) { ticks++ }},
-		FuncObserver{Temps: func(_, _ []float64) { temps++ }},
-	)
-	o.ObserveTick(1)
-	o.ObserveTemps([]float64{1}, []float64{1})
-	if ticks != 1 || temps != 1 {
-		t.Errorf("fan-out delivered ticks=%d temps=%d, want 1/1", ticks, temps)
 	}
 }

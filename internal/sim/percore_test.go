@@ -34,7 +34,7 @@ func TestPerCoreResidencyProbe(t *testing.T) {
 	t.Logf("alpha: %v", a3d.Alpha())
 	hot := make(map[string]float64, 2)
 	for _, pol := range []policy.Policy{policy.NewDefault(), a3d} {
-		r, err := Run(Config{Exp: floorplan.EXP3, Policy: pol, Jobs: jobs, DurationS: 240, Seed: 3})
+		r, err := Run(Config{StackSpec: expSpec(t, floorplan.EXP3), Policy: pol, Jobs: jobs, DurationS: 240})
 		if err != nil {
 			t.Fatal(err)
 		}

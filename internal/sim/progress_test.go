@@ -3,13 +3,14 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/floorplan"
 	"repro/internal/policy"
 )
 
 // TestObserveTickProgress verifies the tick observation fires once per
 // completed tick, in order, and does not perturb the simulation itself.
 func TestObserveTickProgress(t *testing.T) {
-	base := Config{Policy: policy.NewDefault(), DurationS: 10, Seed: 3}
+	base := testConfig(t, floorplan.EXP1, policy.NewDefault(), "Web-med", 10, 3)
 	want, err := Run(base)
 	if err != nil {
 		t.Fatal(err)

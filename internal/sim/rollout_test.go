@@ -31,7 +31,7 @@ func heldRollout(t *testing.T, host *Engine, a policy.Action, horizonTicks int) 
 		t.Fatal(err)
 	}
 	pol.Set(a)
-	tracker, err := reliability.NewTracker(host.model.NumBlocks(), host.cfg.TickS)
+	tracker, err := reliability.NewTracker(host.model.NumBlocks(), tickS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,20 +117,13 @@ func TestRolloutScoresMatchFullForks(t *testing.T) {
 		{"dense+noise", false, false, noise},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := workload.ByName("Web-high")
-			if err != nil {
-				t.Fatal(err)
+			cfg := testConfig(t, floorplan.EXP1, policy.NewMPCRel(), "Web-high", 4, 3)
+			cfg.TrackLifetime = tc.lifetime
+			if tc.dpm {
+				cfg.DPM = policy.DefaultDPM()
 			}
-			e, err := NewEngine(Config{
-				Exp:           floorplan.EXP1,
-				Policy:        policy.NewMPCRel(),
-				Bench:         b,
-				DurationS:     4,
-				Seed:          3,
-				TrackLifetime: tc.lifetime,
-				UseDPM:        tc.dpm,
-				Sensors:       tc.sensors,
-			})
+			cfg.Sensors = tc.sensors
+			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,11 +176,7 @@ func TestRolloutScoresMatchFullForks(t *testing.T) {
 // host as it now is: after each event Evaluate equals the full-fork
 // reference bit for bit.
 func TestRolloutFollowsLiveEvents(t *testing.T) {
-	b, err := workload.ByName("Web-med")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(Config{Exp: floorplan.EXP2, Policy: policy.NewMPCRel(), Bench: b, DurationS: 4, Seed: 5})
+	e, err := NewEngine(testConfig(t, floorplan.EXP2, policy.NewMPCRel(), "Web-med", 4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,35 +10,83 @@ import (
 	"repro/internal/workload"
 )
 
-// shortCfg returns a config that runs fast enough for unit tests.
-func shortCfg(t *testing.T, pol policy.Policy) Config {
+// expSpec returns experiment e's stack spec with the paper's joint
+// interlayer resistivity, as a sweep scenario resolves it.
+func expSpec(t testing.TB, e floorplan.Experiment) *floorplan.StackSpec {
 	t.Helper()
-	b, err := workload.ByName("Web-med")
+	spec, err := floorplan.SpecWithResistivity(e, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{
-		Exp:       floorplan.EXP1,
-		Policy:    pol,
-		Bench:     b,
-		DurationS: 30,
-		Seed:      1,
+	return &spec
+}
+
+// withTrace sets cfg's job trace to bench's trace on cfg's stack over
+// cfg's duration, generated at seed.
+func withTrace(t testing.TB, cfg Config, bench string, seed int64) Config {
+	t.Helper()
+	b, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
 	}
+	stack, err := cfg.StackSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Jobs, err = workload.Generate(workload.GenConfig{Bench: b, NumCores: stack.NumCores(), DurationS: cfg.DurationS, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// testConfig returns a run of pol on experiment e for durationS seconds,
+// replaying bench's trace generated at seed.
+func testConfig(t testing.TB, e floorplan.Experiment, pol policy.Policy, bench string, durationS float64, seed int64) Config {
+	t.Helper()
+	return withTrace(t, Config{StackSpec: expSpec(t, e), Policy: pol, DurationS: durationS}, bench, seed)
+}
+
+// shortCfg returns a config that runs fast enough for unit tests.
+func shortCfg(t testing.TB, pol policy.Policy) Config {
+	t.Helper()
+	return testConfig(t, floorplan.EXP1, pol, "Web-med", 30, 1)
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	cfg := shortCfg(t, policy.NewDefault())
+	cfg.Policy = nil
+	if _, err := Run(cfg); err == nil {
 		t.Error("config without policy accepted")
 	}
-	cfg := shortCfg(t, policy.NewDefault())
-	cfg.TickS = -1
+	cfg = shortCfg(t, policy.NewDefault())
+	cfg.StackSpec = nil
 	if _, err := Run(cfg); err == nil {
-		t.Error("negative tick accepted")
+		t.Error("config without stack spec accepted")
 	}
 	cfg = shortCfg(t, policy.NewDefault())
-	cfg.TprefC = 90 // above threshold
+	cfg.DPM.TimeoutS = -1
 	if _, err := Run(cfg); err == nil {
-		t.Error("Tpref above threshold accepted")
+		t.Error("negative DPM timeout accepted")
+	}
+	cfg = shortCfg(t, policy.NewDefault())
+	cfg.DurationS = -1
+	if _, err := Run(cfg); err == nil {
+		t.Error("negative duration accepted")
+	}
+}
+
+// TestRunIdleWithoutTrace pins the meaning of an empty trace: a config
+// with no jobs is an idle run, not a default workload.
+func TestRunIdleWithoutTrace(t *testing.T) {
+	cfg := shortCfg(t, policy.NewDefault())
+	cfg.Jobs = nil
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.JobsGenerated != 0 || r.JobsCompleted != 0 || r.Ticks != 300 {
+		t.Errorf("idle run: %d jobs generated, %d completed, %d ticks; want 0, 0, 300", r.JobsGenerated, r.JobsCompleted, r.Ticks)
 	}
 }
 
@@ -105,11 +153,9 @@ func TestRunReplaysProvidedTrace(t *testing.T) {
 }
 
 func TestRunDPMSleepsIdleCores(t *testing.T) {
-	b, _ := workload.ByName("MPlayer") // 6.5% utilization: lots of idling
-	cfg := shortCfg(t, policy.NewDefault())
-	cfg.Bench = b
-	cfg.DurationS = 60
-	cfg.UseDPM = true
+	// MPlayer: 6.5% utilization, lots of idling.
+	cfg := testConfig(t, floorplan.EXP1, policy.NewDefault(), "MPlayer", 60, 1)
+	cfg.DPM = policy.DefaultDPM()
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +164,7 @@ func TestRunDPMSleepsIdleCores(t *testing.T) {
 		t.Error("DPM never put a core to sleep on a 6.5%-utilization workload")
 	}
 	// DPM must reduce energy versus the same run without it.
-	cfg.UseDPM = false
+	cfg.DPM = policy.DPM{}
 	r2, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +180,7 @@ func TestRunDPMSleepsIdleCores(t *testing.T) {
 
 func TestRunCGateActuallyGates(t *testing.T) {
 	// On the 4-tier stack under heavy load, CGate must stall cores.
-	b, _ := workload.ByName("Web-high")
-	cfg := Config{
-		Exp:       floorplan.EXP3,
-		Policy:    policy.NewCGate(),
-		Bench:     b,
-		DurationS: 60,
-		Seed:      2,
-	}
+	cfg := testConfig(t, floorplan.EXP3, policy.NewCGate(), "Web-high", 60, 2)
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -161,16 +200,11 @@ func TestRunCGateActuallyGates(t *testing.T) {
 }
 
 func TestRunDVFSReducesEnergy(t *testing.T) {
-	b, _ := workload.ByName("Database")
-	base := shortCfg(t, policy.NewDefault())
-	base.Bench = b
-	r1, err := Run(base)
+	r1, err := Run(testConfig(t, floorplan.EXP1, policy.NewDefault(), "Database", 30, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := shortCfg(t, policy.NewStaticLevels(2))
-	slow.Bench = b
-	r2, err := Run(slow)
+	r2, err := Run(testConfig(t, floorplan.EXP1, policy.NewStaticLevels(2), "Database", 30, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +244,7 @@ func TestRunCustomStack(t *testing.T) {
 			{Name: "rest", Kind: "other", X: 0, Y: h / 2, W: w, H: h / 2},
 		}},
 	}}
-	cfg := shortCfg(t, policy.NewDefault())
-	cfg.StackSpec = &spec
+	cfg := withTrace(t, Config{StackSpec: &spec, Policy: policy.NewDefault(), DurationS: 30}, "Web-med", 1)
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -28,28 +28,24 @@ type snapCase struct {
 func snapCases() []snapCase {
 	base := func(t *testing.T, exp floorplan.Experiment, pol policy.Policy) Config {
 		t.Helper()
-		b, err := workload.ByName("Web-med")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Config{
-			Exp:       exp,
-			Policy:    pol,
-			Bench:     b,
-			DurationS: 24,
-			Seed:      1,
-		}
+		return testConfig(t, exp, pol, "Web-med", 24, 1)
 	}
 	return []snapCase{
 		{"EXP1/Default", func(t *testing.T) Config {
 			return base(t, floorplan.EXP1, policy.NewDefault())
 		}},
 		{"EXP2/DVFS_TT+noise", func(t *testing.T) Config {
-			c := base(t, floorplan.EXP2, policy.NewDVFSTT())
+			// EXP-2 with its core power scaled 3.5x under Web-high: the
+			// cores cross the 85 °C threshold, so DVFS_TT's levels follow
+			// the noisy readings and the restored sensor stream decides
+			// the run.
+			spec := *expSpec(t, floorplan.EXP2)
+			spec.Layers = append([]floorplan.LayerSpec(nil), spec.Layers...)
+			for i := range spec.Layers {
+				spec.Layers[i].PowerScale = 3.5
+			}
+			c := withTrace(t, Config{StackSpec: &spec, Policy: policy.NewDVFSTT(), DurationS: 24}, "Web-high", 1)
 			c.Sensors = thermal.SensorConfig{NoiseStdDevC: 0.5, Seed: 7}
-			// A threshold among the cores' temperatures, so DVFS_TT's
-			// levels follow the noisy readings.
-			c.ThresholdC, c.TprefC = 54, 50
 			return c
 		}},
 		{"EXP3/AdaptRand", func(t *testing.T) Config {
@@ -66,7 +62,7 @@ func snapCases() []snapCase {
 		}},
 		{"EXP5/Migr+DPM", func(t *testing.T) Config {
 			c := base(t, floorplan.EXP5, policy.NewMigr())
-			c.UseDPM = true
+			c.DPM = policy.DefaultDPM()
 			return c
 		}},
 		{"EXP6/CGate+lifetime", func(t *testing.T) Config {
@@ -128,7 +124,15 @@ func TestSnapshotRestoreResumesBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			e, err := NewEngine(tc.cfg(t))
+			cfg := tc.cfg(t)
+			var e *Engine
+			throttled := false
+			cfg.Observer = FuncObserver{Tick: func(int) {
+				for _, l := range e.levels {
+					throttled = throttled || l > 0
+				}
+			}}
+			e, err = NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,6 +172,11 @@ func TestSnapshotRestoreResumesBitwise(t *testing.T) {
 			}
 			if !reflect.DeepEqual(second, want) {
 				t.Fatalf("restored run diverged from the plain run\n got %+v\nwant %+v", second, want)
+			}
+			// DVFS_TT acts only above the threshold: its case must
+			// throttle, or the noisy readings decide nothing.
+			if _, tt := cfg.Policy.(*policy.DVFSTT); tt && !throttled {
+				t.Fatal("DVFS_TT never left its top V/f level")
 			}
 		})
 	}
@@ -217,19 +226,14 @@ func TestSnapshotRestoreRepeats(t *testing.T) {
 // then restores from a checkpoint taken after a policy swap. Its
 // completion must equal the live engine's, the policy name included.
 func TestRestoreAfterLiveEvents(t *testing.T) {
-	med, err := workload.ByName("Web-med")
-	if err != nil {
-		t.Fatal(err)
-	}
 	high, err := workload.ByName("Web-high")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mk := func() *Engine {
-		e, err := NewEngine(Config{
-			Exp: floorplan.EXP2, Policy: policy.NewDefault(), Bench: med,
-			DurationS: 4, Seed: 1, TrackLifetime: true,
-		})
+		cfg := testConfig(t, floorplan.EXP2, policy.NewDefault(), "Web-med", 4, 1)
+		cfg.TrackLifetime = true
+		e, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,14 +353,9 @@ func TestForkIsolation(t *testing.T) {
 // rather than corrupt the engine.
 func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 	mk := func(t *testing.T, exp floorplan.Experiment, lifetime bool) *Engine {
-		b, err := workload.ByName("Web-med")
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(Config{
-			Exp: exp, Policy: policy.NewDefault(), Bench: b,
-			DurationS: 2, Seed: 1, TrackLifetime: lifetime,
-		})
+		cfg := testConfig(t, exp, policy.NewDefault(), "Web-med", 2, 1)
+		cfg.TrackLifetime = lifetime
+		e, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +385,6 @@ func TestSnapshotAllocationContract(t *testing.T) {
 	e := steadyEngineCfg(t, Config{
 		Policy:        policy.NewDefault(),
 		DurationS:     1800,
-		Seed:          1,
 		TrackLifetime: true,
 	})
 	tick := 0
@@ -420,11 +418,7 @@ func TestSnapshotAllocationContract(t *testing.T) {
 // engine finishes jobs all along, so a fork that copied the finished
 // jobs would grow by one allocation per job.
 func TestForkAllocationBounded(t *testing.T) {
-	b, err := workload.ByName("Web-high")
-	if err != nil {
-		t.Fatal(err)
-	}
-	webHigh, err := NewEngine(Config{Exp: floorplan.EXP1, Policy: policy.NewDefault(), Bench: b, DurationS: 300, Seed: 1})
+	webHigh, err := NewEngine(testConfig(t, floorplan.EXP1, policy.NewDefault(), "Web-high", 300, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,10 +466,6 @@ func TestForkAllocationBounded(t *testing.T) {
 // 16×16 grid (1,290 nodes), DVFS_Rel with lifetime tracking on
 // Web-med, at tick 300.
 func TestCheckpointHoldsNoSolveScratch(t *testing.T) {
-	b, err := workload.ByName("Web-med")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		exp  floorplan.Experiment
@@ -485,8 +475,10 @@ func TestCheckpointHoldsNoSolveScratch(t *testing.T) {
 		{"EXP4-grid16", floorplan.EXP4, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := NewEngine(Config{Exp: tc.exp, GridRows: tc.grid, GridCols: tc.grid, Policy: policy.NewDVFSRel(),
-				Bench: b, DurationS: 60, Seed: 1, TrackLifetime: true})
+			cfg := testConfig(t, tc.exp, policy.NewDVFSRel(), "Web-med", 60, 1)
+			cfg.GridRows, cfg.GridCols = tc.grid, tc.grid
+			cfg.TrackLifetime = true
+			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -552,18 +544,9 @@ func TestMPCDeterministicActions(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runOnce := func() ([]string, *Result) {
-				b, err := workload.ByName("Web-high")
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := NewEngine(Config{
-					Exp:           floorplan.EXP2,
-					Policy:        tc.mk(),
-					Bench:         b,
-					DurationS:     8,
-					Seed:          1,
-					TrackLifetime: tc.lifetime,
-				})
+				cfg := testConfig(t, floorplan.EXP2, tc.mk(), "Web-high", 8, 1)
+				cfg.TrackLifetime = tc.lifetime
+				e, err := NewEngine(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -637,11 +620,7 @@ func BenchmarkSnapshotFork(b *testing.B) {
 func BenchmarkMPCDecision(b *testing.B) {
 	pol := policy.NewMPCThermal()
 	pol.EpochTicks = 1 // decide on every tick: each iteration is one epoch
-	e := steadyEngineCfg(b, Config{
-		Policy:    pol,
-		DurationS: 1800,
-		Seed:      1,
-	})
+	e := steadyEngineCfg(b, Config{Policy: pol, DurationS: 1800})
 	for tick := 0; tick < 50; tick++ {
 		if err := e.tick(tick); err != nil {
 			b.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/floorplan"
-	"repro/internal/geometry"
 )
 
 // heatGlyphs maps normalized temperature to density glyphs, coolest to
@@ -126,43 +125,6 @@ func HotBlocks(stack *floorplan.Stack, blockTempsC []float64, thresholdC float64
 	out := make([]string, len(hots))
 	for i, h := range hots {
 		out[i] = fmt.Sprintf("%s (%.1f °C)", h.name, h.t)
-	}
-	return out, nil
-}
-
-// SampleLine extracts a 1D temperature profile along a horizontal line at
-// height y (mm) across one layer, at n sample points — useful for
-// plotting lateral gradients.
-func SampleLine(stack *floorplan.Stack, blockTempsC []float64, layerIndex int, y float64, n int) ([]float64, error) {
-	if len(blockTempsC) != stack.NumBlocks() {
-		return nil, fmt.Errorf("thermal: line sample got %d temps for %d blocks", len(blockTempsC), stack.NumBlocks())
-	}
-	if layerIndex < 0 || layerIndex >= len(stack.Layers) {
-		return nil, fmt.Errorf("thermal: layer %d out of range", layerIndex)
-	}
-	if n <= 1 {
-		return nil, fmt.Errorf("thermal: need at least 2 samples, got %d", n)
-	}
-	layer := stack.Layers[layerIndex]
-	bounds := layer.Bounds()
-	if y < bounds.Y || y > bounds.Top() {
-		return nil, fmt.Errorf("thermal: y=%g outside layer bounds", y)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		x := bounds.X + float64(i)/float64(n-1)*bounds.W
-		x = math.Min(x, bounds.Right()-geometry.Eps)
-		found := false
-		for _, b := range layer.Blocks {
-			if b.Rect.Contains(x, y) {
-				out[i] = blockTempsC[stack.BlockIndex(b)]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("thermal: no block at (%.3f, %.3f) on layer %d", x, y, layerIndex)
-		}
 	}
 	return out, nil
 }

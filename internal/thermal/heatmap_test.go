@@ -88,29 +88,3 @@ func TestHotBlocks(t *testing.T) {
 		t.Error("short vector accepted")
 	}
 }
-
-func TestSampleLine(t *testing.T) {
-	s, _, blockT := steadyEXP1(t)
-	// A line through the core row of the logic layer (layer 1).
-	line, err := SampleLine(s, blockT, 1, 1.5, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(line) != 24 {
-		t.Fatalf("got %d samples", len(line))
-	}
-	for _, v := range line {
-		if v < 45 || v > 150 {
-			t.Errorf("sample %g outside sane range", v)
-		}
-	}
-	if _, err := SampleLine(s, blockT, 9, 1.5, 10); err == nil {
-		t.Error("bad layer accepted")
-	}
-	if _, err := SampleLine(s, blockT, 1, -5, 10); err == nil {
-		t.Error("out-of-bounds y accepted")
-	}
-	if _, err := SampleLine(s, blockT, 1, 1.5, 1); err == nil {
-		t.Error("single sample accepted")
-	}
-}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/thermal"
+	"repro/internal/workload"
 )
 
 // TestLibraryGate is the scenario-library gate CI runs: every shipped
@@ -51,11 +52,19 @@ func TestLibraryGate(t *testing.T) {
 			}
 			// One-tick-plus simulation smoke through the full engine.
 			specCopy := spec
+			bench, err := workload.ByName("Web-med")
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs, err := workload.Generate(workload.GenConfig{Bench: bench, NumCores: st.NumCores(), DurationS: 2, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := sim.Run(sim.Config{
 				Policy:    policy.NewDefault(),
 				StackSpec: &specCopy,
+				Jobs:      jobs,
 				DurationS: 2,
-				Seed:      1,
 			})
 			if err != nil {
 				t.Fatalf("simulation smoke: %v", err)
