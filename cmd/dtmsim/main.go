@@ -2,7 +2,8 @@
 // workload, replicate) simulation — and prints the paper's metrics for
 // that run. Its flags name the job as dtmsweep's do, and the job runs
 // through the same mapping (exp.JobConfig), so every number it prints
-// equals the matching field of that job's sweep record.
+// equals the matching field of that job's sweep record. It steps the
+// engine itself, so -trace can write the run's per-tick CSV trace.
 //
 // Usage:
 //
@@ -10,10 +11,14 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/exp"
@@ -70,24 +75,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The report names and draws the job's resolved stack.
-	stack, err := cfg.StackSpec.Build()
+	eng, err := sim.NewEngine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The report names and draws the job's resolved stack.
+	stack := eng.Stack()
 	stackLabel := stack.Name
 	if stackLabel == "" {
 		stackLabel = "stack:" + cfg.StackSpec.Hash()
 	}
+	var trace *traceWriter
 	if *traceFlag != "" {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
+		if trace, err = createTrace(*traceFlag, stack.NumCores()); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		cfg.TraceWriter = f
 	}
-	res, err := sim.Run(cfg)
+	res, err := run(eng, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func main() {
 		fmt.Fprintf(w, "  trace            : written to %s\n", *traceFlag)
 	}
 	if *heatFlag {
-		hm, err := thermal.RenderHeatmap(stack, res.FinalBlockTempsC, thermal.HeatmapOptions{})
+		hm, err := thermal.RenderHeatmap(stack, res.FinalBlockTempsC)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -133,6 +137,78 @@ func main() {
 			fmt.Fprintf(w, "blocks above 85 °C at end of run: %s\n", strings.Join(hot, ", "))
 		}
 	}
+}
+
+// run steps eng through its whole run and summarizes it. With a trace
+// it writes the row of the initial state before the first step and one
+// row after each step, and it flushes and closes the trace before it
+// returns, on a step error too.
+func run(eng *sim.Engine, trace *traceWriter) (*sim.Result, error) {
+	err := trace.row(eng)
+	for err == nil {
+		if err = eng.Step(); err == nil {
+			err = trace.row(eng)
+		}
+	}
+	if cerr := trace.close(); err == io.EOF {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return eng.Finish()
+}
+
+// traceWriter writes the per-tick CSV trace: time_s (1 decimal), the
+// chip's total power in W, then one temperature column per core in °C
+// (3 decimals each), through a 64 KB buffer. A nil *traceWriter writes
+// nothing.
+type traceWriter struct {
+	f  *os.File
+	bw *bufio.Writer
+	st sim.TickState
+}
+
+// createTrace creates the trace file at path and buffers its header
+// for cores cores. bufio's errors are sticky, so a failed header write
+// fails the first row.
+func createTrace(path string, cores int) (*traceWriter, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	t := &traceWriter{f: f, bw: bufio.NewWriterSize(f, 64<<10)}
+	t.bw.WriteString("time_s,power_w")
+	for c := 0; c < cores; c++ {
+		fmt.Fprintf(t.bw, ",core%d_c", c)
+	}
+	t.bw.WriteByte('\n')
+	return t, nil
+}
+
+// row writes the row of the engine's current tick boundary.
+func (t *traceWriter) row(eng *sim.Engine) error {
+	if t == nil {
+		return nil
+	}
+	eng.TickStateInto(&t.st)
+	b := strconv.AppendFloat(t.bw.AvailableBuffer(), t.st.TimeS, 'f', 1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, t.st.PowerW, 'f', 3, 64)
+	for _, v := range t.st.CoreTempsC {
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, v, 'f', 3, 64)
+	}
+	_, err := t.bw.Write(append(b, '\n'))
+	return err
+}
+
+// close flushes the trace and closes its file.
+func (t *traceWriter) close() error {
+	if t == nil {
+		return nil
+	}
+	return errors.Join(t.bw.Flush(), t.f.Close())
 }
 
 // worstCore picks the most stressed core from the run's per-block wear:

@@ -92,6 +92,101 @@ func TestReliabilityOutput(t *testing.T) {
 	}
 }
 
+// TestGoldenTraceAndHeatmap holds -trace's CSV file and -heatmap's
+// report to committed goldens byte for byte. Both goldens were written
+// by the engine's own trace writer and heatmap options before dtmsim
+// stepped the engine itself.
+func TestGoldenTraceAndHeatmap(t *testing.T) {
+	golden := func(name string) string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	trace := filepath.Join(t.TempDir(), "trace.csv")
+	args := []string{"-exp", "2", "-policy", "DVFS_TT", "-dpm", "-duration", "2", "-trace", trace}
+	if code, out := runMain(t, args...); code != 0 {
+		t.Fatalf("%v exited %d:\n%s", args, code, out)
+	}
+	got, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := golden("exp2-dvfstt-dpm-2s.csv"); string(got) != want {
+		t.Errorf("%v trace differs from testdata/exp2-dvfstt-dpm-2s.csv\n got:\n%s\nwant:\n%s", args, got, want)
+	}
+
+	args = []string{"-exp", "4", "-policy", "Default", "-bench", "Web&DB", "-duration", "60", "-heatmap"}
+	code, out := runMain(t, args...)
+	if code != 0 {
+		t.Fatalf("%v exited %d:\n%s", args, code, out)
+	}
+	if want := golden("exp4-default-webdb-heatmap.txt"); out != want {
+		t.Errorf("%v output differs from testdata/exp4-default-webdb-heatmap.txt\n got:\n%s\nwant:\n%s", args, out, want)
+	}
+}
+
+// TestRunTraceWriter checks the -trace file's shape: the header, the
+// t=0 row of the initial state, then one row per tick, every row as
+// wide as the header.
+func TestRunTraceWriter(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.csv")
+	args := []string{"-exp", "1", "-duration", "5", "-trace", trace}
+	code, out := runMain(t, args...)
+	if code != 0 {
+		t.Fatalf("%v exited %d:\n%s", args, code, out)
+	}
+	if !strings.Contains(out, "trace            : written to "+trace+"\n") {
+		t.Errorf("report does not name the trace file:\n%s", out)
+	}
+	buf, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
+	const ticks = 50 // 5 s at 100 ms
+	if len(lines) != ticks+2 {
+		t.Fatalf("trace has %d lines, want header + t=0 row + %d ticks", len(lines), ticks)
+	}
+	head := strings.Split(lines[0], ",")
+	if head[0] != "time_s" || head[1] != "power_w" {
+		t.Errorf("trace header %v", head[:2])
+	}
+	stack := floorplan.MustBuild(floorplan.EXP1)
+	if len(head) != 2+stack.NumCores() {
+		t.Errorf("trace header has %d columns, want %d", len(head), 2+stack.NumCores())
+	}
+	for i, line := range lines[1:] {
+		row := strings.Split(line, ",")
+		if len(row) != len(head) {
+			t.Fatalf("row %d width %d != header width %d", i, len(row), len(head))
+		}
+	}
+	if first := strings.Split(lines[1], ",")[0]; first != "0.0" {
+		t.Errorf("first trace row starts at t=%s, want the fixed-point initialized t=0.0 state", first)
+	}
+	if second := strings.Split(lines[2], ",")[0]; second != "0.1" {
+		t.Errorf("second trace row at t=%s, want 0.1", second)
+	}
+	if last := strings.Split(lines[len(lines)-1], ",")[0]; last != "5.0" {
+		t.Errorf("last trace row at t=%s, want 5.0", last)
+	}
+}
+
+// TestNegativeGridExitsNonZero checks that a negative -grid is an
+// error, not a silent block-mode run.
+func TestNegativeGridExitsNonZero(t *testing.T) {
+	code, out := runMain(t, "-grid", "-3", "-duration", "1")
+	if code == 0 {
+		t.Fatalf("-grid -3 exited 0:\n%s", out)
+	}
+	if !strings.Contains(out, "negative grid") {
+		t.Errorf("-grid -3 failed without naming the negative grid:\n%s", out)
+	}
+}
+
 // TestMatchesSweepRecord cross-checks the command against the sweep:
 // for each job, every number the report prints that a sweep record
 // carries equals that field of the record exp.NewRunners makes for the

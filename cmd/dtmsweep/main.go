@@ -42,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/exp"
 	"repro/internal/floorplan"
 	"repro/internal/report"
@@ -370,42 +371,44 @@ func buildSpec(f sweepFlags) (sweep.Spec, error) {
 	}, nil
 }
 
-// sweepMode expands, shards, optionally resumes, and executes the
-// sweep, streaming records to stdout and the checkpoint file. SIGINT
-// cancels cleanly: in-flight runs stop at their next simulated tick
-// and everything already completed is in the checkpoint. With -remote
-// the jobs run on a dtmserved instance instead of locally; the sinks,
-// checkpoint, and resume semantics are unchanged.
+// sweepMode builds the sweep request — spec, shard, and the resumed
+// checkpoint's completed keys — and executes its job list, streaming
+// records to stdout and the checkpoint file. SIGINT cancels cleanly:
+// in-flight runs stop at their next simulated tick and everything
+// already completed is in the checkpoint. With -remote the request
+// runs on dtmserved instance(s) instead of locally; locally it runs
+// req.Jobs(), the list a server streams for the same request, so the
+// sinks, checkpoint, and resume semantics are the same either way.
 func sweepMode(f sweepFlags) error {
 	spec, err := buildSpec(f)
 	if err != nil {
 		return err
 	}
-	jobs := spec.Expand()
-	total := len(jobs)
-
-	shardIdx, shardCnt := 0, 0
+	req := client.Request{Spec: spec}
 	if f.shard != "" {
 		idxS, cntS, ok := strings.Cut(f.shard, "/")
 		idx, err1 := strconv.Atoi(idxS)
 		cnt, err2 := strconv.Atoi(cntS)
-		if !ok || err1 != nil || err2 != nil {
-			return fmt.Errorf("bad -shard %q (want i/n, e.g. 0/4)", f.shard)
+		if !ok || err1 != nil || err2 != nil || cnt <= 0 {
+			return fmt.Errorf("bad -shard %q (want i/n with n > 0, e.g. 0/4)", f.shard)
 		}
-		if jobs, err = sweep.Shard(jobs, idx, cnt); err != nil {
-			return err
-		}
-		shardIdx, shardCnt = idx, cnt
+		req.ShardIndex, req.ShardCount = idx, cnt
 	}
-
-	opts := sweep.Options{Workers: f.workers}
+	shard, err := req.Jobs()
+	if err != nil {
+		return err
+	}
 	if f.resume != "" {
 		recs, err := sweep.LoadCheckpointFile(f.resume)
 		if err != nil {
 			return err
 		}
-		opts.Skip = sweep.CompletedKeys(recs)
-		fmt.Fprintf(os.Stderr, "dtmsweep: resuming: %d completed runs in %s\n", len(opts.Skip), f.resume)
+		req = req.WithSkip(sweep.CompletedKeys(recs))
+		fmt.Fprintf(os.Stderr, "dtmsweep: resuming: %d completed runs in %s\n", len(req.SkipKeys), f.resume)
+	}
+	jobs, err := req.Jobs()
+	if err != nil {
+		return err
 	}
 
 	var out sweep.Sink
@@ -424,16 +427,7 @@ func sweepMode(f sweepFlags) error {
 		// dtmserved streams for the same request. The checkpoint sink
 		// below stays completion-ordered: it is a durability surface,
 		// and buffering it would lose finished runs on a crash.
-		ordered := jobs
-		if len(opts.Skip) > 0 {
-			ordered = make([]sweep.Job, 0, len(jobs))
-			for _, j := range jobs {
-				if !opts.Skip[j.Key()] {
-					ordered = append(ordered, j)
-				}
-			}
-		}
-		out = sweep.NewOrderedSink(sweep.StripElapsed(out), ordered)
+		out = sweep.NewOrderedSink(sweep.StripElapsed(out), jobs)
 	}
 	// The checkpoint sink goes FIRST: records are delivered to sinks in
 	// order and delivery stops at the first failure, so checkpoint-first
@@ -462,8 +456,8 @@ func sweepMode(f sweepFlags) error {
 		defer cleanup()
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "dtmsweep: %d jobs in sweep, %d in this shard, %d to run on %s\n",
-			total, len(jobs), len(jobs)-countSkipped(jobs, opts.Skip), f.remote)
-		n, err := remoteSweep(ctx, st, spec, shardIdx, shardCnt, opts.Skip, sinks...)
+			spec.NumJobs(), len(shard), len(jobs), f.remote)
+		n, err := remoteSweep(ctx, st, req, sinks...)
 		fmt.Fprintf(os.Stderr, "dtmsweep: %d records from %s in %.1fs\n", n, f.remote, time.Since(start).Seconds())
 		return err
 	}
@@ -473,7 +467,7 @@ func sweepMode(f sweepFlags) error {
 	pending.Scenarios = nil
 	seen := map[string]bool{}
 	for _, j := range jobs {
-		if opts.Skip[j.Key()] || seen[j.Scenario.ID()] {
+		if seen[j.Scenario.ID()] {
 			continue
 		}
 		seen[j.Scenario.ID()] = true
@@ -485,24 +479,13 @@ func sweepMode(f sweepFlags) error {
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "dtmsweep: %d jobs in sweep, %d in this shard, %d to run\n",
-		total, len(jobs), len(jobs)-countSkipped(jobs, opts.Skip))
+		spec.NumJobs(), len(shard), len(jobs))
 	// Batch same-system jobs through one panel solve per tick; record
 	// contents and job keys are identical to the per-job path, so
 	// checkpoints and canonical streams are unaffected.
 	run, runGroup := exp.NewRunners(exp.RunnerHooks{})
-	opts.Group = exp.GroupKey
-	opts.RunGroup = runGroup
+	opts := sweep.Options{Workers: f.workers, Group: exp.GroupKey, RunGroup: runGroup}
 	n, err := sweep.Execute(ctx, jobs, run, opts, sinks...)
 	fmt.Fprintf(os.Stderr, "dtmsweep: %d runs in %.1fs\n", n, time.Since(start).Seconds())
 	return err
-}
-
-func countSkipped(jobs []sweep.Job, skip map[string]bool) int {
-	n := 0
-	for _, j := range jobs {
-		if skip[j.Key()] {
-			n++
-		}
-	}
-	return n
 }

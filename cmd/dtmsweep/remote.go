@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/client"
@@ -40,22 +39,16 @@ func newStreamer(remote string) (st client.Streamer, cleanup func(), err error) 
 	}
 }
 
-// remoteSweep runs the sweep on dtmserved instance(s) instead of the
-// local machine: it hands the spec (plus shard selection and resume
-// skip-set) to the streamer and feeds the returned records into the
-// local sinks, so -out, -checkpoint, and -resume behave identically to
+// remoteSweep runs the sweep request (spec, shard selection, and
+// resume skip-set) on dtmserved instance(s) instead of the local
+// machine: it hands the request to the streamer and feeds the returned
+// records into the local sinks, so -out, -checkpoint, and -resume behave identically to
 // a local run. The streamer delivers records in canonical job order
 // with ElapsedMS stripped and verifies the server's completion trailer
 // (retrying transient failures with only the not-yet-received jobs),
 // so a finished remote stream is byte-identical to a local -canonical
 // run of the same spec. Returns the number of records received.
-func remoteSweep(ctx context.Context, st client.Streamer, spec sweep.Spec, shardIdx, shardCnt int, skip map[string]bool, sinks ...sweep.Sink) (n int, err error) {
-	req := client.Request{Spec: spec, ShardIndex: shardIdx, ShardCount: shardCnt}
-	for k := range skip {
-		req.SkipKeys = append(req.SkipKeys, k)
-	}
-	sort.Strings(req.SkipKeys) // deterministic request bodies
-
+func remoteSweep(ctx context.Context, st client.Streamer, req client.Request, sinks ...sweep.Sink) (n int, err error) {
 	// Sinks are closed here, mirroring sweep.Execute, so one sweepMode
 	// exit path covers local and remote runs.
 	defer func() {

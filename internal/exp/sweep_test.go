@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/floorplan"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -104,11 +105,14 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal("Aggregate accepted an incomplete sweep")
 	}
 
-	// Phase 2: resume. Only the unfinished jobs run; completed keys are
-	// skipped.
+	// Phase 2: resume. The request's job list drops the completed
+	// keys, so only the unfinished jobs run.
+	rest, err := client.Request{Spec: spec}.WithSkip(sweep.CompletedKeys(done)).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	col := &sweep.Collector{}
-	ran, err := sweep.Execute(context.Background(), jobs, newRunner(),
-		sweep.Options{Skip: sweep.CompletedKeys(done)}, col)
+	ran, err := sweep.Execute(context.Background(), rest, newRunner(), sweep.Options{}, col)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,20 @@ type Collector struct {
 	nCore   int
 }
 
-// CollectorConfig sets the thresholds; zero values select the paper's
-// settings (85 °C hot spot, 15 °C gradient, 20 °C cycle amplitude over a
-// 10 s window at 100 ms ticks).
+// The paper's fixed thresholds: a spatial gradient counts when a
+// layer's spread exceeds gradientC (15 °C), and a thermal cycle when a
+// core's temperature swings by more than cycleDeltaC (20 °C) within the
+// cycle window.
+const (
+	gradientC   = 15
+	cycleDeltaC = 20
+)
+
+// CollectorConfig sets the hot-spot threshold and the cycle window;
+// zero values select the paper's settings (85 °C, and a 10 s window at
+// 100 ms ticks).
 type CollectorConfig struct {
 	HotSpotC    float64
-	GradientC   float64
-	CycleDeltaC float64
 	CycleWindow int
 }
 
@@ -34,22 +41,16 @@ func NewCollector(stack *floorplan.Stack, cfg CollectorConfig) (*Collector, erro
 	if cfg.HotSpotC == 0 {
 		cfg.HotSpotC = 85
 	}
-	if cfg.GradientC == 0 {
-		cfg.GradientC = 15
-	}
-	if cfg.CycleDeltaC == 0 {
-		cfg.CycleDeltaC = 20
-	}
 	if cfg.CycleWindow == 0 {
 		cfg.CycleWindow = 100
 	}
-	cm, err := NewCycleMeter(stack.NumCores(), cfg.CycleWindow, cfg.CycleDeltaC)
+	cm, err := NewCycleMeter(stack.NumCores(), cfg.CycleWindow, cycleDeltaC)
 	if err != nil {
 		return nil, err
 	}
 	return &Collector{
 		HotSpot:  NewHotSpotMeter(stack.NumCores(), cfg.HotSpotC),
-		Gradient: NewGradientMeter(stack, cfg.GradientC),
+		Gradient: NewGradientMeter(stack, gradientC),
 		Vertical: NewVerticalGradientMeter(stack),
 		Cycle:    cm,
 		stack:    stack,

@@ -12,9 +12,6 @@ import (
 // between queues triggers thread migration toward balance. It is
 // thermally oblivious.
 type Default struct {
-	// ImbalanceThreshold is the queue-length difference that triggers a
-	// rebalancing move (default 2).
-	ImbalanceThreshold int
 	// lastCore remembers where a job's "process" last ran, emulating the
 	// Solaris locality heuristic (keyed by job ID modulo a small table).
 	lastCore map[int]int
@@ -23,9 +20,13 @@ type Default struct {
 	mig [1]Migration
 }
 
+// imbalanceThreshold is the queue-length difference that triggers a
+// rebalancing move.
+const imbalanceThreshold = 2
+
 // NewDefault returns the baseline load balancer.
 func NewDefault() *Default {
-	return &Default{ImbalanceThreshold: 2, lastCore: make(map[int]int)}
+	return &Default{lastCore: make(map[int]int)}
 }
 
 // Name implements Policy.
@@ -69,7 +70,7 @@ func (d *Default) Tick(v *View) TickDecision {
 			shortest = c
 		}
 	}
-	if v.QueueLens[longest]-v.QueueLens[shortest] >= d.ImbalanceThreshold {
+	if v.QueueLens[longest]-v.QueueLens[shortest] >= imbalanceThreshold {
 		d.mig[0] = Migration{From: longest, To: shortest, Tail: true}
 		return TickDecision{Migrations: d.mig[:]}
 	}

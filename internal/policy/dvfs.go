@@ -53,15 +53,16 @@ func (p *DVFSTT) Tick(v *View) TickDecision {
 // It is performance-oriented and thermally oblivious.
 type DVFSUtil struct {
 	alloc *Default
-	// Headroom inflates observed demand before choosing a level so that
-	// small load increases do not immediately saturate the core
-	// (default 1.1).
-	Headroom float64
-	lv       []power.VfLevel // reused TickDecision.Levels buffer
+	lv    []power.VfLevel // reused TickDecision.Levels buffer
 }
 
+// demandHeadroom inflates observed demand before DVFS_Util and
+// DVFS_Rel choose a level, so that small load increases do not
+// immediately saturate the core.
+const demandHeadroom = 1.1
+
 // NewDVFSUtil returns the utilization-based DVFS policy.
-func NewDVFSUtil() *DVFSUtil { return &DVFSUtil{alloc: NewDefault(), Headroom: 1.1} }
+func NewDVFSUtil() *DVFSUtil { return &DVFSUtil{alloc: NewDefault()} }
 
 // Name implements Policy.
 func (p *DVFSUtil) Name() string { return "DVFS_Util" }
@@ -85,7 +86,7 @@ func (p *DVFSUtil) Tick(v *View) TickDecision {
 			continue
 		}
 		// Demand normalized to the default frequency.
-		demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * p.Headroom
+		demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * demandHeadroom
 		p.lv[c] = v.DVFS.LowestLevelFor(math.Min(demand, 1))
 	}
 	d.Levels = p.lv

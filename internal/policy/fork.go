@@ -35,7 +35,7 @@ func TryFork(p Policy) (Policy, bool) {
 // fork is the typed clone used by policies embedding a Default
 // allocator.
 func (d *Default) fork() *Default {
-	f := &Default{ImbalanceThreshold: d.ImbalanceThreshold, lastCore: make(map[int]int, len(d.lastCore))}
+	f := &Default{lastCore: make(map[int]int, len(d.lastCore))}
 	for k, v := range d.lastCore {
 		f.lastCore[k] = v
 	}
@@ -58,9 +58,7 @@ func (p *CGate) Fork() Policy { return &CGate{alloc: p.alloc.fork()} }
 func (p *DVFSTT) Fork() Policy { return &DVFSTT{alloc: p.alloc.fork()} }
 
 // Fork implements Forker.
-func (p *DVFSUtil) Fork() Policy {
-	return &DVFSUtil{alloc: p.alloc.fork(), Headroom: p.Headroom}
-}
+func (p *DVFSUtil) Fork() Policy { return &DVFSUtil{alloc: p.alloc.fork()} }
 
 // Fork implements Forker. The static floorplan assignment is copied so
 // the fork does not recompute it (it is deterministic either way).
@@ -76,7 +74,7 @@ func (p *Migr) Fork() Policy { return &Migr{alloc: p.alloc.fork()} }
 // "initialized" flag in Tick, and a fresh fork re-making it would also
 // wipe the copied streams.
 func (p *DVFSRel) Fork() Policy {
-	f := &DVFSRel{Headroom: p.Headroom, Margin: p.Margin, alloc: p.alloc.fork()}
+	f := &DVFSRel{alloc: p.alloc.fork()}
 	f.streams = append(f.streams, p.streams...)
 	f.damage = append(f.damage, p.damage...)
 	f.lv = append(f.lv, p.lv...)

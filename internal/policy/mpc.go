@@ -75,9 +75,6 @@ type Planner interface {
 // tie-breaking (lowest index) are all order-fixed, so the same seed
 // and state commit the same action — pinned by TestMPCDeterminism.
 type MPC struct {
-	// HorizonTicks is the rollout length per candidate (default 5
-	// intervals = 0.5 s at the paper's sampling rate).
-	HorizonTicks int
 	// EpochTicks is the decision period (default 10 intervals): one
 	// rollout evaluation per epoch, held in between.
 	EpochTicks int
@@ -99,11 +96,15 @@ type MPC struct {
 	lv      []power.VfLevel // reused TickDecision.Levels buffer
 }
 
+// mpcHorizonTicks is the rollout length per candidate: 5 intervals,
+// 0.5 s at the paper's sampling rate.
+const mpcHorizonTicks = 5
+
 // NewMPCThermal returns the peak-temperature MPC policy: it commits
 // the fastest candidate whose predicted peak stays at or below Tpref,
 // or the coolest candidate when none does.
 func NewMPCThermal() *MPC {
-	return &MPC{name: "MPC_Thermal", HorizonTicks: 5, EpochTicks: 10, alloc: NewDefault()}
+	return &MPC{name: "MPC_Thermal", EpochTicks: 10, alloc: NewDefault()}
 }
 
 // NewMPCRel returns the reliability MPC policy: among candidates whose
@@ -112,7 +113,7 @@ func NewMPCThermal() *MPC {
 // (fastest on ties), falling back to the coolest candidate when every
 // rollout breaches the threshold.
 func NewMPCRel() *MPC {
-	return &MPC{name: "MPC_Rel", relObj: true, HorizonTicks: 5, EpochTicks: 10, alloc: NewDefault()}
+	return &MPC{name: "MPC_Rel", relObj: true, EpochTicks: 10, alloc: NewDefault()}
 }
 
 // Name implements Policy.
@@ -131,14 +132,13 @@ func (p *MPC) AttachRollout(r Rollout) { p.rollout = r }
 // its own (sim.Engine.Fork and Restore do).
 func (p *MPC) Fork() Policy {
 	f := &MPC{
-		name:         p.name,
-		relObj:       p.relObj,
-		HorizonTicks: p.HorizonTicks,
-		EpochTicks:   p.EpochTicks,
-		alloc:        p.alloc.fork(),
-		sinceEpoch:   p.sinceEpoch,
-		pendingMig:   p.pendingMig,
-		mig:          p.mig,
+		name:       p.name,
+		relObj:     p.relObj,
+		EpochTicks: p.EpochTicks,
+		alloc:      p.alloc.fork(),
+		sinceEpoch: p.sinceEpoch,
+		pendingMig: p.pendingMig,
+		mig:        p.mig,
 	}
 	f.held = append(f.held, p.held...)
 	// lv doubles with held as the sized-per-run pair Tick checks; a
@@ -189,7 +189,7 @@ func (p *MPC) decide(v *View) {
 		return
 	}
 	k := p.buildCandidates(v)
-	if err := p.rollout.Evaluate(p.actions[:k], p.HorizonTicks, p.scores[:k]); err != nil {
+	if err := p.rollout.Evaluate(p.actions[:k], mpcHorizonTicks, p.scores[:k]); err != nil {
 		p.reactiveFallback(v)
 		return
 	}

@@ -320,21 +320,23 @@ func (e *ProbEngine) SampleLeastLoaded(queueLens []int, tempsC []float64, tprefC
 // does not distinguish cores on different layers.
 type AdaptRand struct {
 	eng *ProbEngine
-	// Beta is the probability adjustment rate (same in both directions).
-	Beta float64
 }
+
+// adaptRandBeta is Adaptive-Random's probability adjustment rate (same
+// in both directions).
+const adaptRandBeta = 0.03
+
+// adaptRandWeight is Adaptive-Random's weight function: one rate for
+// every core. It captures nothing, so forks share it.
+func adaptRandWeight(_ int, wdiff float64) float64 { return adaptRandBeta * wdiff }
 
 // NewAdaptRand builds the policy for numCores cores.
 func NewAdaptRand(numCores int, seed int64) (*AdaptRand, error) {
-	a := &AdaptRand{Beta: 0.03}
-	eng, err := NewProbEngine(numCores, 10, seed, func(core int, wdiff float64) float64 {
-		return a.Beta * wdiff
-	})
+	eng, err := NewProbEngine(numCores, 10, seed, adaptRandWeight)
 	if err != nil {
 		return nil, err
 	}
-	a.eng = eng
-	return a, nil
+	return &AdaptRand{eng: eng}, nil
 }
 
 // Name implements Policy.
@@ -364,11 +366,5 @@ func (a *AdaptRand) Probabilities() []float64 { return a.eng.Probabilities() }
 
 // Fork implements Forker: the fork gets its own probability engine —
 // history, probabilities, and random stream position all duplicated —
-// with a weight closure over the fork's Beta.
-func (a *AdaptRand) Fork() Policy {
-	f := &AdaptRand{Beta: a.Beta}
-	f.eng = a.eng.Fork(func(core int, wdiff float64) float64 {
-		return f.Beta * wdiff
-	})
-	return f
-}
+// sharing the stateless weight function.
+func (a *AdaptRand) Fork() Policy { return &AdaptRand{eng: a.eng.Fork(nil)} }

@@ -19,7 +19,7 @@ import (
 //     broken toward the least-damaged core, so wear spreads instead of
 //     concentrating on whichever core the dispatcher habitually picks.
 //   - Actuation: a core whose accumulated damage sits above the chip
-//     mean by more than Margin runs one V/f step below its
+//     mean by more than 10% runs one V/f step below its
 //     demand-covering level, trading a little latency on the worn core
 //     for shallower thermal swings exactly where fatigue is
 //     accumulating fastest.
@@ -29,23 +29,18 @@ import (
 // the first call (fixed per-core streams and a reused level buffer),
 // preserving the simulator's tick-loop allocation contract.
 type DVFSRel struct {
-	// Headroom inflates observed demand before choosing a level, like
-	// DVFS_Util (default 1.1).
-	Headroom float64
-	// Margin is the relative distance above mean damage at which a
-	// core is throttled one extra step (default 0.1).
-	Margin float64
-
 	alloc   *Default
 	streams []reliability.Stream
 	damage  []float64       // per-core accumulated cycling damage
 	lv      []power.VfLevel // reused TickDecision.Levels buffer
 }
 
+// wearMargin is the relative distance above mean damage at which
+// DVFS_Rel throttles a core one extra step.
+const wearMargin = 0.1
+
 // NewDVFSRel returns the lifetime-aware DVFS policy.
-func NewDVFSRel() *DVFSRel {
-	return &DVFSRel{Headroom: 1.1, Margin: 0.1, alloc: NewDefault()}
-}
+func NewDVFSRel() *DVFSRel { return &DVFSRel{alloc: NewDefault()} }
 
 // Name implements Policy.
 func (p *DVFSRel) Name() string { return "DVFS_Rel" }
@@ -95,14 +90,14 @@ func (p *DVFSRel) Tick(v *View) TickDecision {
 		if v.QueueLens[c] > 1 {
 			base = 0 // backlogged: cover demand at full speed
 		} else {
-			demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * p.Headroom
+			demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * demandHeadroom
 			base = v.DVFS.LowestLevelFor(math.Min(demand, 1))
 		}
 		switch {
 		case v.TempsC[c] > v.ThresholdC:
 			// Emergency: keep stepping down from the current level.
 			p.lv[c] = v.DVFS.Clamp(v.Levels[c] + 1)
-		case mean > 0 && p.damage[c] > mean*(1+p.Margin):
+		case mean > 0 && p.damage[c] > mean*(1+wearMargin):
 			// Worn above the chip mean: one step below demand.
 			p.lv[c] = v.DVFS.Clamp(base + 1)
 		default:

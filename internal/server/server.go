@@ -494,6 +494,9 @@ func defaultValidateJob(j sweep.Job) error {
 		return fmt.Errorf("duration %g s out of range (0, %d]", j.DurationS, maxDurationS)
 	}
 	rows, cols := j.Scenario.GridRows, j.Scenario.GridCols
+	if rows < 0 || cols < 0 {
+		return fmt.Errorf("scenario %s: negative grid %dx%d", j.Scenario.ID(), rows, cols)
+	}
 	if (rows > 0) != (cols > 0) {
 		return fmt.Errorf("scenario %s: grid mode needs both rows and cols", j.Scenario.ID())
 	}

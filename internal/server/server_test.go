@@ -536,6 +536,12 @@ func badSweepRequests() []sweepCase {
 			Benchmarks: []string{"Web-med"},
 			DurationsS: []float64{1},
 		}}, http.StatusBadRequest},
+		{"negative grid", SweepRequest{Spec: sweep.Spec{
+			Scenarios:  []sweep.Scenario{{Exp: floorplan.EXP1, GridRows: -1, GridCols: -1}},
+			Policies:   []string{"Default"},
+			Benchmarks: []string{"Web-med"},
+			DurationsS: []float64{1},
+		}}, http.StatusBadRequest},
 		{"absurd duration", SweepRequest{Spec: sweep.Spec{
 			Scenarios:  sweep.ScenariosFor([]floorplan.Experiment{floorplan.EXP1}),
 			Policies:   []string{"Default"},
@@ -612,6 +618,39 @@ func TestTrailingDataRejected(t *testing.T) {
 		if code := post(route.path, route.body+" \n\t\r\n"); code != http.StatusOK {
 			t.Errorf("%s with trailing whitespace: status %d, want 200", route.path, code)
 		}
+	}
+}
+
+// TestNegativeGridRejected checks that a scenario with a negative grid
+// dimension gets a 400 on each of the three routes that start work,
+// before any job runs or any session opens, instead of running in
+// block mode under the block-mode key.
+func TestNegativeGridRejected(t *testing.T) {
+	runner := newFakeRunner()
+	s := New(Config{Workers: 1, Runner: runner.run})
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const job = `{"scenario":{"exp":1,"grid_rows":-1,"grid_cols":-1},"policy":"Default","bench":"Web-med","seed":1,"duration_s":1}`
+	for _, route := range []struct{ path, body string }{
+		{"/v1/sweep", `{"spec":{"scenarios":[{"exp":"EXP-1","grid_rows":-1,"grid_cols":-1}],"policies":["Default"],"benchmarks":["Web-med"],"durations_s":[1]}}`},
+		{"/v1/job", job},
+		{"/v1/session", `{"job":` + job + `}`},
+	} {
+		resp, err := ts.Client().Post(ts.URL+route.path, "application/json", strings.NewReader(route.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "negative grid") {
+			t.Errorf("%s: status %d (%s), want 400 naming the negative grid", route.path, resp.StatusCode, body)
+		}
+	}
+	runner.mu.Lock()
+	defer runner.mu.Unlock()
+	if len(runner.runs) != 0 || s.sessions.Stats().Opened != 0 {
+		t.Errorf("negative grids started %d runs and %d sessions", len(runner.runs), s.sessions.Stats().Opened)
 	}
 }
 

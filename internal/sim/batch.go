@@ -123,18 +123,8 @@ func RunBatchContext(ctx context.Context, cfgs []Config) ([]*Result, error) {
 
 // runEngineBatch drives built engines to completion through one
 // lockstep driver, longest run first (a stable sort, so equal runs
-// keep their order), and flushes every trace on every exit.
-func runEngineBatch(engines []*Engine) (results []*Result, err error) {
-	defer func() {
-		for _, e := range engines {
-			if e.trace == nil {
-				continue
-			}
-			if ferr := e.trace.flush(); ferr != nil && err == nil {
-				results, err = nil, ferr
-			}
-		}
-	}()
+// keep their order).
+func runEngineBatch(engines []*Engine) ([]*Result, error) {
 	if len(engines) == 0 {
 		return nil, nil
 	}
@@ -153,7 +143,7 @@ func runEngineBatch(engines []*Engine) (results []*Result, err error) {
 			return nil, err
 		}
 	}
-	results = make([]*Result, len(engines))
+	results := make([]*Result, len(engines))
 	for i, e := range engines {
 		results[i] = e.finish()
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/floorplan"
 	"repro/internal/policy"
@@ -61,10 +60,10 @@ type Config struct {
 	Sensors thermal.SensorConfig
 
 	// GridRows/GridCols switch the thermal model to grid mode when both
-	// are positive; block mode otherwise. Setting exactly one of them is
-	// a validation error — a partially specified grid used to fall back
-	// to block mode silently, which let batched sweeps warm or share the
-	// wrong factorization (see ModelKey).
+	// are positive; block mode when both are zero. Setting exactly one
+	// of them, or either to a negative count, is a validation error: a
+	// silent fallback to block mode would let batched sweeps warm or
+	// share the wrong factorization (see ModelKey).
 	GridRows, GridCols int
 
 	// TrackLifetime attaches a streaming reliability.Tracker to the
@@ -75,10 +74,6 @@ type Config struct {
 	// stores no cycle censuses, so its cost is constant in the run
 	// length and every sweep run can afford it.
 	TrackLifetime bool
-
-	// TraceWriter, when non-nil, receives a per-tick CSV trace:
-	// time_s, total power (W), then one temperature column per core.
-	TraceWriter io.Writer
 
 	// Observer, when non-nil, receives the per-tick observations (see
 	// the Observer interface for the delivery order and the
@@ -115,10 +110,13 @@ func (c Config) withDefaults() (Config, error) {
 
 // checkModel validates the fields that fix the thermal system
 // (everything ModelKey reads): a stack spec is required, and a
-// partially specified grid is rejected.
+// negative or partially specified grid is rejected.
 func (c Config) checkModel() error {
 	if c.StackSpec == nil {
 		return fmt.Errorf("sim: config needs a stack spec")
+	}
+	if c.GridRows < 0 || c.GridCols < 0 {
+		return fmt.Errorf("sim: negative grid spec %dx%d", c.GridRows, c.GridCols)
 	}
 	if (c.GridRows > 0) != (c.GridCols > 0) {
 		return fmt.Errorf("sim: partial grid spec %dx%d: set both GridRows and GridCols (grid mode) or neither (block mode)", c.GridRows, c.GridCols)

@@ -51,8 +51,9 @@
 // read sensors, and record metrics. The driver orders its engines
 // longest run first, so runs of different durations share one batch
 // and each retires at its last tick; the first error or cancellation
-// aborts the batch, and every trace is flushed on every exit. In
-// steady state the loop performs zero heap allocations —
+// aborts the batch. The engine writes no trace: a caller that wants
+// one steps the engine and reads Engine.TickStateInto after each step,
+// as dtmsim -trace does. In steady state the loop performs zero heap allocations —
 // TestTickLoopAllocationContract holds every policy family to 0
 // allocs/tick, including runs with the lifetime tracker attached and
 // MPC planners deciding on every tick, and
@@ -95,7 +96,7 @@
 // outright — nothing mutable is shared with the parent, so parent and
 // fork may advance on different goroutines concurrently (the shared
 // factorization is read-only under the buffered solves). The fork
-// drops the parent's trace writer, observer, and context. The
+// drops the parent's observer and context. The
 // model-predictive policies run on a lean form of this machinery: the
 // engine hands a policy.Planner a rollout evaluator that copies the
 // host's tick state (copyTick: no sensors, metrics or wear) into a

@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 
 	"repro/internal/floorplan"
 	"repro/internal/metrics"
@@ -115,51 +113,6 @@ func tickCount(durationS, tickS float64) int {
 	return int(ratio)
 }
 
-// traceWriter buffers the per-tick CSV trace and formats rows into a
-// reused byte slice, so tracing costs one buffered write per tick
-// instead of several fmt allocations and raw writer syscalls.
-type traceWriter struct {
-	bw  *bufio.Writer
-	buf []byte
-}
-
-func newTraceWriter(w io.Writer) *traceWriter {
-	return &traceWriter{bw: bufio.NewWriterSize(w, 64<<10)}
-}
-
-// header writes the CSV header for n cores.
-func (t *traceWriter) header(n int) error {
-	b := append(t.buf[:0], "time_s,power_w"...)
-	for c := 0; c < n; c++ {
-		b = append(b, ",core"...)
-		b = strconv.AppendInt(b, int64(c), 10)
-		b = append(b, "_c"...)
-	}
-	b = append(b, '\n')
-	t.buf = b
-	_, err := t.bw.Write(b)
-	return err
-}
-
-// row writes one trace row: time (1 decimal), total power (3 decimals),
-// then one temperature column per core (3 decimals) — the same format
-// the fmt-based writer produced.
-func (t *traceWriter) row(timeS, powerW float64, tempsC []float64) error {
-	b := strconv.AppendFloat(t.buf[:0], timeS, 'f', 1, 64)
-	b = append(b, ',')
-	b = strconv.AppendFloat(b, powerW, 'f', 3, 64)
-	for _, v := range tempsC {
-		b = append(b, ',')
-		b = strconv.AppendFloat(b, v, 'f', 3, 64)
-	}
-	b = append(b, '\n')
-	t.buf = b
-	_, err := t.bw.Write(b)
-	return err
-}
-
-func (t *traceWriter) flush() error { return t.bw.Flush() }
-
 // Engine holds one run's models and every per-tick scratch buffer,
 // preallocated once so the steady-state tick loop performs no heap
 // allocations (see TestTickLoopAllocationContract).
@@ -182,7 +135,6 @@ type Engine struct {
 	collector *metrics.Collector
 	energy    *power.EnergyMeter
 	lifetime  *reliability.Tracker
-	trace     *traceWriter
 	obs       Observer
 	rollout   *rolloutSim
 
@@ -237,10 +189,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 // NewEngine validates the config and builds a stepping-ready engine:
 // models constructed, thermal state initialized to the idle fixed
-// point, all per-tick scratch preallocated, trace header written. Use
-// it instead of Run when the caller drives the loop itself — stepping
-// (Step, then Finish), checkpointing (Fork, then Restore), or rollouts
-// (Fork).
+// point, all per-tick scratch preallocated. Use it instead of Run when
+// the caller drives the loop itself — stepping (Step, then Finish),
+// checkpointing (Fork, then Restore), or rollouts (Fork).
 func NewEngine(cfg Config) (*Engine, error) { return newEngine(cfg) }
 
 // Step executes the next sampling interval. It returns io.EOF once
@@ -260,22 +211,15 @@ func (e *Engine) TickIndex() int { return e.tickIdx }
 // TotalTicks returns the number of sampling intervals in the run.
 func (e *Engine) TotalTicks() int { return e.nTicks }
 
-// Finish flushes the trace and summarizes the run into its Result.
-// Callers driving the engine via Step call it once at the end; Run
-// does the equivalent internally.
-func (e *Engine) Finish() (*Result, error) {
-	if e.trace != nil {
-		if err := e.trace.flush(); err != nil {
-			return nil, err
-		}
-	}
-	return e.finish(), nil
-}
+// Finish summarizes the run into its Result. Callers driving the
+// engine via Step call it once at the end; Run does the equivalent
+// internally. The error is always nil.
+func (e *Engine) Finish() (*Result, error) { return e.finish(), nil }
 
 // newEngine validates the config, builds the models, initializes the
 // thermal state the way the paper initializes HotSpot (idle steady state
-// with two leakage fixed-point iterations), preallocates all per-tick
-// scratch, and writes the trace header plus the t=0 row.
+// with two leakage fixed-point iterations), and preallocates all
+// per-tick scratch.
 func newEngine(cfg Config) (*Engine, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -332,18 +276,6 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.sensors.ReadInto(e.readings, e.coreTemps)
-
-	if cfg.TraceWriter != nil {
-		e.trace = newTraceWriter(cfg.TraceWriter)
-		if err := e.trace.header(e.n); err != nil {
-			return nil, err
-		}
-		// The t=0 row: the fixed-point initialized state the run starts
-		// from, so traces cover the full temperature history.
-		if err := e.trace.row(0, power.Total(e.blockPower), e.coreTemps); err != nil {
-			return nil, err
-		}
-	}
 
 	if cfg.ctx != nil {
 		e.done = cfg.ctx.Done()
@@ -456,7 +388,7 @@ func (e *Engine) fillCoreInputs() {
 }
 
 // tick advances the simulation by one sampling interval. In steady state
-// (no arriving or completing jobs, no trace writer) it performs no heap
+// (no arriving or completing jobs) it performs no heap
 // allocations. It is Step's composition of tickPre (scheduling and
 // power), the thermal step, and tickPost (readback, metrics, hooks);
 // the lockstep driver behind Run and RunBatchContext runs the same
@@ -528,18 +460,8 @@ func (e *Engine) tickPre(tick int) error {
 		copy(e.gated, d.Gate)
 	}
 	for _, m := range d.Migrations {
-		var err error
-		if m.Tail {
-			err = e.machine.MoveTail(m.From, m.To)
-		} else {
-			err = e.machine.Migrate(m.From, m.To)
-		}
-		if err != nil {
+		if err := e.migrate(m); err != nil {
 			return err
-		}
-		// A migration target must be awake to run the job.
-		if e.machine.QueueLen(m.To) > 0 && e.sleeping[m.To] {
-			e.sleeping[m.To] = false
 		}
 	}
 
@@ -601,14 +523,32 @@ func (e *Engine) tickPre(tick int) error {
 	return nil
 }
 
+// migrate applies one migration: a head swap (Migrate) or a tail move
+// (MoveTail), migration cost charged, then the target core woken if it
+// was sleeping, since a migration target must be awake to run the job.
+// Migrating from an empty queue is a no-op.
+func (e *Engine) migrate(m policy.Migration) error {
+	var err error
+	if m.Tail {
+		err = e.machine.MoveTail(m.From, m.To)
+	} else {
+		err = e.machine.Migrate(m.From, m.To)
+	}
+	if err != nil {
+		return err
+	}
+	if e.machine.QueueLen(m.To) > 0 && e.sleeping[m.To] {
+		e.sleeping[m.To] = false
+	}
+	return nil
+}
+
 // tickPost runs the post-thermal phases of one sampling interval: block
 // and core temperature readback, sensing, metrics, reliability
-// tracking, hooks, and tracing. The caller must have advanced the
+// tracking, and hooks. The caller must have advanced the
 // thermal network into e.nodeTemps (Transient.StepInto on the
 // sequential path, TransientBatch.StepInto on the batched one).
 func (e *Engine) tickPost(tick int) error {
-	now := float64(tick) * tickS
-
 	// 6. Read back the advanced thermal state and the sensors.
 	if err := e.readback(); err != nil {
 		return err
@@ -627,11 +567,6 @@ func (e *Engine) tickPost(tick int) error {
 	}
 	if e.obs != nil {
 		e.obs.ObserveTemps(e.blockTemps, e.coreTemps)
-	}
-	if e.trace != nil {
-		if err := e.trace.row(now+tickS, power.Total(e.blockPower), e.coreTemps); err != nil {
-			return err
-		}
 	}
 	e.res.Ticks++
 	e.tickIdx = tick + 1

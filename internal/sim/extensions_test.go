@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -34,41 +32,6 @@ func TestRunReliabilityAssessment(t *testing.T) {
 		if w.CycleDamage > lt.Worst().CycleDamage {
 			t.Errorf("block %s out-damages the reported worst block %s", w.Name, lt.Worst().Name)
 		}
-	}
-}
-
-func TestRunTraceWriter(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := testConfig(t, floorplan.EXP1, policy.NewDefault(), "Web-med", 5, 1)
-	cfg.TraceWriter = &buf
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	// Header, the t=0 initial-state row, then one row per tick.
-	if len(lines) != r.Ticks+2 {
-		t.Fatalf("trace has %d lines, want header + t=0 row + %d ticks", len(lines), r.Ticks)
-	}
-	head := strings.Split(lines[0], ",")
-	if head[0] != "time_s" || head[1] != "power_w" {
-		t.Errorf("trace header %v", head[:2])
-	}
-	stack := floorplan.MustBuild(floorplan.EXP1)
-	if len(head) != 2+stack.NumCores() {
-		t.Errorf("trace header has %d columns, want %d", len(head), 2+stack.NumCores())
-	}
-	for i, line := range lines[1:] {
-		row := strings.Split(line, ",")
-		if len(row) != len(head) {
-			t.Fatalf("row %d width %d != header width %d", i, len(row), len(head))
-		}
-	}
-	if first := strings.Split(lines[1], ",")[0]; first != "0.0" {
-		t.Errorf("first trace row starts at t=%s, want the fixed-point initialized t=0.0 state", first)
-	}
-	if second := strings.Split(lines[2], ",")[0]; second != "0.1" {
-		t.Errorf("second trace row at t=%s, want 0.1", second)
 	}
 }
 

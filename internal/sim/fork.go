@@ -15,8 +15,8 @@ import (
 // integrator, queues, meters, wear, policy — is copied. Parent and
 // fork then advance independently, and concurrently (the shared
 // factorization is read-only under the buffered solves). The fork
-// drops the parent's trace writer, observer, and context: it is a
-// rollout vehicle, not a resumed reporting run. An unstepped fork is a
+// drops the parent's observer and context: it is a rollout vehicle,
+// not a resumed reporting run. An unstepped fork is a
 // checkpoint: Restore rewinds an engine to it, as often as needed.
 func (e *Engine) Fork() (*Engine, error) {
 	f, err := e.fork(e.cfg)
@@ -119,7 +119,6 @@ func (e *Engine) copyTick(src *Engine) error {
 // tick, so it stays batchable with the receiver's, and its own sensor
 // bank. The caller copies in the state it needs.
 func (e *Engine) fork(cfg Config) (*Engine, error) {
-	cfg.TraceWriter = nil
 	cfg.ctx = nil
 	cfg.Observer = nil
 	f, err := newEngineState(cfg, e.model, e.jobs)

@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"bytes"
-	"strings"
+	"io"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -50,11 +51,10 @@ func TestTickCountLostTickRegression(t *testing.T) {
 
 // TestRunExecutesAllTicks drives the lost-tick fix end to end: a run with
 // DurationS=0.3 at the paper's 100 ms tick must execute exactly 3 ticks,
-// and its CSV trace must begin with the t=0 initial-state row.
+// and a stepped engine's tick states must read t=0.0 (the initial
+// state) and then one time per tick.
 func TestRunExecutesAllTicks(t *testing.T) {
-	var buf bytes.Buffer
 	cfg := testConfig(t, floorplan.EXP1, policy.NewDefault(), "Web-med", 0.3, 1)
-	cfg.TraceWriter = &buf
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +62,24 @@ func TestRunExecutesAllTicks(t *testing.T) {
 	if r.Ticks != 3 {
 		t.Fatalf("DurationS=0.3 TickS=0.1 ran %d ticks, want 3", r.Ticks)
 	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 5 { // header + t=0 + 3 ticks
-		t.Fatalf("trace has %d lines, want 5", len(lines))
+	cfg.Policy = policy.NewDefault()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantTimes := []string{"0.0", "0.1", "0.2", "0.3"}
-	for i, want := range wantTimes {
-		if got := strings.Split(lines[i+1], ",")[0]; got != want {
-			t.Errorf("trace row %d at t=%s, want %s", i, got, want)
+	var st TickState
+	var times []string
+	for {
+		e.TickStateInto(&st)
+		times = append(times, strconv.FormatFloat(st.TimeS, 'f', 1, 64))
+		if err := e.Step(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
 		}
+	}
+	if want := []string{"0.0", "0.1", "0.2", "0.3"}; !slices.Equal(times, want) {
+		t.Errorf("tick states at t=%v, want %v", times, want)
 	}
 }
 

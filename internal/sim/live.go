@@ -129,26 +129,10 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 	return nil
 }
 
-// ForceMigration applies one migration at the current tick boundary,
-// exactly as if the policy had returned it from Tick: head swap
-// (Migrate) or tail move (MoveTail), migration cost charged, and the
-// target core woken if it was sleeping. Migrating from an empty queue
-// is a no-op, matching the policy path.
-func (e *Engine) ForceMigration(m policy.Migration) error {
-	var err error
-	if m.Tail {
-		err = e.machine.MoveTail(m.From, m.To)
-	} else {
-		err = e.machine.Migrate(m.From, m.To)
-	}
-	if err != nil {
-		return err
-	}
-	if e.machine.QueueLen(m.To) > 0 && e.sleeping[m.To] {
-		e.sleeping[m.To] = false
-	}
-	return nil
-}
+// ForceMigration applies one migration at the current tick boundary
+// through the tick's own migration step, exactly as if the policy had
+// returned it from Tick.
+func (e *Engine) ForceMigration(m policy.Migration) error { return e.migrate(m) }
 
 // TickState is a point-in-time view of the engine at a tick boundary:
 // the temperatures of the last completed tick and the actuation state

@@ -18,9 +18,9 @@ import (
 // The key has one form for every stack, "stack:<hash>" plus
 // "|grid<r>x<c>" in grid mode. It reads only StackSpec, GridRows and
 // GridCols, and errors on configs Run would reject before building the
-// model: a missing stack spec or a partial grid spec (exactly one of
-// GridRows/GridCols positive — the silent block-mode fallback this
-// helper exists to prevent).
+// model: a missing stack spec, a negative grid dimension, or a partial
+// grid spec (exactly one of GridRows/GridCols positive) — the silent
+// block-mode fallbacks this helper exists to prevent.
 func ModelKey(cfg Config) (string, error) {
 	if err := cfg.checkModel(); err != nil {
 		return "", err

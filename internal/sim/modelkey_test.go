@@ -68,6 +68,9 @@ func TestModelKey(t *testing.T) {
 	if _, err := ModelKey(Config{StackSpec: exp1.StackSpec, GridRows: 8}); err == nil {
 		t.Error("partial grid spec produced a model key")
 	}
+	if k, err := ModelKey(Config{StackSpec: exp1.StackSpec, GridRows: -1, GridCols: -1}); err == nil {
+		t.Errorf("negative grid spec produced the model key %q", k)
+	}
 	if _, err := ModelKey(Config{}); err == nil {
 		t.Error("config without a stack spec produced a model key")
 	}

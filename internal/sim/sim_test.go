@@ -74,6 +74,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("negative duration accepted")
 	}
+	cfg = shortCfg(t, policy.NewDefault())
+	cfg.GridRows, cfg.GridCols = -1, -1
+	if _, err := Run(cfg); err == nil {
+		t.Error("negative grid accepted")
+	}
 }
 
 // TestRunIdleWithoutTrace pins the meaning of an empty trace: a config

@@ -23,10 +23,11 @@
 // records keep. Everything downstream leans on that contract: Shard
 // partitions by stable key hash so N machines cover a sweep
 // disjointly, checkpoints resume by key (LoadCheckpoint +
-// Options.Skip), dtmserved's result cache and in-flight dedup are
-// keyed by it, and OrderedSink re-emits completion-ordered records in
-// canonical expansion order so equal specs yield byte-identical
-// streams.
+// CompletedKeys give the skip keys that client.Request.Jobs drops
+// before Execute sees the list), dtmserved's result cache and
+// in-flight dedup are keyed by it, and OrderedSink re-emits
+// completion-ordered records in canonical expansion order so equal
+// specs yield byte-identical streams.
 //
 // Records carry raw, unnormalized per-run values. Normalization
 // against a baseline needs the whole sweep, which a shard does not
@@ -41,11 +42,12 @@
 // jobs over the same thermal system, of any durations, advance through
 // one panel solve per tick (sim.RunBatchContext). A singleton chunk
 // runs through the RunFunc; every dispatch unit then shares one error
-// and emit path. Grouping is pure scheduling: job keys, record contents,
-// and the wire format are unchanged, records still stream in
-// completion order, skipped (checkpointed) jobs leave their chunk
-// before grouping, and a group runner must return records identical to
-// the per-job path's — a contract the exp tests pin bit for bit.
+// and emit path. Grouping is pure scheduling: job keys, record
+// contents, and the wire format are unchanged, records still stream in
+// completion order, a resumed sweep's job list already lacks its
+// checkpointed jobs (so only what runs is grouped), and a group runner
+// must return records identical to the per-job path's — a contract the
+// exp tests pin bit for bit.
 //
 // # Concurrency
 //

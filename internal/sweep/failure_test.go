@@ -63,12 +63,12 @@ func TestSinkFailureCancelsAndLeavesResumableCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint holds %d records, want >= %d", len(recs), n)
 	}
 
-	// Resume: skipping the checkpointed jobs must complete the sweep
-	// with no job run twice and the merged record set exactly covering
-	// the job list.
+	// Resume: running the jobs the checkpoint lacks must complete the
+	// sweep with no job run twice and the merged record set exactly
+	// covering the job list.
 	done := CompletedKeys(recs)
 	col := &Collector{}
-	resumed, err := Execute(context.Background(), jobs, fakeRun, Options{Skip: done}, col)
+	resumed, err := Execute(context.Background(), without(jobs, done), fakeRun, Options{}, col)
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}

@@ -141,15 +141,14 @@ func TestExecuteGroupedMatchesPerJob(t *testing.T) {
 	}
 }
 
-// TestExecuteGroupedSkip checks the checkpoint-resume interplay: skipped
-// jobs leave their chunk before grouping, so a resumed sweep batches
-// only what actually runs.
+// TestExecuteGroupedSkip checks the checkpoint-resume interplay: a
+// resumed job list lacks its done jobs, so grouping batches only what
+// actually runs.
 func TestExecuteGroupedSkip(t *testing.T) {
 	jobs := testSpec().Expand()
 	skip := map[string]bool{jobs[0].Key(): true, jobs[5].Key(): true}
 	col := &Collector{}
-	n, err := Execute(context.Background(), jobs, fakeRun, Options{
-		Skip:     skip,
+	n, err := Execute(context.Background(), without(jobs, skip), fakeRun, Options{
 		Group:    groupByScenario,
 		RunGroup: fakeRunGroup,
 	}, col)

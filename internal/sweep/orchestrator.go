@@ -31,11 +31,6 @@ type Options struct {
 	// Workers bounds the pool (0: NumCPU, clamped to the number of
 	// dispatch units — jobs, or chunks when grouping is active).
 	Workers int
-	// Skip holds job keys to treat as already complete (typically
-	// CompletedKeys of a loaded checkpoint). Skipped jobs are not run
-	// and not re-emitted; merge the checkpoint's records with the new
-	// ones before aggregating.
-	Skip map[string]bool
 	// Group maps a job to a batching key. Jobs sharing a non-empty key
 	// are dispatched together (in chunks of at most 16) through
 	// RunGroup; an empty key — or a nil Group or RunGroup — leaves the
@@ -104,22 +99,18 @@ func chunkJobs(todo []Job, group func(Job) string, limit int) [][]Job {
 // ctx is canceled; in-flight runs finish and their records are still
 // delivered, so a canceled sweep's checkpoint holds every completed
 // run. All sinks are closed before returning. The int result is the
-// number of jobs that ran (skipped jobs excluded).
+// number of jobs that ran. A resumed sweep passes only the jobs its
+// checkpoint lacks (client.Request.Jobs with the checkpoint's
+// CompletedKeys as skip keys).
 func Execute(ctx context.Context, jobs []Job, run RunFunc, opts Options, sinks ...Sink) (int, error) {
 	if run == nil {
 		return 0, fmt.Errorf("sweep: Execute needs a RunFunc")
-	}
-	todo := make([]Job, 0, len(jobs))
-	for _, j := range jobs {
-		if !opts.Skip[j.Key()] {
-			todo = append(todo, j)
-		}
 	}
 	group := opts.Group
 	if opts.RunGroup == nil {
 		group = nil // grouping requires a batched runner
 	}
-	chunks := chunkJobs(todo, group, maxGroup)
+	chunks := chunkJobs(jobs, group, maxGroup)
 
 	workers := opts.Workers
 	if workers <= 0 {

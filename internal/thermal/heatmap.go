@@ -12,36 +12,26 @@ import (
 // hottest.
 const heatGlyphs = " .:-=+*#%@"
 
-// HeatmapOptions control the ASCII rendering.
-type HeatmapOptions struct {
-	Cols, Rows int // character resolution per layer (defaults 46x12)
-	// MinC/MaxC pin the colour scale; zero values auto-scale to the
-	// data range.
-	MinC, MaxC float64
-}
+// heatmapCols and heatmapRows are the character resolution of one
+// layer's map.
+const (
+	heatmapCols = 46
+	heatmapRows = 12
+)
 
 // RenderHeatmap draws per-layer ASCII heat maps of a block-temperature
 // vector (stack block order), the closest text equivalent of HotSpot's
 // grid thermal maps. Each layer is sampled at character resolution by
-// locating the block under each cell centre.
-func RenderHeatmap(stack *floorplan.Stack, blockTempsC []float64, opts HeatmapOptions) (string, error) {
+// locating the block under each cell centre, and the colour scale
+// spans the data range.
+func RenderHeatmap(stack *floorplan.Stack, blockTempsC []float64) (string, error) {
 	if len(blockTempsC) != stack.NumBlocks() {
 		return "", fmt.Errorf("thermal: heatmap got %d temps for %d blocks", len(blockTempsC), stack.NumBlocks())
 	}
-	cols, rows := opts.Cols, opts.Rows
-	if cols <= 0 {
-		cols = 46
-	}
-	if rows <= 0 {
-		rows = 12
-	}
-	lo, hi := opts.MinC, opts.MaxC
-	if lo == 0 && hi == 0 {
-		lo, hi = math.Inf(1), math.Inf(-1)
-		for _, t := range blockTempsC {
-			lo = math.Min(lo, t)
-			hi = math.Max(hi, t)
-		}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, t := range blockTempsC {
+		lo = math.Min(lo, t)
+		hi = math.Max(hi, t)
 	}
 	if hi <= lo {
 		hi = lo + 1
@@ -60,13 +50,13 @@ func RenderHeatmap(stack *floorplan.Stack, blockTempsC []float64, opts HeatmapOp
 			layerHi = math.Max(layerHi, t)
 		}
 		fmt.Fprintf(&out, "Layer %d (%.1f-%.1f °C)%s\n", li, layerLo, layerHi, sinkNote(li))
-		border := "+" + strings.Repeat("-", cols) + "+"
+		border := "+" + strings.Repeat("-", heatmapCols) + "+"
 		out.WriteString(border + "\n")
-		for r := 0; r < rows; r++ {
+		for r := 0; r < heatmapRows; r++ {
 			out.WriteByte('|')
-			for c := 0; c < cols; c++ {
-				x := bounds.X + (float64(c)+0.5)/float64(cols)*bounds.W
-				y := bounds.Y + (float64(rows-1-r)+0.5)/float64(rows)*bounds.H
+			for c := 0; c < heatmapCols; c++ {
+				x := bounds.X + (float64(c)+0.5)/heatmapCols*bounds.W
+				y := bounds.Y + (float64(heatmapRows-1-r)+0.5)/heatmapRows*bounds.H
 				out.WriteByte(glyphAt(stack, layer, blockTempsC, x, y, lo, hi))
 			}
 			out.WriteString("|\n")

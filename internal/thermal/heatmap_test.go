@@ -27,7 +27,7 @@ func steadyEXP1(t *testing.T) (*floorplan.Stack, *Model, []float64) {
 
 func TestRenderHeatmap(t *testing.T) {
 	s, _, blockT := steadyEXP1(t)
-	out, err := RenderHeatmap(s, blockT, HeatmapOptions{})
+	out, err := RenderHeatmap(s, blockT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,22 +46,8 @@ func TestRenderHeatmap(t *testing.T) {
 
 func TestRenderHeatmapValidation(t *testing.T) {
 	s, _, _ := steadyEXP1(t)
-	if _, err := RenderHeatmap(s, []float64{1}, HeatmapOptions{}); err == nil {
+	if _, err := RenderHeatmap(s, []float64{1}); err == nil {
 		t.Error("short vector accepted")
-	}
-}
-
-func TestRenderHeatmapFixedScale(t *testing.T) {
-	s, _, blockT := steadyEXP1(t)
-	out, err := RenderHeatmap(s, blockT, HeatmapOptions{MinC: 0, MaxC: 1000, Cols: 20, Rows: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With a scale reaching 1000 °C everything renders with cool glyphs
-	// (skip the legend line, which names the hottest glyph).
-	body := out[strings.Index(out, "\n")+1:]
-	if strings.ContainsAny(body, "#%@") {
-		t.Error("fixed wide scale should render only cool glyphs")
 	}
 }
 

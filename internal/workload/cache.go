@@ -30,8 +30,7 @@ func NewTraceCache() *TraceCache {
 }
 
 func cacheKey(cfg GenConfig) string {
-	return fmt.Sprintf("%s|%d|%g|%d|%g|%g",
-		cfg.Bench.Name, cfg.NumCores, cfg.DurationS, cfg.Seed, cfg.MeanJobS, cfg.SigmaLog)
+	return fmt.Sprintf("%s|%d|%g|%d", cfg.Bench.Name, cfg.NumCores, cfg.DurationS, cfg.Seed)
 }
 
 // maxTraceEntries bounds the cache. Generation is deterministic, so

@@ -13,15 +13,18 @@ type GenConfig struct {
 	NumCores  int     // size of the target machine (8 or 16)
 	DurationS float64 // paper traces are half an hour (1800 s)
 	Seed      int64
-	// MeanJobS is the mean CPU demand of one thread at full frequency;
-	// 0 selects the default of 8 s. The paper records user/kernel thread
-	// lifetimes with DTrace: server worker threads, database connections
-	// and decode runs live for seconds to minutes, which is what makes
-	// each allocation decision thermally consequential.
-	MeanJobS float64
-	// SigmaLog is the lognormal shape of job sizes; 0 selects 1.0.
-	SigmaLog float64
 }
+
+// meanJobS is the mean CPU demand of one thread at full frequency, 8 s.
+// The paper records user/kernel thread lifetimes with DTrace: server
+// worker threads, database connections and decode runs live for
+// seconds to minutes, which is what makes each allocation decision
+// thermally consequential. sigmaLog is the lognormal shape of job
+// sizes.
+const (
+	meanJobS = 8
+	sigmaLog = 1.0
+)
 
 // classParams are the two-state Markov-modulated arrival parameters per
 // burstiness class: the busy-state rate multiplier, the long-run busy
@@ -74,28 +77,13 @@ func Generate(cfg GenConfig) ([]Job, error) {
 	if cfg.Bench.AvgUtilPct <= 0 || cfg.Bench.AvgUtilPct > 100 {
 		return nil, fmt.Errorf("workload: benchmark %q has invalid utilization %g%%", cfg.Bench.Name, cfg.Bench.AvgUtilPct)
 	}
-	meanJob := cfg.MeanJobS
-	if meanJob == 0 {
-		meanJob = 8
-	}
-	if meanJob <= 0 {
-		return nil, fmt.Errorf("workload: MeanJobS must be positive, got %g", meanJob)
-	}
-	sigma := cfg.SigmaLog
-	if sigma == 0 {
-		sigma = 1.0
-	}
-	if sigma < 0 {
-		return nil, fmt.Errorf("workload: SigmaLog must be >= 0, got %g", sigma)
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cp := paramsFor(cfg.Bench.Class)
 
 	// Mean chip-wide arrival rate so that lambda * E[W] = rho * cores.
 	rho := cfg.Bench.AvgUtil()
-	lambdaMean := rho * float64(cfg.NumCores) / meanJob
-	muLog := math.Log(meanJob) - sigma*sigma/2
+	lambdaMean := rho * float64(cfg.NumCores) / meanJobS
+	muLog := math.Log(meanJobS) - sigmaLog*sigmaLog/2
 
 	// The load is produced by several independent clients (SLAMD drives
 	// the web servers with multiple client threads; database load comes
@@ -149,8 +137,8 @@ func Generate(cfg GenConfig) ([]Job, error) {
 			if now >= cfg.DurationS {
 				break
 			}
-			work := math.Exp(muLog + sigma*rng.NormFloat64())
-			work = math.Min(math.Max(work, 0.1), 12*meanJob)
+			work := math.Exp(muLog + sigmaLog*rng.NormFloat64())
+			work = math.Min(math.Max(work, 0.1), 12*meanJobS)
 			jobs = append(jobs, Job{
 				ArrivalS:    now,
 				WorkS:       work,
