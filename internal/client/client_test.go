@@ -284,3 +284,65 @@ func TestRequestWithSkip(t *testing.T) {
 		t.Errorf("WithSkip(nil) on empty request = %v, want nil", empty.SkipKeys)
 	}
 }
+
+// TestRequestJobs pins the shard rule of Request.Jobs, the expansion
+// every server, the cluster router and local dtmsweep share: no
+// shard_count is the whole sweep, a positive count selects one shard
+// (the shards partition the sweep in spec order), and a negative count,
+// an index without a count or an index out of range is an error rather
+// than the whole sweep.
+func TestRequestJobs(t *testing.T) {
+	spec := testSpec()
+	all := spec.Expand()
+	keys := func(jobs []sweep.Job) []string {
+		out := make([]string, len(jobs))
+		for i, j := range jobs {
+			out[i] = j.Key()
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name         string
+		index, count int
+		wantErr      bool
+	}{
+		{"whole sweep", 0, 0, false},
+		{"one shard", 0, 1, false},
+		{"negative shard count", 0, -2, true},
+		{"negative count and index", -1, -1, true},
+		{"shard index without count", 1, 0, true},
+		{"shard index out of range", 2, 2, true},
+		{"negative shard index", -1, 2, true},
+	} {
+		jobs, err := Request{Spec: spec, ShardIndex: tc.index, ShardCount: tc.count}.Jobs()
+		switch {
+		case tc.wantErr && err == nil:
+			t.Errorf("%s: got %d jobs and no error, want an error", tc.name, len(jobs))
+		case !tc.wantErr && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.wantErr && !reflect.DeepEqual(keys(jobs), keys(all)):
+			t.Errorf("%s: jobs %v, want the whole sweep %v", tc.name, keys(jobs), keys(all))
+		}
+	}
+	var merged []string
+	for shard := 0; shard < 2; shard++ {
+		jobs, err := Request{Spec: spec, ShardIndex: shard, ShardCount: 2}.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged = append(merged, keys(jobs)...)
+	}
+	want := keys(all)
+	sort.Strings(merged)
+	sort.Strings(want)
+	if !reflect.DeepEqual(merged, want) {
+		t.Errorf("two shards hold %v, want the sweep's jobs once each %v", merged, want)
+	}
+	skipped, err := Request{Spec: spec, SkipKeys: []string{all[0].Key()}}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(keys(skipped), keys(all[1:])) {
+		t.Errorf("skip-set of the first job: jobs %v, want %v", keys(skipped), keys(all[1:]))
+	}
+}

@@ -15,7 +15,8 @@ import (
 type Request struct {
 	Spec sweep.Spec `json:"spec"`
 	// ShardIndex/ShardCount select shard index-of-count of the job
-	// list by stable job hash; zero ShardCount means the whole sweep.
+	// list by stable job hash; zero ShardCount means the whole sweep,
+	// and a negative one is an error.
 	ShardIndex int `json:"shard_index,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
 	// SkipKeys are completed job keys (from a local checkpoint); they
@@ -28,6 +29,9 @@ type Request struct {
 // This is the order a conforming server streams records in, and the
 // order the cluster router re-merges per-backend streams into.
 func (r Request) Jobs() ([]sweep.Job, error) {
+	if r.ShardCount < 0 {
+		return nil, fmt.Errorf("negative shard_count %d", r.ShardCount)
+	}
 	jobs := r.Spec.Expand()
 	if r.ShardCount > 0 {
 		var err error

@@ -24,9 +24,10 @@ type goldenCell struct {
 }
 
 // goldenEXP1 captures Run on a tiny deterministic sweep (EXP-1, Web-high,
-// DPM, 30 s, seed 7) as produced by the sparse cached solver, which was
-// itself cross-validated against the seed's dense path to 1e-8 (see
-// thermal.TestSteadyStateSparseMatchesDense). Any solver or simulator
+// DPM, 30 s, seed 7) as produced by the sparse cached solver, whose
+// solves thermal's oracles hold to their own backward error and to
+// manufactured and exact solutions (see
+// thermal.TestSteadyStateSolvesItsSystem). Any solver or simulator
 // change that shifts paper-table numbers beyond floating-point noise
 // fails here.
 var goldenEXP1 = []goldenCell{

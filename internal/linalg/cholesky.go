@@ -1,8 +1,13 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 )
+
+// ErrSingular is returned when a factorization or solve encounters a
+// numerically singular matrix.
+var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // Cholesky is a sparse LDLᵀ factorization of a symmetric positive-
 // definite matrix: P·A·Pᵀ = L·D·Lᵀ, with L unit lower triangular stored

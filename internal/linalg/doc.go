@@ -1,22 +1,20 @@
 // Package linalg implements the linear algebra kernels needed by the
 // thermal RC-network solvers. It is the bottom of the stack: it knows
-// nothing about floorplans or temperatures, only CSR/dense matrices —
+// nothing about floorplans or temperatures, only CSR matrices —
 // internal/thermal is its sole in-repo consumer.
 //
-// Two factorizations are available:
-//
-//   - Sparse direct (Cholesky): an LDLᵀ factorization of the CSR
-//     conductance matrix with a fill-reducing ordering — reverse
-//     Cuthill-McKee for small block-mode systems, minimum degree for
-//     grid-mode systems whose package "hub" nodes would otherwise
-//     cause catastrophic fill. Both orderings are deterministic, so a
-//     factorization is bitwise reproducible across processes. RC
-//     conductance systems are symmetric positive definite, and
-//     factoring once then back-solving per step turns the dense O(n³)
-//     solve into O(nnz(L)) per step. Every thermal solve runs on it.
-//   - Dense LU with partial pivoting (Factor/SolveDense, with
-//     Sparse.ToDense): the reference that thermal's and linalg's
-//     cross-validation tests compare the sparse path against.
+// One factorization serves every solve: a sparse LDLᵀ (Cholesky)
+// factorization of the CSR conductance matrix with a fill-reducing
+// ordering — reverse Cuthill-McKee for small block-mode systems,
+// minimum degree for grid-mode systems whose package "hub" nodes would
+// otherwise cause catastrophic fill. Both orderings are deterministic,
+// so a factorization is bitwise reproducible across processes. RC
+// conductance systems are symmetric positive definite, and factoring
+// once then back-solving per step costs O(nnz(L)) per step. There is
+// no second solver to compare it with: the tests hold every solve to
+// its own componentwise backward error and to manufactured solutions
+// (x chosen, b = S·x formed with MulVec, x recovered), and thermal's
+// tests add an exact 1-D multilayer slab.
 //
 // # Panel (multi-RHS) solves
 //
@@ -42,8 +40,8 @@
 //
 // The package is deliberately small and allocation-conscious: thermal
 // simulation factors one matrix per network and then performs millions
-// of solve/mat-vec operations, so the hot paths (SolveInto-style
-// methods) write into caller-owned slices and allocate nothing. A
+// of solve/mat-vec operations, so the hot paths (SolveBuffered and
+// SolvePanel) write into caller-owned slices and allocate nothing. A
 // completed factorization is immutable and safe to share across
 // goroutines (every run of a shared thermal model does exactly that);
 // factoring itself is not synchronized. SolvePanel's dst and rhs may

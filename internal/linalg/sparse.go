@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -146,20 +145,6 @@ func (s *Sparse) AddDiag(d []float64) *Sparse {
 	return out
 }
 
-// RowAbsSums returns per-row sums of absolute values, the Gershgorin
-// disc extents used to bound the spectral radius without densifying.
-func (s *Sparse) RowAbsSums() []float64 {
-	sums := make([]float64, s.N)
-	for i := 0; i < s.N; i++ {
-		r := 0.0
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			r += math.Abs(s.Val[k])
-		}
-		sums[i] = r
-	}
-	return sums
-}
-
 // Diag extracts the diagonal of s into a new slice.
 func (s *Sparse) Diag() []float64 {
 	d := make([]float64, s.N)
@@ -172,29 +157,4 @@ func (s *Sparse) Diag() []float64 {
 		}
 	}
 	return d
-}
-
-// ToDense expands s into a dense matrix (for tests and small systems).
-func (s *Sparse) ToDense() *Matrix {
-	m := NewMatrix(s.N, s.N)
-	for i := 0; i < s.N; i++ {
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			m.Set(i, s.Col[k], s.Val[k])
-		}
-	}
-	return m
-}
-
-// MaxOffDiagAsymmetry returns the largest |S[i][j]-S[j][i]| (for tests).
-func (s *Sparse) MaxOffDiagAsymmetry() float64 {
-	d := s.ToDense()
-	worst := 0.0
-	for i := 0; i < d.Rows; i++ {
-		for j := i + 1; j < d.Cols; j++ {
-			if a := math.Abs(d.At(i, j) - d.At(j, i)); a > worst {
-				worst = a
-			}
-		}
-	}
-	return worst
 }

@@ -56,10 +56,23 @@ type DVFSUtil struct {
 	lv    []power.VfLevel // reused TickDecision.Levels buffer
 }
 
-// demandHeadroom inflates observed demand before DVFS_Util and
-// DVFS_Rel choose a level, so that small load increases do not
-// immediately saturate the core.
+// demandHeadroom inflates observed demand before DVFS_Util, DVFS_Rel
+// and MPC's reactive fallback choose a level, so that small load
+// increases do not immediately saturate the core.
 const demandHeadroom = 1.1
+
+// demandLevel is the demand-covering level rule DVFS_Util, DVFS_Rel's
+// base level and MPC's reactive fallback share: a backlogged core runs
+// at full speed (level 0), any other at the lowest level that covers
+// its last-interval demand, normalized to the default frequency and
+// inflated by demandHeadroom.
+func demandLevel(v *View, c int) power.VfLevel {
+	if v.QueueLens[c] > 1 {
+		return 0
+	}
+	demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * demandHeadroom
+	return v.DVFS.LowestLevelFor(math.Min(demand, 1))
+}
 
 // NewDVFSUtil returns the utilization-based DVFS policy.
 func NewDVFSUtil() *DVFSUtil { return &DVFSUtil{alloc: NewDefault()} }
@@ -80,14 +93,7 @@ func (p *DVFSUtil) Tick(v *View) TickDecision {
 		p.lv = make([]power.VfLevel, v.NumCores())
 	}
 	for c := range p.lv {
-		if v.QueueLens[c] > 1 {
-			// Backlogged: full speed regardless of last interval.
-			p.lv[c] = 0
-			continue
-		}
-		// Demand normalized to the default frequency.
-		demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * demandHeadroom
-		p.lv[c] = v.DVFS.LowestLevelFor(math.Min(demand, 1))
+		p.lv[c] = demandLevel(v, c)
 	}
 	d.Levels = p.lv
 	return d

@@ -81,11 +81,6 @@ func (p *DVFSRel) Fork() Policy {
 	return f
 }
 
-// Fork implements Forker.
-func (s *StaticLevels) Fork() Policy {
-	return &StaticLevels{Level: s.Level, alloc: s.alloc.fork()}
-}
-
 // Fork implements Forker: both halves must fork or the hybrid cannot
 // (returns nil, which TryFork reports as not forkable).
 func (h *Hybrid) Fork() Policy {

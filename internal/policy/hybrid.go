@@ -3,7 +3,6 @@ package policy
 import (
 	"fmt"
 
-	"repro/internal/power"
 	"repro/internal/workload"
 )
 
@@ -71,34 +70,4 @@ func DefaultDPM() DPM { return DPM{TimeoutS: 0.3} }
 // the sleep state.
 func (d DPM) ShouldSleep(idleS float64) bool {
 	return d.TimeoutS > 0 && idleS >= d.TimeoutS
-}
-
-// StaticLevels is a helper used in tests: a policy holding every core at
-// a fixed V/f level with Default allocation.
-type StaticLevels struct {
-	Level power.VfLevel
-	alloc *Default
-	lv    []power.VfLevel // reused TickDecision.Levels buffer
-}
-
-// NewStaticLevels pins all cores at the given level.
-func NewStaticLevels(l power.VfLevel) *StaticLevels {
-	return &StaticLevels{Level: l, alloc: NewDefault()}
-}
-
-// Name implements Policy.
-func (s *StaticLevels) Name() string { return fmt.Sprintf("Static@%d", int(s.Level)) }
-
-// AssignCore implements Policy.
-func (s *StaticLevels) AssignCore(v *View, job workload.Job) int { return s.alloc.AssignCore(v, job) }
-
-// Tick implements Policy.
-func (s *StaticLevels) Tick(v *View) TickDecision {
-	if len(s.lv) != v.NumCores() {
-		s.lv = make([]power.VfLevel, v.NumCores())
-	}
-	for i := range s.lv {
-		s.lv[i] = s.Level // refreshed per tick: Level is a public knob
-	}
-	return TickDecision{Levels: s.lv}
 }

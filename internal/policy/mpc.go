@@ -289,12 +289,7 @@ func (p *MPC) coolest(k int) int {
 // policy instead of freezing its last plan.
 func (p *MPC) reactiveFallback(v *View) {
 	for c := range p.held {
-		if v.QueueLens[c] > 1 {
-			p.held[c] = 0
-			continue
-		}
-		demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * 1.1
-		p.held[c] = v.DVFS.LowestLevelFor(math.Min(demand, 1))
+		p.held[c] = demandLevel(v, c)
 	}
 }
 

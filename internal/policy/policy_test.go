@@ -360,17 +360,6 @@ func TestRegistryNamesAreUnique(t *testing.T) {
 	}
 }
 
-func TestStaticLevels(t *testing.T) {
-	p := NewStaticLevels(2)
-	v := testView(t, 8, nil)
-	d := p.Tick(v)
-	for c, l := range d.Levels {
-		if l != 2 {
-			t.Errorf("core %d level %d, want 2", c, l)
-		}
-	}
-}
-
 // TestProbabilitiesInto pins the in-place distribution read: it must
 // match the allocating form, fall back to uniform when the state has
 // drained, reject wrong-length destinations loudly, and — being the

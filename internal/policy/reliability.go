@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"math"
-
 	"repro/internal/power"
 	"repro/internal/reliability"
 	"repro/internal/workload"
@@ -86,13 +84,7 @@ func (p *DVFSRel) Tick(v *View) TickDecision {
 	}
 	mean /= float64(n)
 	for c := 0; c < n; c++ {
-		var base power.VfLevel
-		if v.QueueLens[c] > 1 {
-			base = 0 // backlogged: cover demand at full speed
-		} else {
-			demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * demandHeadroom
-			base = v.DVFS.LowestLevelFor(math.Min(demand, 1))
-		}
+		base := demandLevel(v, c)
 		switch {
 		case v.TempsC[c] > v.ThresholdC:
 			// Emergency: keep stepping down from the current level.

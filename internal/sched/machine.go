@@ -139,13 +139,6 @@ func (m *Machine) Enqueue(j workload.Job, core int) error {
 // QueueLen returns the number of jobs queued (including running) on core.
 func (m *Machine) QueueLen(core int) int { return len(m.queues[core]) }
 
-// QueueLens returns all queue lengths.
-func (m *Machine) QueueLens() []int {
-	out := make([]int, m.numCores)
-	m.QueueLensInto(out)
-	return out
-}
-
 // QueueLensInto writes all queue lengths into a caller-owned dst of
 // length NumCores. It panics on a length mismatch.
 func (m *Machine) QueueLensInto(dst []int) {
@@ -176,16 +169,9 @@ func (m *Machine) IdleDurationS(core int) float64 {
 	return m.nowS - m.idleSinceS[core]
 }
 
-// MemActivity returns the running job's memory activity on each core
-// (0 for idle cores), for the power model.
-func (m *Machine) MemActivity() []float64 {
-	out := make([]float64, m.numCores)
-	m.MemActivityInto(out)
-	return out
-}
-
-// MemActivityInto writes the per-core memory activity into a caller-owned
-// dst of length NumCores. It panics on a length mismatch.
+// MemActivityInto writes the running job's memory activity on each
+// core (0 for idle cores), for the power model, into a caller-owned dst
+// of length NumCores. It panics on a length mismatch.
 func (m *Machine) MemActivityInto(dst []float64) {
 	if len(dst) != m.numCores {
 		panic(fmt.Sprintf("sched: MemActivityInto got %d entries for %d cores", len(dst), m.numCores))

@@ -262,7 +262,8 @@ func TestMemActivity(t *testing.T) {
 	j := job(0, 0, 1)
 	j.MemActivity = 0.7
 	m.Enqueue(j, 1)
-	ma := m.MemActivity()
+	ma := []float64{-1, -1} // stale values an idle core must clear
+	m.MemActivityInto(ma)
 	if ma[0] != 0 || ma[1] != 0.7 {
 		t.Errorf("MemActivity = %v, want [0 0.7]", ma)
 	}
@@ -273,7 +274,8 @@ func TestQueueLens(t *testing.T) {
 	m.Enqueue(job(0, 0, 1), 0)
 	m.Enqueue(job(1, 0, 1), 0)
 	m.Enqueue(job(2, 0, 1), 2)
-	lens := m.QueueLens()
+	lens := make([]int, 3)
+	m.QueueLensInto(lens)
 	if lens[0] != 2 || lens[1] != 0 || lens[2] != 1 {
 		t.Errorf("QueueLens = %v", lens)
 	}

@@ -16,7 +16,7 @@ func TestMoveTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.QueueLen(0) != 1 || m.QueueLen(1) != 1 {
-		t.Fatalf("queue lengths %v after tail move", m.QueueLens())
+		t.Fatalf("queue lengths %d and %d after tail move", m.QueueLen(0), m.QueueLen(1))
 	}
 	moved := m.Running(1)
 	if moved.Job.ID != 1 {

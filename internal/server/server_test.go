@@ -515,6 +515,7 @@ func badSweepRequests() []sweepCase {
 			DurationsS: []float64{1},
 		}}, http.StatusBadRequest},
 		{"shard index without count", SweepRequest{Spec: smallSpec(), ShardIndex: 1}, http.StatusBadRequest},
+		{"negative shard count", SweepRequest{Spec: smallSpec(), ShardCount: -2}, http.StatusBadRequest},
 		{"too many jobs", SweepRequest{Spec: sweep.Spec{
 			Scenarios:  sweep.ScenariosFor(floorplan.AllExperiments()),
 			Policies:   []string{"Default", "CGate", "Migr"},

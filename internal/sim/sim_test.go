@@ -204,12 +204,37 @@ func TestRunCGateActuallyGates(t *testing.T) {
 	}
 }
 
+// fixedLevel holds every core at one V/f level and dispatches arrivals
+// as Default does; it never migrates.
+type fixedLevel struct {
+	alloc *policy.Default
+	level power.VfLevel
+	lv    []power.VfLevel // reused TickDecision.Levels buffer
+}
+
+func (p *fixedLevel) Name() string { return "fixed-level" }
+
+func (p *fixedLevel) AssignCore(v *policy.View, job workload.Job) int {
+	return p.alloc.AssignCore(v, job)
+}
+
+func (p *fixedLevel) Tick(v *policy.View) policy.TickDecision {
+	if len(p.lv) != v.NumCores() {
+		p.lv = make([]power.VfLevel, v.NumCores())
+	}
+	for i := range p.lv {
+		p.lv[i] = p.level
+	}
+	return policy.TickDecision{Levels: p.lv}
+}
+
 func TestRunDVFSReducesEnergy(t *testing.T) {
 	r1, err := Run(testConfig(t, floorplan.EXP1, policy.NewDefault(), "Database", 30, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(testConfig(t, floorplan.EXP1, policy.NewStaticLevels(2), "Database", 30, 1))
+	slowest := &fixedLevel{alloc: policy.NewDefault(), level: 2}
+	r2, err := Run(testConfig(t, floorplan.EXP1, slowest, "Database", 30, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ const (
 	SolverSparse
 	// SolverDense selects the memoized sparse factorization, as
 	// SolverCached does; the label keeps existing sweep specs and
-	// records valid. linalg's dense LU serves only tests.
+	// records valid. Nothing solves densely.
 	SolverDense
 )
 

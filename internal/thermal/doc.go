@@ -24,8 +24,9 @@
 // changes what they do: it factors privately on every call and keeps
 // nothing on the model, for systems solved once. SolverCached and
 // SolverDense both select the memoized factorization. Nothing
-// densifies the conductance matrix; the dense LU reference in linalg
-// is for tests. See FactorCacheStats and
+// densifies the conductance matrix, and there is no second solver:
+// the tests hold every solve to its own backward error, manufactured
+// solutions and an exact 1-D slab. See FactorCacheStats and
 // ResetFactorCache for cache introspection.
 //
 // # Batched transient stepping

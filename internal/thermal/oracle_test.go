@@ -3,6 +3,8 @@ package thermal
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/linalg"
 )
 
 // This file holds the integrator oracles and accessors that only tests
@@ -59,6 +61,15 @@ func substepCount(dt, sub float64) int {
 	return steps
 }
 
+// rowAbsSum returns Σⱼ |S[i][j]|, row i's Gershgorin disc extent.
+func rowAbsSum(s *linalg.Sparse, i int) float64 {
+	r := 0.0
+	for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
+		r += math.Abs(s.Val[k])
+	}
+	return r
+}
+
 // StepRK4 advances node temperatures (°C) by dt using classical
 // Runge-Kutta with automatic substepping chosen from the Gershgorin bound
 // on the system's eigenvalues. It is an independent explicit integrator
@@ -88,8 +99,8 @@ func (m *Model) StepRK4(tempsC []float64, blockPower []float64, dt float64) ([]f
 	// Stability: |lambda|_max <= max_i (sum_j |G_ij|) / C_i. RK4's real
 	// stability interval is ~2.78/|lambda|; use half for safety.
 	lmax := 0.0
-	for i, s := range m.G.RowAbsSums() {
-		if l := s / m.C[i]; l > lmax {
+	for i := 0; i < n; i++ {
+		if l := rowAbsSum(m.G, i) / m.C[i]; l > lmax {
 			lmax = l
 		}
 	}

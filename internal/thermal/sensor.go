@@ -49,18 +49,11 @@ func NewSensors(cfg SensorConfig) (*Sensors, error) {
 	return s, nil
 }
 
-// Read maps true core temperatures to sensor readings, applying noise and
-// quantization. The input slice is not modified.
-func (s *Sensors) Read(trueTempsC []float64) []float64 {
-	out := make([]float64, len(trueTempsC))
-	s.ReadInto(out, trueTempsC)
-	return out
-}
-
-// ReadInto is Read writing into a caller-owned dst of the same length
-// (dst may alias the input: each entry is read before it is written).
-// It panics on a length mismatch, like the other *Into hot-path
-// methods.
+// ReadInto maps true core temperatures to sensor readings, applying
+// noise and quantization, and writes them into a caller-owned dst of
+// the same length (dst may alias the input: each entry is read before
+// it is written). It panics on a length mismatch, like the other *Into
+// hot-path methods.
 func (s *Sensors) ReadInto(dst, trueTempsC []float64) {
 	if len(dst) != len(trueTempsC) {
 		panic(fmt.Sprintf("thermal: ReadInto got %d destination entries for %d temps", len(dst), len(trueTempsC)))

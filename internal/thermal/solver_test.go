@@ -49,43 +49,94 @@ func randomPower(m *Model, seed int64) []float64 {
 	return p
 }
 
-// denseSteadyState is the dense LU reference of SteadyState: G
-// densified and solved by linalg.SolveDense.
-func denseSteadyState(t *testing.T, m *Model, blockPower []float64) []float64 {
-	t.Helper()
-	pn, err := m.ExpandPower(blockPower)
-	if err != nil {
-		t.Fatal(err)
+// backwardError returns the componentwise relative backward error of x
+// as a solution of S·x = b: maxᵢ |S·x − b|ᵢ / (|S|·|x| + |b|)ᵢ, the
+// smallest relative change to S's entries and b's under which x is
+// exact. A backward-stable solve keeps it at a few units of roundoff
+// however ill-conditioned the system, so it needs no second solver to
+// compare against.
+func backwardError(s *linalg.Sparse, x, b []float64) float64 {
+	worst := 0.0
+	for i := 0; i < s.N; i++ {
+		r, scale := -b[i], math.Abs(b[i])
+		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
+			r += s.Val[k] * x[s.Col[k]]
+			scale += math.Abs(s.Val[k] * x[s.Col[k]])
+		}
+		switch {
+		case r == 0:
+		case scale == 0:
+			return math.Inf(1)
+		default:
+			worst = max(worst, math.Abs(r)/scale)
+		}
 	}
-	x, err := linalg.SolveDense(m.G.ToDense(), pn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		x[i] += m.Params.AmbientC
-	}
-	return x
+	return worst
 }
 
-// TestSteadyStateSparseMatchesDense cross-validates the production
-// sparse steady-state path, memoized and private, against the dense LU
-// reference on every experiment's block model and on grid models,
-// within 1e-8.
-func TestSteadyStateSparseMatchesDense(t *testing.T) {
+// transientMatrix returns C/dt + G, the implicit-Euler system matrix,
+// and its C/dt diagonal.
+func transientMatrix(m *Model, dt float64) (*linalg.Sparse, []float64) {
+	cdt := make([]float64, m.NumNodes)
+	for i, c := range m.C {
+		cdt[i] = c / dt
+	}
+	return m.G.AddDiag(cdt), cdt
+}
+
+// TestSteadyStateSolvesItsSystem holds the production steady-state
+// path, memoized and private, to its own system on every experiment's
+// block model and on grid models: the rise T − T_amb must solve
+// G·(T − T_amb) = ExpandPower(p) with a componentwise backward error of
+// at most 1e-14 (worst measured 9.0e-16). A manufactured solution on
+// each model's G and on C/dt + G (dt = 0.1 s), factored by
+// linalg.FactorCholesky, must come back within 1e-12 relative at every
+// node (worst measured 8.1e-14).
+func TestSteadyStateSolvesItsSystem(t *testing.T) {
 	for name, m := range solverModels(t) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				p := randomPower(m, seed)
-				dense := denseSteadyState(t, m, p)
+				pn, err := m.ExpandPower(p)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, kind := range []SolverKind{SolverCached, SolverSparse} {
-					got, err := m.SteadyStateWith(p, kind)
+					temps, err := m.SteadyStateWith(p, kind)
 					if err != nil {
 						t.Fatalf("%v: %v", kind, err)
 					}
-					for i := range got {
-						if d := math.Abs(got[i] - dense[i]); d > 1e-8 {
-							t.Fatalf("%v node %d: sparse %.12f dense %.12f (|Δ|=%.3e)", kind, i, got[i], dense[i], d)
-						}
+					for i := range temps {
+						temps[i] -= m.Params.AmbientC
+					}
+					if be := backwardError(m.G, temps, pn); be > 1e-14 {
+						t.Errorf("%v seed %d: componentwise backward error %.2e, want <= 1e-14", kind, seed, be)
+					}
+				}
+			}
+			a, _ := transientMatrix(m, 0.1)
+			for _, sys := range []struct {
+				name string
+				s    *linalg.Sparse
+			}{{"G", m.G}, {"C/dt+G", a}} {
+				f, err := linalg.FactorCholesky(sys.s)
+				if err != nil {
+					t.Fatalf("%s: %v", sys.name, err)
+				}
+				rng := rand.New(rand.NewSource(int64(sys.s.N)))
+				want := make([]float64, sys.s.N)
+				for i := range want {
+					want[i] = 1 + 9*rng.Float64() // a rise of 1 to 10 K
+				}
+				b := make([]float64, sys.s.N)
+				sys.s.MulVec(b, want)
+				x := make([]float64, sys.s.N)
+				if err := f.Solve(x, b); err != nil {
+					t.Fatalf("%s: %v", sys.name, err)
+				}
+				for i := range x {
+					if rel := math.Abs(x[i]-want[i]) / want[i]; rel > 1e-12 {
+						t.Fatalf("%s node %d: manufactured %.15g solved %.15g (relative error %.2e)", sys.name, i, want[i], x[i], rel)
 					}
 				}
 			}
@@ -93,66 +144,116 @@ func TestSteadyStateSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestTransientSparseMatchesDense steps the implicit-Euler integrator
-// from the same initial condition on its sparse factorization and on a
-// dense LU factorization of C/dt + G, and demands node-for-node
-// agreement within 1e-8 over a power step response.
-func TestTransientSparseMatchesDense(t *testing.T) {
+// TestTransientStepSolvesItsSystem steps the implicit-Euler integrator,
+// on its memoized and on a private factorization, 50 times from 5 K
+// above ambient with a power step at step 25, and holds every step to
+// its own system: the new rise r₍ₖ₊₁₎ must solve
+// (C/dt + G)·r₍ₖ₊₁₎ = (C/dt)·rₖ + P with a componentwise backward error
+// of at most 1e-14 (worst measured 9.8e-16).
+func TestTransientStepSolvesItsSystem(t *testing.T) {
 	const dt = 0.1
 	for name, m := range solverModels(t) {
 		t.Run(name, func(t *testing.T) {
-			p := randomPower(m, 42)
+			a, cdt := transientMatrix(m, dt)
 			init := uniformTemps(m, m.Params.AmbientC+5)
-			trS, err := m.NewTransient(dt, init)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := m.G.ToDense()
-			for i, c := range m.C {
-				a.Add(i, i, c/dt)
-			}
-			lu, err := linalg.Factor(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The dense reference integrates the rise above ambient,
-			// as Transient does.
-			rise := make([]float64, m.NumNodes)
-			for i := range rise {
-				rise[i] = init[i] - m.Params.AmbientC
-			}
-			rhs := make([]float64, m.NumNodes)
-			td := make([]float64, m.NumNodes)
-			ts := make([]float64, m.NumNodes)
-			for step := 0; step < 50; step++ {
-				if step == 25 { // power step halfway through
-					for i := range p {
-						p[i] *= 0.3
-					}
-				}
-				if err := trS.StepInto(ts, p); err != nil {
-					t.Fatal(err)
-				}
-				pn, err := m.ExpandPower(p)
+			for _, kind := range []SolverKind{SolverCached, SolverSparse} {
+				tr, err := m.NewTransientWith(dt, init, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range rhs {
-					rhs[i] = m.C[i]/dt*rise[i] + pn[i]
-				}
-				if err := lu.Solve(rise, rhs); err != nil {
-					t.Fatal(err)
-				}
-				for i, r := range rise {
-					td[i] = r + m.Params.AmbientC
-				}
-				for i := range ts {
-					if d := math.Abs(ts[i] - td[i]); d > 1e-8 {
-						t.Fatalf("step %d node %d: sparse %.12f dense %.12f (|Δ|=%.3e)", step, i, ts[i], td[i], d)
+				p := randomPower(m, 42)
+				dst := make([]float64, m.NumNodes)
+				rhs := make([]float64, m.NumNodes)
+				for step := 0; step < 50; step++ {
+					if step == 25 { // power step halfway through
+						for i := range p {
+							p[i] *= 0.3
+						}
+					}
+					pn, err := m.ExpandPower(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range rhs {
+						rhs[i] = cdt[i]*tr.rise[i] + pn[i]
+					}
+					if err := tr.StepInto(dst, p); err != nil {
+						t.Fatal(err)
+					}
+					if be := backwardError(a, tr.rise, rhs); be > 1e-14 {
+						t.Fatalf("%v step %d: componentwise backward error %.2e, want <= 1e-14", kind, step, be)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestSteadySlabSeriesResistance is the exact 1-D oracle: a stack whose
+// every layer is one full-die core block, built through
+// StackSpec.Build and NewBlockModel, is a chain of series resistances,
+// so at steady state each interface's temperature step is the power of
+// the layers above it times (ρ_si·t_lower/2 + ρ_int·t_int +
+// ρ_si·t_upper/2)/A, and the bottom block's step to its spreader entry
+// node is the total power times (ρ_si·t₀/2 + ρ_TIM·t_TIM)/A. Layers
+// differ in thickness, each interface overrides its resistivity and
+// thickness, and every layer dissipates. Both hold within 1e-12
+// relative on both solver kinds (worst measured 3.0e-14).
+func TestSteadySlabSeriesResistance(t *testing.T) {
+	const dieW, dieH = 11.5, 10.0            // mm
+	thick := []float64{0.15, 0.05, 0.3, 0.1} // mm, bottom first
+	rhoInt := []float64{0.23, 0.05, 1.5}     // m·K/W
+	tInt := []float64{0.02, 0.01, 0.04}      // mm
+	power := []float64{3, 7.5, 1.25, 5}      // W, bottom first
+	spec := floorplan.StackSpec{Name: "slab"}
+	for l, tl := range thick {
+		spec.Layers = append(spec.Layers, floorplan.LayerSpec{
+			ThicknessMM: tl,
+			Blocks:      []floorplan.BlockSpec{{Name: fmt.Sprintf("core%d", l), Kind: "core", W: dieW, H: dieH}},
+		})
+	}
+	for i := range rhoInt {
+		spec.Interfaces = append(spec.Interfaces, floorplan.InterfaceSpec{ResistivityMKW: rhoInt[i], ThicknessMM: tInt[i]})
+	}
+	stack, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	m, err := NewBlockModel(stack, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumBlocks() != len(thick) {
+		t.Fatalf("slab has %d blocks, want one per layer (%d)", m.NumBlocks(), len(thick))
+	}
+	area := dieW * dieH * 1e-6 // m²
+	rhoSi := p.SiliconResistivity
+	check := func(kind SolverKind, what string, got, want float64) {
+		t.Helper()
+		if rel := math.Abs(got-want) / want; rel > 1e-12 {
+			t.Errorf("%v %s: step %.15g K, series resistances give %.15g K (relative error %.2e)", kind, what, got, want, rel)
+		}
+	}
+	for _, kind := range []SolverKind{SolverCached, SolverSparse} {
+		temps, err := m.SteadyStateWith(power, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rhoInt {
+			above := 0.0
+			for _, w := range power[i+1:] {
+				above += w
+			}
+			r := (rhoSi*thick[i]*1e-3/2 + rhoInt[i]*tInt[i]*1e-3 + rhoSi*thick[i+1]*1e-3/2) / area
+			check(kind, fmt.Sprintf("interface %d", i), temps[i+1]-temps[i], above*r)
+		}
+		total := 0.0
+		for _, w := range power {
+			total += w
+		}
+		r := (rhoSi*thick[0]*1e-3/2 + p.TIMResistivity*p.TIMThicknessM) / area
+		check(kind, "bottom block to spreader entry", temps[0]-temps[m.NumBlocks()], total*r)
 	}
 }
 
