@@ -345,6 +345,19 @@ func (c *CoolantSpec) effectiveHTC() float64 {
 	return last[1]
 }
 
+// The size gates a server applies to an inbound spec BEFORE building
+// it: NumLayers and NumBlocks count a spec's layers and blocks from the
+// declaration alone (template expansion is a fixed count per template),
+// so an inline spec declaring thousands of tiers is rejected without
+// allocating its geometry, matrices, or factorization. The ceilings sit
+// far above the library (EXP-6 is 6 layers, 48 blocks) while bounding
+// the thermal system to roughly the size a maximal grid request could
+// already demand.
+const (
+	MaxSpecLayers = 16
+	MaxSpecBlocks = 4096
+)
+
 // NumLayers returns the tier count without building the stack.
 func (s *StackSpec) NumLayers() int { return len(s.Layers) }
 

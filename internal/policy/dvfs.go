@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/power"
@@ -65,13 +64,13 @@ const demandHeadroom = 1.1
 // base level and MPC's reactive fallback share: a backlogged core runs
 // at full speed (level 0), any other at the lowest level that covers
 // its last-interval demand, normalized to the default frequency and
-// inflated by demandHeadroom.
+// inflated by demandHeadroom (LowestLevelFor clamps it to [0, 1]).
 func demandLevel(v *View, c int) power.VfLevel {
 	if v.QueueLens[c] > 1 {
 		return 0
 	}
 	demand := v.Utils[c] * v.DVFS.FreqScale(v.Levels[c]) * demandHeadroom
-	return v.DVFS.LowestLevelFor(math.Min(demand, 1))
+	return v.DVFS.LowestLevelFor(demand)
 }
 
 // NewDVFSUtil returns the utilization-based DVFS policy.

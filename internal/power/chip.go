@@ -118,20 +118,104 @@ type ChipInput struct {
 
 // ComputeInto writes the per-block power vector (W) for the stack into
 // a caller-owned dst of length stack.NumBlocks(), in stack block order.
+// It compiles a Plan for the stack on every call; a caller computing
+// many intervals of one stack compiles the Plan once and calls its
+// ComputeInto instead.
+func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) error {
+	return m.Plan(stack).ComputeInto(dst, in)
+}
+
+// Plan is a Model compiled for one stack: the model's scalars, each V/f
+// level's scales, and one entry per block holding everything the
+// per-block loop needs that no tick changes. It is immutable once
+// Model.Plan returns it, so any number of simulations may share it.
+type Plan struct {
+	core    CoreParams
+	cache   CacheParams
+	xbar    CrossbarParams
+	leak    leakCurve
+	leakage bool
+	nCores  int
+	levels  []levelScales
+	blocks  []planBlock
+}
+
+// levelScales are one V/f level's DVFSTable.PowerScale and VoltScale.
+type levelScales struct{ power, volt float64 }
+
+// planBlock is one block's share of the power computation that depends
+// only on the stack and the model.
+type planBlock struct {
+	kind floorplan.BlockKind
+	core int // CoreID of a core block
+	// powerScale is a core block's PowerScale.
+	powerScale float64
+	// fixedW is the switching power of a block that is not a core, an
+	// L2 bank or the crossbar: MemOtherW for an "other" block on a layer
+	// with no cores, OtherW for one beside cores, 0 for any other kind.
+	fixedW float64
+	// leakW is BaseDensityWPerMM2 × area. hasArea is false when the area
+	// is ≤ 0, so the block leaks nothing; a NaN area keeps it true, and
+	// its leakage stays NaN.
+	leakW      float64
+	hasArea    bool
+	leakFactor float64 // leakDensityFactor of the block's kind
+}
+
+// Plan compiles the model for stack. It reads the stack's blocks once;
+// a later change to their geometry, kind or scale needs a new Plan.
+func (m Model) Plan(stack *floorplan.Stack) *Plan {
+	p := &Plan{
+		core:    m.Core,
+		cache:   m.Cache,
+		xbar:    m.Xbar,
+		leak:    m.Leak.curve(),
+		leakage: m.LeakageEnabled,
+		nCores:  stack.NumCores(),
+		levels:  make([]levelScales, m.DVFS.Levels()),
+		blocks:  make([]planBlock, stack.NumBlocks()),
+	}
+	for l := range p.levels {
+		p.levels[l] = levelScales{power: m.DVFS.PowerScale(VfLevel(l)), volt: m.DVFS.VoltScale(VfLevel(l))}
+	}
+	for i, b := range stack.Blocks() {
+		area := b.Area()
+		pb := planBlock{
+			kind:       b.Kind,
+			core:       b.CoreID,
+			powerScale: b.PowerScale,
+			leakW:      m.Leak.BaseDensityWPerMM2 * area,
+			hasArea:    !(area <= 0),
+			leakFactor: leakDensityFactor(b.Kind),
+		}
+		if b.Kind == floorplan.KindOther {
+			pb.fixedW = m.OtherW
+			if onMemoryLayer(stack, b) {
+				pb.fixedW = m.MemOtherW
+			}
+		}
+		p.blocks[i] = pb
+	}
+	return p
+}
+
+// ComputeInto writes the per-block power vector (W) of the plan's stack
+// into a caller-owned dst of length NumBlocks, in stack block order.
 // dst is fully overwritten; the hot tick loop reuses one power buffer
 // across the whole run. The L2 activity of a bank follows the average
 // memory activity of all cores (the T1 interleaves L2 banks across
 // cores), and the crossbar follows active-core count and total memory
 // traffic, as described in Section IV-B.
-func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) error {
-	if len(in.Cores) != stack.NumCores() {
-		return fmt.Errorf("power: got %d core inputs for %d cores", len(in.Cores), stack.NumCores())
+func (p *Plan) ComputeInto(dst []float64, in ChipInput) error {
+	nb := len(p.blocks)
+	if len(in.Cores) != p.nCores {
+		return fmt.Errorf("power: got %d core inputs for %d cores", len(in.Cores), p.nCores)
 	}
-	if in.BlockTempsC != nil && len(in.BlockTempsC) != stack.NumBlocks() {
-		return fmt.Errorf("power: got %d block temperatures for %d blocks", len(in.BlockTempsC), stack.NumBlocks())
+	if in.BlockTempsC != nil && len(in.BlockTempsC) != nb {
+		return fmt.Errorf("power: got %d block temperatures for %d blocks", len(in.BlockTempsC), nb)
 	}
-	if len(dst) != stack.NumBlocks() {
-		return fmt.Errorf("power: destination has %d entries for %d blocks", len(dst), stack.NumBlocks())
+	if len(dst) != nb {
+		return fmt.Errorf("power: destination has %d entries for %d blocks", len(dst), nb)
 	}
 
 	// Chip-wide activity summaries.
@@ -145,48 +229,57 @@ func (m Model) ComputeInto(dst []float64, stack *floorplan.Stack, in ChipInput) 
 	}
 	activeFrac := float64(activeCores) / float64(len(in.Cores))
 	memTraffic = min(memTraffic/float64(len(in.Cores))*2, 1) // saturating
-	l2W := m.Cache.Power(memTraffic)
-	xbarW := m.Xbar.Power(activeFrac, memTraffic)
-	g := m.Leak.curve()
+	l2W := p.cache.Power(memTraffic)
+	xbarW := p.xbar.Power(activeFrac, memTraffic)
+	top := len(p.levels) - 1
 
-	for bi, b := range stack.Blocks() {
-		var p float64
+	for bi := range p.blocks {
+		b := &p.blocks[bi]
+		var w float64
 		var volt float64 = 1
-		switch b.Kind {
+		switch b.kind {
 		case floorplan.KindCore:
-			ci := in.Cores[b.CoreID]
+			ci := in.Cores[b.core]
+			ls := p.levels[min(max(int(ci.Level), 0), top)] // DVFSTable.Clamp
+			switch ci.State {
+			case StateSleep:
+				w = p.core.SleepW
+			case StateGated:
+				w = 0 // clock gated: no switching power at all
+			case StateIdle:
+				w = p.core.IdleW * ls.power
+			default:
+				util := min(max(ci.Util, 0), 1)
+				w = (util*p.core.ActiveW + (1-util)*p.core.IdleW) * ls.power
+			}
 			// PowerScale models heterogeneous tiers (smaller/simpler
 			// cores draw proportionally less dynamic power); it is
 			// exactly 1.0 for homogeneous stacks, which multiplies to
 			// bitwise-identical float64s.
-			p = m.Core.Power(m.DVFS, ci.State, ci.Level, ci.Util) * b.PowerScale
-			volt = m.DVFS.VoltScale(ci.Level)
+			w *= b.powerScale
+			volt = ls.volt
 			if ci.State == StateSleep {
 				volt = 0.3 // power-gated rail retains only a keeper voltage
 			}
 		case floorplan.KindL2:
-			p = l2W
+			w = l2W
 		case floorplan.KindCrossbar:
-			p = xbarW
-		case floorplan.KindOther:
-			if onMemoryLayer(stack, b) {
-				p = m.MemOtherW
-			} else {
-				p = m.OtherW
-			}
+			w = xbarW
+		default:
+			w = b.fixedW
 		}
-		if m.LeakageEnabled {
+		if p.leakage {
 			temp := in.AmbientC
 			if in.BlockTempsC != nil {
 				temp = in.BlockTempsC[bi]
 			}
 			leak := 0.0
-			if area := b.Area(); !(area <= 0) { // no area, no leakage; NaN stays NaN
-				leak = m.Leak.BaseDensityWPerMM2 * area * g.at(temp) * volt * volt
+			if b.hasArea {
+				leak = b.leakW * p.leak.at(temp) * volt * volt
 			}
-			p += leak * leakDensityFactor(b.Kind)
+			w += leak * b.leakFactor
 		}
-		dst[bi] = p
+		dst[bi] = w
 	}
 	return nil
 }
@@ -213,8 +306,6 @@ func leakDensityFactor(k floorplan.BlockKind) float64 {
 }
 
 // onMemoryLayer reports whether the block sits on a layer with no cores.
-// It scans instead of calling Layer.Cores, which allocates; this runs per
-// filler block inside the per-tick power computation.
 func onMemoryLayer(stack *floorplan.Stack, b *floorplan.Block) bool {
 	for _, blk := range stack.Layers[b.Layer].Blocks {
 		if blk.IsCore() {

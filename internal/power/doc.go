@@ -7,10 +7,12 @@
 //
 // # Place in the dataflow
 //
-// Each simulation tick, the engine (internal/sim) assembles a
+// The engine (internal/sim) compiles the paper's Model for its stack
+// once per run (Model.Plan); its forks, checkpoints and rollout lanes
+// share that Plan. Each simulation tick, the engine assembles a
 // ChipInput from the scheduler's utilization/state vector and the
 // previous interval's block temperatures (the leakage feedback loop),
-// and Model.ComputeInto fills the per-block power vector that drives
+// and Plan.ComputeInto fills the per-block power vector that drives
 // the thermal model's next transient step. The DVFSTable doubles as
 // the policy layer's actuator vocabulary: policies pick VfLevels, the
 // engine converts them to frequency scales for the scheduler and
@@ -20,6 +22,7 @@
 //
 // ComputeInto writes into a caller-owned block-power slice and retains
 // neither it nor the input temperature slice — the tick loop's
-// allocation contract depends on that. Model values are plain data;
-// distinct simulations use distinct copies and nothing here locks.
+// allocation contract depends on that. Model values are plain data; a
+// Plan is never written after Model.Plan returns, so concurrent
+// simulations may share one, and nothing here locks.
 package power

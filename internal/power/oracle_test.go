@@ -188,12 +188,15 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// FuzzComputeInto holds ComputeInto to refComputeInto bit for bit (any
-// NaN equals any NaN) over every builtin stack plus a PowerScale ≠ 1
-// spec stack, leakage on and off, temperatures given and ambient-only,
-// every core state including an out-of-range one, out-of-range V/f
-// levels, ±0/subnormal/±Inf/NaN inputs, temperatures at the leakage
-// curve's kinks, and leakage models without a vertex or a cap.
+// FuzzComputeInto holds Plan.ComputeInto and Model.ComputeInto to
+// refComputeInto bit for bit (any NaN equals any NaN) over every
+// builtin stack plus a PowerScale ≠ 1 spec stack, leakage on and off,
+// temperatures given and ambient-only, every core state including an
+// out-of-range one, out-of-range V/f levels, ±0/subnormal/±Inf/NaN
+// inputs, temperatures at the leakage curve's kinks, and leakage models
+// without a vertex or a cap. Each input compiles one plan and runs
+// three chip inputs through it, the first again after a different
+// second, so a plan that kept state from one call to the next fails.
 func FuzzComputeInto(f *testing.F) {
 	stacks := oracleStacks(f)
 	specials := []float64{
@@ -215,13 +218,6 @@ func FuzzComputeInto(f *testing.F) {
 		if len(pattern) == 0 {
 			pattern = []byte{0}
 		}
-		at := func(i int) int { return int(pattern[i%len(pattern)]) }
-		pick := func(i int, x float64, table []float64) float64 {
-			if k := at(i) % (2 * len(table)); k < len(table) {
-				return table[k]
-			}
-			return x
-		}
 		s := stacks[int(which)%len(stacks)]
 		m := DefaultModel()
 		m.LeakageEnabled = flags&1 == 0
@@ -234,34 +230,59 @@ func FuzzComputeInto(f *testing.F) {
 		if flags&16 != 0 {
 			m.Leak.C2 = 0
 		}
-		in := ChipInput{Cores: make([]CoreInput, s.NumCores()), AmbientC: pick(1, temp, temps)}
-		for c := range in.Cores {
-			in.Cores[c] = CoreInput{
-				State:       CoreState(at(4*c)%6 - 1),
-				Level:       VfLevel(at(4*c+1)%7 - 2),
-				Util:        pick(4*c+2, util, specials),
-				MemActivity: pick(4*c+3, mem, specials),
+		// input reads the pattern from offset shift, so two shifts give
+		// two different chip inputs.
+		input := func(shift int, util, mem float64, withTemps bool) ChipInput {
+			at := func(i int) int { return int(pattern[(i+shift)%len(pattern)]) }
+			pick := func(i int, x float64, table []float64) float64 {
+				if k := at(i) % (2 * len(table)); k < len(table) {
+					return table[k]
+				}
+				return x
 			}
+			in := ChipInput{Cores: make([]CoreInput, s.NumCores()), AmbientC: pick(1, temp, temps)}
+			for c := range in.Cores {
+				in.Cores[c] = CoreInput{
+					State:       CoreState(at(4*c)%6 - 1),
+					Level:       VfLevel(at(4*c+1)%7 - 2),
+					Util:        pick(4*c+2, util, specials),
+					MemActivity: pick(4*c+3, mem, specials),
+				}
+			}
+			if withTemps {
+				in.BlockTempsC = make([]float64, s.NumBlocks())
+				for b := range in.BlockTempsC {
+					in.BlockTempsC[b] = pick(b+5, temp+float64(b), temps)
+				}
+			}
+			return in
 		}
-		if flags&2 != 0 {
-			in.BlockTempsC = make([]float64, s.NumBlocks())
-			for b := range in.BlockTempsC {
-				in.BlockTempsC[b] = pick(b+5, temp+float64(b), temps)
+		first := input(0, util, mem, flags&2 != 0)
+		second := input(1, mem, util, flags&2 == 0)
+		check := func(what string, got []float64, in ChipInput) {
+			t.Helper()
+			want := make([]float64, s.NumBlocks())
+			if err := refComputeInto(m, want, s, in); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("%s %s block %d (%s): %g (%#x), reference %g (%#x)",
+						s.Name, what, i, s.Blocks()[i].Name, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
 			}
 		}
 		got := make([]float64, s.NumBlocks())
-		want := make([]float64, s.NumBlocks())
-		if err := m.ComputeInto(got, s, in); err != nil {
+		if err := m.ComputeInto(got, s, first); err != nil {
 			t.Fatal(err)
 		}
-		if err := refComputeInto(m, want, s, in); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("%s block %d (%s): ComputeInto %g (%#x), reference %g (%#x)",
-					s.Name, i, s.Blocks()[i].Name, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		check("Model.ComputeInto", got, first)
+		plan := m.Plan(s)
+		for k, in := range []ChipInput{first, second, first} {
+			if err := plan.ComputeInto(got, in); err != nil {
+				t.Fatal(err)
 			}
+			check(fmt.Sprintf("Plan.ComputeInto call %d", k+1), got, in)
 		}
 		if g, w := m.Leak.TempFactor(temp), refTempFactor(m.Leak, temp); !sameBits(g, w) {
 			t.Fatalf("TempFactor(%g) = %g (%#x), reference %g (%#x)", temp, g, math.Float64bits(g), w, math.Float64bits(w))
@@ -270,7 +291,9 @@ func FuzzComputeInto(f *testing.F) {
 }
 
 // BenchmarkComputeInto times one tick's power vector on EXP-1 (16
-// blocks) and EXP-3 (32 blocks) with the leakage loop on.
+// blocks) and EXP-3 (32 blocks) with the leakage loop on, through a
+// plan compiled before the timed loop, as the engine compiles one per
+// run.
 func BenchmarkComputeInto(b *testing.B) {
 	for _, e := range []floorplan.Experiment{floorplan.EXP1, floorplan.EXP3} {
 		s := floorplan.MustBuild(e)
@@ -283,9 +306,10 @@ func BenchmarkComputeInto(b *testing.B) {
 			in.BlockTempsC[i] = 60 + float64(i%25)
 		}
 		dst := make([]float64, s.NumBlocks())
+		plan := m.Plan(s)
 		b.Run(fmt.Sprintf("EXP%d", e), func(b *testing.B) {
 			for b.Loop() {
-				if err := m.ComputeInto(dst, s, in); err != nil {
+				if err := plan.ComputeInto(dst, in); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,9 +1,6 @@
 package power
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CoreState is the operating state of one core.
 type CoreState int
@@ -105,7 +102,9 @@ func (t DVFSTable) PowerScale(l VfLevel) float64 {
 // covers the requested utilization (the DVFS_Util rule: run as slowly as
 // the observed workload allows).
 func (t DVFSTable) LowestLevelFor(utilization float64) VfLevel {
-	u := math.Min(math.Max(utilization, 0), 1)
+	// Builtin min and max agree with math.Min and math.Max bit for bit
+	// here, because both bounds are finite.
+	u := min(max(utilization, 0), 1)
 	best := VfLevel(0)
 	for l := 0; l < t.Levels(); l++ {
 		if t.Freq[l] >= u {
@@ -128,20 +127,4 @@ type CoreParams struct {
 // tree and front-end only.
 func DefaultCoreParams() CoreParams {
 	return CoreParams{ActiveW: 3.0, IdleW: 0.2, SleepW: 0.02}
-}
-
-// Power returns the core's switching power in W given its state, V/f
-// level, and utilization (fraction of the interval spent executing).
-func (c CoreParams) Power(t DVFSTable, st CoreState, l VfLevel, util float64) float64 {
-	util = min(max(util, 0), 1)
-	switch st {
-	case StateSleep:
-		return c.SleepW
-	case StateGated:
-		return 0 // clock gated: no switching power at all
-	case StateIdle:
-		return c.IdleW * t.PowerScale(l)
-	default:
-		return (util*c.ActiveW + (1-util)*c.IdleW) * t.PowerScale(l)
-	}
 }

@@ -68,6 +68,45 @@ func TestDVFSLowestLevelFor(t *testing.T) {
 	}
 }
 
+// TestDVFSLowestLevelForClamp holds LowestLevelFor's builtin clamp to
+// the math.Min/math.Max clamp it replaced, bit for bit, and the level
+// it picks to the old rule's, on the inputs where the two could part:
+// ±0, subnormals, ±Inf, NaN, the table's frequencies and 1 ± 1 ulp.
+// It also holds LowestLevelFor(x) to LowestLevelFor(math.Min(x, 1)),
+// the form demand-covering policies called it in.
+func TestDVFSLowestLevelForClamp(t *testing.T) {
+	d := DefaultDVFS()
+	oldClamp := func(u float64) float64 { return math.Min(math.Max(u, 0), 1) }
+	oldLevel := func(u float64) VfLevel {
+		u = oldClamp(u)
+		best := VfLevel(0)
+		for l := 0; l < d.Levels(); l++ {
+			if d.Freq[l] >= u {
+				best = VfLevel(l)
+			} else {
+				break
+			}
+		}
+		return best
+	}
+	for _, u := range []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		0.85, 0.95, 1, math.Nextafter(1, 0), math.Nextafter(1, 2), 1.1,
+	} {
+		if got, want := min(max(u, 0), 1), oldClamp(u); !sameBits(got, want) || math.Signbit(got) != math.Signbit(want) {
+			t.Errorf("clamp(%g) = %g (%#x), math.Min/math.Max %g (%#x)", u, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got, want := d.LowestLevelFor(u), oldLevel(u); got != want {
+			t.Errorf("LowestLevelFor(%g) = %d, the old rule %d", u, got, want)
+		}
+		if got, want := d.LowestLevelFor(u), d.LowestLevelFor(math.Min(u, 1)); got != want {
+			t.Errorf("LowestLevelFor(%g) = %d, LowestLevelFor(math.Min(%g, 1)) = %d", u, got, u, want)
+		}
+	}
+}
+
 func TestDVFSValidate(t *testing.T) {
 	bad := DVFSTable{Freq: []float64{1.0, 1.0}, Volt: []float64{1, 1}}
 	if err := bad.Validate(); err == nil {
@@ -83,31 +122,38 @@ func TestDVFSValidate(t *testing.T) {
 	}
 }
 
+// corePowerW is the switching power of EXP-1's first core with every
+// core in state st at level l and utilization util: its block power
+// with leakage off.
+func corePowerW(t *testing.T, st CoreState, l VfLevel, util float64) float64 {
+	t.Helper()
+	s := floorplan.MustBuild(floorplan.EXP1)
+	m := DefaultModel()
+	m.LeakageEnabled = false
+	return compute(t, m, s, chipInput(s.NumCores(), st, l, util))[s.BlockIndex(s.Cores()[0])]
+}
+
 func TestCorePowerStates(t *testing.T) {
-	c := DefaultCoreParams()
-	d := DefaultDVFS()
-	if got := c.Power(d, StateActive, 0, 1); got != 3.0 {
+	if got := corePowerW(t, StateActive, 0, 1); got != 3.0 {
 		t.Errorf("fully active core = %g W, paper says 3 W", got)
 	}
-	if got := c.Power(d, StateSleep, 0, 1); got != 0.02 {
+	if got := corePowerW(t, StateSleep, 0, 1); got != 0.02 {
 		t.Errorf("sleeping core = %g W, paper says 0.02 W", got)
 	}
-	if got := c.Power(d, StateGated, 0, 1); got != 0 {
+	if got := corePowerW(t, StateGated, 0, 1); got != 0 {
 		t.Errorf("gated core switching power = %g W, want 0", got)
 	}
-	idle := c.Power(d, StateIdle, 0, 0)
-	act := c.Power(d, StateActive, 0, 0.5)
+	idle := corePowerW(t, StateIdle, 0, 0)
+	act := corePowerW(t, StateActive, 0, 0.5)
 	if !(idle < act && act < 3.0) {
 		t.Errorf("expected idle (%g) < half-util (%g) < 3", idle, act)
 	}
 }
 
 func TestCorePowerDVFSReduces(t *testing.T) {
-	c := DefaultCoreParams()
-	d := DefaultDVFS()
-	p0 := c.Power(d, StateActive, 0, 1)
-	p1 := c.Power(d, StateActive, 1, 1)
-	p2 := c.Power(d, StateActive, 2, 1)
+	p0 := corePowerW(t, StateActive, 0, 1)
+	p1 := corePowerW(t, StateActive, 1, 1)
+	p2 := corePowerW(t, StateActive, 2, 1)
 	if !(p2 < p1 && p1 < p0) {
 		t.Errorf("power must decrease with level: %g, %g, %g", p0, p1, p2)
 	}

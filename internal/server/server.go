@@ -15,6 +15,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/exp"
+	"repro/internal/floorplan"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -454,21 +455,12 @@ const (
 	maxGridCells = 128 * 128
 	// maxDurationS caps one job's simulated time (one simulated week).
 	maxDurationS = 7 * 24 * 3600
-	// maxSpecLayers / maxSpecBlocks cap a declarative stack BEFORE it
-	// is built: layer and block counts are computable from the spec
-	// alone (template expansion is a fixed count per template), so an
-	// inline spec declaring thousands of tiers is rejected without
-	// allocating its geometry, matrices, or factorization. The ceilings
-	// sit far above the library (EXP-6 is 6 layers, 48 blocks) while
-	// bounding the thermal system to roughly the size a maximal grid
-	// request could already demand.
-	maxSpecLayers = 16
-	maxSpecBlocks = 4096
 )
 
 // defaultValidateJob vets a job against the simulator's actual
 // vocabulary and the resource limits above, cheaply: every scenario
-// resolves to its StackSpec, is size-gated from the spec, and is then
+// resolves to its StackSpec, is size-gated from the spec
+// (floorplan.MaxSpecLayers, floorplan.MaxSpecBlocks), and is then
 // built once in block mode, which also proves the geometry validates.
 func defaultValidateJob(j sweep.Job) error {
 	if !exp.KnownPolicy(j.Policy) {
@@ -481,11 +473,11 @@ func defaultValidateJob(j sweep.Job) error {
 	if err != nil {
 		return err
 	}
-	if n := spec.NumLayers(); n > maxSpecLayers {
-		return fmt.Errorf("scenario %s: %d layers exceeds the %d-layer limit", j.Scenario.ID(), n, maxSpecLayers)
+	if n := spec.NumLayers(); n > floorplan.MaxSpecLayers {
+		return fmt.Errorf("scenario %s: %d layers exceeds the %d-layer limit", j.Scenario.ID(), n, floorplan.MaxSpecLayers)
 	}
-	if n := spec.NumBlocks(); n > maxSpecBlocks {
-		return fmt.Errorf("scenario %s: %d blocks exceeds the %d-block limit", j.Scenario.ID(), n, maxSpecBlocks)
+	if n := spec.NumBlocks(); n > floorplan.MaxSpecBlocks {
+		return fmt.Errorf("scenario %s: %d blocks exceeds the %d-block limit", j.Scenario.ID(), n, floorplan.MaxSpecBlocks)
 	}
 	if _, err := spec.Build(); err != nil {
 		return fmt.Errorf("scenario %s: %v", j.Scenario.ID(), err)

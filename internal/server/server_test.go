@@ -935,7 +935,7 @@ func stackScenarioCases(tb testing.TB) []scenarioCase {
 	// explicit blocks.
 	tooManyBlocks := &floorplan.StackSpec{Name: "too-many-blocks"}
 	var blocks []floorplan.BlockSpec
-	for i := 0; i < maxSpecBlocks+1; i++ {
+	for i := 0; i < floorplan.MaxSpecBlocks+1; i++ {
 		blocks = append(blocks, floorplan.BlockSpec{
 			Name: fmt.Sprintf("b%d", i), Kind: "other",
 			X: float64(i) * 0.001, Y: 0, W: 0.001, H: 10,
@@ -944,7 +944,7 @@ func stackScenarioCases(tb testing.TB) []scenarioCase {
 	tooManyBlocks.Layers = []floorplan.LayerSpec{{Blocks: blocks}}
 
 	tooManyLayers := &floorplan.StackSpec{Name: "too-many-layers"}
-	for i := 0; i <= maxSpecLayers; i++ {
+	for i := 0; i <= floorplan.MaxSpecLayers; i++ {
 		tooManyLayers.Layers = append(tooManyLayers.Layers, floorplan.LayerSpec{Template: "memory"})
 	}
 

@@ -152,6 +152,9 @@ type Engine struct {
 	// homogeneous stacks, <1 for "LITTLE" tiers of heterogeneous
 	// spec-built stacks); immutable per run, so forks share it.
 	freqScale []float64
+	// plan is paperPower compiled for the stack; immutable, so forks
+	// share it too.
+	plan *power.Plan
 
 	// Per-tick scratch, reused across every tick.
 	states     []power.CoreState
@@ -238,6 +241,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	for c, b := range stack.Cores() {
 		e.freqScale[c] = b.FreqScale
 	}
+	e.plan = paperPower.Plan(stack)
 	for c := range e.states {
 		e.states[c] = power.StateIdle
 	}
@@ -247,7 +251,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	// consistent with temperature).
 	e.fillCoreInputs()
 	idleIn := power.ChipInput{Cores: e.coreIn, AmbientC: model.Params.AmbientC}
-	if err := paperPower.ComputeInto(e.blockPower, stack, idleIn); err != nil {
+	if err := e.plan.ComputeInto(e.blockPower, idleIn); err != nil {
 		return nil, err
 	}
 	nodeTemps, err := model.SteadyState(e.blockPower)
@@ -258,7 +262,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	idleIn.BlockTempsC = e.blockTemps
-	if err := paperPower.ComputeInto(e.blockPower, stack, idleIn); err != nil {
+	if err := e.plan.ComputeInto(e.blockPower, idleIn); err != nil {
 		return nil, err
 	}
 	if nodeTemps, err = model.SteadyState(e.blockPower); err != nil {
@@ -514,7 +518,7 @@ func (e *Engine) tickPre(tick int) error {
 		BlockTempsC: e.blockTemps,
 		AmbientC:    e.model.Params.AmbientC,
 	}
-	if err := paperPower.ComputeInto(e.blockPower, e.model.Stack, in); err != nil {
+	if err := e.plan.ComputeInto(e.blockPower, in); err != nil {
 		return err
 	}
 	if err := e.energy.Accumulate(e.model.Stack, e.blockPower, tickS); err != nil {

@@ -11,13 +11,14 @@ import (
 
 // Fork returns an independent engine continuing from the receiver's
 // current state: immutable inputs (stack, thermal model, cached
-// factorization, job trace) are shared, every piece of mutable state —
-// integrator, queues, meters, wear, policy — is copied. Parent and
-// fork then advance independently, and concurrently (the shared
-// factorization is read-only under the buffered solves). The fork
-// drops the parent's observer and context: it is a rollout vehicle,
-// not a resumed reporting run. An unstepped fork is a
-// checkpoint: Restore rewinds an engine to it, as often as needed.
+// factorization, power plan, job trace) are shared, every piece of
+// mutable state — integrator, queues, meters, wear, policy — is
+// copied. Parent and fork then advance independently, and
+// concurrently (the shared factorization is read-only under the
+// buffered solves). The fork drops the parent's observer and context:
+// it is a rollout vehicle, not a resumed reporting run. An unstepped
+// fork is a checkpoint: Restore rewinds an engine to it, as often as
+// needed.
 func (e *Engine) Fork() (*Engine, error) {
 	f, err := e.fork(e.cfg)
 	if err != nil {
@@ -114,10 +115,11 @@ func (e *Engine) copyTick(src *Engine) error {
 }
 
 // fork builds an engine on cfg around the receiver's immutable inputs
-// (thermal model, job trace, frequency scales), with its own mutable
-// half: an integrator on the model's memoized factorization for the
-// tick, so it stays batchable with the receiver's, and its own sensor
-// bank. The caller copies in the state it needs.
+// (thermal model, job trace, frequency scales, power plan), with its
+// own mutable half: an integrator on the model's memoized
+// factorization for the tick, so it stays batchable with the
+// receiver's, and its own sensor bank. The caller copies in the state
+// it needs.
 func (e *Engine) fork(cfg Config) (*Engine, error) {
 	cfg.ctx = nil
 	cfg.Observer = nil
@@ -129,6 +131,7 @@ func (e *Engine) fork(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	f.freqScale = e.freqScale // immutable per run, safe to share
+	f.plan = e.plan
 	return f, nil
 }
 

@@ -122,6 +122,7 @@ func (e *Engine) DegradeInterfaces(factor float64) error {
 	e.model = model
 	e.tr = tr
 	e.view.Stack = &ns
+	// e.plan stays: ns is a shallow copy sharing the blocks it compiled.
 	// Lanes share the old stack/model/integrator; rebuild them lazily.
 	if e.rollout != nil {
 		e.rollout.drop()
