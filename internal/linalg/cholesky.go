@@ -259,6 +259,14 @@ func (f *Cholesky) SolvePanel(dst, rhs []float64, k int, scratch []float64) erro
 // and — backward — no store-to-load chain through memory. Blocking only
 // interleaves the lanes: within a lane, every update happens in column
 // order and, within a column, in entry order, as in solveScratch.
+//
+// With panelAVX set, the 8- and 4-lane blocks' entry loops and the
+// diagonal run as AVX kernels (panel_amd64.s) doing the same multiply
+// and subtract or divide per lane; the column loop, the blocking, the
+// zero-pivot rule and the single-lane tails stay here. The kernels
+// check no bounds: they rely on len(w) == n*k, which SolvePanel
+// checks, on l+8 <= k or l+4 <= k, and on every row index in f.rowIdx
+// being < n, which factorCholesky guarantees.
 func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 	n := f.n
 	// L W = B' (unit lower triangular, CSC forward sweep). Row indices
@@ -278,6 +286,10 @@ func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 			x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 			if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 || x4 == 0 || x5 == 0 || x6 == 0 || x7 == 0 {
 				forwardLanes(w, rows, vals, k, bj, l, l+8)
+				continue
+			}
+			if panelAVX {
+				forward8AVX(w[l:], rows, vals, k, bj)
 				continue
 			}
 			for i, r := range rows {
@@ -300,6 +312,10 @@ func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 				forwardLanes(w, rows, vals, k, bj, l, l+4)
 				continue
 			}
+			if panelAVX {
+				forward4AVX(w[l:], rows, vals, k, bj)
+				continue
+			}
 			for i, r := range rows {
 				v, b := vals[i], r*k+l
 				y := w[b : b+4 : b+4]
@@ -311,12 +327,16 @@ func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 		}
 		forwardLanes(w, rows, vals, k, bj, l, k)
 	}
-	for j := 0; j < n; j++ {
-		d := f.d[j]
-		bj := j * k
-		wj := w[bj : bj+k : bj+k]
-		for l := range wj {
-			wj[l] /= d
+	if panelAVX {
+		divideAVX(w, f.d, k)
+	} else {
+		for j := 0; j < n; j++ {
+			d := f.d[j]
+			bj := j * k
+			wj := w[bj : bj+k : bj+k]
+			for l := range wj {
+				wj[l] /= d
+			}
 		}
 	}
 	// Lᵀ W = W (CSC backward sweep): column j's lanes accumulate from
@@ -329,6 +349,10 @@ func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 		bj := j * k
 		l := 0
 		for ; l+8 <= k; l += 8 {
+			if panelAVX {
+				backward8AVX(w[l:], rows, vals, k, bj)
+				continue
+			}
 			s := w[bj+l : bj+l+8 : bj+l+8]
 			s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 			for i, r := range rows {
@@ -346,6 +370,10 @@ func (f *Cholesky) solvePanelScratch(w []float64, k int) {
 			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
 		}
 		for ; l+4 <= k; l += 4 {
+			if panelAVX {
+				backward4AVX(w[l:], rows, vals, k, bj)
+				continue
+			}
 			s := w[bj+l : bj+l+4 : bj+l+4]
 			s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 			for i, r := range rows {

@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -336,13 +340,75 @@ func gridLaplacian(rows, cols int) *Sparse {
 	return sb.Build()
 }
 
+// initPanelAVX is the panel kernel choice package initialization made,
+// read before any test flips panelAVX.
+var initPanelAVX = panelAVX
+
+// panelKernel is one SolvePanel kernel and the panelAVX value that
+// selects it.
+type panelKernel struct {
+	name string
+	avx  bool
+}
+
+// panelKernels lists the kernels this host runs: the Go kernels, the
+// fallback on every GOARCH, and the AVX kernels where package
+// initialization chose them.
+func panelKernels() []panelKernel {
+	ks := []panelKernel{{"go", false}}
+	if initPanelAVX {
+		ks = append(ks, panelKernel{"avx", true})
+	}
+	return ks
+}
+
+// usePanelKernel selects kernel k until the test ends.
+func usePanelKernel(tb testing.TB, k panelKernel) {
+	panelAVX = k.avx
+	tb.Cleanup(func() { panelAVX = initPanelAVX })
+}
+
+// TestPanelKernelChoice fails when package initialization chose a
+// panel kernel the host contradicts. On linux/amd64 the AVX kernels
+// must be chosen exactly when /proc/cpuinfo lists avx, which Linux
+// does only when the CPU has AVX and the kernel saves the YMM
+// registers; off amd64 the Go kernels must be.
+func TestPanelKernelChoice(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		if initPanelAVX {
+			t.Fatalf("GOARCH %s chose the AVX panel kernels", runtime.GOARCH)
+		}
+		return
+	}
+	if runtime.GOOS != "linux" {
+		t.Skipf("no independent AVX probe on %s", runtime.GOOS)
+	}
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no independent AVX probe: %v", err)
+	}
+	flags, avx := "", false
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags, avx = list, slices.Contains(strings.Fields(list), "avx")
+			break
+		}
+	}
+	if flags == "" {
+		t.Skip("/proc/cpuinfo lists no CPU flags")
+	}
+	if initPanelAVX != avx {
+		t.Fatalf("panel kernel choice: AVX %v, but /proc/cpuinfo lists avx: %v", initPanelAVX, avx)
+	}
+}
+
 // TestCholeskySolvePanel pins the batched panel solve to the scalar
-// buffered path bit for bit: for every lane, SolvePanel must produce
-// exactly the floats SolveBuffered produces on that lane's column —
-// including on the minimum-degree grid ordering — because the sweep
-// batching layer promises byte-identical per-job records. The lane
-// counts reach every mix of the kernel's 8-lane blocks, 4-lane blocks
-// and single-lane tails.
+// buffered path bit for bit, on every kernel the host runs: for every
+// lane, SolvePanel must produce exactly the floats SolveBuffered
+// produces on that lane's column — including on the minimum-degree
+// grid ordering — because the sweep batching layer promises
+// byte-identical per-job records. The lane counts reach every mix of
+// the kernels' 8-lane blocks, 4-lane blocks and single-lane tails.
 func TestCholeskySolvePanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	systems := []struct {
@@ -356,13 +422,44 @@ func TestCholeskySolvePanel(t *testing.T) {
 	// pivot is zero: unless a block with a zero pivot falls back to the
 	// scalar path's per-lane skip, x -= v*0 turns -0 targets into +0.
 	// Mixed panels interleave them with ordinary lanes in one block.
+	// Special lanes put a subnormal, ±Inf or one of two NaNs in every
+	// fifth entry, varying by lane, so Inf - Inf makes a third NaN and
+	// NaN meets NaN: the result keeps the target's or accumulator's NaN
+	// only when it is the subtraction's first operand, as in Go.
+	specials := []float64{
+		math.SmallestNonzeroFloat64, -0x1p-1050, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef),
+	}
+	negZero := func(lane []float64) {
+		for i := range lane {
+			lane[i] = math.Copysign(0, -1)
+		}
+		lane[rng.Intn(len(lane))] = 0
+	}
+	normal := func(lane []float64) {
+		for i := range lane {
+			lane[i] = rng.NormFloat64()
+		}
+	}
 	fills := []struct {
-		name       string
-		signedZero func(lane int) bool
+		name string
+		fill func(l int, lane []float64)
 	}{
-		{"normal", func(int) bool { return false }},
-		{"signed-zero", func(int) bool { return true }},
-		{"mixed", func(l int) bool { return l%2 == 1 }},
+		{"normal", func(_ int, lane []float64) { normal(lane) }},
+		{"signed-zero", func(_ int, lane []float64) { negZero(lane) }},
+		{"mixed", func(l int, lane []float64) {
+			if l%2 == 1 {
+				negZero(lane)
+			} else {
+				normal(lane)
+			}
+		}},
+		{"specials", func(l int, lane []float64) {
+			normal(lane)
+			for i := l % 5; i < len(lane); i += 5 {
+				lane[i] = specials[(i/5+l)%len(specials)]
+			}
+		}},
 	}
 	for _, sys := range systems {
 		t.Run(sys.name, func(t *testing.T) {
@@ -375,17 +472,7 @@ func TestCholeskySolvePanel(t *testing.T) {
 				for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 17} {
 					rhs := make([]float64, n*k)
 					for l := 0; l < k; l++ {
-						lane := rhs[l*n : (l+1)*n]
-						if !fill.signedZero(l) {
-							for i := range lane {
-								lane[i] = rng.NormFloat64()
-							}
-							continue
-						}
-						for i := range lane {
-							lane[i] = math.Copysign(0, -1)
-						}
-						lane[rng.Intn(n)] = 0
+						fill.fill(l, rhs[l*n:(l+1)*n])
 					}
 					want := make([]float64, n*k)
 					scratch := make([]float64, n*k)
@@ -394,32 +481,36 @@ func TestCholeskySolvePanel(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					dst := make([]float64, n*k)
-					if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
-						t.Fatal(err)
-					}
-					for i := range dst {
-						if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%s k=%d: panel[%d]=%g, buffered=%g", fill.name, k, i, dst[i], want[i])
+					for _, kern := range panelKernels() {
+						usePanelKernel(t, kern)
+						dst := make([]float64, n*k)
+						if err := f.SolvePanel(dst, rhs, k, scratch); err != nil {
+							t.Fatal(err)
 						}
-					}
-					// In-place: dst aliasing rhs must give the same answer.
-					inPlace := append([]float64(nil), rhs...)
-					if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
-						t.Fatal(err)
-					}
-					for i := range inPlace {
-						if math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%s k=%d aliased: panel[%d]=%g, buffered=%g", fill.name, k, i, inPlace[i], want[i])
+						for i := range dst {
+							if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s %s k=%d: panel[%d]=%g (%#x), buffered=%g (%#x)", kern.name, fill.name, k,
+									i, dst[i], math.Float64bits(dst[i]), want[i], math.Float64bits(want[i]))
+							}
 						}
-					}
-					allocs := testing.AllocsPerRun(20, func() {
+						// In-place: dst aliasing rhs must give the same answer.
+						inPlace := append([]float64(nil), rhs...)
 						if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
 							t.Fatal(err)
 						}
-					})
-					if allocs != 0 {
-						t.Fatalf("%s k=%d: SolvePanel allocates %.1f per call, want 0", fill.name, k, allocs)
+						for i := range inPlace {
+							if math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s %s k=%d aliased: panel[%d]=%g, buffered=%g", kern.name, fill.name, k, i, inPlace[i], want[i])
+							}
+						}
+						allocs := testing.AllocsPerRun(20, func() {
+							if err := f.SolvePanel(inPlace, inPlace, k, scratch); err != nil {
+								t.Fatal(err)
+							}
+						})
+						if allocs != 0 {
+							t.Fatalf("%s %s k=%d: SolvePanel allocates %.1f per call, want 0", kern.name, fill.name, k, allocs)
+						}
 					}
 				}
 			}
@@ -427,21 +518,24 @@ func TestCholeskySolvePanel(t *testing.T) {
 	}
 }
 
-// FuzzSolvePanel fuzzes the same bitwise contract over random RC-shaped
-// systems on both sides of FactorCholesky's 200-node switch from RCM to
-// minimum-degree ordering, 1 to 20 lanes, and right-hand sides whose
-// entries, chosen by the pattern bytes, mix ordinary values with ±0,
-// subnormals, ±Inf and NaN.
+// FuzzSolvePanel fuzzes the same bitwise contract, on every kernel the
+// host runs, over random RC-shaped systems on both sides of
+// FactorCholesky's 200-node switch from RCM to minimum-degree ordering,
+// 1 to 20 lanes, and right-hand sides whose entries, chosen by the
+// pattern bytes, mix ordinary values with ±0, subnormals, ±Inf and two
+// NaNs.
 func FuzzSolvePanel(f *testing.F) {
 	f.Add(int64(1), uint16(28), uint8(7), []byte{1, 1, 1, 0})
 	f.Add(int64(2), uint16(197), uint8(12), []byte{1, 0, 200, 201, 255})
 	f.Add(int64(3), uint16(198), uint8(15), []byte{2, 3, 4, 5, 6, 7, 8})
 	f.Add(int64(4), uint16(258), uint8(19), []byte{9, 10, 128})
+	f.Add(int64(5), uint16(40), uint8(16), []byte{6, 10, 4, 15, 15, 15, 15})
 	specials := []float64{
 		0, math.Copysign(0, -1),
 		math.SmallestNonzeroFloat64, -0x1p-1050,
 		math.Inf(1), math.Inf(-1), math.NaN(),
 		1, -1, math.MaxFloat64,
+		math.Float64frombits(0x7ff8_0000_dead_beef),
 	}
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, lanes uint8, pattern []byte) {
 		n := 2 + int(size)%299 // 2..300
@@ -467,13 +561,18 @@ func FuzzSolvePanel(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if err := fac.SolvePanel(rhs, rhs, k, scratch); err != nil {
-			t.Fatal(err)
-		}
-		for i := range rhs {
-			if math.Float64bits(rhs[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("n=%d k=%d: panel[%d]=%g (%#x), buffered=%g (%#x)",
-					n, k, i, rhs[i], math.Float64bits(rhs[i]), want[i], math.Float64bits(want[i]))
+		got := make([]float64, n*k)
+		for _, kern := range panelKernels() {
+			usePanelKernel(t, kern)
+			copy(got, rhs)
+			if err := fac.SolvePanel(got, got, k, scratch); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d k=%d: panel[%d]=%g (%#x), buffered=%g (%#x)",
+						kern.name, n, k, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
 			}
 		}
 	})
@@ -499,46 +598,62 @@ func TestCholeskySolvePanelValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkSolvePanel measures the blocked k-lane solve against k
-// sequential buffered solves on the grid-ordering factorization the
-// sweep batch path exercises. Grouped sweeps dispatch panels of up to
-// 16 lanes (sweep's chunk cap) and their remainders, hence the 12-
-// and 16-lane panels beside the 8-lane pair. Run with -benchmem: all
+// BenchmarkSolvePanel times the blocked k-lane solve on each kernel the
+// host runs, and k sequential buffered solves beside it, on two
+// systems: the 32×32 grid Laplacian (minimum-degree ordering, the
+// grid-mode path) and a 48-node RC system (RCM ordering, block-model
+// size: EXP-1 and EXP-3 solve 32 and 48 nodes). Grouped sweeps
+// dispatch panels of up to 16 lanes (sweep's chunk cap) and their
+// remainders, and MPC rollouts a few lanes, hence k of 8, 12 and 16 on
+// the grid and 4 and 16 on the block system. No right-hand side entry
+// is an exact zero, so the blocks take the branch-free path that
+// thermal lanes take, not the zero-pivot path. Run with -benchmem: all
 // must report zero allocations.
 func BenchmarkSolvePanel(b *testing.B) {
-	s := gridLaplacian(32, 32)
-	f, err := FactorCholesky(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := s.N
-	rhs := make([]float64, n*16)
-	for i := range rhs {
-		rhs[i] = float64(i%11) - 5
-	}
-	for _, k := range []int{8, 12, 16} {
-		b.Run(fmt.Sprintf("panel%d", k), func(b *testing.B) {
+	for _, sys := range []struct {
+		name  string
+		s     *Sparse
+		lanes []int
+	}{
+		{"grid32x32", gridLaplacian(32, 32), []int{8, 12, 16}},
+		{"block48", randSPDSystem(rand.New(rand.NewSource(48)), 48, 48), []int{4, 16}},
+	} {
+		f, err := FactorCholesky(sys.s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := sys.s.N
+		rhs := make([]float64, n*16)
+		for i := range rhs {
+			rhs[i] = float64(i%11) - 5.5
+		}
+		for _, kern := range panelKernels() {
+			for _, k := range sys.lanes {
+				b.Run(fmt.Sprintf("%s/%s/panel%d", sys.name, kern.name, k), func(b *testing.B) {
+					usePanelKernel(b, kern)
+					dst := make([]float64, n*k)
+					scratch := make([]float64, n*k)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := f.SolvePanel(dst, rhs[:n*k], k, scratch); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+		k := sys.lanes[0]
+		b.Run(fmt.Sprintf("%s/sequential%d", sys.name, k), func(b *testing.B) {
 			dst := make([]float64, n*k)
-			scratch := make([]float64, n*k)
+			scratch := make([]float64, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.SolvePanel(dst, rhs[:n*k], k, scratch); err != nil {
-					b.Fatal(err)
+				for l := 0; l < k; l++ {
+					if err := f.SolveBuffered(dst[l*n:(l+1)*n], rhs[l*n:(l+1)*n], scratch); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
 	}
-	const k = 8
-	b.Run("sequential8", func(b *testing.B) {
-		dst := make([]float64, n*k)
-		scratch := make([]float64, n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for l := 0; l < k; l++ {
-				if err := f.SolveBuffered(dst[l*n:(l+1)*n], rhs[l*n:(l+1)*n], scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }

@@ -36,6 +36,22 @@
 // bitwise identical to k scalar solves — the contract the batched
 // transient stepping in internal/thermal builds on.
 //
+// On amd64 the 8- and 4-lane blocks' loops over a column's entries,
+// and the diagonal scaling, run as AVX kernels (panel_amd64.s): a
+// broadcast factor value, VMULPD, then VSUBPD (or VDIVPD for the
+// diagonal) on four lanes per YMM register, with the target or
+// accumulator as the first source operand, so a lane's NaN wins as it
+// does in the scalar SUBSD and DIVSD. They use no FMA: Go does not
+// fuse y -= v*x on amd64, and a fused multiply-subtract rounds once
+// where Go rounds twice, which would change the bits. The column loop,
+// the lane blocking, the zero-pivot rule and the single-lane tails
+// stay in Go, as does SolvePanel's k == 1 path through SolveBuffered.
+// The kernels are chosen once at package initialization, from CPUID
+// (the AVX and OSXSAVE bits of leaf 1) and XGETBV (the OS saves the
+// SSE and AVX state: XCR0 & 6 == 6). On other GOARCHes, and on CPUs
+// without AVX, the Go kernels run. The tests run every panel case
+// through both kernels and hold each to SolveBuffered bit for bit.
+//
 // # Buffer ownership and concurrency
 //
 // The package is deliberately small and allocation-conscious: thermal

@@ -38,8 +38,6 @@ type RolloutScore struct {
 	// WorstCycleDamage is the largest per-block Coffin-Manson damage
 	// the horizon itself would add (reference-cycle equivalents).
 	WorstCycleDamage float64
-	// EnergyJ is the energy the horizon would consume.
-	EnergyJ float64
 }
 
 // Rollout evaluates candidate actions by simulation. The engine

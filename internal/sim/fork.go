@@ -160,15 +160,13 @@ func (r *rolloutSim) drop() { r.lanes, r.d = nil, nil }
 // rolloutLane is one reusable candidate evaluator: an engine frozen on
 // a HeldAction policy, one rainflow stream per block reset per
 // candidate (so damage scores cover only the horizon), and the
-// candidate's running peak and starting energy. The lane engine keeps
-// no wear tracker of its own and never reads its sensors or records
-// metrics.
+// candidate's running peak. The lane engine keeps no wear tracker of
+// its own and never reads its sensors or records metrics.
 type rolloutLane struct {
 	eng     *Engine
 	pol     *policy.HeldAction
 	streams []reliability.Stream
 	peak    float64
-	startJ  float64
 }
 
 // grow builds lanes until there are n, and the driver over all of them
@@ -205,8 +203,8 @@ func (r *rolloutSim) grow(n int) error {
 
 // Evaluate implements policy.Rollout: rewind one lane per distinct
 // candidate to the host's state, advance the lanes up to horizonTicks
-// (clipped at the end of the run), and score peak temperature, added
-// worst-block cycling damage, and energy.
+// (clipped at the end of the run), and score peak temperature and
+// added worst-block cycling damage.
 func (r *rolloutSim) Evaluate(actions []policy.Action, horizonTicks int, scores []policy.RolloutScore) error {
 	if len(scores) < len(actions) {
 		return fmt.Errorf("sim: rollout got %d score slots for %d actions", len(scores), len(actions))
@@ -285,7 +283,6 @@ func (l *rolloutLane) start(host *Engine, a policy.Action) error {
 		l.streams[i].Init(reliability.DefaultCycling())
 	}
 	l.peak = math.Inf(-1)
-	l.startJ = l.eng.energy.TotalJ()
 	return nil
 }
 
@@ -326,5 +323,5 @@ func (l *rolloutLane) score() policy.RolloutScore {
 			worst = d
 		}
 	}
-	return policy.RolloutScore{PeakTempC: peak, WorstCycleDamage: worst, EnergyJ: e.energy.TotalJ() - l.startJ}
+	return policy.RolloutScore{PeakTempC: peak, WorstCycleDamage: worst}
 }

@@ -35,7 +35,6 @@ func heldRollout(t *testing.T, host *Engine, a policy.Action, horizonTicks int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	startJ := f.energy.TotalJ()
 	peak := math.Inf(-1)
 	for i := 0; i < horizonTicks && f.tickIdx < f.nTicks; i++ {
 		if err := f.tick(f.tickIdx); err != nil {
@@ -63,7 +62,7 @@ func heldRollout(t *testing.T, host *Engine, a policy.Action, horizonTicks int) 
 			worst = d
 		}
 	}
-	return policy.RolloutScore{PeakTempC: peak, WorstCycleDamage: worst, EnergyJ: f.energy.TotalJ() - startJ}
+	return policy.RolloutScore{PeakTempC: peak, WorstCycleDamage: worst}
 }
 
 // rolloutCandidates returns seven candidates for n cores, five of them
@@ -147,8 +146,7 @@ func TestRolloutScoresMatchFullForks(t *testing.T) {
 					want := heldRollout(t, e, a, 5)
 					got := scores[i]
 					if math.Float64bits(got.PeakTempC) != math.Float64bits(want.PeakTempC) ||
-						math.Float64bits(got.WorstCycleDamage) != math.Float64bits(want.WorstCycleDamage) ||
-						math.Float64bits(got.EnergyJ) != math.Float64bits(want.EnergyJ) {
+						math.Float64bits(got.WorstCycleDamage) != math.Float64bits(want.WorstCycleDamage) {
 						t.Errorf("tick %d, candidate %d: score %+v, full fork %+v", at, i, got, want)
 					}
 				}
